@@ -10,6 +10,8 @@ independent of search order.
 
 from __future__ import annotations
 
+import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -185,7 +187,7 @@ class _LinkSearch:
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise ResourceLimit("census search exceeded its node budget")
         if self.nodes % _CHECK_EVERY == 0:
-            if self.deadline is not None and time.time() > self.deadline:
+            if self.deadline is not None and time.monotonic() > self.deadline:
                 raise ResourceLimit("census search exceeded its time budget")
         branch = self._branch_faces()
         if branch is None:
@@ -239,7 +241,9 @@ def enumerate_degree_regular(
     jobs: int = 1,
 ) -> list[Triangulation]:
     """All degree-6 triangulations on n vertices up to isomorphism, each in
-    canonical form, sorted by canonical code.  Empty for n <= 6."""
+    canonical form, sorted by canonical code.  Empty for n <= 6.  The search
+    runs in min(jobs, os.cpu_count()) processes; `budget_seconds` must be
+    finite and `jobs` at least 1."""
     return [t for _, t in _enumerate_with_codes(n, budget_seconds=budget_seconds,
                                                 max_nodes=max_nodes, jobs=jobs)]
 
@@ -253,9 +257,16 @@ def _enumerate_with_codes(
 ) -> list[tuple[Code, Triangulation]]:
     if n < 1:
         raise ValueError("vertex count must be at least 1")
+    if budget_seconds is not None and not math.isfinite(budget_seconds):
+        raise ValueError(f"budget must be a finite number of seconds, not {budget_seconds}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     if n <= 6:
         return []
-    deadline = time.time() + budget_seconds if budget_seconds is not None else None
+    # The monotonic clock is system-wide, so pool workers can compare
+    # against a deadline taken here.
+    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     if jobs <= 1:
         found = _search_worker((n, tuple(_initial_star()), deadline, max_nodes))
     else:

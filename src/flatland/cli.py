@@ -180,7 +180,7 @@ def _cmd_aut(args, out: TextIO) -> int:
         "order": group.order,
         "vertex_orbits": len(group.vertex_orbits),
         "face_orbits": len(group.face_orbits),
-        "flag_orbits": len(group.flag_orbits),
+        "flag_orbits": 6 * t.f2 // group.order,  # the action on flags is free
         "weakly_regular": weakly,
         "combinatorially_regular": comb,
     }

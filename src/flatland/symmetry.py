@@ -1,33 +1,39 @@
 """Canonical forms, certified isomorphism testing, and automorphism groups.
 
-The canonical code of a triangulation is obtained by running a deterministic
-breadth-first traversal of the face adjacency from every starting flag in
-both orientation senses, relabeling vertices in first-visit order, and
-taking the lexicographically smallest relabeled face list.  Code equality is
-equivalent to isomorphism, and the starts that achieve the minimum yield the
-full automorphism group (the flag action on a connected closed surface is
-free, so distinct qualifying flags give distinct automorphisms).
+A *start* is one of the 6*f_2 flags, written as an oriented face (x, y, z).
+From a start, a breadth-first traversal of the face adjacency labels x, y, z
+as 0, 1, 2, and for each popped face (x, y, z) crosses its edges (p, q) =
+(x, y), (y, z), (z, x) in turn: the vertex w beyond the edge gets the next
+free label if it has none, and the face there is queued as (q, p, w) if it
+is new.  The *key* of the start is the sequence of the 3*f_2 labels of those
+vertices w.  The key determines the labelled face set (replay the
+traversal), and the traversal never looks at vertex names, so isomorphic
+complexes have the same keys.  The canonical key is the least one.  The
+scan compares each key with the least key so far while producing it and
+drops the start at the first larger entry (the prefix pruning of plantri,
+Brinkmann & McKay 2007).
+
+Two starts with the least key differ by an automorphism, and every
+automorphism maps a least-key start to one.  The group acts freely on flags
+(an automorphism fixing a flag fixes the flags of the adjacent faces, hence
+all flags), so the tied starts are in bijection with the automorphisms,
+|Aut| divides 6*f_2, there are 6*f_2/|Aut| flag orbits, and a complex is
+combinatorially regular iff |Aut| = 6*f_2.  The canonical labelling is the
+lexicographically least tied labelling, so canonicalising the canonical
+complex gives the identity; the canonical code is the sorted relabelled
+face list.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Optional, Sequence
 
 from .graphs import common_neighbor_graph, graph_shape
 from .surface import Face, Triangulation, orientability, skeleton_graph
 
 Code = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Flag:
-    """A mutually incident (vertex, directed edge, face) triple."""
-
-    vertex: int
-    edge: tuple[int, int]  # (vertex, other endpoint)
-    face: Face
 
 
 @dataclass(frozen=True)
@@ -46,7 +52,6 @@ class SymmetryGroup:
     elements: tuple[tuple[int, ...], ...]  # vertex permutations
     vertex_orbits: tuple[tuple[int, ...], ...]
     face_orbits: tuple[tuple[Face, ...], ...]
-    flag_orbits: tuple[tuple[Flag, ...], ...]
 
     @property
     def order(self) -> int:
@@ -63,73 +68,76 @@ class IsomorphismResult:
         return self.mapping is not None
 
 
-def flags(t: Triangulation) -> list[Flag]:
-    """All 6*f_2 flags of the triangulation."""
-    out = []
-    for f in t.faces:
-        for v in f:
-            for u in f:
-                if u != v:
-                    out.append(Flag(v, (v, u), f))
-    return out
-
-
-def _edge_table(t: Triangulation) -> dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]]:
-    # edge -> ((face index, opposite vertex), (face index, opposite vertex))
-    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+def _across(t: Triangulation) -> list[dict[int, tuple[int, int]]]:
+    """table[fi][r] = (gi, w): across the edge of face fi opposite its vertex
+    r lies face gi, whose vertex off that edge is w."""
+    sides: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for fi, (a, b, c) in enumerate(t.faces):
-        table.setdefault((a, b), []).append((fi, c))
-        table.setdefault((a, c), []).append((fi, b))
-        table.setdefault((b, c), []).append((fi, a))
-    return {e: (fs[0], fs[1]) for e, fs in table.items()}
+        for edge, r in (((a, b), c), ((a, c), b), ((b, c), a)):
+            sides.setdefault(edge, []).append((fi, r))
+    table: list[dict[int, tuple[int, int]]] = [{} for _ in t.faces]
+    for (f1, r1), (f2, r2) in sides.values():
+        table[f1][r1] = (f2, r2)
+        table[f2][r2] = (f1, r1)
+    return table
 
 
-def _traverse(t: Triangulation, table, start: tuple[int, int, int], start_fi: int):
-    """BFS over face adjacency from one oriented starting face; returns the
-    relabeled (flattened, sorted) face list and the label array."""
+def _traverse(t: Triangulation, table, start: tuple[int, int, int], start_fi: int,
+              best: Optional[list[int]]):
+    """Key and label array (input vertex -> label) of one start, or None as
+    soon as a key entry exceeds `best` at the same position."""
     label = [-1] * t.n
     x, y, z = start
     label[x], label[y], label[z] = 0, 1, 2
     nxt = 3
-    visited = [False] * len(t.faces)
-    visited[start_fi] = True
-    queue = deque([(x, y, z, start_fi)])
-    while queue:
-        x, y, z, fi = queue.popleft()
-        for p, q in ((x, y), (y, z), (z, x)):
-            e = (p, q) if p < q else (q, p)
-            (f1, w1), (f2, w2) = table[e]
-            gi, w = (f2, w2) if f1 == fi else (f1, w1)
-            if not visited[gi]:
-                visited[gi] = True
-                if label[w] < 0:
-                    label[w] = nxt
-                    nxt += 1
+    seen = [False] * t.f2
+    seen[start_fi] = True
+    queue = [(x, y, z, start_fi)]
+    key: list[int] = []
+    tight = best is not None  # the key so far equals best's prefix
+    for x, y, z, fi in queue:  # breadth-first: the queue grows while read
+        across = table[fi]
+        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+            gi, w = across[r]
+            lw = label[w]
+            if lw < 0:
+                lw = label[w] = nxt
+                nxt += 1
+            if tight and lw != best[len(key)]:
+                if lw > best[len(key)]:
+                    return None
+                tight = False
+            key.append(lw)
+            if not seen[gi]:
+                seen[gi] = True
                 queue.append((q, p, w, gi))
-    rel = sorted(
-        tuple(sorted((label[a], label[b], label[c]))) for a, b, c in t.faces
-    )
-    code = tuple(v for f in rel for v in f)
-    return code, label
+    return key, label
 
 
-def _orientations(face: Face):
-    a, b, c = face
-    return ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))
+def _scan(t: Triangulation) -> list[list[int]]:
+    """The label arrays of all starts whose key is the least one: one per
+    automorphism."""
+    table = _across(t)
+    best: Optional[list[int]] = None
+    ties: list[list[int]] = []
+    for fi, face in enumerate(t.faces):
+        for start in permutations(face):
+            found = _traverse(t, table, start, fi, best)
+            if found is None:
+                continue
+            key, label = found
+            if key == best:
+                ties.append(label)
+            else:  # a key that survives the pruning is at most best
+                best, ties = key, [label]
+    return ties
 
 
 def canonical_form(t: Triangulation) -> CanonicalForm:
     """Deterministic relabeling-invariant encoding of the surface."""
-    table = _edge_table(t)
-    best: Optional[Code] = None
-    best_label: Optional[list[int]] = None
-    for fi, face in enumerate(t.faces):
-        for start in _orientations(face):
-            code, label = _traverse(t, table, start, fi)
-            if best is None or code < best:
-                best, best_label = code, label
-    assert best is not None and best_label is not None
-    return CanonicalForm(best, tuple(best_label))
+    label = min(_scan(t))
+    rel = sorted(tuple(sorted((label[a], label[b], label[c]))) for a, b, c in t.faces)
+    return CanonicalForm(tuple(v for f in rel for v in f), tuple(label))
 
 
 def canonical_code(t: Triangulation) -> Code:
@@ -174,17 +182,7 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
 
 def automorphism_group(t: Triangulation) -> SymmetryGroup:
     """The complete automorphism group as explicit vertex permutations."""
-    table = _edge_table(t)
-    best: Optional[Code] = None
-    labelings: list[list[int]] = []
-    for fi, face in enumerate(t.faces):
-        for start in _orientations(face):
-            code, label = _traverse(t, table, start, fi)
-            if best is None or code < best:
-                best = code
-                labelings = [label]
-            elif code == best:
-                labelings.append(label)
+    labelings = _scan(t)
     base_inv = _invert(labelings[0])
     face_set = t.face_set()
     elements = []
@@ -193,25 +191,14 @@ def automorphism_group(t: Triangulation) -> SymmetryGroup:
         if _apply(perm, t.faces) != face_set:
             raise AssertionError("traversal produced a non-automorphism")
         elements.append(perm)
-    elements = tuple(sorted(set(elements)))
+    elements = tuple(sorted(elements))
 
     vertex_orbits = _orbit_partition(range(t.n), lambda v: {p[v] for p in elements})
     face_orbits = _orbit_partition(
         t.faces,
         lambda f: {tuple(sorted((p[f[0]], p[f[1]], p[f[2]]))) for p in elements},
     )
-    flag_orbits = _orbit_partition(
-        flags(t),
-        lambda fl: {
-            Flag(
-                p[fl.vertex],
-                (p[fl.vertex], p[fl.edge[1]]),
-                tuple(sorted((p[fl.face[0]], p[fl.face[1]], p[fl.face[2]]))),
-            )
-            for p in elements
-        },
-    )
-    return SymmetryGroup(elements, vertex_orbits, face_orbits, flag_orbits)
+    return SymmetryGroup(elements, vertex_orbits, face_orbits)
 
 
 def _orbit_partition(items, orbit_of):
@@ -230,7 +217,8 @@ def regularity_flags(
     t: Triangulation, group: Optional[SymmetryGroup] = None
 ) -> tuple[bool, bool]:
     """(weakly regular, combinatorially regular): vertex- and
-    flag-transitivity of the automorphism group."""
+    flag-transitivity of the automorphism group; the action on flags is
+    free, so it is transitive iff |Aut| = 6*f_2."""
     if group is None:
         group = automorphism_group(t)
-    return len(group.vertex_orbits) == 1, len(group.flag_orbits) == 1
+    return len(group.vertex_orbits) == 1, group.order == 6 * t.f2

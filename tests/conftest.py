@@ -66,6 +66,11 @@ def brute_force_isomorphism(a: Triangulation, b: Triangulation):
     return None
 
 
+def flags(t: Triangulation) -> list[tuple[int, int, tuple[int, int, int]]]:
+    """All 6*f_2 flags as (vertex, other end of an edge, face) triples."""
+    return [(v, u, f) for f in t.faces for v in f for u in f if u != v]
+
+
 def shuffled(t: Triangulation, seed: int) -> Triangulation:
     rng = random.Random(seed)
     perm = list(range(t.n))

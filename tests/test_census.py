@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from flatland import (
     ResourceLimit,
+    census,
     classify_census,
     degree_profile,
     enumerate_degree_regular,
@@ -66,3 +69,43 @@ def test_node_budget_raises():
 def test_time_budget_raises():
     with pytest.raises(ResourceLimit):
         enumerate_degree_regular(12, budget_seconds=0.0)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+@pytest.mark.parametrize("cpus,jobs,workers", [(3, 64, [3]), (3, 2, [2]), (None, 8, [])])
+def test_jobs_clamped_to_cpu_count(monkeypatch, cpus, jobs, workers):
+    monkeypatch.setattr(_RecordingPool, "max_workers", [])
+    monkeypatch.setattr(census, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
+    result = enumerate_degree_regular(10, jobs=jobs)
+    assert _RecordingPool.max_workers == workers
+    assert [t.faces for t in result] == [t.faces for t in enumerate_degree_regular(10)]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_non_positive_jobs_rejected(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        enumerate_degree_regular(9, jobs=jobs)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+def test_non_finite_budget_rejected(budget):
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_degree_regular(9, budget_seconds=budget)

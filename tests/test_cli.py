@@ -125,6 +125,13 @@ class TestAut:
         payload = json.loads(out)
         jsonschema.validate(payload, load_schema("automorphisms.schema.json"))
         assert payload["combinatorially_regular"] is True
+        assert payload["flag_orbits"] == 1
+
+    def test_flag_orbits_from_order(self, tri_file):
+        code, out, _ = run_cli("aut", tri_file("T(15,1,3)"), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["order"], payload["flag_orbits"]) == (60, 3)
 
 
 class TestEnumerate:
@@ -172,6 +179,24 @@ class TestBudget:
         monkeypatch.setenv(cli.BUDGET_ENV, "0.0")
         code, _, _ = run_cli("classify", "--n", "9", "--budget", "600")
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_budget_exit_2(self, value):
+        code, _, err = run_cli("classify", "--n", "9", "--budget", value)
+        assert code == 2 and "budget" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_env_budget_exit_2(self, monkeypatch, value):
+        monkeypatch.setenv(cli.BUDGET_ENV, value)
+        code, _, err = run_cli("classify", "--n", "9")
+        assert code == 2 and "budget" in err
+
+
+class TestJobs:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_jobs_exit_2(self, value):
+        code, _, err = run_cli("classify", "--n", "9", "--jobs", value)
+        assert code == 2 and "jobs" in err
 
 
 class TestUsage:

@@ -7,15 +7,16 @@ from flatland import (
     build_triangulation,
     canonical_code,
     canonical_form,
+    enumerate_degree_regular,
     find_isomorphism,
     regularity_flags,
     relabel,
 )
-from flatland.symmetry import flags
 from tests.conftest import (
     brute_force_automorphisms,
     brute_force_isomorphism,
     fam,
+    flags,
     shuffled,
 )
 
@@ -196,3 +197,63 @@ class TestRegularityFlags:
     def test_q_band_weakly_regular(self):
         weakly, comb = regularity_flags(fam("Q(9,2)"))
         assert weakly and not comb
+
+
+class TestFlagOrbits:
+    def test_count_matches_brute_force_orbits(self, tetrahedron):
+        for t in (tetrahedron, fam("T(7,1,2)"), fam("B(3,3)"), fam("Q(5,2)")):
+            group = brute_force_automorphisms(t)
+            orbits = {
+                frozenset((p[v], p[u], tuple(sorted(p[x] for x in f))) for p in group)
+                for v, u, f in flags(t)
+            }
+            assert all(len(orbit) == len(group) for orbit in orbits)  # free action
+            assert len(orbits) == 6 * t.f2 // automorphism_group(t).order
+            assert regularity_flags(t)[1] == (len(orbits) == 1)
+
+
+def census_classes(ns):
+    return [t for n in ns for t in enumerate_degree_regular(n)]
+
+
+class TestScan:
+    def test_idempotent_on_census_classes(self):
+        for seed, t in enumerate(census_classes(range(7, 13))):
+            form = canonical_form(shuffled(t, seed))
+            assert form.code == canonical_code(t)
+            again = canonical_form(build_triangulation(t.n, form.faces))
+            assert again.code == form.code
+            assert again.relabeling == tuple(range(t.n))
+
+    def test_relabeling_is_the_least_that_realizes_the_code(self):
+        for name in ("T(7,1,2)", "B(3,3)", "Q(5,2)", "T(4,4,2)"):
+            t = shuffled(fam(name), 3)
+            label = canonical_form(t).relabeling
+            realizing = {
+                tuple(label[p[v]] for v in range(t.n))
+                for p in automorphism_group(t).elements
+            }
+            assert label == min(realizing)
+
+    def test_code_equality_matches_brute_force_isomorphism(self):
+        items = [
+            (i, shuffled(t, 100 * i + seed))
+            for i, t in enumerate(census_classes(range(7, 10)))
+            for seed in range(2)
+        ]
+        for i, (ci, a) in enumerate(items):
+            for cj, b in items[i + 1:]:
+                if a.n != b.n:
+                    continue
+                same_code = canonical_code(a) == canonical_code(b)
+                assert same_code == (brute_force_isomorphism(a, b) is not None)
+                assert same_code == (ci == cj)
+
+    @pytest.mark.stretch
+    def test_code_and_order_invariant_for_the_paper_census(self):
+        classes = census_classes(range(12, 16))
+        assert len(classes) == 19
+        for seed, t in enumerate(classes):
+            other = shuffled(t, seed)
+            assert canonical_code(other) == canonical_code(t)
+            assert automorphism_group(other).order == automorphism_group(t).order
