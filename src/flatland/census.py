@@ -6,16 +6,25 @@ smallest unfinished vertex at its smallest open endpoint.  New vertices are
 introduced in first-use order.  These choices prune most relabelings;
 residual duplicates are removed by canonical code, so the output is
 independent of search order.
+
+Every census takes one path, whatever the number of jobs: the search tree
+is expanded breadth-first until it has `_FRONTIER_TARGET` open states or
+runs out of them, and each state is searched depth-first by `_search_worker`,
+in this process for one job and in a process pool otherwise.  A node budget
+`max_nodes` counts the nodes searched below the frontier, summed over its
+states; the frontier is the same for every job count, so the count and the
+outcome are too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .families import known_catalog
 from .surface import (
@@ -28,7 +37,8 @@ from .symmetry import Code, automorphism_group, canonical_form, regularity_flags
 
 Face = tuple[int, int, int]
 
-_CHECK_EVERY = 256  # nodes between deadline checks
+_CHECK_EVERY = 256  # nodes between deadline checks, the first at the root
+_FRONTIER_TARGET = 8  # open states the search is split into, for any jobs
 
 
 class ResourceLimit(RuntimeError):
@@ -182,21 +192,37 @@ class _LinkSearch:
                 out.append(face)
         return out
 
-    def run(self, leaves: list[tuple[Face, ...]]) -> None:
+    def _visit(self) -> Optional[list[Face]]:
+        """Count the current state as one search node against the budgets
+        and return its branch faces, or None when the complex is complete."""
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise ResourceLimit("census search exceeded its node budget")
-        if self.nodes % _CHECK_EVERY == 0:
+        if self.nodes % _CHECK_EVERY == 1:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise ResourceLimit("census search exceeded its time budget")
-        branch = self._branch_faces()
-        if branch is None:
-            leaves.append(tuple(self.faces))
-            return
-        for face in branch:
+        return self._branch_faces()
+
+    def run(self, leaves: list[tuple[Face, ...]]) -> None:
+        """Append every completion of the current faces to `leaves`.  The
+        search is 2n - 6 faces deep, so it keeps a stack of branch iterators
+        instead of recursing; each iterator above the bottom one stands for
+        a face that is applied."""
+        stack: list[Iterator[Face]] = []
+        while True:
+            branch = self._visit()
+            if branch is None:
+                leaves.append(tuple(self.faces))
+                branch = []
+            stack.append(iter(branch))
+            face = next(stack[-1], None)
+            while face is None:
+                stack.pop()
+                if not stack:
+                    return
+                self._revert()
+                face = next(stack[-1], None)
             self._apply(face)
-            self.run(leaves)
-            self._revert()
 
 
 def _canonicalize_leaves(n: int, leaves: list[tuple[Face, ...]]) -> dict[Code, tuple[Face, ...]]:
@@ -209,12 +235,14 @@ def _canonicalize_leaves(n: int, leaves: list[tuple[Face, ...]]) -> dict[Code, t
     return found
 
 
-def _search_worker(args: tuple[int, tuple[Face, ...], Optional[float], Optional[int]]):
+def _search_worker(args: tuple[int, tuple[Face, ...], Optional[float], Optional[int]]
+                   ) -> tuple[dict[Code, tuple[Face, ...]], int]:
+    """Classes found below one frontier state, and the nodes searched."""
     n, faces, deadline, max_nodes = args
     state = _LinkSearch(n, list(faces), deadline, max_nodes)
     leaves: list[tuple[Face, ...]] = []
     state.run(leaves)
-    return _canonicalize_leaves(n, leaves)
+    return _canonicalize_leaves(n, leaves), state.nodes
 
 
 def _frontier(n: int, target: int) -> tuple[list[tuple[Face, ...]], list[tuple[Face, ...]]]:
@@ -224,8 +252,7 @@ def _frontier(n: int, target: int) -> tuple[list[tuple[Face, ...]], list[tuple[F
     leaves: list[tuple[Face, ...]] = []
     while states and len(states) < target:
         faces = states.pop(0)
-        probe = _LinkSearch(n, list(faces), None, None)
-        branch = probe._branch_faces()
+        branch = _LinkSearch(n, list(faces), None, None)._visit()
         if branch is None:
             leaves.append(faces)
             continue
@@ -243,7 +270,9 @@ def enumerate_degree_regular(
     """All degree-6 triangulations on n vertices up to isomorphism, each in
     canonical form, sorted by canonical code.  Empty for n <= 6.  The search
     runs in min(jobs, os.cpu_count()) processes; `budget_seconds` must be
-    finite and `jobs` at least 1."""
+    finite and `jobs` at least 1.  `max_nodes` bounds the search nodes below
+    the fixed frontier, summed over its states: the same count for every
+    `jobs`.  Either budget raises ResourceLimit when exceeded."""
     return [t for _, t in _enumerate_with_codes(n, budget_seconds=budget_seconds,
                                                 max_nodes=max_nodes, jobs=jobs)]
 
@@ -267,20 +296,22 @@ def _enumerate_with_codes(
     # The monotonic clock is system-wide, so pool workers can compare
     # against a deadline taken here.
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
-    if jobs <= 1:
-        found = _search_worker((n, tuple(_initial_star()), deadline, max_nodes))
-    else:
-        states, extra_leaves = _frontier(n, jobs * 4)
-        found = _canonicalize_leaves(n, extra_leaves)
-        if states:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                args = [(n, s, deadline, max_nodes) for s in states]
-                for partial in pool.map(_search_worker, args):
-                    for code, faces in partial.items():
-                        found.setdefault(code, faces)
-    return [
-        (code, build_triangulation(n, found[code])) for code in sorted(found)
-    ]
+    states, leaves = _frontier(n, _FRONTIER_TARGET)
+    found = _canonicalize_leaves(n, leaves)
+    nodes = 0
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        search = pool.map if pool else map
+        for classes, searched in search(_search_worker,
+                                        [(n, s, deadline, max_nodes) for s in states]):
+            nodes += searched
+            if max_nodes is not None and nodes > max_nodes:
+                raise ResourceLimit("census search exceeded its node budget")
+            for code, faces in classes.items():
+                found.setdefault(code, faces)
+    # found holds the relabelled, sorted faces of validated leaves: valid
+    # complexes that need no second validation.
+    return [(code, Triangulation(n, found[code])) for code in sorted(found)]
 
 
 @dataclass(frozen=True)

@@ -269,7 +269,7 @@ def run(argv: Sequence[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr)
     except ResourceLimit as exc:
         err.write(f"resource limit: {exc}\n")
         return 3
-    except (tri_io.TriFormatError, BadParameters, FileNotFoundError, ValueError) as exc:
+    except (tri_io.TriFormatError, BadParameters, OSError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return 2
 

@@ -43,10 +43,6 @@ class FamilySpec:
     def name(self) -> str:
         return _DISPLAY[self.tag](*self.params)
 
-    @property
-    def cli_name(self) -> str:
-        return _CLI_NAMES[self.tag](*self.params)
-
 
 _VERTEX_COUNTS: dict[str, Callable[..., int]] = {
     "T1": lambda n, k: n,
@@ -64,15 +60,6 @@ _DISPLAY: dict[str, Callable[..., str]] = {
     "B": lambda m, n: f"B_{{{m},{n}}}",
     "K": lambda m, two_n: f"K_{{{m},{two_n}}}",
     "Q": lambda q, n: f"Q_{{{q},{n}}}",
-}
-
-_CLI_NAMES: dict[str, Callable[..., str]] = {
-    "T1": lambda n, k: f"T({n},1,{k})",
-    "T2": lambda n, k: f"T({n},2,{k})",
-    "TM": lambda n, m, k: f"T({n},{m},{k})",
-    "B": lambda m, n: f"B({m},{n})",
-    "K": lambda m, two_n: f"K({m},{two_n})",
-    "Q": lambda q, n: f"Q({q},{n})",
 }
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
 
 Edge = tuple[int, int]
 
@@ -28,25 +27,6 @@ class SimpleGraph:
             if not (0 <= a < b < self.n):
                 raise ValueError(f"bad edge ({a}, {b}) for n={self.n}")
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        return cls(n, frozenset(tuple(sorted(e)) for e in edges))
-
-    @classmethod
-    def complete(cls, n: int) -> "SimpleGraph":
-        return cls(n, frozenset((a, b) for a in range(n) for b in range(a + 1, n)))
-
-    @classmethod
-    def cycle(cls, verts: Iterable[int]) -> "SimpleGraph":
-        vs = list(verts)
-        n = max(vs) + 1
-        edges = [tuple(sorted((vs[i], vs[(i + 1) % len(vs)]))) for i in range(len(vs))]
-        return cls.from_edges(n, edges)
-
-    @classmethod
-    def null(cls, n: int) -> "SimpleGraph":
-        return cls(n, frozenset())
-
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
@@ -54,9 +34,6 @@ class SimpleGraph:
             adj[a].add(b)
             adj[b].add(a)
         return tuple(frozenset(s) for s in adj)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
 
 def common_neighbor_graph(g: SimpleGraph, c: int) -> SimpleGraph:
@@ -142,59 +119,3 @@ def graph_shape(g: SimpleGraph) -> GraphShape:
                     queue.append(w)
         descriptors.append(_classify_component(g, comp))
     return GraphShape(tuple(sorted(descriptors)))
-
-
-def _refine_colors(g: SimpleGraph) -> tuple[int, ...]:
-    colors = [g.degree(v) for v in range(g.n)]
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in g.adjacency[v])))
-            for v in range(g.n)
-        ]
-        mapping = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [mapping[s] for s in sigs]
-        if new == colors:
-            return tuple(colors)
-        colors = new
-
-
-def graphs_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
-    """Edge-preserving bijection test via degree refinement plus
-    backtracking; intended for the small graphs arising here."""
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return False
-    cg, ch = _refine_colors(g), _refine_colors(h)
-    if sorted(cg) != sorted(ch):
-        return False
-
-    h_by_color: dict[int, list[int]] = {}
-    for v in range(h.n):
-        h_by_color.setdefault(ch[v], []).append(v)
-
-    # Map the most constrained vertices first.
-    order = sorted(range(g.n), key=lambda v: (sorted(cg).count(cg[v]), -g.degree(v)))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in h_by_color[cg[v]]:
-            if w in used:
-                continue
-            ok = True
-            for u, x in mapping.items():
-                if (u in g.adjacency[v]) != (x in h.adjacency[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del mapping[v]
-                used.remove(w)
-        return False
-
-    return extend(0)

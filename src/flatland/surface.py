@@ -9,7 +9,7 @@ all other operations may assume it.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -61,38 +61,6 @@ def surface_from_invariants(euler: int, orientable: bool) -> SurfaceType:
     if euler < 2:
         return SurfaceType("non_orientable", 2 - euler)
     return INVALID_SURFACE
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """A cyclic vertex sequence; equality is up to rotation and reflection."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        verts = tuple(self.vertices)
-        if len(verts) < 3 or len(set(verts)) != len(verts):
-            raise ValueError(f"not a cycle: {verts}")
-        object.__setattr__(self, "vertices", _normalize_cycle(verts))
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.vertices
-
-    def __str__(self) -> str:
-        return f"C_{len(self)}({', '.join(map(str, self.vertices))})"
-
-
-def _normalize_cycle(verts: tuple[int, ...]) -> tuple[int, ...]:
-    # Rotate the smallest vertex to the front, then pick the direction with
-    # the smaller successor; gives one representative per rotation/reflection.
-    k = len(verts)
-    i = verts.index(min(verts))
-    fwd = verts[i:] + verts[:i]
-    rev = (fwd[0],) + tuple(reversed(fwd[1:]))
-    return min(fwd, rev)
 
 
 @dataclass(frozen=True)
@@ -236,22 +204,6 @@ def build_triangulation(n: int, face_list: Iterable[Sequence[int]]) -> Triangula
         raise Disconnected(f"complex has {len(faces) - len(seen_faces)} unreachable faces")
 
     return Triangulation(n, tuple(faces))
-
-
-def link_cycle(t: Triangulation, v: int) -> Cycle:
-    """Neighbors of v in rotation order around v."""
-    adj: dict[int, list[int]] = defaultdict(list)
-    for f in t.faces:
-        if v in f:
-            a, b = (x for x in f if x != v)
-            adj[a].append(b)
-            adj[b].append(a)
-    start = min(adj)
-    order = [start, min(adj[start])]
-    while len(order) < len(adj):
-        w1, w2 = adj[order[-1]]
-        order.append(w2 if w1 == order[-2] else w1)
-    return Cycle(tuple(order))
 
 
 def euler_characteristic(t: Triangulation) -> int:

@@ -140,10 +140,6 @@ def canonical_form(t: Triangulation) -> CanonicalForm:
     return CanonicalForm(tuple(v for f in rel for v in f), tuple(label))
 
 
-def canonical_code(t: Triangulation) -> Code:
-    return canonical_form(t).code
-
-
 def _apply(perm: Sequence[int], faces: Sequence[Face]) -> frozenset[Face]:
     return frozenset(tuple(sorted((perm[a], perm[b], perm[c]))) for a, b, c in faces)
 

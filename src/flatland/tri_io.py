@@ -82,7 +82,9 @@ def from_json(text: str) -> tuple[int, list[tuple[int, int, int]]]:
         payload = json.loads(text)
         n = int(payload["n"])
         faces = [tuple(int(v) for v in f) for f in payload["faces"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        # OverflowError: "n": 1e400 parses as infinity; RecursionError: the
+        # decoder recurses once per nesting level.
         raise TriFormatError(1, f"bad JSON triangulation: {exc}") from None
     bad = [f for f in faces if len(f) != 3]
     if bad:

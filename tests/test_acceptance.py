@@ -15,7 +15,7 @@ import pytest
 from flatland import (
     FamilySpec,
     automorphism_group,
-    canonical_code,
+    canonical_form,
     classify_census,
     cli,
     construct_family,
@@ -184,20 +184,20 @@ def test_criterion_3_grid_to_cyclic_reductions():
         def codes_for(n: int) -> set:
             if n not in cyclic_codes:
                 cyclic_codes[n] = {
-                    canonical_code(fam(f"T({n},1,{j})")) for j in t1_valid_twists(n)
+                    canonical_form(fam(f"T({n},1,{j})")).code for j in t1_valid_twists(n)
                 }
             return cyclic_codes[n]
 
         for n in range(4, 13):
             for k in range(1, n - 2):
                 if math.gcd(n, k) == 1 or math.gcd(n, k + 2) == 1:
-                    code = canonical_code(fam(f"T({n},2,{k})"))
+                    code = canonical_form(fam(f"T({n},2,{k})")).code
                     assert code in codes_for(2 * n), f"T({n},2,{k})"
         for n in range(3, 6):
             for m in range(3, 6):
                 for k in range(n):
                     if math.gcd(n, k) == 1 or math.gcd(n, k + m) == 1:
-                        code = canonical_code(fam(f"T({n},{m},{k})"))
+                        code = canonical_form(fam(f"T({n},{m},{k})")).code
                         assert code in codes_for(n * m), f"T({n},{m},{k})"
         assert _iso("T(8,2,4)", "T(8,2,2)")
         assert _iso("T(4,4,2)", "T(8,2,2)")
@@ -345,7 +345,7 @@ def test_criterion_9_weakly_regular_census():
                     total += 1
                     found.add(item.code)
         assert total == 20
-        expected = {canonical_code(fam(name)) for name in WEAKLY_REGULAR_NAMES}
+        expected = {canonical_form(fam(name)).code for name in WEAKLY_REGULAR_NAMES}
         assert found == expected
 
 

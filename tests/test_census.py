@@ -71,6 +71,42 @@ def test_time_budget_raises():
         enumerate_degree_regular(12, budget_seconds=0.0)
 
 
+def test_time_budget_checked_in_small_subtrees():
+    # At n = 9 every frontier state has fewer than _CHECK_EVERY nodes.
+    with pytest.raises(ResourceLimit):
+        enumerate_degree_regular(9, budget_seconds=0.0)
+
+
+def _outcome(n, max_nodes, jobs):
+    try:
+        return [t.faces for t in enumerate_degree_regular(n, max_nodes=max_nodes, jobs=jobs)]
+    except ResourceLimit:
+        return ResourceLimit
+
+
+def test_node_budget_same_for_every_jobs(monkeypatch):
+    # n = 12 searches 1924 nodes below the frontier (1928 with its probes).
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    outcomes = []
+    for max_nodes in (1500, 1923, 1924):
+        serial = _outcome(12, max_nodes, jobs=1)
+        assert _outcome(12, max_nodes, jobs=2) == serial, max_nodes
+        outcomes.append(serial)
+    assert outcomes[:2] == [ResourceLimit, ResourceLimit]
+    assert len(outcomes[2]) == 7
+
+
+def test_deep_search_hits_the_budget_not_the_recursion_limit():
+    # The search is 2n - 6 = 1194 faces deep here.
+    with pytest.raises(ResourceLimit):
+        enumerate_degree_regular(600, max_nodes=5000)
+
+
+def test_frontier_returns_states_and_leaves():
+    states, leaves = census._frontier(12, 8)
+    assert len(states) >= 8 and leaves == []
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
 

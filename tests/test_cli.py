@@ -1,9 +1,13 @@
 import io
 import json
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flatland import cli, format_tri
 from tests.conftest import fam
@@ -82,6 +86,18 @@ class TestCheck:
         code, _, err = run_cli("check", "/nonexistent/x.tri")
         assert code == 2 and err
 
+    @pytest.mark.parametrize("command", ["check", "aut", "iso"])
+    def test_directory_exit_2(self, tmp_path, command):
+        paths = [str(tmp_path)] * (2 if command == "iso" else 1)
+        code, _, err = run_cli(command, *paths)
+        assert code == 2 and "Is a directory" in err
+
+    def test_infinite_json_vertex_count_exit_2(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 1e400, "faces": []}')
+        code, _, err = run_cli("check", str(path))
+        assert code == 2 and "bad JSON" in err
+
 
 class TestInvariant:
     def test_shape_string(self, tri_file):
@@ -152,6 +168,13 @@ class TestEnumerate:
             assert code == 0
 
 
+    def test_out_is_a_file_exit_2(self, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("")
+        code, _, err = run_cli("enumerate", "--n", "7", "--out", str(path))
+        assert code == 2 and "exists" in err
+
+
 class TestClassify:
     def test_table(self):
         code, out, _ = run_cli("classify", "--n", "9")
@@ -207,3 +230,46 @@ class TestUsage:
     def test_missing_argument_exit_2(self):
         code, _, _ = run_cli("invariant", "x.tri")
         assert code == 2
+
+
+# Text that looks like a .tri file often enough to get past the header.
+TRI_TEXT = st.one_of(
+    st.text(),
+    st.lists(
+        st.lists(st.integers(-1, 9), max_size=4).map(lambda row: " ".join(map(str, row))),
+        max_size=12,
+    ).map("\n".join),
+)
+SCALAR = st.one_of(st.integers(-1, 9), st.floats(), st.text(max_size=3), st.none())
+JSON_TEXT = st.one_of(
+    st.text(),
+    st.fixed_dictionaries(
+        {"n": SCALAR, "faces": st.lists(st.lists(SCALAR, max_size=4), max_size=8)}
+    ).map(json.dumps),
+)
+
+
+@given(tri=TRI_TEXT, js=JSON_TEXT, as_directories=st.booleans())
+@example(tri="", js="", as_directories=True)  # IsADirectoryError
+@example(tri="4 4\n0 1 2\n", js="", as_directories=False)  # enumerate: FileExistsError
+@example(tri="", js='{"n": 1e400, "faces": []}', as_directories=False)  # OverflowError
+@example(tri="", js="[" * 5000, as_directories=False)  # RecursionError
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_inputs_end_with_an_exit_code(tri, js, as_directories):
+    with tempfile.TemporaryDirectory() as tmp:
+        tri_path, json_path = Path(tmp) / "x.tri", Path(tmp) / "x.json"
+        for path, text in ((tri_path, tri), (json_path, js)):
+            if as_directories:
+                path.mkdir()
+            else:
+                path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        for argv in (
+            ["check", str(tri_path)],
+            ["check", str(json_path)],
+            ["aut", str(json_path)],
+            ["invariant", str(tri_path), "--g", "4"],
+            ["iso", str(tri_path), str(json_path)],
+            ["enumerate", "--n", "7", "--out", str(tri_path)],
+        ):
+            code, _, _ = run_cli(*argv)
+            assert code in (0, 1, 2), argv

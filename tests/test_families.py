@@ -126,10 +126,6 @@ class TestNameParsing:
         assert parse_name("K(3,4)") == FamilySpec("K", (3, 4))
         assert parse_name("Q(7,2)") == FamilySpec("Q", (7, 2))
 
-    def test_round_trip_through_cli_name(self):
-        for text in ("T(12,1,3)", "T(6,2,1)", "T(4,3,2)", "B(3,4)", "Q(5,3)"):
-            assert parse_name(text).cli_name == text
-
     def test_bad_names(self):
         for text in ("X(3,4)", "T(12,1)", "B(3,4,5)", "T12,1,3", ""):
             with pytest.raises(BadParameters):

@@ -77,3 +77,13 @@ class TestErrors:
             from_json('{"n": 4}')
         with pytest.raises(TriFormatError, match="three vertices"):
             from_json('{"n": 4, "faces": [[0, 1]]}')
+
+    def test_infinite_json_number(self):
+        with pytest.raises(TriFormatError, match="bad JSON"):
+            from_json('{"n": 1e400, "faces": []}')
+        with pytest.raises(TriFormatError, match="bad JSON"):
+            from_json('{"n": 4, "faces": [[0, 1, 1e400]]}')
+
+    def test_deeply_nested_json(self):
+        with pytest.raises(TriFormatError, match="bad JSON"):
+            from_json("[" * 100_000)

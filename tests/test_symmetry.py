@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from flatland import (
     automorphism_group,
     build_triangulation,
-    canonical_code,
     canonical_form,
     enumerate_degree_regular,
     find_isomorphism,
@@ -38,13 +37,13 @@ class TestCanonicalForm:
     @settings(max_examples=20, deadline=None)
     def test_invariant_under_relabeling(self, seed):
         t = fam("B(3,3)")
-        assert canonical_code(shuffled(t, seed)) == canonical_code(t)
+        assert canonical_form(shuffled(t, seed)).code == canonical_form(t).code
 
     def test_equal_codes_for_isomorphic_twists(self):
-        assert canonical_code(fam("T(13,1,2)")) == canonical_code(fam("T(13,1,4)"))
+        assert canonical_form(fam("T(13,1,2)")).code == canonical_form(fam("T(13,1,4)")).code
 
     def test_different_codes_for_non_isomorphic_twists(self):
-        assert canonical_code(fam("T(12,1,2)")) != canonical_code(fam("T(12,1,3)"))
+        assert canonical_form(fam("T(12,1,2)")).code != canonical_form(fam("T(12,1,3)")).code
 
     def test_idempotence(self):
         t = fam("T(9,1,2)")
@@ -220,7 +219,7 @@ class TestScan:
     def test_idempotent_on_census_classes(self):
         for seed, t in enumerate(census_classes(range(7, 13))):
             form = canonical_form(shuffled(t, seed))
-            assert form.code == canonical_code(t)
+            assert form.code == canonical_form(t).code
             again = canonical_form(build_triangulation(t.n, form.faces))
             assert again.code == form.code
             assert again.relabeling == tuple(range(t.n))
@@ -245,7 +244,7 @@ class TestScan:
             for cj, b in items[i + 1:]:
                 if a.n != b.n:
                     continue
-                same_code = canonical_code(a) == canonical_code(b)
+                same_code = canonical_form(a).code == canonical_form(b).code
                 assert same_code == (brute_force_isomorphism(a, b) is not None)
                 assert same_code == (ci == cj)
 
@@ -255,5 +254,5 @@ class TestScan:
         assert len(classes) == 19
         for seed, t in enumerate(classes):
             other = shuffled(t, seed)
-            assert canonical_code(other) == canonical_code(t)
+            assert canonical_form(other).code == canonical_form(t).code
             assert automorphism_group(other).order == automorphism_group(t).order
