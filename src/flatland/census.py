@@ -7,6 +7,17 @@ introduced in first-use order.  These choices prune most relabelings;
 residual duplicates are removed by canonical code, so the output is
 independent of search order.
 
+A search node costs a few candidate checks, not a pass over all vertices.
+The smallest unfinished vertex is kept as a pointer that only moves forward
+as faces are added (a new face never touches a complete vertex), and is
+restored when a face is taken back.  The next face at that vertex v and its
+open endpoint u is (v, u, x), and only the x that can fit are checked: the
+other open endpoints of v's link, and, while v has fewer than 6 neighbours,
+the used vertices (or the next new one) that are not yet neighbours of v
+and have fewer than 6 neighbours.  Any other x would put a third face on
+an edge or give v or x a seventh neighbour.  Closing a link is checked by
+walking its path, at most 6 vertices.
+
 Every census takes one path, whatever the number of jobs: the search tree
 is expanded breadth-first until it has `_FRONTIER_TARGET` open states or
 runs out of them, and each state is searched depth-first by `_search_worker`,
@@ -51,145 +62,139 @@ def _initial_star() -> list[Face]:
 
 
 class _LinkSearch:
-    """Mutable search state over a growing face list."""
+    """Mutable search state over a growing face list.
+
+    `lk[v]` maps each neighbour u of v to the third vertices of the faces
+    on the edge vu, so its keys are the neighbours of v, its size is the
+    degree of v, and the length of a value is the number of faces on that
+    edge (at most 2).  `open_count[v]` counts the edges at v that lie on
+    one face only.  `first_open` is the least vertex that is not complete
+    (degree 6, no open edge), or n."""
 
     def __init__(self, n: int, faces: list[Face], deadline: Optional[float],
                  max_nodes: Optional[int]):
         self.n = n
         self.faces: list[Face] = []
-        self.face_set: set[Face] = set()
-        self.ecount: dict[tuple[int, int], int] = {}
-        self.adj: list[set[int]] = [set() for _ in range(n)]
-        self.lk: list[dict[int, list[int]]] = [dict() for _ in range(n)]
+        self.lk: list[dict[int, list[int]]] = [{} for _ in range(n)]
         self.open_count = [0] * n
         self.max_used = -1
+        self.first_open = 0
         self.deadline = deadline
         self.max_nodes = max_nodes
         self.nodes = 0
-        self._undo: list[tuple[Face, list[tuple[int, int]], int]] = []
+        self._undo: list[tuple[int, int]] = []  # (max_used, first_open) before each face
         for f in faces:
             self._apply(f)
 
     def _apply(self, face: Face) -> None:
         a, b, c = face
-        new_edges: list[tuple[int, int]] = []
-        for p, q in ((a, b), (a, c), (b, c)):
-            e = (p, q)
-            cnt = self.ecount.get(e, 0)
-            self.ecount[e] = cnt + 1
-            if cnt == 0:
-                self.adj[p].add(q)
-                self.adj[q].add(p)
-                self.open_count[p] += 1
-                self.open_count[q] += 1
-                new_edges.append(e)
+        lk = self.lk
+        open_count = self.open_count
+        for p, q, r in ((a, b, c), (a, c, b), (b, c, a)):
+            on_pq = lk[p].get(q)
+            if on_pq is None:
+                lk[p][q] = [r]
+                lk[q][p] = [r]
+                open_count[p] += 1
+                open_count[q] += 1
             else:
-                self.open_count[p] -= 1
-                self.open_count[q] -= 1
-        self.lk[a].setdefault(b, []).append(c)
-        self.lk[a].setdefault(c, []).append(b)
-        self.lk[b].setdefault(a, []).append(c)
-        self.lk[b].setdefault(c, []).append(a)
-        self.lk[c].setdefault(a, []).append(b)
-        self.lk[c].setdefault(b, []).append(a)
-        prev_max = self.max_used
+                on_pq.append(r)
+                lk[q][p].append(r)
+                open_count[p] -= 1
+                open_count[q] -= 1
+        self._undo.append((self.max_used, self.first_open))
         self.max_used = max(self.max_used, c)
         self.faces.append(face)
-        self.face_set.add(face)
-        self._undo.append((face, new_edges, prev_max))
+        # A new face never touches a complete vertex, so the vertices below
+        # first_open stay complete and the pointer only moves forward here.
+        v = self.first_open
+        while v < self.n and len(lk[v]) == 6 and open_count[v] == 0:
+            v += 1
+        self.first_open = v
 
     def _revert(self) -> None:
-        face, new_edges, prev_max = self._undo.pop()
-        a, b, c = face
-        self.faces.pop()
-        self.face_set.remove(face)
-        for u in (a, b, c):
-            for v in (a, b, c):
-                if u != v:
-                    lst = self.lk[u][v]
-                    lst.pop()
-                    if not lst:
-                        del self.lk[u][v]
+        a, b, c = self.faces.pop()
+        lk = self.lk
+        open_count = self.open_count
         for p, q in ((a, b), (a, c), (b, c)):
-            e = (p, q)
-            self.ecount[e] -= 1
-            if self.ecount[e] == 0:
-                del self.ecount[e]
-                self.adj[p].discard(q)
-                self.adj[q].discard(p)
-                self.open_count[p] -= 1
-                self.open_count[q] -= 1
+            on_pq = lk[p][q]
+            if len(on_pq) == 1:
+                del lk[p][q]
+                del lk[q][p]
+                open_count[p] -= 1
+                open_count[q] -= 1
             else:
-                self.open_count[p] += 1
-                self.open_count[q] += 1
-        self.max_used = prev_max
+                on_pq.pop()
+                lk[q][p].pop()
+                open_count[p] += 1
+                open_count[q] += 1
+        self.max_used, self.first_open = self._undo.pop()
 
-    def _complete(self, v: int) -> bool:
-        return len(self.adj[v]) == 6 and self.open_count[v] == 0
-
-    def _link_component(self, w: int, start: int) -> list[int]:
-        # Walk the link path/cycle of w containing `start`.
-        comp = [start]
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for nb in self.lk[w].get(cur, ()):
-                if nb not in seen:
-                    seen.add(nb)
-                    comp.append(nb)
-                    frontier.append(nb)
-        return comp
+    def _closes_short_cycle(self, w: int, p: int, q: int) -> bool:
+        """Whether p and q are the two ends of one path of the link of w
+        that has fewer than 6 vertices.  Both must be ends of link paths:
+        each lies on one face with w."""
+        lk_w = self.lk[w]
+        prev, end, size = p, lk_w[p][0], 2
+        while len(lk_w[end]) == 2:
+            a, b = lk_w[end]
+            prev, end = end, b if a == prev else a
+            size += 1
+        return end == q and size < 6
 
     def _face_ok(self, face: Face) -> bool:
-        if face in self.face_set:
-            return False
+        """Whether the face can be added: it adds no third face to an edge,
+        no seventh neighbour to a vertex, and closes a vertex link only
+        into a whole 6-cycle.  A face already present fails the last rule:
+        in the link of each of its vertices the other two are the ends of
+        a path of 2 vertices."""
         a, b, c = face
-        pairs = ((a, b), (a, c), (b, c))
-        for e in pairs:
-            if self.ecount.get(e, 0) >= 2:
+        lk = self.lk
+        for w, p, q in ((a, b, c), (b, a, c), (c, a, b)):
+            lk_w = lk[w]
+            on_p = lk_w.get(p)
+            on_q = lk_w.get(q)
+            if on_p is not None and len(on_p) == 2 or on_q is not None and len(on_q) == 2:
                 return False
-        # Degree bound, counting edges this face would add.
-        for w, (p, q) in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
-            deg_after = len(self.adj[w])
-            deg_after += p not in self.adj[w]
-            deg_after += q not in self.adj[w]
-            if deg_after > 6:
-                return False
-            # Closing a link cycle is only allowed when it closes the whole
-            # 6-cycle at once.
-            if p in self.adj[w] and q in self.adj[w] and w in self.adj[p] and w in self.adj[q]:
-                comp = self._link_component(w, p)
-                if q in comp and (deg_after != 6 or len(comp) != 6):
+            if on_p is None or on_q is None:
+                if len(lk_w) + (on_p is None) + (on_q is None) > 6:
                     return False
+            elif self._closes_short_cycle(w, p, q):
+                return False
         return True
 
-    def _target_vertex(self) -> int:
-        for v in range(self.n):
-            if not self._complete(v):
-                return v
-        return self.n
-
     def _branch_faces(self) -> Optional[list[Face]]:
-        """Candidate next faces, or None when the complex is complete."""
-        v = self._target_vertex()
+        """Candidate next faces, or None when the complex is complete.
+
+        The new face is (v, u, x): v is the first open vertex, u its least
+        open neighbour, and x < max_used + 2 (new vertices come in
+        first-use order).  Only two kinds of x are offered to `_face_ok`,
+        in ascending order: the other open neighbours of v, and, while v
+        has fewer than 6 neighbours, the non-neighbours of v that have
+        fewer than 6 neighbours.  Every other x fails `_face_ok`: the edge
+        vx of a neighbour that is not open already lies on two faces; a
+        non-neighbour would be a seventh neighbour of v when v has 6, and v
+        a seventh neighbour of x when x has 6.  The vertices below v are
+        complete, so they have 6 neighbours and are never offered."""
+        v = self.first_open
         if v == self.n:
             return None
-        if not self.adj[v]:
+        lk = self.lk
+        lk_v = lk[v]
+        if not lk_v:
             return []  # earlier links closed without using v: dead branch
-        u = min(
-            u
-            for u in self.adj[v]
-            if self.ecount[(v, u) if v < u else (u, v)] == 1
-        )
+        xs = [x for x, on_vx in lk_v.items() if len(on_vx) == 1]
+        u = min(xs)
+        if len(lk_v) < 6:
+            xs += [x for x in range(v + 1, min(self.max_used + 2, self.n))
+                   if len(lk[x]) < 6 and x not in lk_v]
+        xs.sort()
         out = []
-        limit = min(self.max_used + 2, self.n)
-        for x in range(limit):
-            if x == v or x == u:
-                continue
-            face = tuple(sorted((v, u, x)))
-            if self._face_ok(face):
-                out.append(face)
+        for x in xs:
+            if x != u:
+                face = (v, u, x) if u < x else (v, x, u)
+                if self._face_ok(face):
+                    out.append(face)
         return out
 
     def _visit(self) -> Optional[list[Face]]:
@@ -236,13 +241,17 @@ def _canonicalize_leaves(n: int, leaves: list[tuple[Face, ...]]) -> dict[Code, t
 
 
 def _search_worker(args: tuple[int, tuple[Face, ...], Optional[float], Optional[int]]
-                   ) -> tuple[dict[Code, tuple[Face, ...]], int]:
-    """Classes found below one frontier state, and the nodes searched."""
+                   ) -> tuple[dict[Code, tuple[Face, ...]], int, Optional[str]]:
+    """Classes found below one frontier state, the nodes searched, and the
+    reason the search stopped early, or None when it finished."""
     n, faces, deadline, max_nodes = args
     state = _LinkSearch(n, list(faces), deadline, max_nodes)
     leaves: list[tuple[Face, ...]] = []
-    state.run(leaves)
-    return _canonicalize_leaves(n, leaves), state.nodes
+    try:
+        state.run(leaves)
+    except ResourceLimit as stop:
+        return {}, state.nodes, str(stop)
+    return _canonicalize_leaves(n, leaves), state.nodes, None
 
 
 def _frontier(n: int, target: int) -> tuple[list[tuple[Face, ...]], list[tuple[Face, ...]]]:
@@ -272,7 +281,8 @@ def enumerate_degree_regular(
     runs in min(jobs, os.cpu_count()) processes; `budget_seconds` must be
     finite and `jobs` at least 1.  `max_nodes` bounds the search nodes below
     the fixed frontier, summed over its states: the same count for every
-    `jobs`.  Either budget raises ResourceLimit when exceeded."""
+    `jobs`.  Either budget raises ResourceLimit when exceeded; its message
+    gives the nodes searched below the frontier and the states done."""
     return [t for _, t in _enumerate_with_codes(n, budget_seconds=budget_seconds,
                                                 max_nodes=max_nodes, jobs=jobs)]
 
@@ -297,16 +307,27 @@ def _enumerate_with_codes(
     # against a deadline taken here.
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     states, leaves = _frontier(n, _FRONTIER_TARGET)
+    nodes = done = 0
+
+    def limit(reason: str) -> ResourceLimit:
+        return ResourceLimit(f"{reason} ({nodes} nodes, {done}/{len(states)} states done)")
+
+    # At small n the frontier is the whole tree, and its probes check no
+    # deadline.
+    if deadline is not None and time.monotonic() > deadline:
+        raise limit("census search exceeded its time budget")
     found = _canonicalize_leaves(n, leaves)
-    nodes = 0
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     with pool or contextlib.nullcontext():
         search = pool.map if pool else map
-        for classes, searched in search(_search_worker,
-                                        [(n, s, deadline, max_nodes) for s in states]):
+        for classes, searched, stop in search(_search_worker,
+                                              [(n, s, deadline, max_nodes) for s in states]):
             nodes += searched
-            if max_nodes is not None and nodes > max_nodes:
-                raise ResourceLimit("census search exceeded its node budget")
+            if stop is None and max_nodes is not None and nodes > max_nodes:
+                stop = "census search exceeded its node budget"
+            if stop is not None:
+                raise limit(stop)
+            done += 1
             for code, faces in classes.items():
                 found.setdefault(code, faces)
     # found holds the relabelled, sorted faces of validated leaves: valid

@@ -71,6 +71,59 @@ def flags(t: Triangulation) -> list[tuple[int, int, tuple[int, int, int]]]:
     return [(v, u, f) for f in t.faces for v in f for u in f if u != v]
 
 
+def reference_target_vertex(search) -> int:
+    """The least vertex of a `census._LinkSearch` state that is not complete
+    (6 neighbours, every edge on two faces), or n, by a scan from vertex 0."""
+    for v in range(search.n):
+        if len(search.lk[v]) != 6 or any(len(on) != 2 for on in search.lk[v].values()):
+            return v
+    return search.n
+
+
+def reference_face_ok(search, face) -> bool:
+    """The face rule of the link search, checked from scratch: the face is
+    new, every edge stays on at most two faces, every vertex has at most 6
+    neighbours, and a vertex link closes only into a whole 6-cycle (its
+    component is found by a breadth-first walk)."""
+    if face in search.faces:
+        return False
+    lk = search.lk
+    a, b, c = face
+    for p, q in ((a, b), (a, c), (b, c)):
+        if len(lk[p].get(q, ())) >= 2:
+            return False
+    for w, p, q in ((a, b, c), (b, a, c), (c, a, b)):
+        degree = len(lk[w]) + (p not in lk[w]) + (q not in lk[w])
+        if degree > 6:
+            return False
+        if p in lk[w] and q in lk[w]:
+            component, todo = {p}, [p]
+            while todo:
+                for y in lk[w][todo.pop()]:
+                    if y not in component:
+                        component.add(y)
+                        todo.append(y)
+            if q in component and (degree != 6 or len(component) != 6):
+                return False
+    return True
+
+
+def reference_branch_faces(search):
+    """Branch faces of a link-search state by the plain rule: extend the
+    target vertex v at its least open neighbour u with every x below
+    min(max_used + 2, n) that passes `reference_face_ok`; None when no
+    vertex is open."""
+    v = reference_target_vertex(search)
+    if v == search.n:
+        return None
+    if not search.lk[v]:
+        return []
+    u = min(x for x, on in search.lk[v].items() if len(on) == 1)
+    faces = (tuple(sorted((v, u, x)))
+             for x in range(min(search.max_used + 2, search.n)) if x not in (v, u))
+    return [f for f in faces if reference_face_ok(search, f)]
+
+
 def shuffled(t: Triangulation, seed: int) -> Triangulation:
     rng = random.Random(seed)
     perm = list(range(t.n))

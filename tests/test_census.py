@@ -1,4 +1,5 @@
 import math
+import types
 
 import pytest
 
@@ -10,6 +11,7 @@ from flatland import (
     enumerate_degree_regular,
     euler_characteristic,
 )
+from tests.conftest import reference_branch_faces, reference_target_vertex
 
 EXPECTED_SPLITS = {7: (1, 0), 8: (1, 0), 9: (2, 1), 10: (1, 1), 11: (1, 0), 12: (4, 3)}
 
@@ -77,6 +79,23 @@ def test_time_budget_checked_in_small_subtrees():
         enumerate_degree_regular(9, budget_seconds=0.0)
 
 
+def test_time_budget_checked_when_the_frontier_is_the_whole_tree():
+    # At n = 7 the frontier completes the search and leaves no state.
+    assert census._frontier(7, 8)[0] == []
+    with pytest.raises(ResourceLimit, match="time budget"):
+        enumerate_degree_regular(7, budget_seconds=0.0)
+
+
+def test_time_budget_checked_at_the_root_of_each_state(monkeypatch):
+    # A clock that advances one second per reading: the deadline (t = 0.5)
+    # passes the check after the frontier (t = 0) and expires at the root
+    # of the first state (t = 1).
+    ticks = iter(range(-1, 10**6))
+    monkeypatch.setattr(census, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    with pytest.raises(ResourceLimit, match=r"time budget \(1 nodes, 0/9 states done\)"):
+        enumerate_degree_regular(9, budget_seconds=1.5)
+
+
 def _outcome(n, max_nodes, jobs):
     try:
         return [t.faces for t in enumerate_degree_regular(n, max_nodes=max_nodes, jobs=jobs)]
@@ -94,6 +113,19 @@ def test_node_budget_same_for_every_jobs(monkeypatch):
         outcomes.append(serial)
     assert outcomes[:2] == [ResourceLimit, ResourceLimit]
     assert len(outcomes[2]) == 7
+
+
+@pytest.mark.parametrize("max_nodes,progress", [
+    (100, "141 nodes, 2/9 states done"),  # the sum passes the budget
+    (1000, "1654 nodes, 8/9 states done"),  # the last state passes it alone
+    (1500, "1924 nodes, 8/9 states done"),
+])
+def test_node_budget_message_reports_progress(monkeypatch, max_nodes, progress):
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    for jobs in (1, 2):
+        with pytest.raises(ResourceLimit) as stop:
+            enumerate_degree_regular(12, max_nodes=max_nodes, jobs=jobs)
+        assert str(stop.value) == f"census search exceeded its node budget ({progress})"
 
 
 def test_deep_search_hits_the_budget_not_the_recursion_limit():
@@ -145,3 +177,39 @@ def test_non_positive_jobs_rejected(jobs):
 def test_non_finite_budget_rejected(budget):
     with pytest.raises(ValueError, match="budget"):
         enumerate_degree_regular(9, budget_seconds=budget)
+
+
+class _CheckedSearch(census._LinkSearch):
+    """A link search that compares every node with the plain rule: the
+    target found by a scan from vertex 0, and `_face_ok` on every x."""
+
+    def _branch_faces(self):
+        assert self.first_open == reference_target_vertex(self)
+        faces = super()._branch_faces()
+        assert faces == reference_branch_faces(self)
+        return faces
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_search_tree_matches_the_plain_rule(n):
+    search = _CheckedSearch(n, census._initial_star(), None, None)
+    leaves = []
+    search.run(leaves)
+    assert len(census._canonicalize_leaves(n, leaves)) == sum(EXPECTED_SPLITS[n])
+    if n == 12:
+        assert (search.nodes, len(leaves)) == (1928, 43)
+
+
+# Totals past the paper's range, from the search alone (no independent
+# oracle yet): n -> (torus, Klein bottle).  No Klein bottle at prime n.
+BEYOND_PAPER_SPLITS = {16: (5, 2), 17: (2, 0), 18: (5, 4), 19: (3, 0), 20: (6, 4)}
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("n", sorted(BEYOND_PAPER_SPLITS))
+def test_census_beyond_the_paper(n):
+    report = classify_census(n, budget_seconds=600)
+    torus, klein = BEYOND_PAPER_SPLITS[n]
+    assert (report.total, report.torus_count, report.klein_bottle_count) == (
+        torus + klein, torus, klein)
+    assert all(it.weakly_regular for it in report.items if it.surface.kind == "torus")

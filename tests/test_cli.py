@@ -193,6 +193,11 @@ class TestBudget:
         code, _, err = run_cli("classify", "--n", "12", "--budget", "0.0")
         assert code == 3 and "resource limit" in err
 
+    def test_budget_exit_3_when_the_frontier_is_the_whole_tree(self):
+        code, out, err = run_cli("classify", "--n", "7", "--budget", "0")
+        assert (code, out) == (3, "")
+        assert "time budget (0 nodes, 0/0 states done)" in err
+
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv(cli.BUDGET_ENV, "0.0")
         code, _, _ = run_cli("classify", "--n", "12")
