@@ -204,8 +204,7 @@ class _LinkSearch:
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise ResourceLimit("census search exceeded its node budget")
         if self.nodes % _CHECK_EVERY == 1:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise ResourceLimit("census search exceeded its time budget")
+            _check_deadline(self.deadline, "census search")
         return self._branch_faces()
 
     def run(self, leaves: list[tuple[Face, ...]]) -> None:
@@ -230,9 +229,16 @@ class _LinkSearch:
             self._apply(face)
 
 
-def _canonicalize_leaves(n: int, leaves: list[tuple[Face, ...]]) -> dict[Code, tuple[Face, ...]]:
+def _check_deadline(deadline: Optional[float], layer: str) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise ResourceLimit(f"{layer} exceeded its time budget")
+
+
+def _canonicalize_leaves(n: int, leaves: list[tuple[Face, ...]],
+                         deadline: Optional[float] = None) -> dict[Code, tuple[Face, ...]]:
     found: dict[Code, tuple[Face, ...]] = {}
     for faces in leaves:
+        _check_deadline(deadline, "census leaf canonicalisation")
         t = build_triangulation(n, faces)
         form = canonical_form(t)
         if form.code not in found:
@@ -243,15 +249,16 @@ def _canonicalize_leaves(n: int, leaves: list[tuple[Face, ...]]) -> dict[Code, t
 def _search_worker(args: tuple[int, tuple[Face, ...], Optional[float], Optional[int]]
                    ) -> tuple[dict[Code, tuple[Face, ...]], int, Optional[str]]:
     """Classes found below one frontier state, the nodes searched, and the
-    reason the search stopped early, or None when it finished."""
+    reason the search or the canonicalisation of its leaves stopped early,
+    or None when both finished."""
     n, faces, deadline, max_nodes = args
     state = _LinkSearch(n, list(faces), deadline, max_nodes)
     leaves: list[tuple[Face, ...]] = []
     try:
         state.run(leaves)
+        return _canonicalize_leaves(n, leaves, deadline), state.nodes, None
     except ResourceLimit as stop:
         return {}, state.nodes, str(stop)
-    return _canonicalize_leaves(n, leaves), state.nodes, None
 
 
 def _frontier(n: int, target: int) -> tuple[list[tuple[Face, ...]], list[tuple[Face, ...]]]:
@@ -283,53 +290,49 @@ def enumerate_degree_regular(
     the fixed frontier, summed over its states: the same count for every
     `jobs`.  Either budget raises ResourceLimit when exceeded; its message
     gives the nodes searched below the frontier and the states done."""
-    return [t for _, t in _enumerate_with_codes(n, budget_seconds=budget_seconds,
-                                                max_nodes=max_nodes, jobs=jobs)]
+    deadline = _deadline(n, budget_seconds, jobs)
+    return [t for _, t in _enumerate_with_codes(n, deadline, max_nodes, jobs)]
 
 
-def _enumerate_with_codes(
-    n: int,
-    *,
-    budget_seconds: Optional[float] = None,
-    max_nodes: Optional[int] = None,
-    jobs: int = 1,
-) -> list[tuple[Code, Triangulation]]:
+def _deadline(n: int, budget_seconds: Optional[float], jobs: int) -> Optional[float]:
+    """Check the census arguments; return when the census must end, or None
+    (on the monotonic clock: it is system-wide, so pool workers can use it)."""
     if n < 1:
         raise ValueError("vertex count must be at least 1")
     if budget_seconds is not None and not math.isfinite(budget_seconds):
         raise ValueError(f"budget must be a finite number of seconds, not {budget_seconds}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
+    return time.monotonic() + budget_seconds if budget_seconds is not None else None
+
+
+def _enumerate_with_codes(n: int, deadline: Optional[float], max_nodes: Optional[int],
+                          jobs: int) -> list[tuple[Code, Triangulation]]:
     jobs = min(jobs, os.cpu_count() or 1)
     if n <= 6:
         return []
-    # The monotonic clock is system-wide, so pool workers can compare
-    # against a deadline taken here.
-    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     states, leaves = _frontier(n, _FRONTIER_TARGET)
     nodes = done = 0
-
-    def limit(reason: str) -> ResourceLimit:
-        return ResourceLimit(f"{reason} ({nodes} nodes, {done}/{len(states)} states done)")
-
-    # At small n the frontier is the whole tree, and its probes check no
-    # deadline.
-    if deadline is not None and time.monotonic() > deadline:
-        raise limit("census search exceeded its time budget")
-    found = _canonicalize_leaves(n, leaves)
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    with pool or contextlib.nullcontext():
-        search = pool.map if pool else map
-        for classes, searched, stop in search(_search_worker,
-                                              [(n, s, deadline, max_nodes) for s in states]):
-            nodes += searched
-            if stop is None and max_nodes is not None and nodes > max_nodes:
-                stop = "census search exceeded its node budget"
-            if stop is not None:
-                raise limit(stop)
-            done += 1
-            for code, faces in classes.items():
-                found.setdefault(code, faces)
+    try:
+        # At small n the frontier is the whole tree, and its probes check
+        # no deadline.
+        _check_deadline(deadline, "census search")
+        found = _canonicalize_leaves(n, leaves, deadline)
+        pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+        with pool or contextlib.nullcontext():
+            search = pool.map if pool else map
+            for classes, searched, stop in search(_search_worker,
+                                                  [(n, s, deadline, max_nodes) for s in states]):
+                nodes += searched
+                if stop is None and max_nodes is not None and nodes > max_nodes:
+                    stop = "census search exceeded its node budget"
+                if stop is not None:
+                    raise ResourceLimit(stop)
+                done += 1
+                for code, faces in classes.items():
+                    found.setdefault(code, faces)
+    except ResourceLimit as stop:
+        raise ResourceLimit(f"{stop} ({nodes} nodes, {done}/{len(states)} states done)") from None
     # found holds the relabelled, sorted faces of validated leaves: valid
     # complexes that need no second validation.
     return [(code, Triangulation(n, found[code])) for code in sorted(found)]
@@ -375,28 +378,34 @@ def classify_census(
     jobs: int = 1,
 ) -> CensusReport:
     """Enumerate, then classify each item by surface type, regularity, and
-    membership in the named families."""
-    coded = _enumerate_with_codes(
-        n, budget_seconds=budget_seconds, max_nodes=max_nodes, jobs=jobs
-    )
-    family_codes: dict[Code, list[str]] = {}
-    for named in known_catalog(n):
-        code = canonical_form(named.complex).code
-        names = family_codes.setdefault(code, [])
-        if named.name not in names:
-            names.append(named.name)
-    items = []
-    for code, t in coded:
-        group = automorphism_group(t)
-        weakly, comb = regularity_flags(t, group)
-        items.append(
-            CensusItem(
-                triangulation=t,
-                code=code,
-                surface=surface_type(t),
-                weakly_regular=weakly,
-                combinatorially_regular=comb,
-                matched_family_names=tuple(family_codes.get(code, ())),
+    membership in the named families.  The time budget covers all of it:
+    the deadline is also checked before each catalog member is
+    canonicalised and before each class is classified."""
+    deadline = _deadline(n, budget_seconds, jobs)
+    coded = _enumerate_with_codes(n, deadline, max_nodes, jobs)
+    items: list[CensusItem] = []
+    try:
+        family_codes: dict[Code, list[str]] = {}
+        for named in known_catalog(n):
+            _check_deadline(deadline, "census classification")
+            code = canonical_form(named.complex).code
+            names = family_codes.setdefault(code, [])
+            if named.name not in names:
+                names.append(named.name)
+        for code, t in coded:
+            _check_deadline(deadline, "census classification")
+            group = automorphism_group(t)
+            weakly, comb = regularity_flags(t, group)
+            items.append(
+                CensusItem(
+                    triangulation=t,
+                    code=code,
+                    surface=surface_type(t),
+                    weakly_regular=weakly,
+                    combinatorially_regular=comb,
+                    matched_family_names=tuple(family_codes.get(code, ())),
+                )
             )
-        )
+    except ResourceLimit as stop:
+        raise ResourceLimit(f"{stop} ({len(items)}/{len(coded)} classes done)") from None
     return CensusReport(n, tuple(items))

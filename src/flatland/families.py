@@ -5,6 +5,10 @@ Torus families: T_{n,1,k} (cyclic), T_{n,2,k} (two cyclic rows), T_{n,m,k}
 Q_{2m+1,n}.  Display labels (1-based, possibly double-subscripted) are
 mapped to dense 0-based vertices at construction; the label table keeps the
 original names for reports.
+
+T_{n,1,k} and T_{n,2,k} have exactly the faces of the grid formula for
+T_{n,m,k} with m = 1 and m = 2 (the rows u and v of T_{n,2,k} are grid rows
+1 and 2), so one function builds all three; tags, ranges and labels differ.
 """
 
 from __future__ import annotations
@@ -121,30 +125,6 @@ class NamedTriangulation:
     spec: FamilySpec
     complex: Triangulation
     label_table: tuple[str, ...]  # internal vertex -> display label
-
-
-def _t1_faces(n: int, k: int) -> list[tuple[int, int, int]]:
-    faces = []
-    for i in range(n):
-        faces.append((i, (i + k) % n, (i + k + 1) % n))
-        faces.append((i, (i + 1) % n, (i + k + 1) % n))
-    return faces
-
-
-def _t2_faces(n: int, k: int) -> list[tuple[int, int, int]]:
-    def u(i: int) -> int:
-        return i % n
-
-    def v(i: int) -> int:
-        return n + i % n
-
-    faces = []
-    for i in range(n):
-        faces.append((u(i), u(i + 1), v(i + 1)))
-        faces.append((u(i), v(i), v(i + 1)))
-        faces.append((u(i + k), u(i + k + 1), v(i)))
-        faces.append((u(i + k + 1), v(i), v(i + 1)))
-    return faces
 
 
 def _tm_faces(n: int, m: int, k: int) -> list[tuple[int, int, int]]:
@@ -271,9 +251,9 @@ def construct_family(spec: FamilySpec) -> NamedTriangulation:
     validate(spec)
     tag, p = spec.tag, spec.params
     if tag == "T1":
-        faces = _t1_faces(*p)
+        faces = _tm_faces(p[0], 1, p[1])
     elif tag == "T2":
-        faces = _t2_faces(*p)
+        faces = _tm_faces(p[0], 2, p[1])
     elif tag == "TM":
         faces = _tm_faces(*p)
     elif tag == "B":

@@ -2,13 +2,14 @@
 
 A triangulation is stored as a vertex count plus a set of sorted triangle
 faces on vertices 0..n-1.  Validity (every edge in exactly two faces, every
-vertex link a single cycle, connected) is established once at build time;
-all other operations may assume it.
+vertex link a single cycle, connected) is checked once, in
+`build_triangulation`; all other operations may assume it.  One
+face-adjacency table per complex, `Triangulation.across`, serves the checks
+(building it is the edge check), `orientability` and the canonical scan.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -17,6 +18,7 @@ from .graphs import SimpleGraph
 
 Face = tuple[int, int, int]
 Edge = tuple[int, int]
+Adjacency = tuple[dict[int, tuple[int, int]], ...]
 
 
 class NotAManifold(ValueError):
@@ -78,14 +80,10 @@ class Triangulation:
         return tuple(sorted(seen))
 
     @cached_property
-    def edge_faces(self) -> dict[Edge, tuple[Face, ...]]:
-        table: dict[Edge, list[Face]] = defaultdict(list)
-        for f in self.faces:
-            a, b, c = f
-            table[(a, b)].append(f)
-            table[(a, c)].append(f)
-            table[(b, c)].append(f)
-        return {e: tuple(fs) for e, fs in table.items()}
+    def across(self) -> Adjacency:
+        """across[fi][r] = (gi, w): across the edge of face fi opposite its
+        vertex r lies face gi, whose vertex off that edge is w."""
+        return _face_adjacency(self.faces)
 
     @cached_property
     def neighbors(self) -> tuple[frozenset[int], ...]:
@@ -140,6 +138,24 @@ def _normalize_faces(n: int, face_list: Iterable[Sequence[int]]) -> list[Face]:
     return faces
 
 
+def _face_adjacency(faces: Sequence[Face]) -> Adjacency:
+    """The table `Triangulation.across` of a face list; raises NotAManifold
+    at the first edge, in face order, that does not lie in exactly two
+    faces."""
+    sides: dict[Edge, list[tuple[int, int]]] = {}
+    for fi, (a, b, c) in enumerate(faces):
+        for edge, r in (((a, b), c), ((a, c), b), ((b, c), a)):
+            sides.setdefault(edge, []).append((fi, r))
+    across: Adjacency = tuple({} for _ in faces)
+    for edge, on_edge in sides.items():
+        if len(on_edge) != 2:
+            raise NotAManifold(f"edge {edge} lies in {len(on_edge)} face(s), expected 2")
+        (f1, r1), (f2, r2) = on_edge
+        across[f1][r1] = (f2, r2)
+        across[f2][r2] = (f1, r1)
+    return across
+
+
 def build_triangulation(n: int, face_list: Iterable[Sequence[int]]) -> Triangulation:
     """Validate a face list as a connected closed 2-manifold.
 
@@ -151,59 +167,45 @@ def build_triangulation(n: int, face_list: Iterable[Sequence[int]]) -> Triangula
     if not faces:
         raise NotAManifold("empty face list")
 
-    covered = {v for f in faces for v in f}
+    faces_at = [0] * n  # the number of faces at each vertex
+    face_at = [0] * n  # one of them
+    for fi, f in enumerate(faces):
+        for v in f:
+            faces_at[v] += 1
+            face_at[v] = fi
     for v in range(n):
-        if v not in covered:
+        if not faces_at[v]:
             raise NotAManifold(f"vertex {v} lies in no face")
 
-    edge_faces: dict[Edge, list[Face]] = defaultdict(list)
-    for f in faces:
-        a, b, c = f
-        edge_faces[(a, b)].append(f)
-        edge_faces[(a, c)].append(f)
-        edge_faces[(b, c)].append(f)
-    for e, fs in edge_faces.items():
-        if len(fs) != 2:
-            raise NotAManifold(f"edge {e} lies in {len(fs)} face(s), expected 2")
+    t = Triangulation(n, tuple(faces))
+    across = t.across  # raises at the first edge not in exactly two faces
 
-    # Every vertex link must be one cycle, not several.
-    link_adj: list[dict[int, list[int]]] = [defaultdict(list) for _ in range(n)]
-    for a, b, c in faces:
-        link_adj[a][b].append(c)
-        link_adj[a][c].append(b)
-        link_adj[b][a].append(c)
-        link_adj[b][c].append(a)
-        link_adj[c][a].append(b)
-        link_adj[c][b].append(a)
+    # Every vertex link must be one cycle, not several: walking around v
+    # face by face, across the edges at v, must reach every face at v.
     for v in range(n):
-        adj = link_adj[v]
-        start = next(iter(adj))
-        prev, cur = start, adj[start][0]
-        count = 1
-        while cur != start:
-            w1, w2 = adj[cur]
-            prev, cur = cur, (w2 if w1 == prev else w1)
-            count += 1
-        if count != len(adj):
+        fi = face_at[v]
+        r, s = (x for x in faces[fi] if x != v)
+        gi, w = across[fi][r]  # the face {v, s, w} across the edge {v, s}
+        walked = 1
+        while gi != fi:  # cross the edge {v, w} of the face {v, s, w}
+            (gi, w), s = across[gi][s], w
+            walked += 1
+        if walked != faces_at[v]:
             raise NotAManifold(f"link of vertex {v} is not a single cycle")
 
     # Face adjacency connectivity.
-    index = {f: i for i, f in enumerate(faces)}
-    seen_faces = {0}
-    queue = deque([faces[0]])
-    while queue:
-        f = queue.popleft()
-        a, b, c = f
-        for e in ((a, b), (a, c), (b, c)):
-            for g in edge_faces[e]:
-                gi = index[g]
-                if gi not in seen_faces:
-                    seen_faces.add(gi)
-                    queue.append(g)
-    if len(seen_faces) != len(faces):
-        raise Disconnected(f"complex has {len(faces) - len(seen_faces)} unreachable faces")
+    seen = [False] * len(faces)
+    seen[0] = True
+    queue = [0]
+    for fi in queue:  # breadth-first: the queue grows while read
+        for gi, _ in across[fi].values():
+            if not seen[gi]:
+                seen[gi] = True
+                queue.append(gi)
+    if len(queue) != len(faces):
+        raise Disconnected(f"complex has {len(faces) - len(queue)} unreachable faces")
 
-    return Triangulation(n, tuple(faces))
+    return t
 
 
 def euler_characteristic(t: Triangulation) -> int:
@@ -219,30 +221,24 @@ def degree_profile(t: Triangulation) -> tuple[tuple[int, ...], Optional[int]]:
 def orientability(t: Triangulation) -> bool:
     """True iff the faces admit a coherent orientation.
 
-    Propagates an orientation from the first face across shared edges and
-    reports whether a conflict arises.
+    Orients the first face, then, breadth first, orients the face across
+    each edge p -> q of an oriented face as q -> p, and reports whether a
+    face reached twice gets two opposite orientations.
     """
-    orient: dict[Face, int] = {t.faces[0]: 1}
-    queue = deque([t.faces[0]])
-
-    def directed(face: Face, e: Edge, o: int) -> Edge:
-        a, b, c = face
-        fwd = {(a, b): (a, b), (b, c): (b, c), (a, c): (c, a)}[e]
-        return fwd if o == 1 else (fwd[1], fwd[0])
-
-    while queue:
-        f = queue.popleft()
-        a, b, c = f
-        for e in ((a, b), (a, c), (b, c)):
-            g = next(h for h in t.edge_faces[e] if h != f)
-            p, q = directed(f, e, orient[f])
-            needed = 1 if directed(g, e, 1) == (q, p) else -1
-            if g in orient:
-                if orient[g] != needed:
-                    return False
-            else:
-                orient[g] = needed
-                queue.append(g)
+    across = t.across
+    orient: list[Optional[Face]] = [None] * t.f2
+    orient[0] = t.faces[0]
+    queue = [0]
+    for fi in queue:
+        x, y, z = orient[fi]
+        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+            gi, w = across[fi][r]
+            o = orient[gi]
+            if o is None:
+                orient[gi] = (q, p, w)
+                queue.append(gi)
+            elif o not in ((q, p, w), (p, w, q), (w, q, p)):
+                return False
     return True
 
 
@@ -250,12 +246,9 @@ def surface_type(t: Triangulation) -> SurfaceType:
     return surface_from_invariants(euler_characteristic(t), orientability(t))
 
 
-def skeleton_graph(t: Triangulation, complement: bool = False) -> SimpleGraph:
-    """EG(T) (the 1-skeleton), or NEG(T) when complement is set."""
-    edges = set(t.edges)
-    if complement:
-        edges = {(a, b) for a in range(t.n) for b in range(a + 1, t.n)} - edges
-    return SimpleGraph(t.n, frozenset(edges))
+def skeleton_graph(t: Triangulation) -> SimpleGraph:
+    """EG(T), the 1-skeleton."""
+    return SimpleGraph(t.n, frozenset(t.edges))
 
 
 def relabel(t: Triangulation, perm: Sequence[int]) -> Triangulation:

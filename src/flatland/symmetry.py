@@ -68,20 +68,6 @@ class IsomorphismResult:
         return self.mapping is not None
 
 
-def _across(t: Triangulation) -> list[dict[int, tuple[int, int]]]:
-    """table[fi][r] = (gi, w): across the edge of face fi opposite its vertex
-    r lies face gi, whose vertex off that edge is w."""
-    sides: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for fi, (a, b, c) in enumerate(t.faces):
-        for edge, r in (((a, b), c), ((a, c), b), ((b, c), a)):
-            sides.setdefault(edge, []).append((fi, r))
-    table: list[dict[int, tuple[int, int]]] = [{} for _ in t.faces]
-    for (f1, r1), (f2, r2) in sides.values():
-        table[f1][r1] = (f2, r2)
-        table[f2][r2] = (f1, r1)
-    return table
-
-
 def _traverse(t: Triangulation, table, start: tuple[int, int, int], start_fi: int,
               best: Optional[list[int]]):
     """Key and label array (input vertex -> label) of one start, or None as
@@ -117,7 +103,7 @@ def _traverse(t: Triangulation, table, start: tuple[int, int, int], start_fi: in
 def _scan(t: Triangulation) -> list[list[int]]:
     """The label arrays of all starts whose key is the least one: one per
     automorphism."""
-    table = _across(t)
+    table = t.across
     best: Optional[list[int]] = None
     ties: list[list[int]] = []
     for fi, face in enumerate(t.faces):
@@ -161,9 +147,10 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
     oa, ob = orientability(a), orientability(b)
     if oa != ob:
         return IsomorphismResult(None, f"orientability ({oa} vs {ob})")
+    ga, gb = skeleton_graph(a), skeleton_graph(b)
     for c in range(7):
-        sa = graph_shape(common_neighbor_graph(skeleton_graph(a), c))
-        sb = graph_shape(common_neighbor_graph(skeleton_graph(b), c))
+        sa = graph_shape(common_neighbor_graph(ga, c))
+        sb = graph_shape(common_neighbor_graph(gb, c))
         if sa != sb:
             return IsomorphismResult(None, f"G_{c}(EG) shape ({sa} vs {sb})")
     fa, fb = canonical_form(a), canonical_form(b)
@@ -209,12 +196,8 @@ def _orbit_partition(items, orbit_of):
     return tuple(parts)
 
 
-def regularity_flags(
-    t: Triangulation, group: Optional[SymmetryGroup] = None
-) -> tuple[bool, bool]:
+def regularity_flags(t: Triangulation, group: SymmetryGroup) -> tuple[bool, bool]:
     """(weakly regular, combinatorially regular): vertex- and
     flag-transitivity of the automorphism group; the action on flags is
     free, so it is transitive iff |Aut| = 6*f_2."""
-    if group is None:
-        group = automorphism_group(t)
     return len(group.vertex_orbits) == 1, group.order == 6 * t.f2

@@ -96,6 +96,61 @@ def test_time_budget_checked_at_the_root_of_each_state(monkeypatch):
         enumerate_degree_regular(9, budget_seconds=1.5)
 
 
+class FakeClock:
+    """A monotonic clock that moves only when told to."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+def slowed(monkeypatch, clock, name):
+    """Make `census.<name>` move the clock 100 s forward on every call."""
+    real = getattr(census, name)
+
+    def slow(*args):
+        clock.now += 100
+        return real(*args)
+
+    monkeypatch.setattr(census, name, slow)
+
+
+@pytest.mark.parametrize("slow,progress", [
+    ("known_catalog", "0/3 classes done"),  # seen at the first catalog member
+    ("automorphism_group", "1/3 classes done"),  # seen before the second
+])
+def test_time_budget_checked_after_the_search(monkeypatch, slow, progress):
+    clock = FakeClock()
+    monkeypatch.setattr(census, "time", clock)
+    slowed(monkeypatch, clock, slow)
+    canonical, seen = census.canonical_form, []  # the clock at each canonical form
+    monkeypatch.setattr(census, "canonical_form", lambda t: seen.append(clock.now) or canonical(t))
+    with pytest.raises(ResourceLimit) as stop:
+        classify_census(9, budget_seconds=10)
+    assert str(stop.value) == f"census classification exceeded its time budget ({progress})"
+    assert max(seen) < 10  # no catalog member is canonicalised past the deadline
+
+
+def test_time_budget_checked_per_leaf(monkeypatch):
+    # The first canonical form of a state moves the clock past the deadline;
+    # the next leaf sees it, and the worker returns the stop the way it
+    # returns a search stop.
+    for state in census._frontier(12, 8)[0]:
+        search, leaves = census._LinkSearch(12, list(state), None, None), []
+        search.run(leaves)
+        if len(leaves) >= 2:
+            break
+    clock = FakeClock()
+    monkeypatch.setattr(census, "time", clock)
+    slowed(monkeypatch, clock, "canonical_form")
+    classes, nodes, stop = census._search_worker((12, state, 10.0, None))
+    assert (classes, stop) == ({}, "census leaf canonicalisation exceeded its time budget")
+    assert nodes == search.nodes  # the search itself finished
+    assert clock.now == 100  # one leaf was canonicalised
+
+
 def _outcome(n, max_nodes, jobs):
     try:
         return [t.faces for t in enumerate_degree_regular(n, max_nodes=max_nodes, jobs=jobs)]

@@ -2,12 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flatland.surface
+import flatland.symmetry
 from flatland import (
     Disconnected,
     NotAManifold,
+    automorphism_group,
     build_triangulation,
+    canonical_form,
     degree_profile,
     euler_characteristic,
+    find_isomorphism,
     manifold_report,
     orientability,
     relabel,
@@ -15,6 +20,10 @@ from flatland import (
     surface_type,
 )
 from tests.conftest import TETRAHEDRON, fam, shuffled
+
+# The 6-vertex real projective plane (the hemi-icosahedron): 10 faces.
+RP2 = (6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+           (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5)])
 
 
 class TestBuildTriangulation:
@@ -123,6 +132,12 @@ class TestInvariants:
         assert not orientability(fam("B(3,4)"))
         assert orientability(tetrahedron)
 
+    def test_six_vertex_rp2_is_non_orientable_genus_1(self):
+        t = build_triangulation(*RP2)
+        assert t.f2 == 10 and euler_characteristic(t) == 1
+        assert not orientability(t)
+        assert str(surface_type(t)) == "non_orientable_genus_1"
+
     def test_surface_type(self, tetrahedron):
         assert surface_type(fam("T(15,1,5)")).kind == "torus"
         assert surface_type(fam("K(3,4)")).kind == "klein_bottle"
@@ -136,34 +151,83 @@ class TestInvariants:
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_orientability_is_relabeling_invariant(self, seed):
-        for name in ("T(6,2,2)", "B(3,3)"):
-            t = fam(name)
+        for t in (fam("T(6,2,2)"), fam("B(3,3)"), build_triangulation(*RP2)):
             assert orientability(shuffled(t, seed)) == orientability(t)
+
+
+class TestFaceAdjacency:
+    @pytest.mark.parametrize("name", ["T(7,1,2)", "T(6,2,2)", "T(4,3,1)", "B(3,3)",
+                                      "K(3,4)", "Q(5,2)", "Q(5,3)"])
+    def test_families(self, name):
+        self.check_table(fam(name))
+
+    def test_tetrahedron(self, tetrahedron):
+        self.check_table(tetrahedron)
+
+    @staticmethod
+    def check_table(t):
+        # across[fi][r] = (gi, w): face gi holds the edge of face fi
+        # opposite r, w is the third vertex of gi, and the relation is
+        # symmetric.
+        assert len(t.across) == t.f2
+        for fi, face in enumerate(t.faces):
+            assert sorted(t.across[fi]) == list(face)
+            for r, (gi, w) in t.across[fi].items():
+                edge = set(face) - {r}
+                assert gi != fi and w not in face
+                assert set(t.faces[gi]) == edge | {w}
+                assert t.across[gi][w] == (fi, r)
+
+    def test_built_once_per_complex(self, monkeypatch):
+        calls = []
+        build = flatland.surface._face_adjacency
+        monkeypatch.setattr(flatland.surface, "_face_adjacency",
+                            lambda faces: calls.append(faces) or build(faces))
+        t = build_triangulation(*RP2)
+        canonical_form(t)
+        automorphism_group(t)
+        surface_type(t)
+        assert len(calls) == 1
+
+    def test_find_isomorphism_builds_each_skeleton_once(self, monkeypatch):
+        calls = []
+        skeleton = flatland.symmetry.skeleton_graph
+        monkeypatch.setattr(flatland.symmetry, "skeleton_graph",
+                            lambda t: calls.append(t) or skeleton(t))
+        t = fam("T(12,1,3)")
+        assert find_isomorphism(t, shuffled(t, 3)).isomorphic
+        assert len(calls) == 2
+
+
+def neg_edges(t) -> set[tuple[int, int]]:
+    """The edges of NEG(T), the complement of the 1-skeleton."""
+    pairs = {(a, b) for a in range(t.n) for b in range(a + 1, t.n)}
+    return pairs - set(skeleton_graph(t).edges)
 
 
 class TestSkeletonGraph:
     def test_neg_of_t912_is_the_expected_nine_cycle(self):
         # NEG(T_{9,1,2}) = C_9(1, 5, 9, 4, 8, 3, 7, 2, 6) in 1-based labels.
-        g = skeleton_graph(fam("T(9,1,2)"), complement=True)
+        neg = neg_edges(fam("T(9,1,2)"))
         labels = [1, 5, 9, 4, 8, 3, 7, 2, 6]
         expected = set()
         for i in range(9):
             a, b = labels[i] - 1, labels[(i + 1) % 9] - 1
             expected.add((min(a, b), max(a, b)))
-        assert set(g.edges) == expected
+        assert neg == expected
 
     def test_eg_of_t712_is_complete(self):
         g = skeleton_graph(fam("T(7,1,2)"))
         assert len(g.edges) == 21
 
     def test_tetrahedron_neg_is_null(self, tetrahedron):
-        assert not skeleton_graph(tetrahedron, complement=True).edges
+        assert not neg_edges(tetrahedron)
 
     def test_complementarity(self):
         t = fam("T(9,1,2)")
-        eg, neg = skeleton_graph(t), skeleton_graph(t, complement=True)
-        assert not (set(eg.edges) & set(neg.edges))
-        assert len(eg.edges) + len(neg.edges) == t.n * (t.n - 1) // 2
+        eg, neg = skeleton_graph(t), neg_edges(t)
+        assert not (set(eg.edges) & neg)
+        assert len(eg.edges) + len(neg) == t.n * (t.n - 1) // 2
 
 
 class TestManifoldReport:

@@ -185,16 +185,20 @@ class TestAutomorphismGroup:
         assert brute_force_isomorphism(a, b) is not None
 
 
+def regularity_of(t):
+    return regularity_flags(t, automorphism_group(t))
+
+
 class TestRegularityFlags:
     def test_combinatorially_regular_items(self):
-        assert regularity_flags(fam("T(3,3,0)")) == (True, True)
-        assert regularity_flags(fam("T(6,2,2)")) == (True, True)
+        assert regularity_of(fam("T(3,3,0)")) == (True, True)
+        assert regularity_of(fam("T(6,2,2)")) == (True, True)
 
     def test_q_grid_not_weakly_regular(self):
-        assert regularity_flags(fam("Q(5,3)")) == (False, False)
+        assert regularity_of(fam("Q(5,3)")) == (False, False)
 
     def test_q_band_weakly_regular(self):
-        weakly, comb = regularity_flags(fam("Q(9,2)"))
+        weakly, comb = regularity_of(fam("Q(9,2)"))
         assert weakly and not comb
 
 
@@ -208,7 +212,7 @@ class TestFlagOrbits:
             }
             assert all(len(orbit) == len(group) for orbit in orbits)  # free action
             assert len(orbits) == 6 * t.f2 // automorphism_group(t).order
-            assert regularity_flags(t)[1] == (len(orbits) == 1)
+            assert regularity_of(t)[1] == (len(orbits) == 1)
 
 
 def census_classes(ns):
