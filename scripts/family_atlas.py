@@ -17,8 +17,13 @@ def main() -> int:
     ap.add_argument("n", type=int, help="vertex count")
     args = ap.parse_args()
 
+    try:
+        catalog = known_catalog(args.n)
+    except ValueError as exc:  # n < 1, or a member over the family vertex cap
+        ap.error(str(exc))
+
     by_code: dict[tuple, list] = {}
-    for named in known_catalog(args.n):
+    for named in catalog:
         code = canonical_form(named.complex).code
         by_code.setdefault(code, []).append(named)
 

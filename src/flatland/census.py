@@ -69,14 +69,16 @@ class _LinkSearch:
     degree of v, and the length of a value is the number of faces on that
     edge (at most 2).  `open_count[v]` counts the edges at v that lie on
     one face only.  `first_open` is the least vertex that is not complete
-    (degree 6, no open edge), or n."""
+    (degree 6, no open edge), or n.  The search reads only the vertices
+    below min(max_used + 2, n), so `lk` and `open_count` grow as vertices
+    come into use: a huge n costs nothing up front."""
 
     def __init__(self, n: int, faces: list[Face], deadline: Optional[float],
                  max_nodes: Optional[int]):
         self.n = n
         self.faces: list[Face] = []
-        self.lk: list[dict[int, list[int]]] = [{} for _ in range(n)]
-        self.open_count = [0] * n
+        self.lk: list[dict[int, list[int]]] = []
+        self.open_count: list[int] = []
         self.max_used = -1
         self.first_open = 0
         self.deadline = deadline
@@ -90,6 +92,9 @@ class _LinkSearch:
         a, b, c = face
         lk = self.lk
         open_count = self.open_count
+        while len(lk) < min(c + 2, self.n):
+            lk.append({})
+            open_count.append(0)
         for p, q, r in ((a, b, c), (a, c, b), (b, c, a)):
             on_pq = lk[p].get(q)
             if on_pq is None:
@@ -385,13 +390,14 @@ def classify_census(
     coded = _enumerate_with_codes(n, deadline, max_nodes, jobs)
     items: list[CensusItem] = []
     try:
+        # One scan per distinct complex (T_{n,1,k}, T_{n,1,n-1-k} share faces).
+        code_of: dict[Triangulation, Code] = {}
         family_codes: dict[Code, list[str]] = {}
         for named in known_catalog(n):
-            _check_deadline(deadline, "census classification")
-            code = canonical_form(named.complex).code
-            names = family_codes.setdefault(code, [])
-            if named.name not in names:
-                names.append(named.name)
+            if named.complex not in code_of:
+                _check_deadline(deadline, "census classification")
+                code_of[named.complex] = canonical_form(named.complex).code
+            family_codes.setdefault(code_of[named.complex], []).append(named.name)
         for code, t in coded:
             _check_deadline(deadline, "census classification")
             group = automorphism_group(t)

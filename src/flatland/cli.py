@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / affirmative verdict; 1 well-formed negative verdict
-(non-isomorphic, invalid complex); 2 usage or I/O error; 3 resource budget
-exceeded.
+(non-isomorphic; an invalid complex under `check`); 2 usage, I/O or input
+error (an invalid complex under any other command, an oversized input, or
+any unexpected error); 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -17,16 +18,9 @@ from typing import Optional, Sequence, TextIO
 from . import census as census_mod
 from . import tri_io
 from .census import CensusReport, ResourceLimit
-from .families import BadParameters, construct_family, parse_name
+from .families import construct_family, parse_name
 from .graphs import common_neighbor_graph, graph_shape
-from .surface import (
-    Disconnected,
-    NotAManifold,
-    Triangulation,
-    build_triangulation,
-    manifold_report,
-    skeleton_graph,
-)
+from .surface import Triangulation, build_triangulation, manifold_report, skeleton_graph
 from .symmetry import automorphism_group, find_isomorphism, regularity_flags
 
 BUDGET_ENV = "FLATLAND_BUDGET_SECS"
@@ -258,19 +252,14 @@ def run(argv: Sequence[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command](args, out)
-    except (NotAManifold, Disconnected) as exc:
-        # Invalid complexes are a negative verdict for `check`, an input
-        # error everywhere else.
-        if args.command == "check":
-            out.write(f"invalid: {exc}\n")
-            return 1
-        err.write(f"error: {exc}\n")
-        return 2
     except ResourceLimit as exc:
         err.write(f"resource limit: {exc}\n")
         return 3
-    except (tri_io.TriFormatError, BadParameters, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # bad input, including an invalid complex
         err.write(f"error: {exc}\n")
+        return 2
+    except Exception as exc:  # a last resort: never end in a traceback
+        err.write(f"error: unexpected {exc!r}\n")
         return 2
 
 

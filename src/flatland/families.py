@@ -75,7 +75,14 @@ def t1_valid_twists(n: int) -> list[int]:
     return lo + hi
 
 
+# The most vertices a family member may have: T_{100000,1,3} takes seconds
+# and a few hundred MB to build, and memory grows linearly beyond it.
+MAX_FAMILY_VERTICES = 100_000
+
+
 def validate(spec: FamilySpec) -> None:
+    if spec.vertex_count > MAX_FAMILY_VERTICES:
+        raise BadParameters(f"{spec.name} has more than {MAX_FAMILY_VERTICES} vertices")
     tag, p = spec.tag, spec.params
     if tag == "T1":
         n, k = p
@@ -320,4 +327,6 @@ def known_catalog(n: int) -> list[NamedTriangulation]:
     """
     if n < 1:
         raise ValueError("vertex count must be at least 1")
+    if n > MAX_FAMILY_VERTICES:  # every member would fail `validate`
+        raise BadParameters(f"family members have at most {MAX_FAMILY_VERTICES} vertices, not {n}")
     return [construct_family(s) for s in sorted(_all_specs_with_vertices(n))]

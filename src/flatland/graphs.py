@@ -89,7 +89,7 @@ def _classify_component(g: SimpleGraph, comp: list[int]) -> Descriptor:
     if k == 1:
         return ("isolated",)
     adj = g.adjacency
-    degs = sorted(len(adj[v] & set(comp)) for v in comp)
+    degs = sorted(len(adj[v]) for v in comp)  # a component holds every neighbour
     ne = sum(degs) // 2
     if k >= 3 and degs == [2] * k:
         return ("cycle", k)

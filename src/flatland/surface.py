@@ -85,14 +85,6 @@ class Triangulation:
         vertex r lies face gi, whose vertex off that edge is w."""
         return _face_adjacency(self.faces)
 
-    @cached_property
-    def neighbors(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return tuple(frozenset(s) for s in adj)
-
     @property
     def f0(self) -> int:
         return self.n
@@ -167,15 +159,16 @@ def build_triangulation(n: int, face_list: Iterable[Sequence[int]]) -> Triangula
     if not faces:
         raise NotAManifold("empty face list")
 
+    used = {v for f in faces for v in f}  # at most 3f: a huge n allocates nothing
+    if len(used) < n:
+        unused = next(v for v in range(n) if v not in used)
+        raise NotAManifold(f"vertex {unused} lies in no face")
     faces_at = [0] * n  # the number of faces at each vertex
     face_at = [0] * n  # one of them
     for fi, f in enumerate(faces):
         for v in f:
             faces_at[v] += 1
             face_at[v] = fi
-    for v in range(n):
-        if not faces_at[v]:
-            raise NotAManifold(f"vertex {v} lies in no face")
 
     t = Triangulation(n, tuple(faces))
     across = t.across  # raises at the first edge not in exactly two faces
@@ -213,7 +206,7 @@ def euler_characteristic(t: Triangulation) -> int:
 
 
 def degree_profile(t: Triangulation) -> tuple[tuple[int, ...], Optional[int]]:
-    degrees = tuple(len(t.neighbors[v]) for v in range(t.n))
+    degrees = tuple(map(len, skeleton_graph(t).adjacency))
     regular = degrees[0] if len(set(degrees)) == 1 else None
     return degrees, regular
 

@@ -2,9 +2,12 @@
 `bench/` wraps (`census._frontier`, `census._LinkSearch`, ...), so a change
 that drops one fails here and not only in a later benchmark run."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from flatland import census
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -15,3 +18,33 @@ def test_bench_selfcheck_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _bench_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_binding_exists():
+    # Names each (module, attribute) of `bench/tracing.py` that flatland lacks.
+    tracing = _bench_tracing()
+    modules = {mod: importlib.import_module(f"flatland.{mod}") for mod, _, _ in tracing.BINDINGS}
+    wanted = [(mod, attr) for mod, attr, _ in tracing.BINDINGS]
+    wanted += [("census", "_LinkSearch"), ("census", "ProcessPoolExecutor")]
+    assert [(mod, attr) for mod, attr in wanted if not hasattr(modules[mod], attr)] == []
+
+
+def test_frontier_replay_calls():
+    # The calls the traced census-parallel run replays serially (bench/layers.py).
+    states, leaves = census._frontier(12, 8)
+    assert (len(states), len(leaves)) == (9, 0)
+    nodes = 0
+    for faces in states:
+        search, found = census._LinkSearch(12, list(faces), None, None), []
+        search.run(found)
+        nodes += search.nodes
+        leaves += found
+    assert (nodes, len(leaves)) == (1924, 43)
+    assert len(census._canonicalize_leaves(12, leaves)) == 7

@@ -44,6 +44,23 @@ def test_every_item_matches_the_catalog():
             assert item.matched_family_names
 
 
+def test_catalog_canonicalised_once_per_distinct_complex(monkeypatch):
+    # At n = 12 the 19 catalog members are 16 complexes: T_{12,1,k} and
+    # T_{12,1,11-k} share a face list for k = 2, 3, 4.
+    catalog, scanned = census.known_catalog(12), []
+    monkeypatch.setattr(census, "known_catalog", lambda n: catalog)
+    canonical = census.canonical_form
+    monkeypatch.setattr(census, "canonical_form", lambda t: scanned.append(t) or canonical(t))
+    report = classify_census(12)
+    members = {id(named.complex) for named in catalog}
+    assert (len(catalog), sum(id(t) in members for t in scanned)) == (19, 16)
+    order = [named.name for named in catalog]
+    names = [name for item in report.items for name in item.matched_family_names]
+    assert sorted(names) == sorted(order)  # every member names its class once
+    for item in report.items:
+        assert list(item.matched_family_names) == sorted(item.matched_family_names, key=order.index)
+
+
 def test_classification_n9():
     report = classify_census(9)
     matched = {name for item in report.items for name in item.matched_family_names}

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -9,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flatland import cli, format_tri
+from flatland import build_triangulation, cli, format_tri
 from tests.conftest import fam
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -98,11 +104,40 @@ class TestCheck:
         code, _, err = run_cli("check", str(path))
         assert code == 2 and "bad JSON" in err
 
+    def test_mixed_degrees_listed(self, tmp_path, double_pyramid):
+        path = tmp_path / "pyramid.tri"
+        path.write_text(format_tri(double_pyramid))
+        code, out, _ = run_cli("check", str(path))
+        assert code == 0 and "degrees: 4 4 4 3 3\n" in out
+
+    def test_empty_face_list_exit_1(self, tmp_path):
+        path = tmp_path / "empty.tri"
+        path.write_text("4 0\n")
+        assert run_cli("check", str(path)) == (1, "invalid: empty face list\n", "")
+
+
+class TestInvalidComplex:
+    """An invalid complex is a verdict under `check` (exit 1) and an input
+    error under every other command (exit 2), with the same message."""
+
+    @pytest.mark.parametrize("command", ["check", "aut", "invariant", "iso"])
+    def test_exit_code_per_command(self, tmp_path, command):
+        path = tmp_path / "open.tri"
+        path.write_text("4 3\n0 1 2\n0 1 3\n1 2 3\n")  # a tetrahedron less a face
+        extra = {"invariant": ["--g", "2"], "iso": [str(path)]}.get(command, [])
+        message = "edge (0, 2) lies in 1 face(s), expected 2\n"
+        expected = (1, "invalid: " + message, "") if command == "check" else (2, "", "error: " + message)
+        assert run_cli(command, str(path), *extra) == expected
+
 
 class TestInvariant:
     def test_shape_string(self, tri_file):
         code, out, _ = run_cli("invariant", tri_file("T(12,1,4)"), "--g", "4")
         assert code == 0 and out.strip() == "G_4(EG) = 3K_4"
+
+    def test_negative_count_exit_2(self, tri_file):
+        code, _, err = run_cli("invariant", tri_file("T(7,1,2)"), "--g", "-1")
+        assert code == 2 and "common-neighbor count" in err
 
 
 class TestIso:
@@ -113,6 +148,14 @@ class TestIso:
     def test_non_isomorphic_exit_1(self, tri_file):
         code, out, _ = run_cli("iso", tri_file("T(12,1,2)"), tri_file("T(12,1,3)"))
         assert code == 1 and "not isomorphic" in out
+
+    def test_face_count_named(self, tmp_path, tri_file):
+        # The pentagonal bipyramid: a 7-vertex sphere with 10 faces.
+        sphere = build_triangulation(7, [(i, (i + 1) % 5, apex) for i in range(5) for apex in (5, 6)])
+        path = tmp_path / "sphere.tri"
+        path.write_text(format_tri(sphere))
+        code, out, _ = run_cli("iso", str(path), tri_file("T(7,1,2)"))
+        assert (code, out) == (1, "not isomorphic: face count (10 vs 14)\n")
 
     def test_json_validates_both_ways(self, tri_file):
         schema = load_schema("isomorphism.schema.json")
@@ -181,6 +224,10 @@ class TestClassify:
         assert code == 0
         assert "total 3, torus 2, klein_bottle 1" in out
 
+    def test_zero_vertices_exit_2(self):
+        code, _, err = run_cli("classify", "--n", "0")
+        assert code == 2 and "vertex count" in err
+
     def test_json_deterministic_across_jobs(self):
         _, out1, _ = run_cli("classify", "--n", "10", "--jobs", "1", "--json")
         _, out2, _ = run_cli("classify", "--n", "10", "--jobs", "4", "--json")
@@ -225,6 +272,42 @@ class TestJobs:
     def test_non_positive_jobs_exit_2(self, value):
         code, _, err = run_cli("classify", "--n", "9", "--jobs", value)
         assert code == 2 and "jobs" in err
+
+
+def run_limited(*argv, timeout=60):
+    """Run the CLI in a child process whose address space is capped at
+    1 GiB; the limit is set in the child only, never on this process."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "flatland.cli", *argv], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=timeout)
+
+
+class TestBoundedInputs:
+    """Oversized inputs end with an exit code in bounded memory, not a
+    MemoryError traceback."""
+
+    @pytest.mark.parametrize("command,code,line", [
+        ("check", 1, "invalid: vertex 4 lies in no face\n"),
+        ("aut", 2, "error: vertex 4 lies in no face\n"),
+    ])
+    def test_huge_vertex_count(self, tmp_path, command, code, line):
+        path = tmp_path / "huge.tri"
+        path.write_text("1000000000 4\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n")
+        proc = run_limited(command, str(path))
+        assert (proc.returncode, proc.stdout + proc.stderr) == (code, line)
+
+    def test_huge_census_hits_the_budget(self):
+        proc = run_limited("classify", "--n", "1000000000", "--budget", "0.5", timeout=30)
+        assert proc.returncode == 3 and "time budget" in proc.stderr
+
+    def test_huge_family_exit_2(self):
+        proc = run_limited("family", "T(1000000000,1,3)")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: T_{1000000000,1,3} has more than 100000 vertices\n"
 
 
 class TestUsage:
@@ -276,5 +359,23 @@ def test_fuzzed_inputs_end_with_an_exit_code(tri, js, as_directories):
             ["iso", str(tri_path), str(json_path)],
             ["enumerate", "--n", "7", "--out", str(tri_path)],
         ):
-            code, _, _ = run_cli(*argv)
-            assert code in (0, 1, 2), argv
+            code, _, err = run_cli(*argv)
+            assert code in (0, 1, 2) and "unexpected" not in err, argv
+
+
+# Family names, well formed or not; a parameter is small, or far over the cap.
+FAMILY_PARAM = st.one_of(st.integers(0, 12), st.integers(10**6, 10**30))
+FAMILY_NAME = st.one_of(
+    st.text(max_size=12),
+    st.builds(lambda tag, params: f"{tag}({','.join(map(str, params))})",
+              st.sampled_from("TBKQX"), st.lists(FAMILY_PARAM, min_size=1, max_size=4)),
+)
+
+
+@given(name=FAMILY_NAME, as_json=st.booleans())
+@example(name="T(1000000000,1,3)", as_json=False)  # MemoryError: the twist list
+@example(name="T(1000000,1,3)", as_json=True)  # MemoryError: the faces
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_family_names_end_with_an_exit_code(name, as_json):
+    code, _, err = run_cli("family", name, *(["--json"] if as_json else []))
+    assert code in (0, 2) and (code == 0) == (not err) and "unexpected" not in err, name

@@ -109,6 +109,25 @@ class TestParameterRanges:
         with pytest.raises(BadParameters, match="even"):
             construct_family(parse_name("K(3,5)"))
 
+    @pytest.mark.parametrize("spec,message", [
+        (FamilySpec("T2", (3, 1)), "n >= 4"),
+        (FamilySpec("TM", (2, 3, 0)), "n, m >= 3"),
+        (FamilySpec("TM", (3, 2, 0)), "n, m >= 3"),
+        (FamilySpec("TM", (3, 3, 3)), "0 <= k <= 2"),
+        (FamilySpec("B", (2, 3)), "m, n >= 3"),
+        (FamilySpec("K", (2, 4)), "m >= 3"),
+        (FamilySpec("Q", (5, 1)), "n >= 2"),
+        (FamilySpec("T1", (100_001, 3)), "more than 100000 vertices"),
+        (FamilySpec("TM", (10**9, 10**9, 0)), "more than 100000 vertices"),
+    ])
+    def test_out_of_range(self, spec, message):
+        with pytest.raises(BadParameters, match=message):
+            construct_family(spec)
+
+    def test_unknown_tag(self):
+        with pytest.raises(BadParameters, match="unknown family tag"):
+            FamilySpec("X", (3, 4))
+
     def test_q_odd_parameter(self):
         with pytest.raises(BadParameters, match="odd"):
             construct_family(parse_name("Q(6,2)"))
@@ -150,6 +169,10 @@ class TestKnownCatalog:
             | {"B_{3,4}", "B_{4,3}", "K_{3,4}"}
         )
         assert names == expected
+
+    def test_over_the_vertex_cap_refused_up_front(self):
+        with pytest.raises(BadParameters, match="at most 100000 vertices, not 1000000000"):
+            known_catalog(10**9)
 
     def test_n10_includes_q52(self):
         assert "Q_{5,2}" in {x.name for x in known_catalog(10)}

@@ -8,15 +8,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_family_atlas_12():
+def run_atlas(n: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "scripts/family_atlas.py", "12"],
+    return subprocess.run(
+        [sys.executable, "scripts/family_atlas.py", n],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_family_atlas_12():
+    proc = run_atlas("12")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert sum(line.startswith("class ") for line in lines) == 7
     members = [set(line.strip().split(", ")) for line in lines if line.startswith("  ")]
     assert any({"T_{12,1,2}", "T_{6,2,1}"} <= names for names in members)
+
+
+def test_family_atlas_bad_vertex_count_is_a_usage_error():
+    proc = run_atlas("0")
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr.endswith("error: vertex count must be at least 1\n")

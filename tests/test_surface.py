@@ -19,6 +19,7 @@ from flatland import (
     skeleton_graph,
     surface_type,
 )
+from flatland.surface import surface_from_invariants
 from tests.conftest import TETRAHEDRON, fam, shuffled
 
 # The 6-vertex real projective plane (the hemi-icosahedron): 10 faces.
@@ -142,6 +143,14 @@ class TestInvariants:
         assert surface_type(fam("T(15,1,5)")).kind == "torus"
         assert surface_type(fam("K(3,4)")).kind == "klein_bottle"
         assert surface_type(tetrahedron).kind == "sphere"
+
+    @pytest.mark.parametrize("euler,orientable,expected", [
+        (2, True, "sphere"), (0, True, "torus"), (-2, True, "orientable_genus_2"),
+        (1, True, "invalid"), (0, False, "klein_bottle"), (1, False, "non_orientable_genus_1"),
+        (3, False, "invalid"),
+    ])
+    def test_surface_from_invariants(self, euler, orientable, expected):
+        assert str(surface_from_invariants(euler, orientable)) == expected
 
     def test_two_f1_equals_three_f2(self):
         for name in ("T(7,1,2)", "B(3,3)", "Q(5,2)", "K(3,4)"):
