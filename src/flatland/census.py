@@ -20,11 +20,16 @@ walking its path, at most 6 vertices.
 
 Every census takes one path, whatever the number of jobs: the search tree
 is expanded breadth-first until it has `_FRONTIER_TARGET` open states or
-runs out of them, and each state is searched depth-first by `_search_worker`,
-in this process for one job and in a process pool otherwise.  A node budget
-`max_nodes` counts the nodes searched below the frontier, summed over its
-states; the frontier is the same for every job count, so the count and the
-outcome are too.
+runs out of them, and the states are searched depth-first in waves, in this
+process for one job and in a process pool otherwise.  A task
+(`_search_worker`) searches one state for at most `_SPLIT_NODES` nodes,
+canonicalises the leaves it found, and hands back the branches it did not
+enter; the first wave is the frontier and each next wave is the states the
+previous one handed back, in task order.  One state holds nearly all the
+nodes at larger n, so this split by work done is what lets a second job
+pay.  A node budget `max_nodes` counts the nodes searched below the
+frontier, summed over the tasks in task order; the tasks depend only on n,
+so the count and the outcome are the same for every job count.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ Face = tuple[int, int, int]
 
 _CHECK_EVERY = 256  # nodes between deadline checks, the first at the root
 _FRONTIER_TARGET = 8  # open states the search is split into, for any jobs
+_SPLIT_NODES = 2048  # nodes a task searches before it hands back the rest
 
 
 class ResourceLimit(RuntimeError):
@@ -212,11 +218,18 @@ class _LinkSearch:
             _check_deadline(self.deadline, "census search")
         return self._branch_faces()
 
-    def run(self, leaves: list[tuple[Face, ...]]) -> None:
+    def run(self, leaves: list[tuple[Face, ...]],
+            quota: Optional[int] = None) -> list[tuple[Face, ...]]:
         """Append every completion of the current faces to `leaves`.  The
         search is 2n - 6 faces deep, so it keeps a stack of branch iterators
         instead of recursing; each iterator above the bottom one stands for
-        a face that is applied."""
+        a face that is applied.
+
+        With a `quota`, the search stops once it has counted that many nodes
+        and returns the states it has not entered: for each level of the
+        stack from the bottom up, its faces plus each remaining sibling
+        face.  Their roots are not counted here, so searching them counts
+        every node of the subtree exactly once.  Otherwise it returns []."""
         stack: list[Iterator[Face]] = []
         while True:
             branch = self._visit()
@@ -224,11 +237,15 @@ class _LinkSearch:
                 leaves.append(tuple(self.faces))
                 branch = []
             stack.append(iter(branch))
+            if quota is not None and self.nodes >= quota:
+                base = len(self.faces) - len(stack) + 1
+                return [tuple(self.faces[:base + depth]) + (face,)
+                        for depth, rest in enumerate(stack) for face in rest]
             face = next(stack[-1], None)
             while face is None:
                 stack.pop()
                 if not stack:
-                    return
+                    return []
                 self._revert()
                 face = next(stack[-1], None)
             self._apply(face)
@@ -252,18 +269,20 @@ def _canonicalize_leaves(n: int, leaves: list[tuple[Face, ...]],
 
 
 def _search_worker(args: tuple[int, tuple[Face, ...], Optional[float], Optional[int]]
-                   ) -> tuple[dict[Code, tuple[Face, ...]], int, Optional[str]]:
-    """Classes found below one frontier state, the nodes searched, and the
-    reason the search or the canonicalisation of its leaves stopped early,
-    or None when both finished."""
+                   ) -> tuple[dict[Code, tuple[Face, ...]], int, list[tuple[Face, ...]],
+                              Optional[str]]:
+    """Search one state for at most `_SPLIT_NODES` nodes.  Returns the
+    classes of the leaves found, the nodes searched, the states left
+    unsearched, and the reason the search or the canonicalisation of its
+    leaves stopped early, or None when both finished."""
     n, faces, deadline, max_nodes = args
     state = _LinkSearch(n, list(faces), deadline, max_nodes)
     leaves: list[tuple[Face, ...]] = []
     try:
-        state.run(leaves)
-        return _canonicalize_leaves(n, leaves, deadline), state.nodes, None
+        rest = state.run(leaves, _SPLIT_NODES)
+        return _canonicalize_leaves(n, leaves, deadline), state.nodes, rest, None
     except ResourceLimit as stop:
-        return {}, state.nodes, str(stop)
+        return {}, state.nodes, [], str(stop)
 
 
 def _frontier(n: int, target: int) -> tuple[list[tuple[Face, ...]], list[tuple[Face, ...]]]:
@@ -292,9 +311,12 @@ def enumerate_degree_regular(
     canonical form, sorted by canonical code.  Empty for n <= 6.  The search
     runs in min(jobs, os.cpu_count()) processes; `budget_seconds` must be
     finite and `jobs` at least 1.  `max_nodes` bounds the search nodes below
-    the fixed frontier, summed over its states: the same count for every
-    `jobs`.  Either budget raises ResourceLimit when exceeded; its message
-    gives the nodes searched below the frontier and the states done."""
+    the fixed frontier, summed over the search tasks: the same count for
+    every `jobs`.  It is compared after each task, and a task searches at
+    most `_SPLIT_NODES` nodes, so a search stops at most that far past the
+    budget.  Either budget raises ResourceLimit when exceeded; its message
+    gives the nodes searched below the frontier and the states done out of
+    those known so far (the frontier and the states tasks handed back)."""
     deadline = _deadline(n, budget_seconds, jobs)
     return [t for _, t in _enumerate_with_codes(n, deadline, max_nodes, jobs)]
 
@@ -326,16 +348,19 @@ def _enumerate_with_codes(n: int, deadline: Optional[float], max_nodes: Optional
         pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
         with pool or contextlib.nullcontext():
             search = pool.map if pool else map
-            for classes, searched, stop in search(_search_worker,
-                                                  [(n, s, deadline, max_nodes) for s in states]):
-                nodes += searched
-                if stop is None and max_nodes is not None and nodes > max_nodes:
-                    stop = "census search exceeded its node budget"
-                if stop is not None:
-                    raise ResourceLimit(stop)
-                done += 1
-                for code, faces in classes.items():
-                    found.setdefault(code, faces)
+            # Each wave is the states the previous one left, in result order.
+            while done < len(states):
+                wave = [(n, s, deadline, max_nodes) for s in states[done:]]
+                for classes, searched, rest, stop in search(_search_worker, wave):
+                    nodes += searched
+                    if stop is None and max_nodes is not None and nodes > max_nodes:
+                        stop = "census search exceeded its node budget"
+                    if stop is not None:
+                        raise ResourceLimit(stop)
+                    done += 1
+                    states += rest
+                    for code, faces in classes.items():
+                        found.setdefault(code, faces)
     except ResourceLimit as stop:
         raise ResourceLimit(f"{stop} ({nodes} nodes, {done}/{len(states)} states done)") from None
     # found holds the relabelled, sorted faces of validated leaves: valid

@@ -67,12 +67,16 @@ _DISPLAY: dict[str, Callable[..., str]] = {
 }
 
 
-def t1_valid_twists(n: int) -> list[int]:
-    """Allowed k for T_{n,1,k}: the middle band where the face formula
+def _t1_twist_ranges(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two inclusive ranges of allowed k for T_{n,1,k}: 2..floor((n-3)/2)
+    and ceil((n+1)/2)..n-3.  The middle band where the face formula
     degenerates is excluded."""
-    lo = list(range(2, (n - 3) // 2 + 1))
-    hi = list(range((n + 1 + 1) // 2, n - 2))  # ceil((n+1)/2) .. n-3
-    return lo + hi
+    return (2, (n - 3) // 2), ((n + 2) // 2, n - 3)
+
+
+def t1_valid_twists(n: int) -> list[int]:
+    """Allowed k for T_{n,1,k}, ascending."""
+    return [k for lo, hi in _t1_twist_ranges(n) for k in range(lo, hi + 1)]
 
 
 # The most vertices a family member may have: T_{100000,1,3} takes seconds
@@ -88,10 +92,10 @@ def validate(spec: FamilySpec) -> None:
         n, k = p
         if n < 7:
             raise BadParameters(f"T_{{n,1,k}} needs n >= 7, got n={n}")
-        if k not in t1_valid_twists(n):
-            raise BadParameters(
-                f"T_{{{n},1,k}} needs k in {t1_valid_twists(n)}, got k={k}"
-            )
+        ranges = _t1_twist_ranges(n)
+        if not any(lo <= k <= hi for lo, hi in ranges):
+            allowed = " or ".join(f"{lo}..{hi}" for lo, hi in ranges)
+            raise BadParameters(f"T_{{{n},1,k}} needs k in {allowed}, got k={k}")
     elif tag == "T2":
         n, k = p
         if n < 4:

@@ -162,8 +162,8 @@ def test_time_budget_checked_per_leaf(monkeypatch):
     clock = FakeClock()
     monkeypatch.setattr(census, "time", clock)
     slowed(monkeypatch, clock, "canonical_form")
-    classes, nodes, stop = census._search_worker((12, state, 10.0, None))
-    assert (classes, stop) == ({}, "census leaf canonicalisation exceeded its time budget")
+    classes, nodes, rest, stop = census._search_worker((12, state, 10.0, None))
+    assert (classes, rest, stop) == ({}, [], "census leaf canonicalisation exceeded its time budget")
     assert nodes == search.nodes  # the search itself finished
     assert clock.now == 100  # one leaf was canonicalised
 
@@ -200,10 +200,17 @@ def test_node_budget_message_reports_progress(monkeypatch, max_nodes, progress):
         assert str(stop.value) == f"census search exceeded its node budget ({progress})"
 
 
-def test_deep_search_hits_the_budget_not_the_recursion_limit():
-    # The search is 2n - 6 = 1194 faces deep here.
-    with pytest.raises(ResourceLimit):
-        enumerate_degree_regular(600, max_nodes=5000)
+def test_deep_search_hits_the_budget_not_the_recursion_limit(monkeypatch):
+    # The search is 2n - 6 = 1194 faces deep here.  No task searches more
+    # than _SPLIT_NODES nodes, so the budget is overrun by at most that:
+    # the third task of 2048 nodes passes it.
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    for jobs in (1, 2):
+        with pytest.raises(ResourceLimit) as stop:
+            enumerate_degree_regular(600, max_nodes=5000, jobs=jobs)
+        assert str(stop.value) == (
+            "census search exceeded its node budget (6144 nodes, 2/13 states done)")
+    assert 6144 - 5000 <= census._SPLIT_NODES
 
 
 def test_frontier_returns_states_and_leaves():
@@ -270,6 +277,39 @@ def test_search_tree_matches_the_plain_rule(n):
     assert len(census._canonicalize_leaves(n, leaves)) == sum(EXPECTED_SPLITS[n])
     if n == 12:
         assert (search.nodes, len(leaves)) == (1928, 43)
+
+
+class _RecordedSearch(census._LinkSearch):
+    """A link search that keeps every instance, so that the nodes of all
+    the census tasks (and of the frontier probes) can be summed."""
+
+    made: list[census._LinkSearch] = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.made.append(self)
+
+
+@pytest.mark.parametrize("n", range(7, 17))
+def test_split_search_counts_every_node_once(monkeypatch, n):
+    # Tasks of at most 16 nodes, in waves, against one search of the whole
+    # tree: the same nodes (1928 at n = 12, the frontier probes included),
+    # the same leaves and the same census.
+    whole, whole_leaves = census._LinkSearch(n, census._initial_star(), None, None), []
+    assert whole.run(whole_leaves) == []
+    monkeypatch.setattr(census, "_SPLIT_NODES", 16)
+    monkeypatch.setattr(_RecordedSearch, "made", [])
+    monkeypatch.setattr(census, "_LinkSearch", _RecordedSearch)
+    canonicalize, split_leaves = census._canonicalize_leaves, []
+    monkeypatch.setattr(census, "_canonicalize_leaves",
+                        lambda n, leaves, deadline=None:
+                        split_leaves.extend(leaves) or canonicalize(n, leaves, deadline))
+    got = [t.faces for t in enumerate_degree_regular(n)]
+    assert sum(search.nodes for search in _RecordedSearch.made) == whole.nodes
+    assert max(search.nodes for search in _RecordedSearch.made) <= 16
+    assert sorted(split_leaves) == sorted(whole_leaves)
+    classes = canonicalize(n, whole_leaves)
+    assert got == [classes[code] for code in sorted(classes)]
 
 
 # Totals past the paper's range, from the search alone (no independent

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flatland import build_triangulation, cli, format_tri
+from flatland import build_triangulation, census, cli, format_tri
 from tests.conftest import fam
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +65,12 @@ class TestFamily:
     def test_bad_parameters_exit_2(self):
         code, _, err = run_cli("family", "T(9,1,4)")
         assert code == 2 and "k in" in err
+
+    def test_bad_twist_names_the_ranges_in_one_short_line(self):
+        code, out, err = run_cli("family", "T(100000,1,1)")
+        assert (code, out) == (2, "")
+        assert err == "error: T_{100000,1,k} needs k in 2..49998 or 50001..99997, got k=1\n"
+        assert len(err.encode()) < 200
 
 
 class TestCheck:
@@ -233,6 +239,20 @@ class TestClassify:
         _, out2, _ = run_cli("classify", "--n", "10", "--jobs", "4", "--json")
         assert out1 == out2
         jsonschema.validate(json.loads(out1), load_schema("census.schema.json"))
+
+    def test_json_deterministic_across_jobs_where_the_search_splits(self, monkeypatch):
+        # At n = 18 a frontier state outgrows one task, so the census runs
+        # in several waves.
+        states = census._frontier(18, census._FRONTIER_TARGET)[0]
+        assert any(census._LinkSearch(18, list(s), None, None).run([], census._SPLIT_NODES)
+                   for s in states)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+        outputs = set()
+        for jobs in ("1", "2", "3"):
+            code, out, _ = run_cli("classify", "--n", "18", "--jobs", jobs, "--json")
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
 
 
 class TestBudget:
