@@ -27,9 +27,9 @@ canonicalises the leaves it found, and hands back the branches it did not
 enter; the first wave is the frontier and each next wave is the states the
 previous one handed back, in task order.  One state holds nearly all the
 nodes at larger n, so this split by work done is what lets a second job
-pay.  A node budget `max_nodes` counts the nodes searched below the
-frontier, summed over the tasks in task order; the tasks depend only on n,
-so the count and the outcome are the same for every job count.
+pay.  The tasks depend only on n, so they and the output are the same for
+every job count.  The census stops early only on its time budget, which
+raises where the deadline is found to have passed.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ _SPLIT_NODES = 2048  # nodes a task searches before it hands back the rest
 
 
 class ResourceLimit(RuntimeError):
-    """The configured time or node budget was exceeded; partial results are
-    never reported as a complete census."""
+    """The time budget was exceeded; partial results are never reported as
+    a complete census."""
 
 
 def _initial_star() -> list[Face]:
@@ -80,7 +80,7 @@ class _LinkSearch:
     come into use: a huge n costs nothing up front."""
 
     def __init__(self, n: int, faces: list[Face], deadline: Optional[float],
-                 max_nodes: Optional[int]):
+                 quota: Optional[int]):
         self.n = n
         self.faces: list[Face] = []
         self.lk: list[dict[int, list[int]]] = []
@@ -88,7 +88,7 @@ class _LinkSearch:
         self.max_used = -1
         self.first_open = 0
         self.deadline = deadline
-        self.max_nodes = max_nodes
+        self.quota = quota
         self.nodes = 0
         self._undo: list[tuple[int, int]] = []  # (max_used, first_open) before each face
         for f in faces:
@@ -209,27 +209,25 @@ class _LinkSearch:
         return out
 
     def _visit(self) -> Optional[list[Face]]:
-        """Count the current state as one search node against the budgets
+        """Count the current state as one search node, check the deadline
         and return its branch faces, or None when the complex is complete."""
         self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise ResourceLimit("census search exceeded its node budget")
         if self.nodes % _CHECK_EVERY == 1:
             _check_deadline(self.deadline, "census search")
         return self._branch_faces()
 
-    def run(self, leaves: list[tuple[Face, ...]],
-            quota: Optional[int] = None) -> list[tuple[Face, ...]]:
+    def run(self, leaves: list[tuple[Face, ...]]) -> list[tuple[Face, ...]]:
         """Append every completion of the current faces to `leaves`.  The
         search is 2n - 6 faces deep, so it keeps a stack of branch iterators
         instead of recursing; each iterator above the bottom one stands for
         a face that is applied.
 
-        With a `quota`, the search stops once it has counted that many nodes
-        and returns the states it has not entered: for each level of the
-        stack from the bottom up, its faces plus each remaining sibling
-        face.  Their roots are not counted here, so searching them counts
-        every node of the subtree exactly once.  Otherwise it returns []."""
+        With a `quota` (None: no limit), the search stops once it has
+        counted that many nodes and returns the states it has not entered:
+        for each level of the stack from the bottom up, its faces plus each
+        remaining sibling face.  Their roots are not counted here, so
+        searching them counts every node of the subtree exactly once.
+        Otherwise it returns []."""
         stack: list[Iterator[Face]] = []
         while True:
             branch = self._visit()
@@ -237,7 +235,7 @@ class _LinkSearch:
                 leaves.append(tuple(self.faces))
                 branch = []
             stack.append(iter(branch))
-            if quota is not None and self.nodes >= quota:
+            if self.quota is not None and self.nodes >= self.quota:
                 base = len(self.faces) - len(stack) + 1
                 return [tuple(self.faces[:base + depth]) + (face,)
                         for depth, rest in enumerate(stack) for face in rest]
@@ -268,21 +266,16 @@ def _canonicalize_leaves(n: int, leaves: list[tuple[Face, ...]],
     return found
 
 
-def _search_worker(args: tuple[int, tuple[Face, ...], Optional[float], Optional[int]]
-                   ) -> tuple[dict[Code, tuple[Face, ...]], int, list[tuple[Face, ...]],
-                              Optional[str]]:
+def _search_worker(args: tuple[int, tuple[Face, ...], Optional[float]]
+                   ) -> tuple[dict[Code, tuple[Face, ...]], int, list[tuple[Face, ...]]]:
     """Search one state for at most `_SPLIT_NODES` nodes.  Returns the
-    classes of the leaves found, the nodes searched, the states left
-    unsearched, and the reason the search or the canonicalisation of its
-    leaves stopped early, or None when both finished."""
-    n, faces, deadline, max_nodes = args
-    state = _LinkSearch(n, list(faces), deadline, max_nodes)
+    classes of the leaves found, the nodes searched and the states left
+    unsearched; raises ResourceLimit once the deadline has passed."""
+    n, faces, deadline = args
+    state = _LinkSearch(n, list(faces), deadline, _SPLIT_NODES)
     leaves: list[tuple[Face, ...]] = []
-    try:
-        rest = state.run(leaves, _SPLIT_NODES)
-        return _canonicalize_leaves(n, leaves, deadline), state.nodes, rest, None
-    except ResourceLimit as stop:
-        return {}, state.nodes, [], str(stop)
+    rest = state.run(leaves)
+    return _canonicalize_leaves(n, leaves, deadline), state.nodes, rest
 
 
 def _frontier(n: int, target: int) -> tuple[list[tuple[Face, ...]], list[tuple[Face, ...]]]:
@@ -304,21 +297,17 @@ def enumerate_degree_regular(
     n: int,
     *,
     budget_seconds: Optional[float] = None,
-    max_nodes: Optional[int] = None,
     jobs: int = 1,
 ) -> list[Triangulation]:
     """All degree-6 triangulations on n vertices up to isomorphism, each in
     canonical form, sorted by canonical code.  Empty for n <= 6.  The search
     runs in min(jobs, os.cpu_count()) processes; `budget_seconds` must be
-    finite and `jobs` at least 1.  `max_nodes` bounds the search nodes below
-    the fixed frontier, summed over the search tasks: the same count for
-    every `jobs`.  It is compared after each task, and a task searches at
-    most `_SPLIT_NODES` nodes, so a search stops at most that far past the
-    budget.  Either budget raises ResourceLimit when exceeded; its message
-    gives the nodes searched below the frontier and the states done out of
-    those known so far (the frontier and the states tasks handed back)."""
+    finite and `jobs` at least 1.  A census that exceeds the budget raises
+    ResourceLimit; its message gives the nodes searched below the frontier
+    by the tasks that finished, and the states done out of those known so
+    far (the frontier and the states tasks handed back)."""
     deadline = _deadline(n, budget_seconds, jobs)
-    return [t for _, t in _enumerate_with_codes(n, deadline, max_nodes, jobs)]
+    return [t for _, t in _enumerate_with_codes(n, deadline, jobs)]
 
 
 def _deadline(n: int, budget_seconds: Optional[float], jobs: int) -> Optional[float]:
@@ -333,7 +322,7 @@ def _deadline(n: int, budget_seconds: Optional[float], jobs: int) -> Optional[fl
     return time.monotonic() + budget_seconds if budget_seconds is not None else None
 
 
-def _enumerate_with_codes(n: int, deadline: Optional[float], max_nodes: Optional[int],
+def _enumerate_with_codes(n: int, deadline: Optional[float],
                           jobs: int) -> list[tuple[Code, Triangulation]]:
     jobs = min(jobs, os.cpu_count() or 1)
     if n <= 6:
@@ -350,13 +339,9 @@ def _enumerate_with_codes(n: int, deadline: Optional[float], max_nodes: Optional
             search = pool.map if pool else map
             # Each wave is the states the previous one left, in result order.
             while done < len(states):
-                wave = [(n, s, deadline, max_nodes) for s in states[done:]]
-                for classes, searched, rest, stop in search(_search_worker, wave):
+                wave = [(n, s, deadline) for s in states[done:]]
+                for classes, searched, rest in search(_search_worker, wave):
                     nodes += searched
-                    if stop is None and max_nodes is not None and nodes > max_nodes:
-                        stop = "census search exceeded its node budget"
-                    if stop is not None:
-                        raise ResourceLimit(stop)
                     done += 1
                     states += rest
                     for code, faces in classes.items():
@@ -404,7 +389,6 @@ def classify_census(
     n: int,
     *,
     budget_seconds: Optional[float] = None,
-    max_nodes: Optional[int] = None,
     jobs: int = 1,
 ) -> CensusReport:
     """Enumerate, then classify each item by surface type, regularity, and
@@ -412,7 +396,7 @@ def classify_census(
     the deadline is also checked before each catalog member is
     canonicalised and before each class is classified."""
     deadline = _deadline(n, budget_seconds, jobs)
-    coded = _enumerate_with_codes(n, deadline, max_nodes, jobs)
+    coded = _enumerate_with_codes(n, deadline, jobs)
     items: list[CensusItem] = []
     try:
         # One scan per distinct complex (T_{n,1,k}, T_{n,1,n-1-k} share faces).

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from . import census as census_mod
 from . import tri_io
@@ -38,6 +38,10 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="flatland", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    census_args = argparse.ArgumentParser(add_help=False)
+    census_args.add_argument("--n", type=int, required=True)
+    census_args.add_argument("--jobs", type=int, default=1)
+    census_args.add_argument("--budget", type=float, default=None, metavar="SECONDS")
 
     p = sub.add_parser("family", help="construct a named family member")
     p.add_argument("name", help="family name, e.g. T(12,1,3), B(3,4), Q(5,2)")
@@ -60,25 +64,22 @@ def _build_parser() -> _Parser:
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("enumerate", help="census emission to a directory")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=float, default=None, metavar="SECONDS")
+    p = sub.add_parser("enumerate", help="census emission to a directory",
+                       parents=[census_args])
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("classify", help="census classification summary")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=float, default=None, metavar="SECONDS")
+    p = sub.add_parser("classify", help="census classification summary",
+                       parents=[census_args])
     p.add_argument("--json", action="store_true")
     return parser
 
 
-def _budget(args: argparse.Namespace) -> Optional[float]:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    return float(env) if env else None
+def _census(args: argparse.Namespace) -> CensusReport:
+    """The census of `--n` under `--budget`, or else the BUDGET_ENV seconds."""
+    budget = args.budget
+    if budget is None and os.environ.get(BUDGET_ENV):
+        budget = float(os.environ[BUDGET_ENV])
+    return census_mod.classify_census(args.n, budget_seconds=budget, jobs=args.jobs)
 
 
 def _load(path: str) -> Triangulation:
@@ -187,9 +188,7 @@ def _cmd_aut(args, out: TextIO) -> int:
 
 
 def _cmd_enumerate(args, out: TextIO) -> int:
-    report = census_mod.classify_census(
-        args.n, budget_seconds=_budget(args), jobs=args.jobs
-    )
+    report = _census(args)
     directory = Path(args.out)
     directory.mkdir(parents=True, exist_ok=True)
     for i, item in enumerate(report.items):
@@ -208,9 +207,7 @@ def _cmd_enumerate(args, out: TextIO) -> int:
 
 
 def _cmd_classify(args, out: TextIO) -> int:
-    report = census_mod.classify_census(
-        args.n, budget_seconds=_budget(args), jobs=args.jobs
-    )
+    report = _census(args)
     if args.json:
         out.write(json.dumps(_report_json(report), indent=2, sort_keys=True) + "\n")
         return 0

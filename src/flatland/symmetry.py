@@ -192,7 +192,7 @@ def _orbit_partition(items, orbit_of):
             continue
         orbit = orbit_of(x)
         seen.update(orbit)
-        parts.append(tuple(sorted(orbit, key=repr)))
+        parts.append(tuple(sorted(orbit)))
     return tuple(parts)
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import types
 
 import pytest
@@ -80,11 +81,6 @@ def test_parallel_matches_serial():
     assert [t.faces for t in serial] == [t.faces for t in parallel]
 
 
-def test_node_budget_raises():
-    with pytest.raises(ResourceLimit):
-        enumerate_degree_regular(12, max_nodes=100)
-
-
 def test_time_budget_raises():
     with pytest.raises(ResourceLimit):
         enumerate_degree_regular(12, budget_seconds=0.0)
@@ -106,11 +102,12 @@ def test_time_budget_checked_when_the_frontier_is_the_whole_tree():
 def test_time_budget_checked_at_the_root_of_each_state(monkeypatch):
     # A clock that advances one second per reading: the deadline (t = 0.5)
     # passes the check after the frontier (t = 0) and expires at the root
-    # of the first state (t = 1).
+    # of the first state (t = 1), before any task has finished.
     ticks = iter(range(-1, 10**6))
     monkeypatch.setattr(census, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
-    with pytest.raises(ResourceLimit, match=r"time budget \(1 nodes, 0/9 states done\)"):
+    with pytest.raises(ResourceLimit) as stop:
         enumerate_degree_regular(9, budget_seconds=1.5)
+    assert str(stop.value) == "census search exceeded its time budget (0 nodes, 0/9 states done)"
 
 
 class FakeClock:
@@ -152,8 +149,7 @@ def test_time_budget_checked_after_the_search(monkeypatch, slow, progress):
 
 def test_time_budget_checked_per_leaf(monkeypatch):
     # The first canonical form of a state moves the clock past the deadline;
-    # the next leaf sees it, and the worker returns the stop the way it
-    # returns a search stop.
+    # the next leaf sees it, and the worker raises.
     for state in census._frontier(12, 8)[0]:
         search, leaves = census._LinkSearch(12, list(state), None, None), []
         search.run(leaves)
@@ -162,55 +158,28 @@ def test_time_budget_checked_per_leaf(monkeypatch):
     clock = FakeClock()
     monkeypatch.setattr(census, "time", clock)
     slowed(monkeypatch, clock, "canonical_form")
-    classes, nodes, rest, stop = census._search_worker((12, state, 10.0, None))
-    assert (classes, rest, stop) == ({}, [], "census leaf canonicalisation exceeded its time budget")
-    assert nodes == search.nodes  # the search itself finished
-    assert clock.now == 100  # one leaf was canonicalised
+    with pytest.raises(ResourceLimit) as stop:
+        census._search_worker((12, state, 10.0))
+    assert str(stop.value) == "census leaf canonicalisation exceeded its time budget"
+    assert clock.now == 100  # the search finished and one leaf was canonicalised
 
 
-def _outcome(n, max_nodes, jobs):
-    try:
-        return [t.faces for t in enumerate_degree_regular(n, max_nodes=max_nodes, jobs=jobs)]
-    except ResourceLimit:
-        return ResourceLimit
+def test_deep_search_reaches_a_leaf_without_recursion():
+    # At n = 600 a leaf lies 2n - 6 = 1194 faces below the root, deeper than
+    # the default recursion limit; a quota stops the search and hands back
+    # the branches it did not enter.
+    assert sys.getrecursionlimit() < 1194
+    search, leaves = census._LinkSearch(600, census._initial_star(), None, 4096), []
+    rest = search.run(leaves)
+    assert search.nodes == 4096 and rest
+    assert [len(faces) for faces in leaves] == [1200]
 
 
-def test_node_budget_same_for_every_jobs(monkeypatch):
-    # n = 12 searches 1924 nodes below the frontier (1928 with its probes).
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-    outcomes = []
-    for max_nodes in (1500, 1923, 1924):
-        serial = _outcome(12, max_nodes, jobs=1)
-        assert _outcome(12, max_nodes, jobs=2) == serial, max_nodes
-        outcomes.append(serial)
-    assert outcomes[:2] == [ResourceLimit, ResourceLimit]
-    assert len(outcomes[2]) == 7
-
-
-@pytest.mark.parametrize("max_nodes,progress", [
-    (100, "141 nodes, 2/9 states done"),  # the sum passes the budget
-    (1000, "1654 nodes, 8/9 states done"),  # the last state passes it alone
-    (1500, "1924 nodes, 8/9 states done"),
-])
-def test_node_budget_message_reports_progress(monkeypatch, max_nodes, progress):
+def test_deep_search_hits_the_time_budget(monkeypatch):
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
     for jobs in (1, 2):
-        with pytest.raises(ResourceLimit) as stop:
-            enumerate_degree_regular(12, max_nodes=max_nodes, jobs=jobs)
-        assert str(stop.value) == f"census search exceeded its node budget ({progress})"
-
-
-def test_deep_search_hits_the_budget_not_the_recursion_limit(monkeypatch):
-    # The search is 2n - 6 = 1194 faces deep here.  No task searches more
-    # than _SPLIT_NODES nodes, so the budget is overrun by at most that:
-    # the third task of 2048 nodes passes it.
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-    for jobs in (1, 2):
-        with pytest.raises(ResourceLimit) as stop:
-            enumerate_degree_regular(600, max_nodes=5000, jobs=jobs)
-        assert str(stop.value) == (
-            "census search exceeded its node budget (6144 nodes, 2/13 states done)")
-    assert 6144 - 5000 <= census._SPLIT_NODES
+        with pytest.raises(ResourceLimit, match="exceeded its time budget"):
+            enumerate_degree_regular(600, budget_seconds=0.5, jobs=jobs)
 
 
 def test_frontier_returns_states_and_leaves():

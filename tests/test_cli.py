@@ -244,7 +244,7 @@ class TestClassify:
         # At n = 18 a frontier state outgrows one task, so the census runs
         # in several waves.
         states = census._frontier(18, census._FRONTIER_TARGET)[0]
-        assert any(census._LinkSearch(18, list(s), None, None).run([], census._SPLIT_NODES)
+        assert any(census._LinkSearch(18, list(s), None, census._SPLIT_NODES).run([])
                    for s in states)
         monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
         outputs = set()

@@ -175,6 +175,13 @@ class TestAutomorphismGroup:
             assert len(flags(t)) == 6 * t.f2
             assert (6 * t.f2) % automorphism_group(t).order == 0
 
+    def test_orbits_sorted_by_number(self):
+        # Sorted as text, vertex 10 would come before vertex 2.
+        group = automorphism_group(fam("T(12,1,2)"))
+        assert group.vertex_orbits == (tuple(range(12)),)
+        assert all(list(orbit) == sorted(orbit) for orbit in group.face_orbits)
+        assert any((0, 1, 3) in orbit and (0, 1, 10) in orbit for orbit in group.face_orbits)
+
     def test_brute_force_agreement_small(self, tetrahedron, double_pyramid):
         for t in (tetrahedron, double_pyramid, fam("T(7,1,2)")):
             assert set(automorphism_group(t).elements) == brute_force_automorphisms(t)
