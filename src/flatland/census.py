@@ -3,9 +3,15 @@
 The search fixes the star of vertex 0 (link C_6 on vertices 1..6), then
 completes one vertex link at a time, always extending the open link of the
 smallest unfinished vertex at its smallest open endpoint.  New vertices are
-introduced in first-use order.  These choices prune most relabelings;
-residual duplicates are removed by canonical code, so the output is
-independent of search order.
+introduced in first-use order.  So the labelling of a leaf is fixed by
+its search flag (vertex 0, edge 01, face 012): each flag of a class gives
+exactly one leaf, and the flags of one automorphism orbit give the same
+leaf, so a class with automorphism group Aut comes out as 12n/|Aut|
+leaves.  A leaf is kept only if its search flag has the least key of the
+canonical scan (`symmetry`); the least-key flags of a class form one
+orbit, so exactly one leaf per class is kept, and the output is
+independent of search order.  A leaf is dropped at the first start whose
+key is found to be smaller, usually after a few partial traversals.
 
 A search node costs a few candidate checks, not a pass over all vertices.
 The smallest unfinished vertex is kept as a pointer that only moves forward
@@ -23,11 +29,11 @@ is expanded breadth-first until it has `_FRONTIER_TARGET` open states or
 runs out of them, and the states are searched depth-first in waves, in this
 process for one job and in a process pool otherwise.  A task
 (`_search_worker`) searches one state for at most `_SPLIT_NODES` nodes,
-canonicalises the leaves it found, and hands back the branches it did not
-enter; the first wave is the frontier and each next wave is the states the
-previous one handed back, in task order.  One state holds nearly all the
-nodes at larger n, so this split by work done is what lets a second job
-pay.  The tasks depend only on n, so they and the output are the same for
+tests and canonicalises the leaves it found, and hands back the branches
+it did not enter; the first wave is the frontier and each next wave is the
+states the previous one handed back, in task order.  One state holds nearly
+all the nodes at larger n, so this split by work done is what lets a second
+job pay.  The tasks depend only on n, so they and the output are the same for
 every job count.  The census stops early only on its time budget, which
 raises where the deadline is found to have passed.
 """
@@ -49,13 +55,20 @@ from .surface import (
     build_triangulation,
     surface_type,
 )
-from .symmetry import Code, automorphism_group, canonical_form, regularity_flags
+from .symmetry import (
+    Code,
+    automorphism_group,
+    canonical_form,
+    regularity_flags,
+    seeded_canonical_form,
+)
 
 Face = tuple[int, int, int]
 
 _CHECK_EVERY = 256  # nodes between deadline checks, the first at the root
 _FRONTIER_TARGET = 8  # open states the search is split into, for any jobs
 _SPLIT_NODES = 2048  # nodes a task searches before it hands back the rest
+_SEARCH_FLAG: Face = (0, 1, 2)  # the start every leaf is labelled from
 
 
 class ResourceLimit(RuntimeError):
@@ -256,14 +269,24 @@ def _check_deadline(deadline: Optional[float], layer: str) -> None:
 
 def _canonicalize_leaves(n: int, leaves: list[tuple[Face, ...]],
                          deadline: Optional[float] = None) -> dict[Code, tuple[Face, ...]]:
+    """The classes of the leaves whose search flag has the least key, each
+    in canonical form.  Over all the leaves of a census that is one leaf per
+    class."""
     found: dict[Code, tuple[Face, ...]] = {}
     for faces in leaves:
         _check_deadline(deadline, "census leaf canonicalisation")
-        t = build_triangulation(n, faces)
-        form = canonical_form(t)
-        if form.code not in found:
-            found[form.code] = form.faces
+        form = seeded_canonical_form(build_triangulation(n, faces), _SEARCH_FLAG)
+        if form is not None:
+            _add_class(found, form.code, form.faces)
     return found
+
+
+def _add_class(found: dict[Code, tuple[Face, ...]], code: Code, faces: tuple[Face, ...]) -> None:
+    """Record a class; a second leaf of one class means the leaf test is
+    broken, and that must not be hidden."""
+    if code in found:
+        raise AssertionError(f"a census class was kept twice ({len(faces)} faces)")
+    found[code] = faces
 
 
 def _search_worker(args: tuple[int, tuple[Face, ...], Optional[float]]
@@ -345,7 +368,7 @@ def _enumerate_with_codes(n: int, deadline: Optional[float],
                     done += 1
                     states += rest
                     for code, faces in classes.items():
-                        found.setdefault(code, faces)
+                        _add_class(found, code, faces)
     except ResourceLimit as stop:
         raise ResourceLimit(f"{stop} ({nodes} nodes, {done}/{len(states)} states done)") from None
     # found holds the relabelled, sorted faces of validated leaves: valid

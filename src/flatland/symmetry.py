@@ -22,12 +22,21 @@ combinatorially regular iff |Aut| = 6*f_2.  The canonical labelling is the
 lexicographically least tied labelling, so canonicalising the canonical
 complex gives the identity; the canonical code is the sorted relabelled
 face list.
+
+A scan may be seeded with one start.  The seed is traversed first and its
+key is the bound; the scan prunes larger keys as before, and gives up at
+the first entry of any start that falls below the seed's key at its
+position: then the seed's key is not the least one.  This is the leaf test
+of orderly generation (McKay, J. Algorithms 26, 1998): a complex produced
+from a known start is kept only if that start has the least key, and a
+kept complex costs one full scan, a rejected one usually a few partial
+traversals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Optional, Sequence
 
 from .graphs import common_neighbor_graph, graph_shape
@@ -69,9 +78,11 @@ class IsomorphismResult:
 
 
 def _traverse(t: Triangulation, table, start: tuple[int, int, int], start_fi: int,
-              best: Optional[list[int]]):
+              best: Optional[list[int]], stop_below: bool = False):
     """Key and label array (input vertex -> label) of one start, or None as
-    soon as a key entry exceeds `best` at the same position."""
+    soon as a key entry exceeds `best` at the same position.  With
+    `stop_below`, the traversal also stops at the first entry below `best`
+    and returns the key so far, which is then less than `best`."""
     label = [-1] * t.n
     x, y, z = start
     label[x], label[y], label[z] = 0, 1, 2
@@ -92,6 +103,9 @@ def _traverse(t: Triangulation, table, start: tuple[int, int, int], start_fi: in
             if tight and lw != best[len(key)]:
                 if lw > best[len(key)]:
                     return None
+                if stop_below:
+                    key.append(lw)
+                    return key, label
                 tight = False
             key.append(lw)
             if not seen[gi]:
@@ -100,30 +114,47 @@ def _traverse(t: Triangulation, table, start: tuple[int, int, int], start_fi: in
     return key, label
 
 
-def _scan(t: Triangulation) -> list[list[int]]:
+def _scan(t: Triangulation, seed: Optional[Face] = None) -> Optional[list[list[int]]]:
     """The label arrays of all starts whose key is the least one: one per
-    automorphism."""
+    automorphism.  With a `seed` start (an oriented face of t), None as
+    soon as some start's key is found to be less than the seed's."""
     table = t.across
+    starts = ((start, fi) for fi, face in enumerate(t.faces) for start in permutations(face))
+    if seed is not None:
+        first = (seed, t.faces.index(tuple(sorted(seed))))
+        starts = chain([first], (s for s in starts if s != first))
     best: Optional[list[int]] = None
     ties: list[list[int]] = []
-    for fi, face in enumerate(t.faces):
-        for start in permutations(face):
-            found = _traverse(t, table, start, fi, best)
-            if found is None:
-                continue
-            key, label = found
-            if key == best:
-                ties.append(label)
-            else:  # a key that survives the pruning is at most best
-                best, ties = key, [label]
+    for start, fi in starts:
+        found = _traverse(t, table, start, fi, best, seed is not None)
+        if found is None:
+            continue
+        key, label = found
+        if key == best:
+            ties.append(label)
+        elif best is not None and seed is not None:
+            return None  # a key below the seed's
+        else:  # a key that survives the pruning is at most best
+            best, ties = key, [label]
     return ties
+
+
+def _form(t: Triangulation, ties: list[list[int]]) -> CanonicalForm:
+    label = min(ties)
+    rel = sorted(tuple(sorted((label[a], label[b], label[c]))) for a, b, c in t.faces)
+    return CanonicalForm(tuple(v for f in rel for v in f), tuple(label))
 
 
 def canonical_form(t: Triangulation) -> CanonicalForm:
     """Deterministic relabeling-invariant encoding of the surface."""
-    label = min(_scan(t))
-    rel = sorted(tuple(sorted((label[a], label[b], label[c]))) for a, b, c in t.faces)
-    return CanonicalForm(tuple(v for f in rel for v in f), tuple(label))
+    return _form(t, _scan(t))
+
+
+def seeded_canonical_form(t: Triangulation, seed: Face) -> Optional[CanonicalForm]:
+    """`canonical_form(t)` if the start `seed` (an oriented face of t) has
+    the least key, else None."""
+    ties = _scan(t, seed)
+    return None if ties is None else _form(t, ties)
 
 
 def _apply(perm: Sequence[int], faces: Sequence[Face]) -> frozenset[Face]:

@@ -1,11 +1,16 @@
 import math
 import sys
 import types
+from collections import Counter
 
 import pytest
 
 from flatland import (
     ResourceLimit,
+    Triangulation,
+    automorphism_group,
+    build_triangulation,
+    canonical_form,
     census,
     classify_census,
     degree_profile,
@@ -144,12 +149,12 @@ def test_time_budget_checked_after_the_search(monkeypatch, slow, progress):
     with pytest.raises(ResourceLimit) as stop:
         classify_census(9, budget_seconds=10)
     assert str(stop.value) == f"census classification exceeded its time budget ({progress})"
-    assert max(seen) < 10  # no catalog member is canonicalised past the deadline
+    assert all(now < 10 for now in seen)  # no catalog member is canonicalised past the deadline
 
 
 def test_time_budget_checked_per_leaf(monkeypatch):
-    # The first canonical form of a state moves the clock past the deadline;
-    # the next leaf sees it, and the worker raises.
+    # The first leaf scan of a state moves the clock past the deadline; the
+    # next leaf sees it, and the worker raises.
     for state in census._frontier(12, 8)[0]:
         search, leaves = census._LinkSearch(12, list(state), None, None), []
         search.run(leaves)
@@ -157,7 +162,7 @@ def test_time_budget_checked_per_leaf(monkeypatch):
             break
     clock = FakeClock()
     monkeypatch.setattr(census, "time", clock)
-    slowed(monkeypatch, clock, "canonical_form")
+    slowed(monkeypatch, clock, "seeded_canonical_form")
     with pytest.raises(ResourceLimit) as stop:
         census._search_worker((12, state, 10.0))
     assert str(stop.value) == "census leaf canonicalisation exceeded its time budget"
@@ -248,6 +253,26 @@ def test_search_tree_matches_the_plain_rule(n):
         assert (search.nodes, len(leaves)) == (1928, 43)
 
 
+@pytest.mark.parametrize("n", range(7, 17))
+def test_one_leaf_kept_per_class(n):
+    # The whole search gives each class once per flag orbit, 12n/|Aut|
+    # leaves.  The leaf test keeps exactly one of them, and the classes are
+    # those of canonicalising every leaf and keeping the first per code.
+    leaves = []
+    census._LinkSearch(n, census._initial_star(), None, None).run(leaves)
+    forms = [canonical_form(build_triangulation(n, faces)) for faces in leaves]
+    first: dict = {}
+    for form in forms:
+        first.setdefault(form.code, form.faces)
+    per_class = Counter(form.code for form in forms)
+    for code, faces in first.items():
+        assert per_class[code] * automorphism_group(Triangulation(n, faces)).order == 12 * n
+    kept = [form.code for faces, form in zip(leaves, forms)
+            if census._canonicalize_leaves(n, [faces])]
+    assert sorted(kept) == sorted(first)
+    assert census._canonicalize_leaves(n, leaves) == first
+
+
 class _RecordedSearch(census._LinkSearch):
     """A link search that keeps every instance, so that the nodes of all
     the census tasks (and of the frontier probes) can be summed."""
@@ -283,7 +308,9 @@ def test_split_search_counts_every_node_once(monkeypatch, n):
 
 # Totals past the paper's range, from the search alone (no independent
 # oracle yet): n -> (torus, Klein bottle).  No Klein bottle at prime n.
-BEYOND_PAPER_SPLITS = {16: (5, 2), 17: (2, 0), 18: (5, 4), 19: (3, 0), 20: (6, 4)}
+# They also check the leaf test, which would lose a class without an error.
+BEYOND_PAPER_SPLITS = {16: (5, 2), 17: (2, 0), 18: (5, 4), 19: (3, 0), 20: (6, 4),
+                       21: (6, 3), 22: (4, 1), 23: (3, 0), 24: (11, 7)}
 
 
 @pytest.mark.stretch

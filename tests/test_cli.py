@@ -254,6 +254,16 @@ class TestClassify:
             outputs.add(out)
         assert len(outputs) == 1
 
+    def test_a_class_kept_twice_exit_2(self, monkeypatch):
+        # A leaf test that keeps every leaf finds the classes of n = 12 more
+        # than once.  That is an internal error, not a silent dedupe, and it
+        # ends with exit 2, not a traceback.
+        canonical = census.canonical_form
+        monkeypatch.setattr(census, "seeded_canonical_form", lambda t, seed: canonical(t))
+        code, out, err = run_cli("classify", "--n", "12", "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unexpected AssertionError('a census class was kept twice")
+
 
 class TestBudget:
     def test_budget_flag_exit_3(self):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,9 @@ from flatland import (
     find_isomorphism,
     regularity_flags,
     relabel,
+    symmetry,
 )
+from flatland.symmetry import seeded_canonical_form
 from tests.conftest import (
     brute_force_automorphisms,
     brute_force_isomorphism,
@@ -244,6 +248,19 @@ class TestScan:
                 for p in automorphism_group(t).elements
             }
             assert label == min(realizing)
+
+    def test_seeded_scan_passes_exactly_the_least_key_starts(self):
+        # Against the full key of every start, unpruned: a seed passes iff
+        # its key is the least (one start per automorphism), and then it
+        # gives the canonical form.
+        for name in ("T(7,1,2)", "B(3,3)", "Q(5,2)", "T(4,4,2)"):
+            t = shuffled(fam(name), 5)
+            starts = [(s, fi) for fi, face in enumerate(t.faces) for s in permutations(face)]
+            keys = {s: symmetry._traverse(t, t.across, s, fi, None)[0] for s, fi in starts}
+            least = [s for s, _ in starts if keys[s] == min(keys.values())]
+            passed = [s for s, _ in starts if seeded_canonical_form(t, s) is not None]
+            assert passed == least and len(passed) == automorphism_group(t).order
+            assert {seeded_canonical_form(t, s) for s in passed} == {canonical_form(t)}
 
     def test_code_equality_matches_brute_force_isomorphism(self):
         items = [
