@@ -11,7 +11,9 @@ leaves.  A leaf is kept only if its search flag has the least key of the
 canonical scan (`symmetry`); the least-key flags of a class form one
 orbit, so exactly one leaf per class is kept, and the output is
 independent of search order.  A leaf is dropped at the first start whose
-key is found to be smaller, usually after a few partial traversals.
+key is found to be smaller, usually after a few partial traversals.  The
+full scan of a kept leaf also gives its class's automorphism group, and so
+the regularity flags: no class is scanned again.
 
 A search node costs a few candidate checks, not a pass over all vertices.
 The smallest unfinished vertex is kept as a pointer that only moves forward
@@ -49,19 +51,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .families import known_catalog
-from .surface import (
-    SurfaceType,
-    Triangulation,
-    build_triangulation,
-    surface_type,
-)
-from .symmetry import (
-    Code,
-    automorphism_group,
-    canonical_form,
-    regularity_flags,
-    seeded_canonical_form,
-)
+from .surface import SurfaceType, Triangulation, build_triangulation, surface_type
+from .symmetry import Code, automorphism_group, canonical_form, regularity_flags
 
 Face = tuple[int, int, int]
 
@@ -69,6 +60,7 @@ _CHECK_EVERY = 256  # nodes between deadline checks, the first at the root
 _FRONTIER_TARGET = 8  # open states the search is split into, for any jobs
 _SPLIT_NODES = 2048  # nodes a task searches before it hands back the rest
 _SEARCH_FLAG: Face = (0, 1, 2)  # the start every leaf is labelled from
+_Class = tuple[tuple[Face, ...], tuple[bool, bool]]  # faces, (weakly, combinatorially regular)
 
 
 class ResourceLimit(RuntimeError):
@@ -268,29 +260,31 @@ def _check_deadline(deadline: Optional[float], layer: str) -> None:
 
 
 def _canonicalize_leaves(n: int, leaves: list[tuple[Face, ...]],
-                         deadline: Optional[float] = None) -> dict[Code, tuple[Face, ...]]:
+                         deadline: Optional[float] = None) -> dict[Code, _Class]:
     """The classes of the leaves whose search flag has the least key, each
-    in canonical form.  Over all the leaves of a census that is one leaf per
-    class."""
-    found: dict[Code, tuple[Face, ...]] = {}
+    in canonical form with its regularity flags, which do not depend on the
+    labelling.  Over all the leaves of a census that is one leaf per class."""
+    found: dict[Code, _Class] = {}
     for faces in leaves:
         _check_deadline(deadline, "census leaf canonicalisation")
-        form = seeded_canonical_form(build_triangulation(n, faces), _SEARCH_FLAG)
-        if form is not None:
-            _add_class(found, form.code, form.faces)
+        leaf = build_triangulation(n, faces)
+        group = automorphism_group(leaf, _SEARCH_FLAG)
+        if group is not None:
+            _add_class(found, group.canonical.code,
+                       (group.canonical.faces, regularity_flags(leaf, group)))
     return found
 
 
-def _add_class(found: dict[Code, tuple[Face, ...]], code: Code, faces: tuple[Face, ...]) -> None:
+def _add_class(found: dict[Code, _Class], code: Code, found_class: _Class) -> None:
     """Record a class; a second leaf of one class means the leaf test is
     broken, and that must not be hidden."""
     if code in found:
-        raise AssertionError(f"a census class was kept twice ({len(faces)} faces)")
-    found[code] = faces
+        raise AssertionError(f"a census class was kept twice ({len(found_class[0])} faces)")
+    found[code] = found_class
 
 
 def _search_worker(args: tuple[int, tuple[Face, ...], Optional[float]]
-                   ) -> tuple[dict[Code, tuple[Face, ...]], int, list[tuple[Face, ...]]]:
+                   ) -> tuple[dict[Code, _Class], int, list[tuple[Face, ...]]]:
     """Search one state for at most `_SPLIT_NODES` nodes.  Returns the
     classes of the leaves found, the nodes searched and the states left
     unsearched; raises ResourceLimit once the deadline has passed."""
@@ -330,7 +324,7 @@ def enumerate_degree_regular(
     by the tasks that finished, and the states done out of those known so
     far (the frontier and the states tasks handed back)."""
     deadline = _deadline(n, budget_seconds, jobs)
-    return [t for _, t in _enumerate_with_codes(n, deadline, jobs)]
+    return [t for _, t, _ in _enumerate_with_codes(n, deadline, jobs)]
 
 
 def _deadline(n: int, budget_seconds: Optional[float], jobs: int) -> Optional[float]:
@@ -345,8 +339,8 @@ def _deadline(n: int, budget_seconds: Optional[float], jobs: int) -> Optional[fl
     return time.monotonic() + budget_seconds if budget_seconds is not None else None
 
 
-def _enumerate_with_codes(n: int, deadline: Optional[float],
-                          jobs: int) -> list[tuple[Code, Triangulation]]:
+def _enumerate_with_codes(n: int, deadline: Optional[float], jobs: int
+                          ) -> list[tuple[Code, Triangulation, tuple[bool, bool]]]:
     jobs = min(jobs, os.cpu_count() or 1)
     if n <= 6:
         return []
@@ -367,13 +361,13 @@ def _enumerate_with_codes(n: int, deadline: Optional[float],
                     nodes += searched
                     done += 1
                     states += rest
-                    for code, faces in classes.items():
-                        _add_class(found, code, faces)
+                    for code, found_class in classes.items():
+                        _add_class(found, code, found_class)
     except ResourceLimit as stop:
         raise ResourceLimit(f"{stop} ({nodes} nodes, {done}/{len(states)} states done)") from None
     # found holds the relabelled, sorted faces of validated leaves: valid
     # complexes that need no second validation.
-    return [(code, Triangulation(n, found[code])) for code in sorted(found)]
+    return [(code, Triangulation(n, found[code][0]), found[code][1]) for code in sorted(found)]
 
 
 @dataclass(frozen=True)
@@ -414,10 +408,10 @@ def classify_census(
     budget_seconds: Optional[float] = None,
     jobs: int = 1,
 ) -> CensusReport:
-    """Enumerate, then classify each item by surface type, regularity, and
-    membership in the named families.  The time budget covers all of it:
-    the deadline is also checked before each catalog member is
-    canonicalised and before each class is classified."""
+    """Enumerate, then classify each item by surface type and membership in
+    the named families; its regularity flags come from its leaf.  The time
+    budget covers all of it: the deadline is also checked before each
+    catalog member is canonicalised and before each class is classified."""
     deadline = _deadline(n, budget_seconds, jobs)
     coded = _enumerate_with_codes(n, deadline, jobs)
     items: list[CensusItem] = []
@@ -430,10 +424,8 @@ def classify_census(
                 _check_deadline(deadline, "census classification")
                 code_of[named.complex] = canonical_form(named.complex).code
             family_codes.setdefault(code_of[named.complex], []).append(named.name)
-        for code, t in coded:
+        for code, t, (weakly, comb) in coded:
             _check_deadline(deadline, "census classification")
-            group = automorphism_group(t)
-            weakly, comb = regularity_flags(t, group)
             items.append(
                 CensusItem(
                     triangulation=t,

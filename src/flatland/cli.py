@@ -45,8 +45,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("family", help="construct a named family member")
     p.add_argument("name", help="family name, e.g. T(12,1,3), B(3,4), Q(5,2)")
-    p.add_argument("--out", help="write a .tri file instead of stdout")
-    p.add_argument("--json", action="store_true")
+    out_or_json = p.add_mutually_exclusive_group()
+    out_or_json.add_argument("--out", help="write a .tri file instead of stdout")
+    out_or_json.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="validate a .tri file and report invariants")
     p.add_argument("path")

@@ -23,14 +23,17 @@ lexicographically least tied labelling, so canonicalising the canonical
 complex gives the identity; the canonical code is the sorted relabelled
 face list.
 
-A scan may be seeded with one start.  The seed is traversed first and its
-key is the bound; the scan prunes larger keys as before, and gives up at
-the first entry of any start that falls below the seed's key at its
-position: then the seed's key is not the least one.  This is the leaf test
-of orderly generation (McKay, J. Algorithms 26, 1998): a complex produced
-from a known start is kept only if that start has the least key, and a
-kept complex costs one full scan, a rejected one usually a few partial
-traversals.
+One scan gives both facts: `automorphism_group` builds the group from the
+tied labellings and carries the canonical form of the same scan.  It may be
+seeded with one start (`automorphism_group(t, seed)`).  The seed is
+traversed first and its key is the bound; the scan prunes larger keys as
+before, and gives up at the first entry of any start that falls below the
+seed's key at its position: then the seed's key is not the least one, and
+there is no group.  This is the leaf test of orderly generation (McKay,
+J. Algorithms 26, 1998): a complex produced from a known start is kept only
+if that start has the least key, and a kept complex costs one full scan,
+which yields its canonical form and its automorphisms, a rejected one
+usually a few partial traversals.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ class SymmetryGroup:
     elements: tuple[tuple[int, ...], ...]  # vertex permutations
     vertex_orbits: tuple[tuple[int, ...], ...]
     face_orbits: tuple[tuple[Face, ...], ...]
+    canonical: CanonicalForm  # from the scan that found the elements
 
     @property
     def order(self) -> int:
@@ -150,13 +154,6 @@ def canonical_form(t: Triangulation) -> CanonicalForm:
     return _form(t, _scan(t))
 
 
-def seeded_canonical_form(t: Triangulation, seed: Face) -> Optional[CanonicalForm]:
-    """`canonical_form(t)` if the start `seed` (an oriented face of t) has
-    the least key, else None."""
-    ties = _scan(t, seed)
-    return None if ties is None else _form(t, ties)
-
-
 def _apply(perm: Sequence[int], faces: Sequence[Face]) -> frozenset[Face]:
     return frozenset(tuple(sorted((perm[a], perm[b], perm[c]))) for a, b, c in faces)
 
@@ -194,9 +191,13 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
     return IsomorphismResult(mapping)
 
 
-def automorphism_group(t: Triangulation) -> SymmetryGroup:
-    """The complete automorphism group as explicit vertex permutations."""
-    labelings = _scan(t)
+def automorphism_group(t: Triangulation, seed: Optional[Face] = None) -> Optional[SymmetryGroup]:
+    """The complete automorphism group as explicit vertex permutations, with
+    the canonical form.  With a `seed` start (an oriented face of t), None
+    unless that start has the least key."""
+    labelings = _scan(t, seed)
+    if labelings is None:
+        return None
     base_inv = _invert(labelings[0])
     face_set = t.face_set()
     elements = []
@@ -212,7 +213,7 @@ def automorphism_group(t: Triangulation) -> SymmetryGroup:
         t.faces,
         lambda f: {tuple(sorted((p[f[0]], p[f[1]], p[f[2]]))) for p in elements},
     )
-    return SymmetryGroup(elements, vertex_orbits, face_orbits)
+    return SymmetryGroup(elements, vertex_orbits, face_orbits, _form(t, labelings))
 
 
 def _orbit_partition(items, orbit_of):

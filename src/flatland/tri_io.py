@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .surface import Triangulation
 
@@ -18,7 +18,6 @@ class TriFormatError(ValueError):
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 def parse_tri(text: str) -> tuple[int, list[tuple[int, int, int]]]:
@@ -77,14 +76,20 @@ def to_json_dict(t: Triangulation) -> dict:
     return {"n": t.n, "faces": [list(f) for f in t.faces]}
 
 
+def _integer(value: object) -> int:
+    """A value the schema types as an integer: 7 or 7.0, not 7.5, "7" or true."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise TypeError(f"{value!r} is not an integer")
+
+
 def from_json(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     try:
         payload = json.loads(text)
-        n = int(payload["n"])
-        faces = [tuple(int(v) for v in f) for f in payload["faces"]]
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        # OverflowError: "n": 1e400 parses as infinity; RecursionError: the
-        # decoder recurses once per nesting level.
+        n = _integer(payload["n"])
+        faces = [tuple(_integer(v) for v in f) for f in payload["faces"]]
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        # RecursionError: the decoder recurses once per nesting level.
         raise TriFormatError(1, f"bad JSON triangulation: {exc}") from None
     bad = [f for f in faces if len(f) != 3]
     if bad:

@@ -8,14 +8,17 @@ implementations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
 import pytest
 
 from flatland import (
+    CensusReport,
     Triangulation,
     build_triangulation,
+    classify_census,
     construct_family,
     parse_name,
     relabel,
@@ -122,6 +125,13 @@ def reference_branch_faces(search):
     faces = (tuple(sorted((v, u, x)))
              for x in range(min(search.max_used + 2, search.n)) if x not in (v, u))
     return [f for f in faces if reference_face_ok(search, f)]
+
+
+@functools.cache
+def census_report(n: int) -> CensusReport:
+    """`classify_census(n)`, run once per test session: the census totals
+    and the lattice oracle check the same run."""
+    return classify_census(n, budget_seconds=600)
 
 
 def shuffled(t: Triangulation, seed: int) -> Triangulation:

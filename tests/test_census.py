@@ -16,8 +16,11 @@ from flatland import (
     degree_profile,
     enumerate_degree_regular,
     euler_characteristic,
+    known_catalog,
+    regularity_flags,
+    symmetry,
 )
-from tests.conftest import reference_branch_faces, reference_target_vertex
+from tests.conftest import census_report, reference_branch_faces, reference_target_vertex
 
 EXPECTED_SPLITS = {7: (1, 0), 8: (1, 0), 9: (2, 1), 10: (1, 1), 11: (1, 0), 12: (4, 3)}
 
@@ -138,7 +141,7 @@ def slowed(monkeypatch, clock, name):
 
 @pytest.mark.parametrize("slow,progress", [
     ("known_catalog", "0/3 classes done"),  # seen at the first catalog member
-    ("automorphism_group", "1/3 classes done"),  # seen before the second
+    ("surface_type", "1/3 classes done"),  # seen before the second
 ])
 def test_time_budget_checked_after_the_search(monkeypatch, slow, progress):
     clock = FakeClock()
@@ -162,7 +165,7 @@ def test_time_budget_checked_per_leaf(monkeypatch):
             break
     clock = FakeClock()
     monkeypatch.setattr(census, "time", clock)
-    slowed(monkeypatch, clock, "seeded_canonical_form")
+    slowed(monkeypatch, clock, "automorphism_group")
     with pytest.raises(ResourceLimit) as stop:
         census._search_worker((12, state, 10.0))
     assert str(stop.value) == "census leaf canonicalisation exceeded its time budget"
@@ -265,12 +268,18 @@ def test_one_leaf_kept_per_class(n):
     for form in forms:
         first.setdefault(form.code, form.faces)
     per_class = Counter(form.code for form in forms)
-    for code, faces in first.items():
-        assert per_class[code] * automorphism_group(Triangulation(n, faces)).order == 12 * n
     kept = [form.code for faces, form in zip(leaves, forms)
             if census._canonicalize_leaves(n, [faces])]
     assert sorted(kept) == sorted(first)
-    assert census._canonicalize_leaves(n, leaves) == first
+    # Each kept leaf carries the canonical faces and the regularity flags
+    # of its class's canonical complex.
+    classes = census._canonicalize_leaves(n, leaves)
+    assert {code: faces for code, (faces, _) in classes.items()} == first
+    for code, (faces, flags) in classes.items():
+        t = Triangulation(n, faces)
+        group = automorphism_group(t)
+        assert per_class[code] * group.order == 12 * n
+        assert flags == regularity_flags(t, group)
 
 
 class _RecordedSearch(census._LinkSearch):
@@ -298,17 +307,39 @@ def test_split_search_counts_every_node_once(monkeypatch, n):
     monkeypatch.setattr(census, "_canonicalize_leaves",
                         lambda n, leaves, deadline=None:
                         split_leaves.extend(leaves) or canonicalize(n, leaves, deadline))
-    got = [t.faces for t in enumerate_degree_regular(n)]
+    got = census._enumerate_with_codes(n, None, 1)
     assert sum(search.nodes for search in _RecordedSearch.made) == whole.nodes
     assert max(search.nodes for search in _RecordedSearch.made) <= 16
     assert sorted(split_leaves) == sorted(whole_leaves)
     classes = canonicalize(n, whole_leaves)
-    assert got == [classes[code] for code in sorted(classes)]
+    assert [(code, t.faces, flags) for code, t, flags in got] == [
+        (code, *classes[code]) for code in sorted(classes)]
+    for _, t, flags in got:
+        assert flags == regularity_flags(t, automorphism_group(t))
 
 
-# Totals past the paper's range, from the search alone (no independent
-# oracle yet): n -> (torus, Klein bottle).  No Klein bottle at prime n.
-# They also check the leaf test, which would lose a class without an error.
+def test_no_class_scanned_twice(monkeypatch):
+    # A class is scanned in full once, as its kept leaf, from the search
+    # flag; that scan also gives its group.  The only unseeded scans are of
+    # the 16 distinct complexes among the 19 catalog members of n = 12.
+    scan, unseeded = symmetry._scan, []
+
+    def recorded(t, seed=None):
+        if seed is None:
+            unseeded.append(t)
+        return scan(t, seed)
+
+    monkeypatch.setattr(symmetry, "_scan", recorded)
+    classify_census(12)
+    assert len(unseeded) == 16
+    assert set(unseeded) == {named.complex for named in known_catalog(12)}
+
+
+# Totals past the paper's range: n -> (torus, Klein bottle).  No Klein
+# bottle at prime n.  The torus classes are also checked against the
+# lattice oracle (tests/test_lattice_oracle.py); the Klein bottle totals
+# come from the search alone.  They also check the leaf test, which would
+# lose a class without an error.
 BEYOND_PAPER_SPLITS = {16: (5, 2), 17: (2, 0), 18: (5, 4), 19: (3, 0), 20: (6, 4),
                        21: (6, 3), 22: (4, 1), 23: (3, 0), 24: (11, 7)}
 
@@ -316,7 +347,7 @@ BEYOND_PAPER_SPLITS = {16: (5, 2), 17: (2, 0), 18: (5, 4), 19: (3, 0), 20: (6, 4
 @pytest.mark.stretch
 @pytest.mark.parametrize("n", sorted(BEYOND_PAPER_SPLITS))
 def test_census_beyond_the_paper(n):
-    report = classify_census(n, budget_seconds=600)
+    report = census_report(n)
     torus, klein = BEYOND_PAPER_SPLITS[n]
     assert (report.total, report.torus_count, report.klein_bottle_count) == (
         torus + klein, torus, klein)

@@ -62,6 +62,13 @@ class TestFamily:
         jsonschema.validate(payload, load_schema("triangulation.schema.json"))
         assert payload["n"] == 12
 
+    def test_out_with_json_exit_2(self, tmp_path):
+        # --json prints to stdout, so --out with it would be dropped.
+        path = tmp_path / "t.tri"
+        code, out, err = run_cli("family", "T(7,1,2)", "--out", str(path), "--json")
+        assert (code, out) == (2, "") and "not allowed with argument" in err
+        assert not path.exists()
+
     def test_bad_parameters_exit_2(self):
         code, _, err = run_cli("family", "T(9,1,4)")
         assert code == 2 and "k in" in err
@@ -109,6 +116,14 @@ class TestCheck:
         path.write_text('{"n": 1e400, "faces": []}')
         code, _, err = run_cli("check", str(path))
         assert code == 2 and "bad JSON" in err
+
+    @pytest.mark.parametrize("n", ["7.9", '"7"', "true"])
+    def test_non_integer_json_vertex_count_exit_2(self, tmp_path, n):
+        # The faces of T(7,1,2): with "n": 7 the file is a valid torus.
+        path = tmp_path / "t.json"
+        path.write_text(f'{{"n": {n}, "faces": {json.dumps(fam("T(7,1,2)").faces)}}}')
+        code, out, err = run_cli("check", str(path))
+        assert (code, out) == (2, "") and "is not an integer" in err
 
     def test_mixed_degrees_listed(self, tmp_path, double_pyramid):
         path = tmp_path / "pyramid.tri"
@@ -258,8 +273,8 @@ class TestClassify:
         # A leaf test that keeps every leaf finds the classes of n = 12 more
         # than once.  That is an internal error, not a silent dedupe, and it
         # ends with exit 2, not a traceback.
-        canonical = census.canonical_form
-        monkeypatch.setattr(census, "seeded_canonical_form", lambda t, seed: canonical(t))
+        group = census.automorphism_group
+        monkeypatch.setattr(census, "automorphism_group", lambda t, seed: group(t))
         code, out, err = run_cli("classify", "--n", "12", "--json")
         assert (code, out) == (2, "")
         assert err.startswith("error: unexpected AssertionError('a census class was kept twice")

@@ -84,6 +84,25 @@ class TestErrors:
         with pytest.raises(TriFormatError, match="bad JSON"):
             from_json('{"n": 4, "faces": [[0, 1, 1e400]]}')
 
+    @pytest.mark.parametrize("text,value", [
+        ('{"n": 7.9, "faces": []}', "7.9"),
+        ('{"n": "7", "faces": []}', "'7'"),
+        ('{"n": true, "faces": []}', "True"),
+        ('{"n": 7, "faces": [[0.5, 1, 3]]}', "0.5"),
+        ('{"n": 7, "faces": [[0, "1", 3]]}', "'1'"),
+        ('{"n": 7, "faces": [[0, 1, false]]}', "False"),
+        ('{"n": 7, "faces": [[0, 1, 1e400]]}', "inf"),
+    ])
+    def test_json_non_integer_rejected(self, text, value):
+        # The schema types n and the face entries as integers: nothing is
+        # truncated or coerced.
+        with pytest.raises(TriFormatError, match=f"bad JSON triangulation: {value} is not an integer"):
+            from_json(text)
+
+    def test_json_integral_float_accepted(self):
+        # 7.0 is an integer to the schema (JSON Schema 2020-12).
+        assert from_json('{"n": 7.0, "faces": [[0, 1.0, 2]]}') == (7, [(0, 1, 2)])
+
     def test_deeply_nested_json(self):
         with pytest.raises(TriFormatError, match="bad JSON"):
             from_json("[" * 100_000)

@@ -14,7 +14,6 @@ from flatland import (
     relabel,
     symmetry,
 )
-from flatland.symmetry import seeded_canonical_form
 from tests.conftest import (
     brute_force_automorphisms,
     brute_force_isomorphism,
@@ -252,15 +251,19 @@ class TestScan:
     def test_seeded_scan_passes_exactly_the_least_key_starts(self):
         # Against the full key of every start, unpruned: a seed passes iff
         # its key is the least (one start per automorphism), and then it
-        # gives the canonical form.
+        # gives the unseeded group and the canonical form.
         for name in ("T(7,1,2)", "B(3,3)", "Q(5,2)", "T(4,4,2)"):
             t = shuffled(fam(name), 5)
             starts = [(s, fi) for fi, face in enumerate(t.faces) for s in permutations(face)]
             keys = {s: symmetry._traverse(t, t.across, s, fi, None)[0] for s, fi in starts}
             least = [s for s, _ in starts if keys[s] == min(keys.values())]
-            passed = [s for s, _ in starts if seeded_canonical_form(t, s) is not None]
-            assert passed == least and len(passed) == automorphism_group(t).order
-            assert {seeded_canonical_form(t, s) for s in passed} == {canonical_form(t)}
+            groups = {s: automorphism_group(t, s) for s, _ in starts}
+            passed = [s for s, _ in starts if groups[s] is not None]
+            group = automorphism_group(t)
+            assert passed == least and len(passed) == group.order
+            assert {groups[s].elements for s in passed} == {group.elements}
+            assert {groups[s].canonical for s in passed} == {canonical_form(t)}
+            assert group.canonical == canonical_form(t)
 
     def test_code_equality_matches_brute_force_isomorphism(self):
         items = [
