@@ -11,7 +11,6 @@ from .census import (
     CensusReport,
     ResourceLimit,
     classify_census,
-    enumerate_degree_regular,
 )
 from .families import (
     BadParameters,
@@ -20,7 +19,6 @@ from .families import (
     construct_family,
     known_catalog,
     parse_name,
-    t1_valid_twists,
 )
 from .graphs import (
     GraphShape,
@@ -42,7 +40,6 @@ from .surface import (
     euler_characteristic,
     manifold_report,
     orientability,
-    relabel,
     skeleton_graph,
     surface_type,
 )
@@ -93,7 +90,6 @@ __all__ = [
     "common_neighbor_graph",
     "construct_family",
     "degree_profile",
-    "enumerate_degree_regular",
     "euler_characteristic",
     "find_isomorphism",
     "format_tri",
@@ -106,10 +102,8 @@ __all__ = [
     "parse_tri",
     "read_tri",
     "regularity_flags",
-    "relabel",
     "skeleton_graph",
     "surface_type",
-    "t1_valid_twists",
     "to_json_dict",
     "write_tri",
 ]

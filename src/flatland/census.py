@@ -310,35 +310,6 @@ def _frontier(n: int, target: int) -> tuple[list[tuple[Face, ...]], list[tuple[F
     return states, leaves
 
 
-def enumerate_degree_regular(
-    n: int,
-    *,
-    budget_seconds: Optional[float] = None,
-    jobs: int = 1,
-) -> list[Triangulation]:
-    """All degree-6 triangulations on n vertices up to isomorphism, each in
-    canonical form, sorted by canonical code.  Empty for n <= 6.  The search
-    runs in min(jobs, os.cpu_count()) processes; `budget_seconds` must be
-    finite and `jobs` at least 1.  A census that exceeds the budget raises
-    ResourceLimit; its message gives the nodes searched below the frontier
-    by the tasks that finished, and the states done out of those known so
-    far (the frontier and the states tasks handed back)."""
-    deadline = _deadline(n, budget_seconds, jobs)
-    return [t for _, t, _ in _enumerate_with_codes(n, deadline, jobs)]
-
-
-def _deadline(n: int, budget_seconds: Optional[float], jobs: int) -> Optional[float]:
-    """Check the census arguments; return when the census must end, or None
-    (on the monotonic clock: it is system-wide, so pool workers can use it)."""
-    if n < 1:
-        raise ValueError("vertex count must be at least 1")
-    if budget_seconds is not None and not math.isfinite(budget_seconds):
-        raise ValueError(f"budget must be a finite number of seconds, not {budget_seconds}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, not {jobs}")
-    return time.monotonic() + budget_seconds if budget_seconds is not None else None
-
-
 def _enumerate_with_codes(n: int, deadline: Optional[float], jobs: int
                           ) -> list[tuple[Code, Triangulation, tuple[bool, bool]]]:
     jobs = min(jobs, os.cpu_count() or 1)
@@ -408,11 +379,28 @@ def classify_census(
     budget_seconds: Optional[float] = None,
     jobs: int = 1,
 ) -> CensusReport:
-    """Enumerate, then classify each item by surface type and membership in
-    the named families; its regularity flags come from its leaf.  The time
-    budget covers all of it: the deadline is also checked before each
-    catalog member is canonicalised and before each class is classified."""
-    deadline = _deadline(n, budget_seconds, jobs)
+    """All degree-6 triangulations on n vertices up to isomorphism, each in
+    canonical form, sorted by canonical code and classified by surface type
+    and membership in the named families; its regularity flags come from
+    its leaf.  No items for n <= 6.  The search runs in min(jobs,
+    os.cpu_count()) processes; `budget_seconds` must be finite and `jobs`
+    at least 1.
+
+    A census that exceeds the time budget raises ResourceLimit.  The budget
+    covers all of it: the search and its leaf scans, then each catalog
+    member's canonical form and each class's classification.  A stop in
+    the search gives the nodes searched below the frontier by the tasks
+    that finished, and the states done out of those known so far (the
+    frontier and the states tasks handed back); a later stop gives the
+    classes done."""
+    if n < 1:
+        raise ValueError("vertex count must be at least 1")
+    if budget_seconds is not None and not math.isfinite(budget_seconds):
+        raise ValueError(f"budget must be a finite number of seconds, not {budget_seconds}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    # On the monotonic clock: it is system-wide, so pool workers can use it.
+    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     coded = _enumerate_with_codes(n, deadline, jobs)
     items: list[CensusItem] = []
     try:

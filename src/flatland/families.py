@@ -67,24 +67,14 @@ _DISPLAY: dict[str, Callable[..., str]] = {
 }
 
 
-def _t1_twist_ranges(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The two inclusive ranges of allowed k for T_{n,1,k}: 2..floor((n-3)/2)
-    and ceil((n+1)/2)..n-3.  The middle band where the face formula
-    degenerates is excluded."""
-    return (2, (n - 3) // 2), ((n + 2) // 2, n - 3)
-
-
-def t1_valid_twists(n: int) -> list[int]:
-    """Allowed k for T_{n,1,k}, ascending."""
-    return [k for lo, hi in _t1_twist_ranges(n) for k in range(lo, hi + 1)]
-
-
 # The most vertices a family member may have: T_{100000,1,3} takes seconds
 # and a few hundred MB to build, and memory grows linearly beyond it.
 MAX_FAMILY_VERTICES = 100_000
 
 
 def validate(spec: FamilySpec) -> None:
+    """Raise BadParameters unless the spec lies in its family's range: the
+    one statement of the ranges, which also decides the catalog."""
     if spec.vertex_count > MAX_FAMILY_VERTICES:
         raise BadParameters(f"{spec.name} has more than {MAX_FAMILY_VERTICES} vertices")
     tag, p = spec.tag, spec.params
@@ -92,7 +82,9 @@ def validate(spec: FamilySpec) -> None:
         n, k = p
         if n < 7:
             raise BadParameters(f"T_{{n,1,k}} needs n >= 7, got n={n}")
-        ranges = _t1_twist_ranges(n)
+        # 2..floor((n-3)/2) or ceil((n+1)/2)..n-3: the middle band, where
+        # the face formula degenerates, is excluded.
+        ranges = ((2, (n - 3) // 2), ((n + 2) // 2, n - 3))
         if not any(lo <= k <= hi for lo, hi in ranges):
             allowed = " or ".join(f"{lo}..{hi}" for lo, hi in ranges)
             raise BadParameters(f"T_{{{n},1,k}} needs k in {allowed}, got k={k}")
@@ -301,27 +293,24 @@ def parse_name(text: str) -> FamilySpec:
     return FamilySpec(tag, (a, b))
 
 
-def _all_specs_with_vertices(n: int) -> Iterator[FamilySpec]:
-    if n >= 7:
-        for k in t1_valid_twists(n):
-            yield FamilySpec("T1", (n, k))
-    if n % 2 == 0 and n // 2 >= 4:
-        half = n // 2
-        for k in range(1, half - 2):
-            yield FamilySpec("T2", (half, k))
-    for m in range(3, n + 1):
-        if n % m:
+def _specs_with_vertices(n: int) -> Iterator[FamilySpec]:
+    """The specs on n vertices that `validate` accepts, among the
+    candidates: T1 (n, k) and T2 (n/2, k) for every twist below the row
+    length, and for each divisor m of n, TM (n/m, m, k) for every k < n/m
+    and B, K and Q (m, n/m)."""
+    candidates = [FamilySpec("T1", (n, k)) for k in range(n)]
+    if n % 2 == 0:
+        candidates += [FamilySpec("T2", (n // 2, k)) for k in range(n // 2)]
+    for m in range(1, n + 1):
+        if n % m == 0:
+            candidates += [FamilySpec("TM", (n // m, m, k)) for k in range(n // m)]
+            candidates += [FamilySpec(tag, (m, n // m)) for tag in ("B", "K", "Q")]
+    for spec in candidates:
+        try:
+            validate(spec)
+        except BadParameters:
             continue
-        cols = n // m
-        if cols >= 3:
-            for k in range(cols):
-                yield FamilySpec("TM", (cols, m, k))
-            yield FamilySpec("B", (m, cols))
-        if cols >= 4 and cols % 2 == 0:
-            yield FamilySpec("K", (m, cols))
-    for q in range(5, n // 2 + 1, 2):
-        if n % q == 0 and n // q >= 2:
-            yield FamilySpec("Q", (q, n // q))
+        yield spec
 
 
 def known_catalog(n: int) -> list[NamedTriangulation]:
@@ -333,4 +322,4 @@ def known_catalog(n: int) -> list[NamedTriangulation]:
         raise ValueError("vertex count must be at least 1")
     if n > MAX_FAMILY_VERTICES:  # every member would fail `validate`
         raise BadParameters(f"family members have at most {MAX_FAMILY_VERTICES} vertices, not {n}")
-    return [construct_family(s) for s in sorted(_all_specs_with_vertices(n))]
+    return [construct_family(s) for s in sorted(_specs_with_vertices(n))]

@@ -115,19 +115,17 @@ class ManifoldReport:
 
 
 def _normalize_faces(n: int, face_list: Iterable[Sequence[int]]) -> list[Face]:
-    faces: list[Face] = []
-    seen: set[Face] = set()
+    faces: set[Face] = set()
     for raw in face_list:
         t = tuple(sorted(raw))
         if len(t) != 3 or len(set(t)) != 3:
             raise NotAManifold(f"face {tuple(raw)} does not have three distinct vertices")
         if t[0] < 0 or t[2] >= n:
             raise ValueError(f"face {t} out of range for n={n}")
-        if t not in seen:
-            seen.add(t)
-            faces.append(t)  # type: ignore[arg-type]
-    faces.sort()
-    return faces
+        if t in faces:
+            raise NotAManifold(f"face {t} is listed twice")
+        faces.add(t)  # type: ignore[arg-type]
+    return sorted(faces)
 
 
 def _face_adjacency(faces: Sequence[Face]) -> Adjacency:
@@ -242,11 +240,6 @@ def surface_type(t: Triangulation) -> SurfaceType:
 def skeleton_graph(t: Triangulation) -> SimpleGraph:
     """EG(T), the 1-skeleton."""
     return SimpleGraph(t.n, frozenset(t.edges))
-
-
-def relabel(t: Triangulation, perm: Sequence[int]) -> Triangulation:
-    """Apply a vertex bijection (old -> new) and rebuild."""
-    return build_triangulation(t.n, [(perm[a], perm[b], perm[c]) for a, b, c in t.faces])
 
 
 def manifold_report(n: int, face_list: Iterable[Sequence[int]]) -> ManifoldReport:

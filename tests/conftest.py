@@ -16,12 +16,12 @@ import pytest
 
 from flatland import (
     CensusReport,
+    FamilySpec,
     Triangulation,
     build_triangulation,
     classify_census,
     construct_family,
     parse_name,
-    relabel,
 )
 
 TETRAHEDRON = (4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
@@ -36,6 +36,39 @@ DOUBLE_PYRAMID = (
 
 def fam(name: str) -> Triangulation:
     return construct_family(parse_name(name)).complex
+
+
+def relabel(t: Triangulation, perm) -> Triangulation:
+    """Apply a vertex bijection (old -> new) and rebuild."""
+    return build_triangulation(t.n, [(perm[a], perm[b], perm[c]) for a, b, c in t.faces])
+
+
+def t1_valid_twists(n: int) -> list[int]:
+    """The twists k of T_{n,1,k} in the paper's ranges, ascending:
+    2 <= k <= (n - 3)/2 and (n + 1)/2 <= k <= n - 3."""
+    return [k for k in range(2, n - 2) if 2 * k <= n - 3 or 2 * k >= n + 1]
+
+
+def all_specs_up_to(max_vertices: int):
+    """Every family spec in its range with at most `max_vertices` vertices,
+    from the ranges as the paper states them."""
+    for n in range(7, max_vertices + 1):
+        for k in t1_valid_twists(n):
+            yield FamilySpec("T1", (n, k))
+    for n in range(4, max_vertices // 2 + 1):
+        for k in range(1, n - 2):
+            yield FamilySpec("T2", (n, k))
+    for m in range(3, max_vertices // 3 + 1):
+        for n in range(3, max_vertices // m + 1):
+            for k in range(n):
+                yield FamilySpec("TM", (n, m, k))
+            yield FamilySpec("B", (m, n))
+    for m in range(3, max_vertices // 4 + 1):
+        for two_n in range(4, max_vertices // m + 1, 2):
+            yield FamilySpec("K", (m, two_n))
+    for q in range(5, max_vertices // 2 + 1, 2):
+        for n in range(2, max_vertices // q + 1):
+            yield FamilySpec("Q", (q, n))
 
 
 def apply_perm_faces(perm, faces):

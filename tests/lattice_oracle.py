@@ -13,13 +13,26 @@ otherwise, and its triangles are {v, v + (1, 0), v + (1, 1)} and
 {v, v + (0, 1), v + (1, 1)}.  A sublattice is written in Hermite normal
 form (a, b, d): the basis (a, 0), (b, d) with ad = n and 0 <= b < a.
 Membership in L is exact, so the 18 nonzero points within distance 2 are
-checked with no search window.  Standard library only.
+checked with no search window.
+
+Every degree-6 triangulation of the Klein bottle is T/G, where the group G
+is L and its coset gL, L is a sublattice of index 2n whose T/L is a
+degree-6 torus, and g is the glide v -> sv + t with s one of the 6 reflections of the point group,
+sL = L and st + t in L.  Let M = (s - I)Z^2.  The glides of G move v to
+sv + t' with t' in t + L, a move of hex length |(s - I)v + t'|, so every
+vertex moves by at least 3 iff the coset t + M + L misses the 19 points
+within distance 2 of the origin.  Conjugating G by a translation moves t
+by M, so t matters only modulo M + L, and two quotients are isomorphic iff
+their keys (L, s, t mod M + L) lie in one orbit of the point group, which
+acts as r.(L, s, t) = (rL, rsr^-1, rt).  Standard library only.
 """
 
 from __future__ import annotations
 
 Lattice = tuple[int, int, int]  # Hermite normal form (a, b, d)
 Matrix = tuple[tuple[int, int], tuple[int, int]]
+Point = tuple[int, int]
+KleinKey = tuple[Lattice, Matrix, Point]  # (L, s, t mod M + L)
 
 
 def hex_distance(x: int, y: int) -> int:
@@ -28,6 +41,17 @@ def hex_distance(x: int, y: int) -> int:
 
 # A point within distance 2 has |x|, |y| <= 2.
 NEAR = tuple((x, y) for x in range(-2, 3) for y in range(-2, 3) if 0 < hex_distance(x, y) <= 2)
+BALL = ((0, 0),) + NEAR  # the 19 points within distance 2 of the origin
+
+
+def apply(m: Matrix, v: Point) -> Point:
+    (p, q), (r, s) = m
+    return p * v[0] + q * v[1], r * v[0] + s * v[1]
+
+
+def _product(m: Matrix, k: Matrix) -> Matrix:
+    return tuple(tuple(sum(m[i][j] * k[j][c] for j in range(2)) for c in range(2))
+                 for i in range(2))
 
 
 def _closure(generators: list[Matrix]) -> tuple[Matrix, ...]:
@@ -36,8 +60,7 @@ def _closure(generators: list[Matrix]) -> tuple[Matrix, ...]:
     while frontier:
         m = frontier.pop()
         for g in generators:
-            prod = tuple(tuple(sum(g[i][k] * m[k][j] for k in range(2)) for j in range(2))
-                         for i in range(2))
+            prod = _product(g, m)
             if prod not in group:
                 group.add(prod)
                 frontier.append(prod)
@@ -47,6 +70,7 @@ def _closure(generators: list[Matrix]) -> tuple[Matrix, ...]:
 # Generated by the rotation (x, y) -> (x - y, x) and the reflection
 # (x, y) -> (y, x), both of which preserve the neighbours.
 POINT_GROUP = _closure([((1, -1), (1, 0)), ((0, 1), (1, 0))])
+REFLECTIONS = tuple(m for m in POINT_GROUP if m[0][0] * m[1][1] - m[0][1] * m[1][0] == -1)
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -57,14 +81,21 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return g, q, p - (a // b) * q
 
 
-def hermite(u: tuple[int, int], v: tuple[int, int]) -> Lattice:
-    """The Hermite normal form of the lattice spanned by u and v (full rank):
-    d generates its projection to the y axis, (a, 0) its kernel, and (b, d)
-    lies in it."""
-    (x1, y1), (x2, y2) = u, v
-    d, p, q = _egcd(y1, y2)
-    a = abs(x1 * y2 - x2 * y1) // d
-    return a, (p * x1 + q * x2) % a, d
+def hermite(*vectors: Point) -> Lattice:
+    """The Hermite normal form of the lattice spanned by the vectors (full
+    rank): d generates its projection to the y axis, (a, 0) its kernel, and
+    (b, d) lies in it.  Each vector is merged into (b, d) by the extended
+    gcd of the y entries, and the kernel vector that the merge leaves
+    joins a."""
+    a, b, d = 0, 0, 0
+    for x, y in vectors:
+        g, p, q = _egcd(d, y)
+        if g == 0:  # both y entries are 0
+            a = _egcd(a, x)[0]
+            continue
+        a = _egcd(a, (y // g) * b - (d // g) * x)[0]
+        b, d = p * b + q * x, g
+    return a, b % a, d
 
 
 def sublattices(n: int) -> list[Lattice]:
@@ -72,9 +103,15 @@ def sublattices(n: int) -> list[Lattice]:
     return [(a, b, n // a) for a in range(1, n + 1) if n % a == 0 for b in range(a)]
 
 
-def contains(lattice: Lattice, x: int, y: int) -> bool:
+def reduce(lattice: Lattice, x: int, y: int) -> Point:
+    """The representative of (x, y) modulo L with 0 <= x < a, 0 <= y < d."""
     a, b, d = lattice
-    return y % d == 0 and (x - y // d * b) % a == 0
+    j, y0 = divmod(y, d)
+    return (x - j * b) % a, y0
+
+
+def contains(lattice: Lattice, x: int, y: int) -> bool:
+    return reduce(lattice, x, y) == (0, 0)
 
 
 def admissible(lattice: Lattice) -> bool:
@@ -102,8 +139,8 @@ def quotient_faces(lattice: Lattice) -> list[tuple[int, int, int]]:
     a, b, d = lattice
 
     def vertex(x: int, y: int) -> int:
-        j, y0 = divmod(y, d)
-        return y0 * a + (x - j * b) % a
+        x0, y0 = reduce(lattice, x, y)
+        return y0 * a + x0
 
     faces = []
     for y in range(d):
@@ -112,3 +149,55 @@ def quotient_faces(lattice: Lattice) -> list[tuple[int, int, int]]:
                 faces.append(tuple(sorted((vertex(x, y), vertex(x + x1, y + y1),
                                            vertex(x + x2, y + y2)))))
     return faces
+
+
+def _glide_lattice(s: Matrix, lattice: Lattice) -> Lattice:
+    """M + L, where M = (s - I)Z^2 is spanned by the columns of s - I."""
+    a, b, d = lattice
+    (p, q), (r, u) = s
+    return hermite((a, 0), (b, d), (p - 1, r), (q, u - 1))
+
+
+def _key(r: Matrix, lattice: Lattice, s: Matrix, t: Point) -> KleinKey:
+    """The key of the conjugate by r of the group with key (L, s, t)."""
+    (p, q), (x, y) = r
+    det = p * y - q * x
+    r_inverse = ((det * y, -det * q), (-det * x, det * p))
+    lat, sigma = image(r, lattice), _product(_product(r, s), r_inverse)
+    return lat, sigma, reduce(_glide_lattice(sigma, lat), *apply(r, t))
+
+
+def klein_classes(n: int) -> list[KleinKey]:
+    """One key per isomorphism class of degree-6 Klein bottles on n
+    vertices: the least key of each point-group orbit."""
+    keys = set()
+    for lat in sublattices(2 * n):
+        if not admissible(lat):
+            continue
+        for s in REFLECTIONS:
+            if image(s, lat) != lat:
+                continue
+            ml = _glide_lattice(s, lat)  # t matters modulo M + L
+            for t in ((x, y) for x in range(ml[0]) for y in range(ml[2])):
+                sx, sy = apply(s, t)
+                if contains(lat, sx + t[0], sy + t[1]) and not any(
+                        contains(ml, x - t[0], y - t[1]) for x, y in BALL):
+                    keys.add(min(_key(r, lat, s, t) for r in POINT_GROUP))
+    return sorted(keys)
+
+
+def klein_faces(key: KleinKey) -> list[tuple[int, int, int]]:
+    """The 2n triangles of T/G on the vertices 0..n-1: the faces of T/L with
+    each vertex v and its image gv under the glide merged, numbered in the
+    order of the lesser vertex of T/L."""
+    lat, s, t = key
+    a = lat[0]
+
+    def glide(v: int) -> int:
+        x, y = apply(s, (v % a, v // a))
+        x0, y0 = reduce(lat, x + t[0], y + t[1])
+        return y0 * a + x0
+
+    pair = [min(v, glide(v)) for v in range(a * lat[2])]
+    label = {v: i for i, v in enumerate(sorted(set(pair)))}
+    return sorted({tuple(sorted(label[pair[v]] for v in face)) for face in quotient_faces(lat)})

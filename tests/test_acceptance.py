@@ -20,21 +20,22 @@ from flatland import (
     cli,
     construct_family,
     degree_profile,
-    enumerate_degree_regular,
     euler_characteristic,
     find_isomorphism,
     orientability,
     parse_name,
     regularity_flags,
-    t1_valid_twists,
 )
 from tests.conftest import (
     DOUBLE_PYRAMID,
     TETRAHEDRON,
+    all_specs_up_to,
     brute_force_automorphisms,
     brute_force_isomorphism,
+    census_report,
     fam,
     shuffled,
+    t1_valid_twists,
 )
 from flatland import build_triangulation
 
@@ -51,26 +52,6 @@ def criterion(num: int, title: str):
         raise
     elapsed = time.perf_counter() - start
     RESULTS.append(f"criterion {num:2d} PASS  {title}  [{elapsed:.1f}s]")
-
-
-def all_specs_up_to(max_vertices: int):
-    for n in range(7, max_vertices + 1):
-        for k in t1_valid_twists(n):
-            yield FamilySpec("T1", (n, k))
-    for n in range(4, max_vertices // 2 + 1):
-        for k in range(1, n - 2):
-            yield FamilySpec("T2", (n, k))
-    for m in range(3, max_vertices // 3 + 1):
-        for n in range(3, max_vertices // m + 1):
-            for k in range(n):
-                yield FamilySpec("TM", (n, m, k))
-            yield FamilySpec("B", (m, n))
-    for m in range(3, max_vertices // 4 + 1):
-        for two_n in range(4, max_vertices // m + 1, 2):
-            yield FamilySpec("K", (m, two_n))
-    for q in range(5, max_vertices // 2 + 1, 2):
-        for n in range(2, max_vertices // q + 1):
-            yield FamilySpec("Q", (q, n))
 
 
 FACE_COUNT = {
@@ -239,7 +220,7 @@ def corpus():
     ):
         yield fam(name)
     for n in (7, 8, 9, 10):
-        yield from enumerate_degree_regular(n)
+        yield from (item.triangulation for item in census_report(n).items)
 
 
 def test_criterion_5_flag_divisibility():

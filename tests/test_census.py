@@ -14,20 +14,20 @@ from flatland import (
     census,
     classify_census,
     degree_profile,
-    enumerate_degree_regular,
     euler_characteristic,
     known_catalog,
     regularity_flags,
     symmetry,
 )
 from tests.conftest import census_report, reference_branch_faces, reference_target_vertex
+from tests.lattice_oracle import klein_classes, torus_classes
 
 EXPECTED_SPLITS = {7: (1, 0), 8: (1, 0), 9: (2, 1), 10: (1, 1), 11: (1, 0), 12: (4, 3)}
 
 
 def test_small_n_empty():
     for n in range(1, 7):
-        assert enumerate_degree_regular(n) == []
+        assert classify_census(n).items == ()
 
 
 @pytest.mark.parametrize("n", sorted(EXPECTED_SPLITS))
@@ -84,27 +84,27 @@ def test_torus_items_weakly_regular():
 
 
 def test_parallel_matches_serial():
-    serial = enumerate_degree_regular(10, jobs=1)
-    parallel = enumerate_degree_regular(10, jobs=4)
-    assert [t.faces for t in serial] == [t.faces for t in parallel]
+    serial = classify_census(10, jobs=1)
+    parallel = classify_census(10, jobs=4)
+    assert serial == parallel
 
 
 def test_time_budget_raises():
     with pytest.raises(ResourceLimit):
-        enumerate_degree_regular(12, budget_seconds=0.0)
+        classify_census(12, budget_seconds=0.0)
 
 
 def test_time_budget_checked_in_small_subtrees():
     # At n = 9 every frontier state has fewer than _CHECK_EVERY nodes.
     with pytest.raises(ResourceLimit):
-        enumerate_degree_regular(9, budget_seconds=0.0)
+        classify_census(9, budget_seconds=0.0)
 
 
 def test_time_budget_checked_when_the_frontier_is_the_whole_tree():
     # At n = 7 the frontier completes the search and leaves no state.
     assert census._frontier(7, 8)[0] == []
     with pytest.raises(ResourceLimit, match="time budget"):
-        enumerate_degree_regular(7, budget_seconds=0.0)
+        classify_census(7, budget_seconds=0.0)
 
 
 def test_time_budget_checked_at_the_root_of_each_state(monkeypatch):
@@ -114,7 +114,7 @@ def test_time_budget_checked_at_the_root_of_each_state(monkeypatch):
     ticks = iter(range(-1, 10**6))
     monkeypatch.setattr(census, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
     with pytest.raises(ResourceLimit) as stop:
-        enumerate_degree_regular(9, budget_seconds=1.5)
+        classify_census(9, budget_seconds=1.5)
     assert str(stop.value) == "census search exceeded its time budget (0 nodes, 0/9 states done)"
 
 
@@ -187,7 +187,7 @@ def test_deep_search_hits_the_time_budget(monkeypatch):
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
     for jobs in (1, 2):
         with pytest.raises(ResourceLimit, match="exceeded its time budget"):
-            enumerate_degree_regular(600, budget_seconds=0.5, jobs=jobs)
+            classify_census(600, budget_seconds=0.5, jobs=jobs)
 
 
 def test_frontier_returns_states_and_leaves():
@@ -218,21 +218,21 @@ def test_jobs_clamped_to_cpu_count(monkeypatch, cpus, jobs, workers):
     monkeypatch.setattr(_RecordingPool, "max_workers", [])
     monkeypatch.setattr(census, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
-    result = enumerate_degree_regular(10, jobs=jobs)
+    result = classify_census(10, jobs=jobs)
     assert _RecordingPool.max_workers == workers
-    assert [t.faces for t in result] == [t.faces for t in enumerate_degree_regular(10)]
+    assert result == classify_census(10)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_non_positive_jobs_rejected(jobs):
     with pytest.raises(ValueError, match="jobs"):
-        enumerate_degree_regular(9, jobs=jobs)
+        classify_census(9, jobs=jobs)
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
 def test_non_finite_budget_rejected(budget):
     with pytest.raises(ValueError, match="budget"):
-        enumerate_degree_regular(9, budget_seconds=budget)
+        classify_census(9, budget_seconds=budget)
 
 
 class _CheckedSearch(census._LinkSearch):
@@ -335,13 +335,11 @@ def test_no_class_scanned_twice(monkeypatch):
     assert set(unseeded) == {named.complex for named in known_catalog(12)}
 
 
-# Totals past the paper's range: n -> (torus, Klein bottle).  No Klein
-# bottle at prime n.  The torus classes are also checked against the
-# lattice oracle (tests/test_lattice_oracle.py); the Klein bottle totals
-# come from the search alone.  They also check the leaf test, which would
-# lose a class without an error.
-BEYOND_PAPER_SPLITS = {16: (5, 2), 17: (2, 0), 18: (5, 4), 19: (3, 0), 20: (6, 4),
-                       21: (6, 3), 22: (4, 1), 23: (3, 0), 24: (11, 7)}
+# Totals past the paper's range, n -> (torus, Klein bottle), from the
+# lattice oracle, which shares no code with the search; its classes are
+# also checked one by one (tests/test_lattice_oracle.py).  They also check
+# the leaf test, which would lose a class without an error.
+BEYOND_PAPER_SPLITS = {n: (len(torus_classes(n)), len(klein_classes(n))) for n in range(16, 25)}
 
 
 @pytest.mark.stretch

@@ -131,6 +131,15 @@ class TestCheck:
         code, out, _ = run_cli("check", str(path))
         assert code == 0 and "degrees: 4 4 4 3 3\n" in out
 
+    def test_face_listed_twice_exit_1(self, tmp_path):
+        # The 14 faces of the 7-vertex torus, then its first face (0, 1, 3) again.
+        faces = fam("T(7,1,2)").faces
+        path = tmp_path / "twice.tri"
+        path.write_text("7 15\n" + "".join(f"{a} {b} {c}\n" for a, b, c in faces + faces[:1]))
+        message = "face (0, 1, 3) is listed twice\n"
+        assert run_cli("check", str(path)) == (1, "invalid: " + message, "")
+        assert run_cli("aut", str(path)) == (2, "", "error: " + message)
+
     def test_empty_face_list_exit_1(self, tmp_path):
         path = tmp_path / "empty.tri"
         path.write_text("4 0\n")

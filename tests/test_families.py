@@ -14,9 +14,9 @@ from flatland import (
     orientability,
     parse_name,
     surface_type,
-    t1_valid_twists,
 )
 from flatland.families import q_grid_faces
+from tests.conftest import all_specs_up_to, t1_valid_twists
 
 FACE_COUNT = {
     "T1": lambda n, k: 2 * n,
@@ -154,6 +154,18 @@ class TestNameParsing:
 class TestKnownCatalog:
     def test_n6_empty(self):
         assert known_catalog(6) == []
+
+    def test_no_vertices_refused(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            known_catalog(0)
+
+    def test_every_spec_in_range(self):
+        # The catalog is the specs that `validate` accepts; against the
+        # ranges as the paper states them.
+        expected = sorted(all_specs_up_to(30))
+        for n in range(1, 31):
+            specs = [named.spec for named in known_catalog(n)]
+            assert specs == [s for s in expected if s.vertex_count == n]
 
     def test_n7_has_only_the_two_mirror_twists(self):
         names = [x.name for x in known_catalog(7)]

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +64,12 @@ class TestCommonNeighborGraph:
         assert lhs.edges == mapped
 
 
+@pytest.mark.parametrize("edge", [(1, 1), (2, 1), (-1, 0), (0, 3)])
+def test_bad_edge_rejected(edge):
+    with pytest.raises(ValueError, match="bad edge"):
+        SimpleGraph(3, frozenset({edge}))
+
+
 class TestGraphShape:
     def test_cycles_for_small_twist_two(self):
         for n in range(11, 16):
@@ -76,6 +83,9 @@ class TestGraphShape:
         assert shape_of("B(4,3)", 4) == "K_4+C_8"
         assert shape_of("B(3,5)", 4) == "4C_3+null_3"
         assert shape_of("Q(5,3)", 4) == "2C_5+null_5"
+
+    def test_path_component(self):
+        assert str(graph_shape(SimpleGraph(3, frozenset({(0, 1), (1, 2)})))) == "P_3"
 
     def test_triangle_component_renders_as_cycle(self):
         assert str(graph_shape(SimpleGraph(3, frozenset({(0, 1), (0, 2), (1, 2)})))) == "C_3"

@@ -58,6 +58,10 @@ class TestErrors:
         with pytest.raises(TriFormatError, match="line 3"):
             parse_tri("# hi\n4 4\n0 1\n")
 
+    def test_non_integer_face_vertex(self):
+        with pytest.raises(TriFormatError, match="line 2: face vertices must be integers"):
+            parse_tri("4 1\n0 1 x\n")
+
     def test_non_increasing_face(self):
         with pytest.raises(TriFormatError, match="strictly increasing"):
             parse_tri("4 1\n2 1 0\n")

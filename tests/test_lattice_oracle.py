@@ -1,29 +1,50 @@
-"""The census's torus classes against the lattice quotients T/L."""
+"""The census's classes against the lattice quotients T/L and T/G."""
 
 import pytest
 
-from flatland import build_triangulation, canonical_form, surface_type
+from flatland import (
+    automorphism_group,
+    build_triangulation,
+    canonical_form,
+    degree_profile,
+    regularity_flags,
+    surface_type,
+)
 from tests.conftest import census_report
 from tests.lattice_oracle import (
+    BALL,
     NEAR,
     POINT_GROUP,
+    REFLECTIONS,
     hermite,
+    klein_classes,
+    klein_faces,
     quotient_faces,
     sublattices,
     torus_classes,
 )
 
-# Degree-6 tori on n = 7..36 vertices, up to isomorphism (ROADMAP item 1).
+# Degree-6 tori on n = 7..36 vertices, up to isomorphism.
 TORUS_COUNTS = dict(zip(range(7, 37), map(int, """
     1 1 2 1 1 4 2 2 4 5 2 5 3 6 6 4 3 11 5 5 7 9 4 11 5 11 8 7 8 16""".split())))
 
+# Degree-6 Klein bottles on n = 7..48 vertices, up to isomorphism; 0 at
+# every n not listed.
+KLEIN_COUNTS = dict.fromkeys(range(7, 49), 0) | {
+    9: 1, 10: 1, 12: 3, 14: 1, 15: 3, 16: 2, 18: 4, 20: 4, 21: 3, 22: 1, 24: 7, 25: 2,
+    26: 1, 27: 3, 28: 4, 30: 8, 32: 4, 33: 3, 34: 1, 35: 4, 36: 9, 38: 1, 39: 3, 40: 8,
+    42: 8, 44: 4, 45: 7, 46: 1, 48: 11}
+
 
 def test_oracle_setup():
-    assert len(NEAR) == 18 and len(POINT_GROUP) == 12
+    assert len(NEAR) == 18 and len(BALL) == 19 and len(POINT_GROUP) == 12
+    assert len(REFLECTIONS) == 6
     for lat in sublattices(12):  # other bases of one lattice, one form
         a, b, d = lat
         assert hermite((a, 0), (b, d)) == hermite((a + b, d), (-b, -d)) == lat
+        assert hermite((a, 0), (b, d), (a + b, d), (0, 0)) == lat
     assert hermite((2, 1), (-1, 3)) == (7, 2, 1)  # index 7, and (2, 1) has y = 1
+    assert hermite((4, 0), (1, 2), (0, 1)) == (1, 0, 1)
 
 
 def test_torus_counts():
@@ -31,13 +52,50 @@ def test_torus_counts():
     assert {n: len(torus_classes(n)) for n in TORUS_COUNTS} == TORUS_COUNTS
 
 
+def assert_census_classes(n, kind, quotients):
+    """The quotients are of the given surface kind, pairwise non-isomorphic
+    (one point-group orbit per class), and exactly the census's classes of
+    that kind, by canonical code."""
+    assert all(surface_type(t).kind == kind for t in quotients)
+    codes = {canonical_form(t).code for t in quotients}
+    assert len(codes) == len(quotients)
+    assert codes == {item.code for item in census_report(n).items if item.surface.kind == kind}
+
+
 # The census runs for n >= 13 are `stretch`, as elsewhere.
-@pytest.mark.parametrize("n", [n if n < 13 else pytest.param(n, marks=pytest.mark.stretch)
-                               for n in range(7, 25)])
+CENSUS_NS = [n if n < 13 else pytest.param(n, marks=pytest.mark.stretch) for n in range(7, 25)]
+
+
+@pytest.mark.parametrize("n", CENSUS_NS)
 def test_torus_classes_match_the_census(n):
     tori = [build_triangulation(n, quotient_faces(lat)) for lat in torus_classes(n)]
-    assert all(surface_type(t).kind == "torus" for t in tori)
-    codes = {canonical_form(t).code for t in tori}
-    assert len(codes) == len(tori)  # one point-group orbit per class
-    assert codes == {item.code for item in census_report(n).items
-                     if item.surface.kind == "torus"}
+    assert_census_classes(n, "torus", tori)
+
+
+def test_klein_counts():
+    # Uses no flatland code.
+    assert {n: len(klein_classes(n)) for n in KLEIN_COUNTS} == KLEIN_COUNTS
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % p for p in range(2, int(n ** 0.5) + 1))
+
+
+def test_klein_bottle_exists_iff_n_is_composite_and_at_least_9():
+    # The paper's theorem, checked on the oracle alone.
+    for n in range(1, 49):
+        assert bool(klein_classes(n)) == (n >= 9 and not is_prime(n)), n
+
+
+def test_klein_bottle_on_46_vertices():
+    # 46 = 2 * 23 is composite, so the paper needs one; it is weakly regular.
+    [key] = klein_classes(46)
+    t = build_triangulation(46, klein_faces(key))
+    assert surface_type(t).kind == "klein_bottle" and degree_profile(t)[1] == 6
+    assert regularity_flags(t, automorphism_group(t))[0]
+
+
+@pytest.mark.parametrize("n", CENSUS_NS)
+def test_klein_classes_match_the_census(n):
+    bottles = [build_triangulation(n, klein_faces(key)) for key in klein_classes(n)]
+    assert_census_classes(n, "klein_bottle", bottles)

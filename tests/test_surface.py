@@ -15,12 +15,11 @@ from flatland import (
     find_isomorphism,
     manifold_report,
     orientability,
-    relabel,
     skeleton_graph,
     surface_type,
 )
 from flatland.surface import surface_from_invariants
-from tests.conftest import TETRAHEDRON, fam, shuffled
+from tests.conftest import TETRAHEDRON, fam, relabel, shuffled
 
 # The 6-vertex real projective plane (the hemi-icosahedron): 10 faces.
 RP2 = (6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
@@ -78,9 +77,15 @@ class TestBuildTriangulation:
         t = fam("T(12,1,3)")
         assert build_triangulation(t.n, t.faces) == t
 
-    def test_duplicate_faces_are_dropped(self, tetrahedron):
+    def test_duplicate_face_is_rejected(self):
+        # Listed again in another vertex order: still the same face.
         n, faces = TETRAHEDRON
-        assert build_triangulation(n, faces + [faces[0]]) == tetrahedron
+        with pytest.raises(NotAManifold, match=r"face \(0, 1, 2\) is listed twice"):
+            build_triangulation(n, faces + [(2, 0, 1)])
+
+    def test_no_vertices_is_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            build_triangulation(0, [])
 
 
 def link_edges(t, v: int) -> set[frozenset[int]]:

@@ -8,18 +8,19 @@ from flatland import (
     automorphism_group,
     build_triangulation,
     canonical_form,
-    enumerate_degree_regular,
     find_isomorphism,
     regularity_flags,
-    relabel,
     symmetry,
 )
 from tests.conftest import (
     brute_force_automorphisms,
     brute_force_isomorphism,
+    census_report,
     fam,
     flags,
+    relabel,
     shuffled,
+    t1_valid_twists,
 )
 
 
@@ -74,7 +75,7 @@ class TestFindIsomorphism:
         assert result.isomorphic
 
     def test_negative_with_invariant(self):
-        for k in t1_twists_12():
+        for k in t1_valid_twists(12):
             result = find_isomorphism(fam("T(6,2,2)"), fam(f"T(12,1,{k})"))
             assert not result.isomorphic
             assert result.distinguishing_invariant
@@ -96,12 +97,6 @@ class TestFindIsomorphism:
         result = find_isomorphism(fam("T(3,3,0)"), fam("B(3,3)"))
         assert not result.isomorphic
         assert "orientability" in result.distinguishing_invariant
-
-
-def t1_twists_12():
-    from flatland import t1_valid_twists
-
-    return t1_valid_twists(12)
 
 
 class TestWitnessMaps:
@@ -226,7 +221,7 @@ class TestFlagOrbits:
 
 
 def census_classes(ns):
-    return [t for n in ns for t in enumerate_degree_regular(n)]
+    return [item.triangulation for n in ns for item in census_report(n).items]
 
 
 class TestScan:
