@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .surface import Triangulation, build_triangulation
 
 
 class BadParameters(ValueError):
     """A family parameter violates its range constraint."""
+
+
+_TAGS = ("T1", "T2", "TM", "B", "K", "Q")
 
 
 @dataclass(frozen=True, order=True)
@@ -36,35 +39,35 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.tag not in _VERTEX_COUNTS:
+        if self.tag not in _TAGS:
             raise BadParameters(f"unknown family tag {self.tag!r}")
 
     @property
+    def written(self) -> tuple[int, ...]:
+        """The parameters as the name prints them: T_{n,1,k} is (n, 1, k),
+        T_{n,2,k} is (n, 2, k), and every other tag writes its params."""
+        if self.tag in ("T1", "T2"):
+            n, k = self.params
+            return n, int(self.tag[1]), k
+        return self.params
+
+    @property
     def vertex_count(self) -> int:
-        return _VERTEX_COUNTS[self.tag](*self.params)
+        # n.m for T_{n,m,k}, m.n, m.2n and (2m+1).n for B, K and Q.
+        return self.written[0] * self.written[1]
 
     @property
     def name(self) -> str:
-        return _DISPLAY[self.tag](*self.params)
+        return f"{self.tag[0]}_{{{','.join(map(str, self.written))}}}"
 
 
-_VERTEX_COUNTS: dict[str, Callable[..., int]] = {
-    "T1": lambda n, k: n,
-    "T2": lambda n, k: 2 * n,
-    "TM": lambda n, m, k: m * n,
-    "B": lambda m, n: m * n,
-    "K": lambda m, two_n: m * two_n,
-    "Q": lambda q, n: q * n,
-}
-
-_DISPLAY: dict[str, Callable[..., str]] = {
-    "T1": lambda n, k: f"T_{{{n},1,{k}}}",
-    "T2": lambda n, k: f"T_{{{n},2,{k}}}",
-    "TM": lambda n, m, k: f"T_{{{n},{m},{k}}}",
-    "B": lambda m, n: f"B_{{{m},{n}}}",
-    "K": lambda m, two_n: f"K_{{{m},{two_n}}}",
-    "Q": lambda q, n: f"Q_{{{q},{n}}}",
-}
+def _from_written(letter: str, written: tuple[int, ...]) -> FamilySpec:
+    """The spec named letter_{written}; for T the middle parameter picks
+    T1, T2 or TM."""
+    if letter != "T":
+        return FamilySpec(letter, written)
+    n, m, k = written
+    return FamilySpec(f"T{m}", (n, k)) if m in (1, 2) else FamilySpec("TM", written)
 
 
 # The most vertices a family member may have: T_{100000,1,3} takes seconds
@@ -124,10 +127,13 @@ def validate(spec: FamilySpec) -> None:
 class NamedTriangulation:
     """A constructed family member with its display labels."""
 
-    name: str
     spec: FamilySpec
     complex: Triangulation
     label_table: tuple[str, ...]  # internal vertex -> display label
+
+    @property
+    def name(self) -> str:
+        return self.spec.name
 
 
 def _tm_faces(n: int, m: int, k: int) -> list[tuple[int, int, int]]:
@@ -227,38 +233,31 @@ def q_grid_faces(m: int, n: int) -> list[tuple[int, int, int]]:
     return faces
 
 
+def _grid(letter: str, rows: int, cols: int) -> tuple[str, ...]:
+    return tuple(f"{letter}_{{{i + 1},{j + 1}}}" for i in range(rows) for j in range(cols))
+
+
 def _labels(spec: FamilySpec) -> tuple[str, ...]:
     tag, p = spec.tag, spec.params
-    if tag == "T1":
-        return tuple(str(i + 1) for i in range(p[0]))
+    if tag == "T1" or (tag == "Q" and p[1] == 2):  # one cyclic label set
+        return tuple(str(i + 1) for i in range(spec.vertex_count))
     if tag == "T2":
-        n = p[0]
-        return tuple(f"u_{i + 1}" for i in range(n)) + tuple(f"v_{i + 1}" for i in range(n))
+        return tuple(f"{row}_{i + 1}" for row in "uv" for i in range(p[0]))
     if tag == "TM":
         n, m, _ = p
-        return tuple(f"u_{{{i + 1},{j + 1}}}" for i in range(m) for j in range(n))
+        return _grid("u", m, n)
     if tag in ("B", "K"):
-        cols, rows = p[0], p[1]  # columns m, rows n or 2n
-        return tuple(f"v_{{{i + 1},{j + 1}}}" for i in range(rows) for j in range(cols))
-    q, n = p
-    if n == 2:
-        return tuple(str(i + 1) for i in range(2 * q))
-    m = (q - 1) // 2
-    us = tuple(f"u_{{{i + 1},{j + 1}}}" for i in range(m + 1) for j in range(n))
-    vs = tuple(f"v_{{{i + 1},{j + 1}}}" for i in range(m) for j in range(n))
-    return us + vs
+        return _grid("v", p[1], p[0])  # rows n or 2n, columns m
+    m, n = (p[0] - 1) // 2, p[1]
+    return _grid("u", m + 1, n) + _grid("v", m, n)
 
 
 def construct_family(spec: FamilySpec) -> NamedTriangulation:
     """Build a family member from its defining face formula."""
     validate(spec)
     tag, p = spec.tag, spec.params
-    if tag == "T1":
-        faces = _tm_faces(p[0], 1, p[1])
-    elif tag == "T2":
-        faces = _tm_faces(p[0], 2, p[1])
-    elif tag == "TM":
-        faces = _tm_faces(*p)
+    if tag[0] == "T":
+        faces = _tm_faces(*spec.written)
     elif tag == "B":
         faces = _b_faces(*p)
     elif tag == "K":
@@ -267,43 +266,36 @@ def construct_family(spec: FamilySpec) -> NamedTriangulation:
         q, n = p
         faces = _q_band_faces(q) if n == 2 else q_grid_faces((q - 1) // 2, n)
     complex_ = build_triangulation(spec.vertex_count, faces)
-    return NamedTriangulation(spec.name, spec, complex_, _labels(spec))
+    return NamedTriangulation(spec, complex_, _labels(spec))
 
 
-_NAME_RE = re.compile(r"^([TBKQ])[_(]\{?(\d+)[,\s]+(\d+)(?:[,\s]+(\d+))?\}?\)?$")
+# L(p,...) or L_{p,...}, once all whitespace is removed.
+_PARAMS = r"[0-9]+(?:,[0-9]+)*"
+_NAME_RE = re.compile(rf"([TBKQ])(?:\(({_PARAMS})\)|_\{{({_PARAMS})\}})")
 
 
 def parse_name(text: str) -> FamilySpec:
-    """Parse a CLI family name such as T(12,1,3), B(3,4), or T_{12,1,3}."""
-    m = _NAME_RE.match(text.strip().replace(" ", ""))
+    """Parse a family name as it prints, T_{12,1,3}, or in the CLI spelling
+    T(12,1,3); whitespace is ignored."""
+    m = _NAME_RE.fullmatch("".join(text.split()))
     if not m:
         raise BadParameters(f"cannot parse family name {text!r}")
-    tag, a, b, c = m.group(1), int(m.group(2)), int(m.group(3)), m.group(4)
-    if tag == "T":
-        if c is None:
-            raise BadParameters(f"T families need three parameters: {text!r}")
-        k = int(c)
-        if b == 1:
-            return FamilySpec("T1", (a, k))
-        if b == 2:
-            return FamilySpec("T2", (a, k))
-        return FamilySpec("TM", (a, b, k))
-    if c is not None:
-        raise BadParameters(f"{tag} families take two parameters: {text!r}")
-    return FamilySpec(tag, (a, b))
+    letter, written = m.group(1), tuple(map(int, (m.group(2) or m.group(3)).split(",")))
+    if letter == "T" and len(written) != 3:
+        raise BadParameters(f"T families need three parameters: {text!r}")
+    if letter != "T" and len(written) != 2:
+        raise BadParameters(f"{letter} families take two parameters: {text!r}")
+    return _from_written(letter, written)
 
 
 def _specs_with_vertices(n: int) -> Iterator[FamilySpec]:
     """The specs on n vertices that `validate` accepts, among the
-    candidates: T1 (n, k) and T2 (n/2, k) for every twist below the row
-    length, and for each divisor m of n, TM (n/m, m, k) for every k < n/m
-    and B, K and Q (m, n/m)."""
-    candidates = [FamilySpec("T1", (n, k)) for k in range(n)]
-    if n % 2 == 0:
-        candidates += [FamilySpec("T2", (n // 2, k)) for k in range(n // 2)]
+    candidates: for each divisor m of n, T_{n/m,m,k} for every k < n/m and
+    B, K and Q (m, n/m)."""
+    candidates = []
     for m in range(1, n + 1):
         if n % m == 0:
-            candidates += [FamilySpec("TM", (n // m, m, k)) for k in range(n // m)]
+            candidates += [_from_written("T", (n // m, m, k)) for k in range(n // m)]
             candidates += [FamilySpec(tag, (m, n // m)) for tag in ("B", "K", "Q")]
     for spec in candidates:
         try:

@@ -73,6 +73,11 @@ class TestFamily:
         code, _, err = run_cli("family", "T(9,1,4)")
         assert code == 2 and "k in" in err
 
+    @pytest.mark.parametrize("name", ["T(12,1,3", "B(3,4}", "T(12,,1,3)"])
+    def test_malformed_name_exit_2(self, name):
+        code, out, err = run_cli("family", name)
+        assert (code, out) == (2, "") and err == f"error: cannot parse family name {name!r}\n"
+
     def test_bad_twist_names_the_ranges_in_one_short_line(self):
         code, out, err = run_cli("family", "T(100000,1,1)")
         assert (code, out) == (2, "")

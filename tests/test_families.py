@@ -28,6 +28,11 @@ FACE_COUNT = {
 }
 
 
+# Names that parse_name must refuse: neither L(p,...) nor L_{p,...}.
+MALFORMED_NAMES = ["T(12,1,3", "T_{12,1,3", "T_{12,1,3)", "B(3,4", "B(3,4}", "B_3,4",
+                   "T(12,,1,3)", "T(12,1,3,)", "T{12,1,3}", "T_(12,1,3)"]
+
+
 def spec_strategy():
     t1 = st.integers(7, 25).flatmap(
         lambda n: st.sampled_from(t1_valid_twists(n)).map(
@@ -145,10 +150,30 @@ class TestNameParsing:
         assert parse_name("K(3,4)") == FamilySpec("K", (3, 4))
         assert parse_name("Q(7,2)") == FamilySpec("Q", (7, 2))
 
+    def test_whitespace_is_ignored(self):
+        assert parse_name(" T( 12, 1,\t3 ) ") == parse_name("T _{12 ,1,3}") == FamilySpec("T1", (12, 3))
+
     def test_bad_names(self):
-        for text in ("X(3,4)", "T(12,1)", "B(3,4,5)", "T12,1,3", ""):
-            with pytest.raises(BadParameters):
+        for text in ("X(3,4)", "T12,1,3", ""):
+            with pytest.raises(BadParameters, match="cannot parse"):
                 parse_name(text)
+        with pytest.raises(BadParameters, match="T families need three parameters"):
+            parse_name("T(12,1)")
+        with pytest.raises(BadParameters, match="B families take two parameters"):
+            parse_name("B(3,4,5)")
+
+    @pytest.mark.parametrize("text", MALFORMED_NAMES)
+    def test_malformed_brackets_and_separators(self, text):
+        # Neither spelling: a bracket left open or mismatched, or an empty parameter.
+        with pytest.raises(BadParameters, match="cannot parse family name"):
+            parse_name(text)
+
+    def test_every_catalog_name_round_trips(self):
+        for n in range(1, 61):
+            for named in known_catalog(n):
+                spec = named.spec
+                cli_spelling = f"{spec.name[0]}({','.join(map(str, spec.written))})"
+                assert parse_name(spec.name) == parse_name(cli_spelling) == spec
 
 
 class TestKnownCatalog:

@@ -3,9 +3,11 @@
 import pytest
 
 from flatland import (
+    FamilySpec,
     automorphism_group,
     build_triangulation,
     canonical_form,
+    construct_family,
     degree_profile,
     regularity_flags,
     surface_type,
@@ -20,13 +22,15 @@ from tests.lattice_oracle import (
     klein_classes,
     klein_faces,
     quotient_faces,
+    reduce,
     sublattices,
     torus_classes,
 )
 
-# Degree-6 tori on n = 7..36 vertices, up to isomorphism.
-TORUS_COUNTS = dict(zip(range(7, 37), map(int, """
-    1 1 2 1 1 4 2 2 4 5 2 5 3 6 6 4 3 11 5 5 7 9 4 11 5 11 8 7 8 16""".split())))
+# Degree-6 tori on n = 7..48 vertices, up to isomorphism.
+TORUS_COUNTS = dict(zip(range(7, 49), map(int, """
+    1 1 2 1 1 4 2 2 4 5 2 5 3 6 6 4 3 11 5 5 7 9 4 11 5 11 8 7 8 16
+    6 8 10 16 6 15 7 13 14 10 7 24""".split())))
 
 # Degree-6 Klein bottles on n = 7..48 vertices, up to isomorphism; 0 at
 # every n not listed.
@@ -50,6 +54,20 @@ def test_oracle_setup():
 def test_torus_counts():
     # Uses no flatland code.
     assert {n: len(torus_classes(n)) for n in TORUS_COUNTS} == TORUS_COUNTS
+
+
+def test_every_torus_is_weakly_regular():
+    # The paper's theorem, checked on the oracle alone: the translations by
+    # (1, 0) and (0, 1) map the faces of T/L onto themselves, and they move
+    # any vertex to any other.
+    for n in TORUS_COUNTS:
+        for lat in torus_classes(n):
+            a = lat[0]
+            faces = set(quotient_faces(lat))
+            for dx, dy in ((1, 0), (0, 1)):
+                shift = [y * a + x for x, y in (reduce(lat, v % a + dx, v // a + dy)
+                                                for v in range(n))]
+                assert {tuple(sorted(shift[v] for v in f)) for f in faces} == faces, (lat, dx)
 
 
 def assert_census_classes(n, kind, quotients):
@@ -99,3 +117,20 @@ def test_klein_bottle_on_46_vertices():
 def test_klein_classes_match_the_census(n):
     bottles = [build_triangulation(n, klein_faces(key)) for key in klein_classes(n)]
     assert_census_classes(n, "klein_bottle", bottles)
+
+
+@pytest.mark.stretch
+def test_weakly_regular_klein_bottles_are_the_q_band():
+    # For 9 <= n <= 72: one weakly regular Klein bottle at each n = 2 mod 4,
+    # n >= 10, namely Q_{n/2,2}, and none at any other n.
+    for n in range(9, 73):
+        codes = []
+        for key in klein_classes(n):
+            group = automorphism_group(build_triangulation(n, klein_faces(key)))
+            if len(group.vertex_orbits) == 1:
+                codes.append(group.canonical.code)
+        if n % 4 == 2:
+            q_band = construct_family(FamilySpec("Q", (n // 2, 2))).complex
+            assert codes == [canonical_form(q_band).code], n
+        else:
+            assert codes == [], n
