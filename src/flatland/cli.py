@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -22,8 +21,6 @@ from .families import construct_family, parse_name
 from .graphs import common_neighbor_graph, graph_shape
 from .surface import Triangulation, build_triangulation, manifold_report, skeleton_graph
 from .symmetry import automorphism_group, find_isomorphism, regularity_flags
-
-BUDGET_ENV = "FLATLAND_BUDGET_SECS"
 
 
 class _UsageError(Exception):
@@ -76,11 +73,7 @@ def _build_parser() -> _Parser:
 
 
 def _census(args: argparse.Namespace) -> CensusReport:
-    """The census of `--n` under `--budget`, or else the BUDGET_ENV seconds."""
-    budget = args.budget
-    if budget is None and os.environ.get(BUDGET_ENV):
-        budget = float(os.environ[BUDGET_ENV])
-    return census_mod.classify_census(args.n, budget_seconds=budget, jobs=args.jobs)
+    return census_mod.classify_census(args.n, budget_seconds=args.budget, jobs=args.jobs)
 
 
 def _load(path: str) -> Triangulation:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from .surface import Triangulation, build_triangulation
 
@@ -269,8 +268,8 @@ def construct_family(spec: FamilySpec) -> NamedTriangulation:
     return NamedTriangulation(spec, complex_, _labels(spec))
 
 
-# L(p,...) or L_{p,...}, once all whitespace is removed.
-_PARAMS = r"[0-9]+(?:,[0-9]+)*"
+# L(p,...) or L_{p,...}, once all whitespace is removed; no leading zeros.
+_PARAMS = r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*"
 _NAME_RE = re.compile(rf"([TBKQ])(?:\(({_PARAMS})\)|_\{{({_PARAMS})\}})")
 
 
@@ -280,7 +279,11 @@ def parse_name(text: str) -> FamilySpec:
     m = _NAME_RE.fullmatch("".join(text.split()))
     if not m:
         raise BadParameters(f"cannot parse family name {text!r}")
-    letter, written = m.group(1), tuple(map(int, (m.group(2) or m.group(3)).split(",")))
+    letter, params = m.group(1), (m.group(2) or m.group(3)).split(",")
+    if max(map(len, params)) > 20:  # an in-range one has at most 6; don't echo it
+        raise BadParameters(f"a {letter} family parameter has more than 20 digits; "
+                            f"members have at most {MAX_FAMILY_VERTICES} vertices")
+    written = tuple(map(int, params))
     if letter == "T" and len(written) != 3:
         raise BadParameters(f"T families need three parameters: {text!r}")
     if letter != "T" and len(written) != 2:
@@ -288,25 +291,10 @@ def parse_name(text: str) -> FamilySpec:
     return _from_written(letter, written)
 
 
-def _specs_with_vertices(n: int) -> Iterator[FamilySpec]:
-    """The specs on n vertices that `validate` accepts, among the
-    candidates: for each divisor m of n, T_{n/m,m,k} for every k < n/m and
-    B, K and Q (m, n/m)."""
-    candidates = []
-    for m in range(1, n + 1):
-        if n % m == 0:
-            candidates += [_from_written("T", (n // m, m, k)) for k in range(n // m)]
-            candidates += [FamilySpec(tag, (m, n // m)) for tag in ("B", "K", "Q")]
-    for spec in candidates:
-        try:
-            validate(spec)
-        except BadParameters:
-            continue
-        yield spec
-
-
 def known_catalog(n: int) -> list[NamedTriangulation]:
-    """Every in-range family spec on exactly n vertices, constructed.
+    """Every in-range family spec on exactly n vertices, constructed, in
+    spec order: of T_{n/m,m,k} for every k < n/m and B, K and Q (m, n/m),
+    for each divisor m of n, those that `construct_family` accepts.
 
     May contain isomorphic duplicates (e.g. T_{n,1,k} vs T_{n,1,n-k-1}).
     """
@@ -314,4 +302,13 @@ def known_catalog(n: int) -> list[NamedTriangulation]:
         raise ValueError("vertex count must be at least 1")
     if n > MAX_FAMILY_VERTICES:  # every member would fail `validate`
         raise BadParameters(f"family members have at most {MAX_FAMILY_VERTICES} vertices, not {n}")
-    return [construct_family(s) for s in sorted(_specs_with_vertices(n))]
+    divisors = [m for m in range(1, n + 1) if n % m == 0]
+    candidates = [_from_written("T", (n // m, m, k)) for m in divisors for k in range(n // m)]
+    candidates += [FamilySpec(tag, (m, n // m)) for m in divisors for tag in ("B", "K", "Q")]
+    catalog = []
+    for spec in sorted(candidates):
+        try:
+            catalog.append(construct_family(spec))
+        except BadParameters:
+            continue
+    return catalog

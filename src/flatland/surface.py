@@ -5,7 +5,8 @@ faces on vertices 0..n-1.  Validity (every edge in exactly two faces, every
 vertex link a single cycle, connected) is checked once, in
 `build_triangulation`; all other operations may assume it.  One
 face-adjacency table per complex, `Triangulation.across`, serves the checks
-(building it is the edge check), `orientability` and the canonical scan.
+(building it is the edge check), one face walk for both connectivity and
+`orientability` (`Triangulation._walk`), and the canonical scan.
 """
 
 from __future__ import annotations
@@ -84,6 +85,28 @@ class Triangulation:
         """across[fi][r] = (gi, w): across the edge of face fi opposite its
         vertex r lies face gi, whose vertex off that edge is w."""
         return _face_adjacency(self.faces)
+
+    @cached_property
+    def _walk(self) -> tuple[int, bool]:
+        """(faces reached, coherent): orients face 0 as listed, then, breadth
+        first, the face across each edge p -> q of an oriented face as q -> p;
+        coherent unless a face reached twice gets opposite orientations."""
+        across = self.across
+        orient: list[Optional[Face]] = [None] * self.f2
+        orient[0] = self.faces[0]
+        queue = [0]
+        coherent = True
+        for fi in queue:  # the queue grows while read
+            x, y, z = orient[fi]
+            for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+                gi, w = across[fi][r]
+                o = orient[gi]
+                if o is None:
+                    orient[gi] = (q, p, w)
+                    queue.append(gi)
+                elif o not in ((q, p, w), (p, w, q), (w, q, p)):
+                    coherent = False
+        return len(queue), coherent
 
     @property
     def f0(self) -> int:
@@ -184,17 +207,8 @@ def build_triangulation(n: int, face_list: Iterable[Sequence[int]]) -> Triangula
         if walked != faces_at[v]:
             raise NotAManifold(f"link of vertex {v} is not a single cycle")
 
-    # Face adjacency connectivity.
-    seen = [False] * len(faces)
-    seen[0] = True
-    queue = [0]
-    for fi in queue:  # breadth-first: the queue grows while read
-        for gi, _ in across[fi].values():
-            if not seen[gi]:
-                seen[gi] = True
-                queue.append(gi)
-    if len(queue) != len(faces):
-        raise Disconnected(f"complex has {len(faces) - len(queue)} unreachable faces")
+    if t._walk[0] != len(faces):
+        raise Disconnected(f"complex has {len(faces) - t._walk[0]} unreachable faces")
 
     return t
 
@@ -210,27 +224,8 @@ def degree_profile(t: Triangulation) -> tuple[tuple[int, ...], Optional[int]]:
 
 
 def orientability(t: Triangulation) -> bool:
-    """True iff the faces admit a coherent orientation.
-
-    Orients the first face, then, breadth first, orients the face across
-    each edge p -> q of an oriented face as q -> p, and reports whether a
-    face reached twice gets two opposite orientations.
-    """
-    across = t.across
-    orient: list[Optional[Face]] = [None] * t.f2
-    orient[0] = t.faces[0]
-    queue = [0]
-    for fi in queue:
-        x, y, z = orient[fi]
-        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
-            gi, w = across[fi][r]
-            o = orient[gi]
-            if o is None:
-                orient[gi] = (q, p, w)
-                queue.append(gi)
-            elif o not in ((q, p, w), (p, w, q), (w, q, p)):
-                return False
-    return True
+    """True iff the faces admit a coherent orientation."""
+    return t._walk[1]
 
 
 def surface_type(t: Triangulation) -> SurfaceType:
@@ -249,13 +244,6 @@ def manifold_report(n: int, face_list: Iterable[Sequence[int]]) -> ManifoldRepor
     except (NotAManifold, Disconnected, ValueError) as exc:
         return ManifoldReport(ok=False, diagnostics=(str(exc),))
     degrees, regular = degree_profile(t)
-    orientable = orientability(t)
-    euler = euler_characteristic(t)
-    return ManifoldReport(
-        ok=True,
-        euler=euler,
-        degrees=degrees,
-        regular_degree=regular,
-        orientable=orientable,
-        surface=surface_from_invariants(euler, orientable),
-    )
+    return ManifoldReport(ok=True, euler=euler_characteristic(t), degrees=degrees,
+                          regular_degree=regular, orientable=orientability(t),
+                          surface=surface_type(t))

@@ -2,11 +2,14 @@
 
 `.tri`: line 1 is `n f`; then f lines `a b c` with 0 <= a < b < c < n, faces
 in lexicographic order; `#` begins a comment line; UTF-8, LF line endings.
+Integers are ASCII `-?[0-9]+` of at most 4300 digits, the most `int()` reads.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from pathlib import Path
 from typing import Iterable
 
@@ -20,9 +23,22 @@ class TriFormatError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+_MAX_DIGITS = sys.int_info.default_max_str_digits
+_TOO_LONG = f"a number has more than {_MAX_DIGITS} digits"
+
+
+def _integers(lineno: int, tokens: list[str], what: str) -> list[int]:
+    if not all(_INTEGER.fullmatch(t) for t in tokens):
+        raise TriFormatError(lineno, f"{what} must be integers")
+    if any(len(t.lstrip("-")) > _MAX_DIGITS for t in tokens):
+        raise TriFormatError(lineno, _TOO_LONG)
+    return [int(t) for t in tokens]
+
+
 def parse_tri(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     lines = text.split("\n")
-    header: tuple[int, int] | None = None
+    header: list[int] | None = None
     faces: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -32,17 +48,11 @@ def parse_tri(text: str) -> tuple[int, list[tuple[int, int, int]]]:
         if header is None:
             if len(parts) != 2:
                 raise TriFormatError(lineno, "expected header `n f`")
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise TriFormatError(lineno, "header values must be integers") from None
+            header = _integers(lineno, parts, "header values")
             continue
         if len(parts) != 3:
             raise TriFormatError(lineno, "expected a face `a b c`")
-        try:
-            a, b, c = (int(p) for p in parts)
-        except ValueError:
-            raise TriFormatError(lineno, "face vertices must be integers") from None
+        a, b, c = _integers(lineno, parts, "face vertices")
         if not a < b < c:
             raise TriFormatError(lineno, f"face {a} {b} {c} is not strictly increasing")
         faces.append((a, b, c))
@@ -84,10 +94,17 @@ def _integer(value: object) -> int:
 
 
 def from_json(text: str) -> tuple[int, list[tuple[int, int, int]]]:
+    def integer(token: str) -> int:
+        if len(token.lstrip("-")) > _MAX_DIGITS:  # name the line where it first appears
+            raise TriFormatError(text.count("\n", 0, text.find(token)) + 1, _TOO_LONG)
+        return int(token)
+
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=integer)
         n = _integer(payload["n"])
         faces = [tuple(_integer(v) for v in f) for f in payload["faces"]]
+    except TriFormatError:
+        raise
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         # RecursionError: the decoder recurses once per nesting level.
         raise TriFormatError(1, f"bad JSON triangulation: {exc}") from None

@@ -73,10 +73,16 @@ class TestFamily:
         code, _, err = run_cli("family", "T(9,1,4)")
         assert code == 2 and "k in" in err
 
-    @pytest.mark.parametrize("name", ["T(12,1,3", "B(3,4}", "T(12,,1,3)"])
+    @pytest.mark.parametrize("name", ["T(12,1,3", "B(3,4}", "T(12,,1,3)", "T(012,1,3)"])
     def test_malformed_name_exit_2(self, name):
         code, out, err = run_cli("family", name)
         assert (code, out) == (2, "") and err == f"error: cannot parse family name {name!r}\n"
+
+    def test_overlong_parameter_exit_2_without_echoing_it(self):
+        code, out, err = run_cli("family", f"T({'9' * 5000},1,3)")
+        assert (code, out) == (2, "")
+        assert err == ("error: a T family parameter has more than 20 digits; "
+                       "members have at most 100000 vertices\n")
 
     def test_bad_twist_names_the_ranges_in_one_short_line(self):
         code, out, err = run_cli("family", "T(100000,1,1)")
@@ -115,6 +121,19 @@ class TestCheck:
         paths = [str(tmp_path)] * (2 if command == "iso" else 1)
         code, _, err = run_cli(command, *paths)
         assert code == 2 and "Is a directory" in err
+
+    @pytest.mark.parametrize("name,text,line", [
+        ("plus.tri", "4 4\n0 1 +2\n0 1 3\n0 2 3\n1 2 3\n",
+         "error: line 2: face vertices must be integers\n"),
+        ("long.tri", f"{'9' * 5000} 4\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n",
+         "error: line 1: a number has more than 4300 digits\n"),
+        ("long.json", f'{{"faces": [],\n"n": {"9" * 5000}}}',
+         "error: line 2: a number has more than 4300 digits\n"),
+    ])
+    def test_integer_spelling_the_writer_never_uses_exit_2(self, tmp_path, name, text, line):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli("check", str(path)) == (2, "", line)
 
     def test_infinite_json_vertex_count_exit_2(self, tmp_path):
         path = tmp_path / "big.json"
@@ -304,25 +323,15 @@ class TestBudget:
         assert (code, out) == (3, "")
         assert "time budget (0 nodes, 0/0 states done)" in err
 
-    def test_env_budget(self, monkeypatch):
-        monkeypatch.setenv(cli.BUDGET_ENV, "0.0")
-        code, _, _ = run_cli("classify", "--n", "12")
-        assert code == 3
-
-    def test_flag_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(cli.BUDGET_ENV, "0.0")
-        code, _, _ = run_cli("classify", "--n", "9", "--budget", "600")
+    def test_budget_comes_from_the_flag_alone(self, monkeypatch):
+        # No environment variable sets the budget: this census completes.
+        monkeypatch.setenv("FLATLAND_BUDGET_SECS", "0")
+        code, _, _ = run_cli("classify", "--n", "9")
         assert code == 0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_budget_exit_2(self, value):
         code, _, err = run_cli("classify", "--n", "9", "--budget", value)
-        assert code == 2 and "budget" in err
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_env_budget_exit_2(self, monkeypatch, value):
-        monkeypatch.setenv(cli.BUDGET_ENV, value)
-        code, _, err = run_cli("classify", "--n", "9")
         assert code == 2 and "budget" in err
 
 

@@ -15,6 +15,7 @@ from flatland import (
     parse_name,
     surface_type,
 )
+from flatland import families
 from flatland.families import q_grid_faces
 from tests.conftest import all_specs_up_to, t1_valid_twists
 
@@ -30,7 +31,7 @@ FACE_COUNT = {
 
 # Names that parse_name must refuse: neither L(p,...) nor L_{p,...}.
 MALFORMED_NAMES = ["T(12,1,3", "T_{12,1,3", "T_{12,1,3)", "B(3,4", "B(3,4}", "B_3,4",
-                   "T(12,,1,3)", "T(12,1,3,)", "T{12,1,3}", "T_(12,1,3)"]
+                   "T(12,,1,3)", "T(12,1,3,)", "T{12,1,3}", "T_(12,1,3)", "T(012,1,3)"]
 
 
 def spec_strategy():
@@ -164,7 +165,8 @@ class TestNameParsing:
 
     @pytest.mark.parametrize("text", MALFORMED_NAMES)
     def test_malformed_brackets_and_separators(self, text):
-        # Neither spelling: a bracket left open or mismatched, or an empty parameter.
+        # Neither spelling: a bracket left open or mismatched, an empty
+        # parameter, or a leading zero.
         with pytest.raises(BadParameters, match="cannot parse family name"):
             parse_name(text)
 
@@ -213,6 +215,13 @@ class TestKnownCatalog:
 
     def test_n10_includes_q52(self):
         assert "Q_{5,2}" in {x.name for x in known_catalog(10)}
+
+    def test_each_candidate_is_validated_once(self, monkeypatch):
+        calls = []
+        validate = families.validate
+        monkeypatch.setattr(families, "validate", lambda spec: calls.append(spec) or validate(spec))
+        catalog = known_catalog(24)
+        assert len(calls) == len(set(calls)) > len(catalog) > 0
 
     def test_sorted_by_spec(self):
         specs = [x.spec for x in known_catalog(12)]

@@ -1,5 +1,6 @@
-"""The runtime is standard library only, and the lattice oracle imports no
-flatland code, so it shares nothing with the census it checks."""
+"""The runtime is standard library only and imports nothing it does not
+use, and the lattice oracle imports no flatland code, so it shares nothing
+with the census it checks."""
 
 import ast
 import sys
@@ -27,6 +28,34 @@ def imports(path: Path) -> list[tuple[int, str]]:
 def test_runtime_imports_only_the_standard_library(path):
     assert [name for level, name in imports(path)
             if level == 0 and name not in sys.stdlib_module_names] == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names a module binds by import but never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(set((ROOT / "src" / "flatland").glob("*.py"))
+                                        - {ROOT / "src" / "flatland" / "__init__.py"}),
+                         ids=lambda path: path.name)
+def test_runtime_uses_every_name_it_imports(path):
+    # A name kept only so that code outside the module can patch it is dead
+    # code here; `__init__.py` imports to re-export.
+    assert unused_imports(path) == []
+
+
+def test_unused_import_is_found(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import os\nimport os.path as osp\nfrom a import b, c as d\nos.sep, d\n")
+    assert unused_imports(path) == ["osp", "b"]
 
 
 def test_lattice_oracle_imports_only_the_standard_library():

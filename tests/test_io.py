@@ -62,6 +62,43 @@ class TestErrors:
         with pytest.raises(TriFormatError, match="line 2: face vertices must be integers"):
             parse_tri("4 1\n0 1 x\n")
 
+    @pytest.mark.parametrize("text,line", [
+        ("4 4\n0 1 +2\n0 1 3\n0 2 3\n1 2 3\n", "line 2: face vertices"),
+        ("4 0_4\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n", "line 1: header values"),
+        ("4 4\n0 1 2\n0 1 \u0663\n0 2 3\n1 2 3\n", "line 3: face vertices"),
+        ("4 4\n0 1 2\n0 1 3\n0 2 3\n1 2 \uff13\n", "line 5: face vertices"),
+    ])
+    def test_only_the_written_integer_spelling(self, text, line):
+        # The writer prints ASCII -?[0-9]+; int() would also read these.
+        with pytest.raises(TriFormatError, match=f"{line} must be integers"):
+            parse_tri(text)
+
+    def test_negative_vertex_reaches_the_range_check(self):
+        n, faces = parse_tri("4 1\n-1 0 1\n")
+        assert faces == [(-1, 0, 1)]
+        with pytest.raises(ValueError, match="out of range"):
+            build_triangulation(n, faces)
+
+    @pytest.mark.parametrize("text,line", [
+        (f"{'9' * 4301} 4\n", 1),
+        (f"4 1\n0 1 -{'9' * 4301}\n", 2),
+    ])
+    def test_overlong_tri_number(self, text, line):
+        with pytest.raises(TriFormatError, match=f"line {line}: a number has more than 4300 digits"):
+            parse_tri(text)
+
+    def test_longest_readable_number(self):
+        n, _ = parse_tri(f"{'9' * 4300} 0\n")
+        assert n == 10**4300 - 1
+
+    @pytest.mark.parametrize("text,line", [
+        (f'{{"n": {"9" * 4301}, "faces": []}}', 1),
+        (f'{{"n": 4,\n"faces": [[0, 1,\n-{"9" * 4301}]]}}', 3),
+    ])
+    def test_overlong_json_number(self, text, line):
+        with pytest.raises(TriFormatError, match=f"line {line}: a number has more than 4300 digits"):
+            from_json(text)
+
     def test_non_increasing_face(self):
         with pytest.raises(TriFormatError, match="strictly increasing"):
             parse_tri("4 1\n2 1 0\n")

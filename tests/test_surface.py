@@ -73,6 +73,13 @@ class TestBuildTriangulation:
         with pytest.raises(Disconnected):
             build_triangulation(8, faces)
 
+    def test_disconnected_with_a_non_orientable_part(self):
+        # The walk that checks orientation also counts the faces it reaches.
+        n, rp2 = RP2
+        faces = TETRAHEDRON[1] + [tuple(v + 4 for v in f) for f in rp2]
+        with pytest.raises(Disconnected, match="complex has 10 unreachable faces"):
+            build_triangulation(4 + n, faces)
+
     def test_round_trip_identity(self):
         t = fam("T(12,1,3)")
         assert build_triangulation(t.n, t.faces) == t
