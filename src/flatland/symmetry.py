@@ -13,27 +13,60 @@ scan compares each key with the least key so far while producing it and
 drops the start at the first larger entry (the prefix pruning of plantri,
 Brinkmann & McKay 2007).
 
-Two starts with the least key differ by an automorphism, and every
-automorphism maps a least-key start to one.  The group acts freely on flags
-(an automorphism fixing a flag fixes the flags of the adjacent faces, hence
-all flags), so the tied starts are in bijection with the automorphisms,
-|Aut| divides 6*f_2, there are 6*f_2/|Aut| flag orbits, and a complex is
-combinatorially regular iff |Aut| = 6*f_2.  The canonical labelling is the
-lexicographically least tied labelling, so canonicalising the canonical
-complex gives the identity; the canonical code is the sorted relabelled
-face list.
+Two starts with equal keys differ by an automorphism (the permutation that
+takes each vertex to the vertex with its label in the other start), and
+every automorphism maps a least-key start to one.  The group acts freely on
+flags (an automorphism fixing a flag fixes the flags of the adjacent faces,
+hence all flags), so the least-key starts are in bijection with the
+automorphisms, |Aut| divides 6*f_2, there are 6*f_2/|Aut| flag orbits, and a
+complex is combinatorially regular iff |Aut| = 6*f_2.  The canonical
+labelling is the lexicographically least labelling of a least-key start, so
+canonicalising the canonical complex gives the identity; the canonical code
+is the sorted relabelled face list.
 
-One scan gives both facts: `automorphism_group` builds the group from the
-tied labellings and carries the canonical form of the same scan.  It may be
-seeded with one start (`automorphism_group(t, seed)`).  The seed is
-traversed first and its key is the bound; the scan prunes larger keys as
-before, and gives up at the first entry of any start that falls below the
-seed's key at its position: then the seed's key is not the least one, and
-there is no group.  This is the leaf test of orderly generation (McKay,
-J. Algorithms 26, 1998): a complex produced from a known start is kept only
-if that start has the least key, and a kept complex costs one full scan,
-which yields its canonical form and its automorphisms, a rejected one
-usually a few partial traversals.
+The scan also prunes by automorphisms (McKay & Piperno, Practical graph
+isomorphism II, J. Symb. Comput. 60, 2014).  Each start that ties with the
+least key so far gives an automorphism, checked against the face set, and
+the scan keeps the group G that the automorphisms found so far generate; it
+stays valid when a smaller key later replaces the least one.  A start in
+the G-orbit of a traversed start has that start's key, so it is skipped.
+This loses nothing: a skipped start is pruned, tied or least exactly when
+its traversed preimage was.  The first traversed start with the final least
+key reaches every other least-key start, through a tie (whose automorphism
+joins G) or through a skip from a start it reaches, so at the end G is all
+of Aut, and the least-key labellings are that start's labelling composed
+with the elements of G.
+
+Which starts a scan traverses depends on their order, so the order is fixed
+by the complex, not by its vertex names.  The scan first traverses every
+flag at one vertex v0, the starts (v0, y, z), and skips none of them.
+Whatever their order, the first of them with their least key becomes the
+least so far and the later ones with that key tie with it, so G is then the
+whole stabiliser of v0, and the traversed starts are the flags at v0.  The
+other starts follow in the order of their labels under that least key's
+labelling, an order fixed by the complex and v0 up to an automorphism.  So
+the traversals, and their number, depend only on the complex and the orbit
+of v0.  v0 is the seed's first vertex, or else a vertex whose sorted
+distances to all vertices are least (`_first_vertex`): an invariant, so its
+orbit is fixed whenever the vertices with those distances form one orbit,
+as on every vertex-transitive complex.  A traversed start lies outside the
+orbits of the starts before it, so a later tie at least doubles G: a
+flag-regular map, where every start has the least key and the stabiliser
+of a vertex has order 12, costs at most 12 + log2(|Aut|/12) traversals
+instead of 6*f_2.
+
+One scan gives both facts: `automorphism_group` takes the group the scan
+built and carries the canonical form of the same scan.  It may be seeded
+with one start (`automorphism_group(t, seed)`).  The seed is traversed
+first and its key is the bound; the scan prunes larger keys and
+skips covered starts as before, and gives up at the first entry of any
+start that falls below the seed's key at its position: then the seed's key
+is not the least one, and there is no group.  (A skipped start has the key
+of a traversed one, which did not fall below.)  This is the leaf test of
+orderly generation (McKay, J. Algorithms 26, 1998): a complex produced from
+a known start is kept only if that start has the least key, and a kept
+complex costs one scan, which yields its canonical form and its
+automorphisms, a rejected one usually a few partial traversals.
 """
 
 from __future__ import annotations
@@ -46,6 +79,7 @@ from .graphs import common_neighbor_graph, graph_shape
 from .surface import Face, Triangulation, orientability, skeleton_graph
 
 Code = tuple[int, ...]
+Perm = tuple[int, ...]  # vertex v -> perm[v]
 
 
 @dataclass(frozen=True)
@@ -118,40 +152,111 @@ def _traverse(t: Triangulation, table, start: tuple[int, int, int], start_fi: in
     return key, label
 
 
-def _scan(t: Triangulation, seed: Optional[Face] = None) -> Optional[list[list[int]]]:
-    """The label arrays of all starts whose key is the least one: one per
-    automorphism.  With a `seed` start (an oriented face of t), None as
-    soon as some start's key is found to be less than the seed's."""
+def _first_vertex(t: Triangulation) -> int:
+    """A vertex whose sorted list of distances to all vertices is least.
+    The list is an invariant, so on a relabelled copy the vertex chosen lies
+    in the same orbit whenever the vertices with the least list form one."""
+    adj: list[list[int]] = [[] for _ in range(t.n)]
+    for a, b in t.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    def distances(v: int) -> list[int]:
+        dist = [-1] * t.n
+        dist[v] = 0
+        queue = [v]
+        for x in queue:  # breadth-first: the queue grows while read
+            for y in adj[x]:
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        return sorted(dist)
+
+    return min(range(t.n), key=distances)
+
+
+def _scan(t: Triangulation, seed: Optional[Face] = None) -> Optional[tuple[list[int], list[Perm]]]:
+    """The label array `base` of a least-key start and the automorphism
+    group: the least-key label arrays are base[g[v]], one per element g.
+    With a `seed` start (an oriented face of t), None as soon as some
+    start's key is found to be less than the seed's."""
     table = t.across
-    starts = ((start, fi) for fi, face in enumerate(t.faces) for start in permutations(face))
+    v0 = _first_vertex(t) if seed is None else seed[0]
+    at_v0: list[tuple[Face, int]] = []
+    others: list[tuple[Face, int]] = []
+    for fi, face in enumerate(t.faces):
+        for start in permutations(face):
+            (at_v0 if start[0] == v0 else others).append((start, fi))
     if seed is not None:
         first = (seed, t.faces.index(tuple(sorted(seed))))
-        starts = chain([first], (s for s in starts if s != first))
+        at_v0.remove(first)
+        at_v0.insert(0, first)
     best: Optional[list[int]] = None
-    ties: list[list[int]] = []
-    for start, fi in starts:
-        found = _traverse(t, table, start, fi, best, seed is not None)
-        if found is None:
+    base: list[int] = []  # the label array of the first start with key best
+    base_inv: list[int] = []
+    group: list[Perm] = [tuple(range(t.n))]  # automorphisms found so far
+    gens: list[Perm] = []
+    traversed: list[Face] = []
+    covered: set[Face] = set()  # the orbits of the traversed starts
+
+    def by_label():  # the other starts by their labels in base, sorted once the flags at v0 set it
+        yield from sorted(others, key=lambda s: (base[s[0][0]], base[s[0][1]], base[s[0][2]]))
+
+    for start, fi in chain(at_v0, by_label()):
+        if start[0] != v0 and start in covered:  # every flag at v0 is traversed
             continue
-        key, label = found
-        if key == best:
-            ties.append(label)
-        elif best is not None and seed is not None:
-            return None  # a key below the seed's
-        else:  # a key that survives the pruning is at most best
-            best, ties = key, [label]
-    return ties
+        found = _traverse(t, table, start, fi, best, seed is not None)
+        traversed.append(start)
+        if found is not None:
+            key, label = found
+            if key == best:
+                perm = tuple(map(base_inv.__getitem__, label))  # start -> base start
+                if _apply(perm, t.faces) != t.face_set():
+                    raise AssertionError("traversal produced a non-automorphism")
+                gens.append(perm)
+                group = _closure(group, gens)
+                covered = {_image(g, s) for s in traversed for g in group}
+                continue
+            if best is not None and seed is not None:
+                return None  # a key below the seed's
+            # a key that survives the pruning is at most best
+            best, base, base_inv = key, label, _invert(label)
+        covered.update(_image(g, start) for g in group)
+    return base, group
 
 
-def _form(t: Triangulation, ties: list[list[int]]) -> CanonicalForm:
-    label = min(ties)
+def _image(perm: Perm, start: Face) -> Face:
+    x, y, z = start
+    return perm[x], perm[y], perm[z]
+
+
+def _closure(group: list[Perm], gens: list[Perm]) -> list[Perm]:
+    """The group generated by `group` and the last of `gens`, given that
+    `group` is generated by the others: Dimino's algorithm, which adds whole
+    right cosets of `group` until right multiplication by every generator
+    stays inside."""
+    elements, members = list(group), set(group)
+    reps: list[Perm] = [group[0]]  # the identity
+    for r in reps:  # grows while read
+        for g in gens:
+            e = tuple(map(r.__getitem__, g))  # v -> r[g[v]]
+            if e not in members:
+                coset = [tuple(map(h.__getitem__, e)) for h in group]
+                elements.extend(coset)
+                members.update(coset)
+                reps.append(e)
+    return elements
+
+
+def _form(t: Triangulation, base: list[int], group: list[Perm]) -> CanonicalForm:
+    label = min([base[g[v]] for v in range(t.n)] for g in group)
     rel = sorted(tuple(sorted((label[a], label[b], label[c]))) for a, b, c in t.faces)
     return CanonicalForm(tuple(v for f in rel for v in f), tuple(label))
 
 
 def canonical_form(t: Triangulation) -> CanonicalForm:
     """Deterministic relabeling-invariant encoding of the surface."""
-    return _form(t, _scan(t))
+    return _form(t, *_scan(t))
 
 
 def _apply(perm: Sequence[int], faces: Sequence[Face]) -> frozenset[Face]:
@@ -195,25 +300,22 @@ def automorphism_group(t: Triangulation, seed: Optional[Face] = None) -> Optiona
     """The complete automorphism group as explicit vertex permutations, with
     the canonical form.  With a `seed` start (an oriented face of t), None
     unless that start has the least key."""
-    labelings = _scan(t, seed)
-    if labelings is None:
+    found = _scan(t, seed)
+    if found is None:
         return None
-    base_inv = _invert(labelings[0])
+    base, group = found
     face_set = t.face_set()
-    elements = []
-    for label in labelings:
-        perm = tuple(base_inv[label[v]] for v in range(t.n))
+    for perm in group:
         if _apply(perm, t.faces) != face_set:
-            raise AssertionError("traversal produced a non-automorphism")
-        elements.append(perm)
-    elements = tuple(sorted(elements))
+            raise AssertionError("scan produced a non-automorphism")
+    elements = tuple(sorted(group))
 
     vertex_orbits = _orbit_partition(range(t.n), lambda v: {p[v] for p in elements})
     face_orbits = _orbit_partition(
         t.faces,
         lambda f: {tuple(sorted((p[f[0]], p[f[1]], p[f[2]]))) for p in elements},
     )
-    return SymmetryGroup(elements, vertex_orbits, face_orbits, _form(t, labelings))
+    return SymmetryGroup(elements, vertex_orbits, face_orbits, _form(t, base, group))
 
 
 def _orbit_partition(items, orbit_of):

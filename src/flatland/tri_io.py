@@ -11,16 +11,18 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .surface import Triangulation
 
 
 class TriFormatError(ValueError):
-    """Malformed `.tri` or JSON triangulation input; names the line."""
+    """Malformed `.tri` or JSON triangulation input.  Names the line where
+    the fault is, if it has one: a fault in the decoded JSON value (a face
+    without three vertices, a vertex that is no integer) has none."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: Optional[int], message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -105,10 +107,12 @@ def from_json(text: str) -> tuple[int, list[tuple[int, int, int]]]:
         faces = [tuple(_integer(v) for v in f) for f in payload["faces"]]
     except TriFormatError:
         raise
+    except json.JSONDecodeError as exc:
+        raise TriFormatError(exc.lineno, f"bad JSON: {exc.msg} (column {exc.colno})") from None
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         # RecursionError: the decoder recurses once per nesting level.
-        raise TriFormatError(1, f"bad JSON triangulation: {exc}") from None
+        raise TriFormatError(None, f"bad JSON triangulation: {exc}") from None
     bad = [f for f in faces if len(f) != 3]
     if bad:
-        raise TriFormatError(1, f"face {bad[0]} does not have three vertices")
+        raise TriFormatError(None, f"face {bad[0]} does not have three vertices")
     return n, faces  # type: ignore[return-value]

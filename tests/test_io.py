@@ -119,6 +119,20 @@ class TestErrors:
         with pytest.raises(TriFormatError, match="three vertices"):
             from_json('{"n": 4, "faces": [[0, 1]]}')
 
+    def test_json_syntax_error_names_its_line(self):
+        with pytest.raises(TriFormatError, match=r"^line 3: bad JSON: Expecting value \(column 1\)$"):
+            from_json('{"n": 4,\n"faces": [[0, 1, 2],\n,[0, 1, 3]]}')
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"n": 4,\n"faces": [[0, 1]]}', "face (0, 1) does not have three vertices"),
+        ('{"n": 4,\n"faces": [[0, 1,\n"x"]]}', "bad JSON triangulation: 'x' is not an integer"),
+    ])
+    def test_fault_in_the_decoded_value_names_no_line(self, text, message):
+        # The decoded value keeps no source positions, so no line is named.
+        with pytest.raises(TriFormatError) as caught:
+            from_json(text)
+        assert str(caught.value) == message
+
     def test_infinite_json_number(self):
         with pytest.raises(TriFormatError, match="bad JSON"):
             from_json('{"n": 1e400, "faces": []}')

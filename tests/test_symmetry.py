@@ -9,6 +9,7 @@ from flatland import (
     build_triangulation,
     canonical_form,
     find_isomorphism,
+    known_catalog,
     regularity_flags,
     symmetry,
 )
@@ -220,6 +221,15 @@ class TestFlagOrbits:
             assert regularity_of(t)[1] == (len(orbits) == 1)
 
 
+def least_key_labels(t):
+    """The label arrays of the starts with the least key, from the full key
+    of every start (no pruning)."""
+    found = [symmetry._traverse(t, t.across, s, fi, None)
+             for fi, face in enumerate(t.faces) for s in permutations(face)]
+    least = min(key for key, _ in found)
+    return {tuple(label) for key, label in found if key == least}
+
+
 def census_classes(ns):
     return [item.triangulation for n in ns for item in census_report(n).items]
 
@@ -243,11 +253,27 @@ class TestScan:
             }
             assert label == min(realizing)
 
+    def test_ties_are_the_least_key_starts(self):
+        # The pruned scan skips starts; base composed with its group must
+        # still be the label arrays of exactly the least-key starts under
+        # the unpruned rule.
+        for n in range(7, 19):
+            for t in {named.complex for named in known_catalog(n)}:
+                for seed in range(2):
+                    u = shuffled(t, 1000 * n + seed)
+                    least = least_key_labels(u)
+                    base, group = symmetry._scan(u)
+                    ties = {tuple(base[g[v]] for v in range(u.n)) for g in group}
+                    assert ties == least
+                    assert len(group) == len(least) == automorphism_group(u).order
+
     def test_seeded_scan_passes_exactly_the_least_key_starts(self):
         # Against the full key of every start, unpruned: a seed passes iff
         # its key is the least (one start per automorphism), and then it
-        # gives the unseeded group and the canonical form.
-        for name in ("T(7,1,2)", "B(3,3)", "Q(5,2)", "T(4,4,2)"):
+        # gives the unseeded group and the canonical form.  T(3,3,0) is
+        # flag-regular, so every start has the least key; K(3,4) is the
+        # Klein bottle with the largest group for n <= 15 (|Aut| = 24).
+        for name in ("T(7,1,2)", "B(3,3)", "Q(5,2)", "T(4,4,2)", "T(3,3,0)", "K(3,4)"):
             t = shuffled(fam(name), 5)
             starts = [(s, fi) for fi, face in enumerate(t.faces) for s in permutations(face)]
             keys = {s: symmetry._traverse(t, t.across, s, fi, None)[0] for s, fi in starts}
@@ -259,6 +285,42 @@ class TestScan:
             assert {groups[s].elements for s in passed} == {group.elements}
             assert {groups[s].canonical for s in passed} == {canonical_form(t)}
             assert group.canonical == canonical_form(t)
+
+    @pytest.mark.parametrize("name", ["T(3,3,0)", "T(9,3,3)", "T(6,6,0)", "T(12,4,4)"])
+    def test_traversals_on_regular_maps(self, monkeypatch, name):
+        # Every start of a flag-regular map ties.  The 12 flags at the first
+        # vertex are all traversed and give its stabiliser (order 12); after
+        # them a traversed start is outside the orbits of those before it,
+        # so each traversal at least doubles the group found:
+        # 12 + log2(|Aut|/12) traversals, not 6*f_2.
+        t = shuffled(fam(name), 2)
+        traverse, calls = symmetry._traverse, []
+        monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
+        order = automorphism_group(t).order
+        assert order == 6 * t.f2
+        bound = 12 + (order // 12).bit_length() - 1  # 12 + floor(log2(|Aut|/12))
+        assert len(calls) <= bound
+        calls.clear()
+        canonical_form(t)
+        assert len(calls) <= bound
+
+    @pytest.mark.parametrize("name", ["T(6,3,0)", "T(21,1,4)", "T(12,2,5)", "B(3,6)",
+                                      "K(4,6)", "Q(7,4)", "K(3,12)", "B(6,8)"])
+    def test_traversals_do_not_depend_on_the_labelling(self, monkeypatch, name):
+        # The starts follow an order fixed by the complex, so relabelled
+        # copies cost the same traversals, also where there are several
+        # flag orbits (tori T(6,3,0) to T(12,2,5)) or several vertex orbits
+        # (the Klein bottles).
+        t = fam(name)
+        traverse, calls = symmetry._traverse, []
+        monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
+        counts = set()
+        for seed in range(6):
+            calls.clear()
+            canonical_form(shuffled(t, seed))
+            counts.add(len(calls))
+        assert len(counts) == 1
+        assert counts.pop() < 6 * t.f2
 
     def test_code_equality_matches_brute_force_isomorphism(self):
         items = [
