@@ -26,16 +26,17 @@ is the sorted relabelled face list.
 
 The scan also prunes by automorphisms (McKay & Piperno, Practical graph
 isomorphism II, J. Symb. Comput. 60, 2014).  Each start that ties with the
-least key so far gives an automorphism, checked against the face set, and
-the scan keeps the group G that the automorphisms found so far generate; it
-stays valid when a smaller key later replaces the least one.  A start in
-the G-orbit of a traversed start has that start's key, so it is skipped.
-This loses nothing: a skipped start is pruned, tied or least exactly when
-its traversed preimage was.  The first traversed start with the final least
-key reaches every other least-key start, through a tie (whose automorphism
-joins G) or through a skip from a start it reaches, so at the end G is all
-of Aut, and the least-key labellings are that start's labelling composed
-with the elements of G.
+least key so far gives an automorphism, checked against the face set where
+it is found, and the scan keeps the group G that these generate; it stays
+valid when a smaller key later replaces the least one.  The other elements
+of G are products of checked ones, hence automorphisms without a check.  A
+start in the G-orbit of a traversed start has that start's key, so it is
+skipped.  This loses nothing: a skipped start is pruned, tied or least
+exactly when its traversed preimage was.  The first traversed start with
+the final least key reaches every other least-key start, through a tie
+(whose automorphism joins G) or through a skip from a start it reaches, so
+at the end G is all of Aut, and the least-key labellings are that start's
+labelling composed with the elements of G.
 
 Which starts a scan traverses depends on their order, so the order is fixed
 by the complex, not by its vertex names.  The scan first traverses every
@@ -299,15 +300,12 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
 def automorphism_group(t: Triangulation, seed: Optional[Face] = None) -> Optional[SymmetryGroup]:
     """The complete automorphism group as explicit vertex permutations, with
     the canonical form.  With a `seed` start (an oriented face of t), None
-    unless that start has the least key."""
+    unless that start has the least key.  `_scan` checked the generators
+    against the face set, so no element is applied to it again."""
     found = _scan(t, seed)
     if found is None:
         return None
     base, group = found
-    face_set = t.face_set()
-    for perm in group:
-        if _apply(perm, t.faces) != face_set:
-            raise AssertionError("scan produced a non-automorphism")
     elements = tuple(sorted(group))
 
     vertex_orbits = _orbit_partition(range(t.n), lambda v: {p[v] for p in elements})

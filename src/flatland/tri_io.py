@@ -18,8 +18,9 @@ from .surface import Triangulation
 
 class TriFormatError(ValueError):
     """Malformed `.tri` or JSON triangulation input.  Names the line where
-    the fault is, if it has one: a fault in the decoded JSON value (a face
-    without three vertices, a vertex that is no integer) has none."""
+    the fault is, if it has one (a wrong face count is at the header): a
+    missing header and a fault in the decoded JSON value (a face without
+    three vertices, a vertex that is no integer) have none."""
 
     def __init__(self, line: Optional[int], message: str):
         super().__init__(message if line is None else f"line {line}: {message}")
@@ -39,10 +40,9 @@ def _integers(lineno: int, tokens: list[str], what: str) -> list[int]:
 
 
 def parse_tri(text: str) -> tuple[int, list[tuple[int, int, int]]]:
-    lines = text.split("\n")
     header: list[int] | None = None
     faces: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -50,7 +50,7 @@ def parse_tri(text: str) -> tuple[int, list[tuple[int, int, int]]]:
         if header is None:
             if len(parts) != 2:
                 raise TriFormatError(lineno, "expected header `n f`")
-            header = _integers(lineno, parts, "header values")
+            header_line, header = lineno, _integers(lineno, parts, "header values")
             continue
         if len(parts) != 3:
             raise TriFormatError(lineno, "expected a face `a b c`")
@@ -59,10 +59,10 @@ def parse_tri(text: str) -> tuple[int, list[tuple[int, int, int]]]:
             raise TriFormatError(lineno, f"face {a} {b} {c} is not strictly increasing")
         faces.append((a, b, c))
     if header is None:
-        raise TriFormatError(len(lines), "missing header `n f`")
+        raise TriFormatError(None, "missing header `n f`")
     n, f = header
     if len(faces) != f:
-        raise TriFormatError(len(lines), f"header promised {f} faces, found {len(faces)}")
+        raise TriFormatError(header_line, f"header promised {f} faces, found {len(faces)}")
     return n, faces
 
 

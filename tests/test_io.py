@@ -104,12 +104,17 @@ class TestErrors:
             parse_tri("4 1\n2 1 0\n")
 
     def test_face_count_mismatch(self):
-        with pytest.raises(TriFormatError, match="promised 4 faces"):
-            parse_tri("4 4\n0 1 2\n")
+        # The count is the header's promise, so the fault is at the header,
+        # not past the last line.
+        for text, line in (("4 4\n0 1 2\n0 1 3\n0 2 3\n", 1), ("# c\n4 4\n0 1 2\n0 1 3\n0 2 3", 2)):
+            message = rf"^line {line}: header promised 4 faces, found 3$"
+            with pytest.raises(TriFormatError, match=message):
+                parse_tri(text)
 
     def test_missing_header(self):
-        with pytest.raises(TriFormatError, match="missing header"):
-            parse_tri("# only comments\n")
+        for text in ("# only comments\n", "# only comments", "", "\n\n"):
+            with pytest.raises(TriFormatError, match=r"^missing header `n f`$"):
+                parse_tri(text)
 
     def test_bad_json(self):
         with pytest.raises(TriFormatError):

@@ -147,15 +147,17 @@ class TestAutomorphismGroup:
         assert group.order == 24
         assert regularity_flags(tetrahedron, group) == (True, True)
 
-    def test_elements_are_sound(self):
-        t = fam("T(9,1,2)")
+    @pytest.mark.parametrize("name", ["T(9,1,2)", "T(9,3,3)", "T(6,6,0)", "T(12,4,4)",
+                                      "K(3,12)", "B(6,8)", "Q(7,4)"])
+    def test_elements_are_sound(self, name):
+        # Only the generators are checked inside the scan; every element of
+        # the largest groups (up to 576 on 48 vertices) is checked here, and
+        # there is one element per least-key start.
+        t = shuffled(fam(name), 4)
         group = automorphism_group(t)
-        face_set = t.face_set()
         for perm in group.elements:
-            image = frozenset(
-                tuple(sorted((perm[a], perm[b], perm[c]))) for a, b, c in t.faces
-            )
-            assert image == face_set
+            assert is_isomorphism_between(perm, t, t)
+        assert len(set(group.elements)) == group.order == len(least_key_labels(t))
 
     def test_group_closure_and_inverse(self):
         group = automorphism_group(fam("B(3,3)"))
@@ -293,13 +295,18 @@ class TestScan:
         # them a traversed start is outside the orbits of those before it,
         # so each traversal at least doubles the group found:
         # 12 + log2(|Aut|/12) traversals, not 6*f_2.
+        # The face set is checked once per tie, inside the scan, and the
+        # group's other elements are not applied to it again.
         t = shuffled(fam(name), 2)
         traverse, calls = symmetry._traverse, []
+        apply, applied = symmetry._apply, []
         monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
+        monkeypatch.setattr(symmetry, "_apply", lambda *a: applied.append(a) or apply(*a))
         order = automorphism_group(t).order
         assert order == 6 * t.f2
         bound = 12 + (order // 12).bit_length() - 1  # 12 + floor(log2(|Aut|/12))
         assert len(calls) <= bound
+        assert len(applied) <= len(calls)
         calls.clear()
         canonical_form(t)
         assert len(calls) <= bound
