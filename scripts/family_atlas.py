@@ -9,7 +9,7 @@ Example:
 import argparse
 import sys
 
-from flatland import automorphism_group, canonical_form, known_catalog, surface_type
+from flatland import automorphism_group, known_catalog, surface_type
 
 
 def main() -> int:
@@ -22,10 +22,12 @@ def main() -> int:
     except ValueError as exc:  # n < 1, or a member over the family vertex cap
         ap.error(str(exc))
 
+    aut = {}  # one scan per distinct complex: T_{n,1,k} and T_{n,1,n-1-k} share one
     by_code: dict[tuple, list] = {}
     for named in catalog:
-        code = canonical_form(named.complex).code
-        by_code.setdefault(code, []).append(named)
+        if named.complex not in aut:
+            aut[named.complex] = automorphism_group(named.complex)
+        by_code.setdefault(aut[named.complex].canonical.code, []).append(named)
 
     if not by_code:
         print(f"no named families on {args.n} vertices")
@@ -34,9 +36,8 @@ def main() -> int:
     for i, code in enumerate(sorted(by_code)):
         group = by_code[code]
         t = group[0].complex
-        aut = automorphism_group(t)
         names = ", ".join(sorted(g.name for g in group))
-        print(f"class {i}: {surface_type(t)}, |Aut| = {aut.order}")
+        print(f"class {i}: {surface_type(t)}, |Aut| = {aut[t].order}")
         print(f"  {names}")
     return 0
 

@@ -10,8 +10,8 @@ leaf, so a class with automorphism group Aut comes out as 12n/|Aut|
 leaves.  A leaf is kept only if its search flag has the least key of the
 canonical scan (`symmetry`); the least-key flags of a class form one
 orbit, so exactly one leaf per class is kept, and the output is
-independent of search order.  A leaf is dropped at the first start whose
-key is found to be smaller, usually after a few partial traversals.  The
+independent of search order.  A leaf is dropped once some start's key,
+traversed to its end, is smaller than its search flag's.  The
 full scan of a kept leaf also gives its class's automorphism group, and so
 the regularity flags: no class is scanned again.
 

@@ -26,17 +26,19 @@ is the sorted relabelled face list.
 
 The scan also prunes by automorphisms (McKay & Piperno, Practical graph
 isomorphism II, J. Symb. Comput. 60, 2014).  Each start that ties with the
-least key so far gives an automorphism, checked against the face set where
-it is found, and the scan keeps the group G that these generate; it stays
-valid when a smaller key later replaces the least one.  The other elements
-of G are products of checked ones, hence automorphisms without a check.  A
-start in the G-orbit of a traversed start has that start's key, so it is
-skipped.  This loses nothing: a skipped start is pruned, tied or least
-exactly when its traversed preimage was.  The first traversed start with
-the final least key reaches every other least-key start, through a tie
-(whose automorphism joins G) or through a skip from a start it reaches, so
-at the end G is all of Aut, and the least-key labellings are that start's
-labelling composed with the elements of G.
+least key so far gives an automorphism, and the scan keeps the group G that
+these generate; it stays valid when a smaller key later replaces the least
+one.  A start in the G-orbit of a traversed start has that start's key, so
+it is skipped.  This loses nothing: a skipped start is pruned, tied or least
+exactly when its traversed preimage was.  The action is free, so a tie
+inside those orbits (at a flag at v0, below) gives an element of G, and one
+outside them a new automorphism: it alone is checked against the face set,
+and the orbits grow by the images under the new elements, the cosets that
+the closure appends.  The other elements are products of checked ones.  The
+first traversed start with the final least key reaches every other
+least-key start, through a tie or through a skip from a start it reaches,
+so at the end G is all of Aut, and the least-key labellings are that
+start's labelling composed with the elements of G.
 
 Which starts a scan traverses depends on their order, so the order is fixed
 by the complex, not by its vertex names.  The scan first traverses every
@@ -59,15 +61,14 @@ instead of 6*f_2.
 One scan gives both facts: `automorphism_group` takes the group the scan
 built and carries the canonical form of the same scan.  It may be seeded
 with one start (`automorphism_group(t, seed)`).  The seed is traversed
-first and its key is the bound; the scan prunes larger keys and
-skips covered starts as before, and gives up at the first entry of any
-start that falls below the seed's key at its position: then the seed's key
-is not the least one, and there is no group.  (A skipped start has the key
-of a traversed one, which did not fall below.)  This is the leaf test of
-orderly generation (McKay, J. Algorithms 26, 1998): a complex produced from
-a known start is kept only if that start has the least key, and a kept
-complex costs one scan, which yields its canonical form and its
-automorphisms, a rejected one usually a few partial traversals.
+first and its key is the bound; the scan prunes larger keys and skips
+covered starts as before, and gives up once a start's whole key is less
+than the seed's: then the seed's key is not the least one, and there is no
+group.  (A skipped start has the key of a traversed one.)  This is the leaf
+test of orderly generation (McKay, J. Algorithms 26, 1998): a complex
+produced from a known start is kept only if that start has the least key,
+and a kept complex costs one scan, which yields its canonical form and its
+automorphisms, a rejected one the traversals up to the first smaller key.
 """
 
 from __future__ import annotations
@@ -116,12 +117,10 @@ class IsomorphismResult:
         return self.mapping is not None
 
 
-def _traverse(t: Triangulation, table, start: tuple[int, int, int], start_fi: int,
-              best: Optional[list[int]], stop_below: bool = False):
+def _traverse(t: Triangulation, start: tuple[int, int, int], start_fi: int,
+              best: Optional[list[int]]):
     """Key and label array (input vertex -> label) of one start, or None as
-    soon as a key entry exceeds `best` at the same position.  With
-    `stop_below`, the traversal also stops at the first entry below `best`
-    and returns the key so far, which is then less than `best`."""
+    soon as a key entry exceeds `best` at the same position."""
     label = [-1] * t.n
     x, y, z = start
     label[x], label[y], label[z] = 0, 1, 2
@@ -131,6 +130,7 @@ def _traverse(t: Triangulation, table, start: tuple[int, int, int], start_fi: in
     queue = [(x, y, z, start_fi)]
     key: list[int] = []
     tight = best is not None  # the key so far equals best's prefix
+    table = t.across
     for x, y, z, fi in queue:  # breadth-first: the queue grows while read
         across = table[fi]
         for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
@@ -142,9 +142,6 @@ def _traverse(t: Triangulation, table, start: tuple[int, int, int], start_fi: in
             if tight and lw != best[len(key)]:
                 if lw > best[len(key)]:
                     return None
-                if stop_below:
-                    key.append(lw)
-                    return key, label
                 tight = False
             key.append(lw)
             if not seen[gi]:
@@ -181,7 +178,6 @@ def _scan(t: Triangulation, seed: Optional[Face] = None) -> Optional[tuple[list[
     group: the least-key label arrays are base[g[v]], one per element g.
     With a `seed` start (an oriented face of t), None as soon as some
     start's key is found to be less than the seed's."""
-    table = t.across
     v0 = _first_vertex(t) if seed is None else seed[0]
     at_v0: list[tuple[Face, int]] = []
     others: list[tuple[Face, int]] = []
@@ -206,17 +202,19 @@ def _scan(t: Triangulation, seed: Optional[Face] = None) -> Optional[tuple[list[
     for start, fi in chain(at_v0, by_label()):
         if start[0] != v0 and start in covered:  # every flag at v0 is traversed
             continue
-        found = _traverse(t, table, start, fi, best, seed is not None)
+        found = _traverse(t, start, fi, best)
         traversed.append(start)
         if found is not None:
             key, label = found
             if key == best:
+                if start in covered:  # its automorphism is already in the group
+                    continue
                 perm = tuple(map(base_inv.__getitem__, label))  # start -> base start
                 if _apply(perm, t.faces) != t.face_set():
                     raise AssertionError("traversal produced a non-automorphism")
                 gens.append(perm)
-                group = _closure(group, gens)
-                covered = {_image(g, s) for s in traversed for g in group}
+                old, group = len(group), _closure(group, gens)
+                covered.update(_image(g, s) for s in traversed for g in group[old:])
                 continue
             if best is not None and seed is not None:
                 return None  # a key below the seed's

@@ -201,3 +201,45 @@ def klein_faces(key: KleinKey) -> list[tuple[int, int, int]]:
     pair = [min(v, glide(v)) for v in range(a * lat[2])]
     label = {v: i for i, v in enumerate(sorted(set(pair)))}
     return sorted({tuple(sorted(label[pair[v]] for v in face)) for face in quotient_faces(lat)})
+
+
+def _normaliser(key: Lattice | KleinKey) -> list[tuple[Matrix, Point]]:
+    """The normaliser N of the deck group G in the automorphisms of T, the
+    maps x -> Rx + u with R in the point group, as the pairs (R, u mod L).
+    For a torus G = L, and N is every pair with RL = L.  For a Klein bottle,
+    conjugating the glide x -> sx + t by x -> Rx + u gives
+    x -> RsR^-1 x + (I - RsR^-1)u + Rt, which lies in G iff Rs = sR and
+    (I - s)u = (I - R)t mod L, besides RL = L."""
+    torus = isinstance(key[0], int)
+    lat = key if torus else key[0]
+    points = [(x, y) for x in range(lat[0]) for y in range(lat[2])]  # Z^2 / L
+    pairs = []
+    for r in POINT_GROUP:
+        if image(r, lat) != lat:
+            continue
+        if torus:
+            pairs.extend((r, u) for u in points)
+            continue
+        _, s, t = key
+        if _product(r, s) != _product(s, r):
+            continue
+        rx, ry = apply(r, t)
+        for u in points:
+            sx, sy = apply(s, u)
+            if contains(lat, u[0] - sx - t[0] + rx, u[1] - sy - t[1] + ry):
+                pairs.append((r, u))
+    return pairs
+
+
+def aut_order(key: Lattice | KleinKey) -> int:
+    """|Aut(T/G)| = |N/G|: every automorphism of T/G lifts to an element of
+    N, and G/L has order 1 (torus) or 2 (Klein bottle)."""
+    return len(_normaliser(key)) // (1 if isinstance(key[0], int) else 2)
+
+
+def weakly_regular(key: Lattice | KleinKey) -> bool:
+    """Whether Aut(T/G) is transitive on the vertices: N moves the origin
+    to every point of Z^2, that is, its u cover Z^2 / L.  Always so for a
+    torus, by the translations."""
+    lat = key if isinstance(key[0], int) else key[0]
+    return len({u for _, u in _normaliser(key)}) == lat[0] * lat[2]

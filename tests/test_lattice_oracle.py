@@ -18,6 +18,7 @@ from tests.lattice_oracle import (
     NEAR,
     POINT_GROUP,
     REFLECTIONS,
+    aut_order,
     hermite,
     klein_classes,
     klein_faces,
@@ -25,6 +26,7 @@ from tests.lattice_oracle import (
     reduce,
     sublattices,
     torus_classes,
+    weakly_regular,
 )
 
 # Degree-6 tori on n = 7..48 vertices, up to isomorphism.
@@ -134,3 +136,25 @@ def test_weakly_regular_klein_bottles_are_the_q_band():
             assert codes == [canonical_form(q_band).code], n
         else:
             assert codes == [], n
+
+
+def test_group_orders_match_the_scan():
+    # |Aut| and weak regularity from the normaliser of the deck group,
+    # against the scan, for all 407 classes with 7 <= n <= 48.
+    for n in range(7, 49):
+        quotients = [(lat, quotient_faces(lat)) for lat in torus_classes(n)]
+        quotients += [(key, klein_faces(key)) for key in klein_classes(n)]
+        for key, faces in quotients:
+            group = automorphism_group(build_triangulation(n, faces))
+            assert group.order == aut_order(key), key
+            assert (len(group.vertex_orbits) == 1) == weakly_regular(key), key
+
+
+@pytest.mark.stretch
+def test_weakly_regular_klein_bottles_by_the_formula():
+    # The Q band of the scan-based test above, on the normaliser alone, no
+    # complex built: for 9 <= n <= 160, one weakly regular Klein bottle at
+    # each n = 2 mod 4 and none at any other n.
+    for n in range(9, 161):
+        count = sum(map(weakly_regular, klein_classes(n)))
+        assert count == (n % 4 == 2), n

@@ -226,7 +226,7 @@ class TestFlagOrbits:
 def least_key_labels(t):
     """The label arrays of the starts with the least key, from the full key
     of every start (no pruning)."""
-    found = [symmetry._traverse(t, t.across, s, fi, None)
+    found = [symmetry._traverse(t, s, fi, None)
              for fi, face in enumerate(t.faces) for s in permutations(face)]
     least = min(key for key, _ in found)
     return {tuple(label) for key, label in found if key == least}
@@ -278,7 +278,7 @@ class TestScan:
         for name in ("T(7,1,2)", "B(3,3)", "Q(5,2)", "T(4,4,2)", "T(3,3,0)", "K(3,4)"):
             t = shuffled(fam(name), 5)
             starts = [(s, fi) for fi, face in enumerate(t.faces) for s in permutations(face)]
-            keys = {s: symmetry._traverse(t, t.across, s, fi, None)[0] for s, fi in starts}
+            keys = {s: symmetry._traverse(t, s, fi, None)[0] for s, fi in starts}
             least = [s for s, _ in starts if keys[s] == min(keys.values())]
             groups = {s: automorphism_group(t, s) for s, _ in starts}
             passed = [s for s, _ in starts if groups[s] is not None]
@@ -288,25 +288,31 @@ class TestScan:
             assert {groups[s].canonical for s in passed} == {canonical_form(t)}
             assert group.canonical == canonical_form(t)
 
-    @pytest.mark.parametrize("name", ["T(3,3,0)", "T(9,3,3)", "T(6,6,0)", "T(12,4,4)"])
+    @pytest.mark.parametrize("name", ["T(3,3,0)", "T(9,3,3)", "T(6,6,0)", "T(12,4,4)",
+                                      "K(3,12)"])
     def test_traversals_on_regular_maps(self, monkeypatch, name):
         # Every start of a flag-regular map ties.  The 12 flags at the first
         # vertex are all traversed and give its stabiliser (order 12); after
         # them a traversed start is outside the orbits of those before it,
         # so each traversal at least doubles the group found:
         # 12 + log2(|Aut|/12) traversals, not 6*f_2.
-        # The face set is checked once per tie, inside the scan, and the
-        # group's other elements are not applied to it again.
+        # The face set is checked once per new generator, inside the scan,
+        # and each new generator at least doubles the group: at most
+        # floor(log2 |Aut|) checks, also on K(3,12), which is not
+        # flag-regular (|Aut| = 24 on 432 flags).
         t = shuffled(fam(name), 2)
         traverse, calls = symmetry._traverse, []
         apply, applied = symmetry._apply, []
         monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
         monkeypatch.setattr(symmetry, "_apply", lambda *a: applied.append(a) or apply(*a))
         order = automorphism_group(t).order
+        assert len(applied) <= order.bit_length() - 1
+        if name == "K(3,12)":
+            assert order == 24
+            return
         assert order == 6 * t.f2
         bound = 12 + (order // 12).bit_length() - 1  # 12 + floor(log2(|Aut|/12))
         assert len(calls) <= bound
-        assert len(applied) <= len(calls)
         calls.clear()
         canonical_form(t)
         assert len(calls) <= bound
