@@ -9,6 +9,7 @@ any unexpected error); 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="flatland", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -30,15 +30,19 @@ least key so far gives an automorphism, and the scan keeps the group G that
 these generate; it stays valid when a smaller key later replaces the least
 one.  A start in the G-orbit of a traversed start has that start's key, so
 it is skipped.  This loses nothing: a skipped start is pruned, tied or least
-exactly when its traversed preimage was.  The action is free, so a tie
-inside those orbits (at a flag at v0, below) gives an element of G, and one
-outside them a new automorphism: it alone is checked against the face set,
-and the orbits grow by the images under the new elements, the cosets that
-the closure appends.  The other elements are products of checked ones.  The
+exactly when its traversed preimage was.  G is kept as its generators and
+the flag orbits they cut out: a union-find over the 6*f_2 flags, in which
+each new generator merges every flag with its image, and each class records
+whether it holds a traversed start.  The action is free, so a tie inside
+those classes (at a flag at v0, below) gives an element of G, and one
+outside them a new generator: it alone is checked against the face set.
+The other elements are products of checked ones, and none is listed.  The
 first traversed start with the final least key reaches every other
 least-key start, through a tie or through a skip from a start it reaches,
 so at the end G is all of Aut, and the least-key labellings are that
-start's labelling composed with the elements of G.
+start's labelling composed with the elements of G.  Freeness gives the rest
+without the elements: |Aut| is the size of that start's class, and two
+vertices (faces) lie in one orbit iff their flags lie in the same classes.
 
 Which starts a scan traverses depends on their order, so the order is fixed
 by the complex, not by its vertex names.  The scan first traverses every
@@ -52,11 +56,23 @@ the traversals, and their number, depend only on the complex and the orbit
 of v0.  v0 is the seed's first vertex, or else a vertex whose sorted
 distances to all vertices are least (`_first_vertex`): an invariant, so its
 orbit is fixed whenever the vertices with those distances form one orbit,
-as on every vertex-transitive complex.  A traversed start lies outside the
-orbits of the starts before it, so a later tie at least doubles G: a
-flag-regular map, where every start has the least key and the stabiliser
-of a vertex has order 12, costs at most 12 + log2(|Aut|/12) traversals
-instead of 6*f_2.
+as on every vertex-transitive complex.  An orientable complex with every
+vertex in 6 faces has chi = 0, so it is a torus, which is vertex-transitive
+(Datta & Upadhyay); there v0 is vertex 0 and no distance is computed.  v0
+only orders the starts, so no result rests on that theorem.  A traversed
+start lies outside the orbits of the starts before it, so a later tie at
+least doubles G: a flag-regular map, where every start has the least key
+and the stabiliser of a vertex has order 12, costs at most
+12 + log2(|Aut|/12) traversals instead of 6*f_2.
+
+The canonical labelling is the least of the |Aut| least-key labellings
+base(g(v)), and it is found among |Stab(0)| of them: its label of vertex 0
+is the least base label u* over the orbit of vertex 0, so it comes from an
+element g with g(0) = u*.  When v0 is vertex 0 and holds a least-key start,
+the first phase has traversed exactly those labellings, and they are kept.
+Otherwise each g is rebuilt from the image of one flag at 0, a flag in its
+class at u*, by one walk (`_carry`).  So a group costs O(f_2 log|Aut|) time
+and O(f_2) memory, not O(|Aut| n).
 
 One scan gives both facts: `automorphism_group` takes the group the scan
 built and carries the canonical form of the same scan.  It may be seeded
@@ -75,13 +91,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, permutations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graphs import common_neighbor_graph, graph_shape
 from .surface import Face, Triangulation, orientability, skeleton_graph
 
 Code = tuple[int, ...]
 Perm = tuple[int, ...]  # vertex v -> perm[v]
+Start = tuple[Face, int]  # an oriented face and the index of its face
 
 
 @dataclass(frozen=True)
@@ -97,14 +114,11 @@ class CanonicalForm:
 
 @dataclass(frozen=True)
 class SymmetryGroup:
-    elements: tuple[tuple[int, ...], ...]  # vertex permutations
+    generators: tuple[Perm, ...]  # vertex permutations that generate the group
+    order: int
     vertex_orbits: tuple[tuple[int, ...], ...]
     face_orbits: tuple[tuple[Face, ...], ...]
-    canonical: CanonicalForm  # from the scan that found the elements
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    canonical: CanonicalForm  # from the scan that found the generators
 
 
 @dataclass(frozen=True)
@@ -117,8 +131,20 @@ class IsomorphismResult:
         return self.mapping is not None
 
 
-def _traverse(t: Triangulation, start: tuple[int, int, int], start_fi: int,
-              best: Optional[list[int]]):
+class _Scan(NamedTuple):
+    """What one scan found.  Flags are numbered as `starts` lists them, six
+    per face in face order."""
+
+    base: list[int]  # the label array of the first start with the least key
+    generators: list[Perm]
+    starts: list[Start]
+    flag_orbit: list[int]  # flag -> a representative flag of its orbit
+    vertex_orbit: list[int]  # vertex -> the least representative of its flags' orbits
+    order: int
+    least_at_0: list[list[int]]  # the least-key label arrays of the flags at 0, if all traversed
+
+
+def _traverse(t: Triangulation, start: Face, start_fi: int, best: Optional[list[int]]):
     """Key and label array (input vertex -> label) of one start, or None as
     soon as a key entry exceeds `best` at the same position."""
     label = [-1] * t.n
@@ -150,10 +176,39 @@ def _traverse(t: Triangulation, start: tuple[int, int, int], start_fi: int,
     return key, label
 
 
+def _carry(t: Triangulation, source: Start, image: Start) -> list[int]:
+    """The vertex map of the automorphism that takes the start `source` to
+    the start `image`, which must lie in its orbit: the two traversals,
+    walked side by side, meet corresponding vertices."""
+    (x, y, z), fi = source
+    (a, b, c), gi = image
+    perm = [-1] * t.n
+    perm[x], perm[y], perm[z] = a, b, c
+    seen = [False] * t.f2
+    seen[fi] = True
+    queue = [(x, y, z, fi, a, b, c, gi)]
+    table = t.across
+    for x, y, z, fi, a, b, c, gi in queue:  # breadth-first: the queue grows while read
+        across, image_across = table[fi], table[gi]
+        for p, q, r, s, u, v in ((x, y, z, a, b, c), (y, z, x, b, c, a), (z, x, y, c, a, b)):
+            fj, w = across[r]
+            gj, perm[w] = image_across[v]
+            if not seen[fj]:
+                seen[fj] = True
+                queue.append((q, p, w, fj, u, s, perm[w], gj))
+    return perm
+
+
 def _first_vertex(t: Triangulation) -> int:
-    """A vertex whose sorted list of distances to all vertices is least.
-    The list is an invariant, so on a relabelled copy the vertex chosen lies
-    in the same orbit whenever the vertices with the least list form one."""
+    """Vertex 0 on a torus, else a vertex whose sorted list of distances to
+    all vertices is least.  A torus is vertex-transitive, and the list is an
+    invariant, so on a relabelled copy the vertex chosen lies in the same
+    orbit whenever the vertices with the least list form one."""
+    faces_at = [0] * t.n
+    for v in chain.from_iterable(t.faces):
+        faces_at[v] += 1
+    if faces_at.count(6) == t.n and orientability(t):  # chi = n - 3n + 2n = 0
+        return 0
     adj: list[list[int]] = [[] for _ in range(t.n)]
     for a, b in t.edges:
         adj[a].append(b)
@@ -173,89 +228,111 @@ def _first_vertex(t: Triangulation) -> int:
     return min(range(t.n), key=distances)
 
 
-def _scan(t: Triangulation, seed: Optional[Face] = None) -> Optional[tuple[list[int], list[Perm]]]:
-    """The label array `base` of a least-key start and the automorphism
-    group: the least-key label arrays are base[g[v]], one per element g.
-    With a `seed` start (an oriented face of t), None as soon as some
-    start's key is found to be less than the seed's."""
+def _scan(t: Triangulation, seed: Optional[Face] = None) -> Optional[_Scan]:
+    """The least key's base labelling and the automorphism group, as
+    generators and flag orbits.  With a `seed` start (an oriented face of
+    t), None as soon as some start's key is found to be less than the
+    seed's."""
     v0 = _first_vertex(t) if seed is None else seed[0]
-    at_v0: list[tuple[Face, int]] = []
-    others: list[tuple[Face, int]] = []
-    for fi, face in enumerate(t.faces):
-        for start in permutations(face):
-            (at_v0 if start[0] == v0 else others).append((start, fi))
+    starts = [(start, fi) for fi, face in enumerate(t.faces) for start in permutations(face)]
+    at_v0 = [f for f, (start, _) in enumerate(starts) if start[0] == v0]
     if seed is not None:
-        first = (seed, t.faces.index(tuple(sorted(seed))))
+        fi = t.faces.index(tuple(sorted(seed)))
+        first = starts.index((seed, fi), 6 * fi)
         at_v0.remove(first)
         at_v0.insert(0, first)
     best: Optional[list[int]] = None
     base: list[int] = []  # the label array of the first start with key best
     base_inv: list[int] = []
-    group: list[Perm] = [tuple(range(t.n))]  # automorphisms found so far
+    base_flag = 0
+    at_best: list[list[int]] = []  # the label arrays of the flags at v0 with key best
     gens: list[Perm] = []
-    traversed: list[Face] = []
-    covered: set[Face] = set()  # the orbits of the traversed starts
+    flag_of = {starts[f][0]: f for f in at_v0}  # every flag from the second phase on
+    parent = list(range(len(starts)))  # union-find of the flag orbits
+    size = [1] * len(starts)
+    reached = [False] * len(starts)  # at a root: its class holds a traversed start
 
-    def by_label():  # the other starts by their labels in base, sorted once the flags at v0 set it
-        yield from sorted(others, key=lambda s: (base[s[0][0]], base[s[0][1]], base[s[0][2]]))
+    def find(f: int) -> int:
+        while parent[f] != f:
+            parent[f] = f = parent[parent[f]]
+        return f
 
-    for start, fi in chain(at_v0, by_label()):
-        if start[0] != v0 and start in covered:  # every flag at v0 is traversed
+    def merge(perm: Perm, flags: Sequence[int]) -> None:
+        for f in flags:
+            x, y, z = starts[f][0]
+            a, b = find(f), find(flag_of[perm[x], perm[y], perm[z]])
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                reached[a] = reached[a] or reached[b]
+
+    def second_phase():  # the other starts, by their labels in base
+        # The ties so far fix v0, so they were merged on the flags at v0 only.
+        flag_of.update((start, f) for f, (start, _) in enumerate(starts))
+        for perm in gens:
+            merge(perm, range(len(starts)))
+        others = (f for f, (start, _) in enumerate(starts) if start[0] != v0)
+        yield from sorted(others, key=lambda f: tuple(map(base.__getitem__, starts[f][0])))
+
+    for f in chain(at_v0, second_phase()):
+        start, fi = starts[f]
+        root = find(f)
+        if start[0] != v0 and reached[root]:  # every flag at v0 is traversed
             continue
         found = _traverse(t, start, fi, best)
-        traversed.append(start)
-        if found is not None:
-            key, label = found
-            if key == best:
-                if start in covered:  # its automorphism is already in the group
-                    continue
-                perm = tuple(map(base_inv.__getitem__, label))  # start -> base start
-                if _apply(perm, t.faces) != t.face_set():
-                    raise AssertionError("traversal produced a non-automorphism")
-                gens.append(perm)
-                old, group = len(group), _closure(group, gens)
-                covered.update(_image(g, s) for s in traversed for g in group[old:])
+        covered, reached[root] = reached[root], True
+        if found is None:
+            continue
+        key, label = found
+        if key == best:
+            if start[0] == v0:
+                at_best.append(label)
+            if covered:  # its automorphism is already in the group
                 continue
-            if best is not None and seed is not None:
-                return None  # a key below the seed's
-            # a key that survives the pruning is at most best
-            best, base, base_inv = key, label, _invert(label)
-        covered.update(_image(g, start) for g in group)
-    return base, group
+            perm = tuple(map(base_inv.__getitem__, label))  # start -> base start
+            if _apply(perm, t.faces) != t.face_set():
+                raise AssertionError("traversal produced a non-automorphism")
+            gens.append(perm)
+            merge(perm, at_v0 if start[0] == v0 else range(len(starts)))
+            continue
+        if best is not None and seed is not None:
+            return None  # a key below the seed's
+        # a key that survives the pruning is at most best
+        best, base, base_inv, base_flag = key, label, _invert(label), f
+        at_best = [label] if start[0] == v0 else []
+
+    flag_orbit = [find(f) for f in range(len(starts))]
+    vertex_orbit = [len(starts)] * t.n
+    for ((x, _, _), _), rep in zip(starts, flag_orbit):
+        vertex_orbit[x] = min(vertex_orbit[x], rep)
+    return _Scan(base, gens, starts, flag_orbit, vertex_orbit, size[flag_orbit[base_flag]],
+                 at_best if v0 == 0 else [])
 
 
-def _image(perm: Perm, start: Face) -> Face:
-    x, y, z = start
-    return perm[x], perm[y], perm[z]
+def _labels_at_0(t: Triangulation, scan: _Scan):
+    """The least-key label arrays base(g(v)) with g(0) = u*, the vertex of
+    least base label in the orbit of vertex 0: one walk per element g, which
+    takes a fixed flag at 0 to a flag at u* in its orbit."""
+    base, starts, flag_orbit = scan.base, scan.starts, scan.flag_orbit
+    orbit_0 = (v for v in range(t.n) if scan.vertex_orbit[v] == scan.vertex_orbit[0])
+    u = min(orbit_0, key=base.__getitem__)
+    source = next(f for f, ((x, _, _), _) in enumerate(starts) if x == 0)
+    for f, ((x, _, _), _) in enumerate(starts):
+        if x == u and flag_orbit[f] == flag_orbit[source]:
+            yield list(map(base.__getitem__, _carry(t, starts[source], starts[f])))
 
 
-def _closure(group: list[Perm], gens: list[Perm]) -> list[Perm]:
-    """The group generated by `group` and the last of `gens`, given that
-    `group` is generated by the others: Dimino's algorithm, which adds whole
-    right cosets of `group` until right multiplication by every generator
-    stays inside."""
-    elements, members = list(group), set(group)
-    reps: list[Perm] = [group[0]]  # the identity
-    for r in reps:  # grows while read
-        for g in gens:
-            e = tuple(map(r.__getitem__, g))  # v -> r[g[v]]
-            if e not in members:
-                coset = [tuple(map(h.__getitem__, e)) for h in group]
-                elements.extend(coset)
-                members.update(coset)
-                reps.append(e)
-    return elements
-
-
-def _form(t: Triangulation, base: list[int], group: list[Perm]) -> CanonicalForm:
-    label = min([base[g[v]] for v in range(t.n)] for g in group)
+def _form(t: Triangulation, scan: _Scan) -> CanonicalForm:
+    label = min(scan.least_at_0 or _labels_at_0(t, scan))
     rel = sorted(tuple(sorted((label[a], label[b], label[c]))) for a, b, c in t.faces)
     return CanonicalForm(tuple(v for f in rel for v in f), tuple(label))
 
 
 def canonical_form(t: Triangulation) -> CanonicalForm:
     """Deterministic relabeling-invariant encoding of the surface."""
-    return _form(t, *_scan(t))
+    return _form(t, _scan(t))
 
 
 def _apply(perm: Sequence[int], faces: Sequence[Face]) -> frozenset[Face]:
@@ -271,7 +348,9 @@ def _invert(perm: Sequence[int]) -> list[int]:
 
 def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
     """Explicit face-preserving bijection if one exists, else the first
-    distinguishing invariant (cheapest invariant first)."""
+    distinguishing invariant (cheapest invariant first).  The G_c shapes of
+    isomorphic complexes are equal, so they are computed only once the
+    canonical codes differ."""
     if a.n != b.n:
         return IsomorphismResult(None, f"vertex count ({a.n} vs {b.n})")
     if a.f2 != b.f2:
@@ -279,14 +358,14 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
     oa, ob = orientability(a), orientability(b)
     if oa != ob:
         return IsomorphismResult(None, f"orientability ({oa} vs {ob})")
-    ga, gb = skeleton_graph(a), skeleton_graph(b)
-    for c in range(7):
-        sa = graph_shape(common_neighbor_graph(ga, c))
-        sb = graph_shape(common_neighbor_graph(gb, c))
-        if sa != sb:
-            return IsomorphismResult(None, f"G_{c}(EG) shape ({sa} vs {sb})")
     fa, fb = canonical_form(a), canonical_form(b)
     if fa.code != fb.code:
+        ga, gb = skeleton_graph(a), skeleton_graph(b)
+        for c in range(7):
+            sa = graph_shape(common_neighbor_graph(ga, c))
+            sb = graph_shape(common_neighbor_graph(gb, c))
+            if sa != sb:
+                return IsomorphismResult(None, f"G_{c}(EG) shape ({sa} vs {sb})")
         return IsomorphismResult(None, "canonical code")
     inv_b = _invert(fb.relabeling)
     mapping = tuple(inv_b[fa.relabeling[v]] for v in range(a.n))
@@ -296,34 +375,25 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
 
 
 def automorphism_group(t: Triangulation, seed: Optional[Face] = None) -> Optional[SymmetryGroup]:
-    """The complete automorphism group as explicit vertex permutations, with
-    the canonical form.  With a `seed` start (an oriented face of t), None
-    unless that start has the least key.  `_scan` checked the generators
-    against the face set, so no element is applied to it again."""
-    found = _scan(t, seed)
-    if found is None:
+    """The complete automorphism group, by generators, orbits and order,
+    with the canonical form.  With a `seed` start (an oriented face of t),
+    None unless that start has the least key.  `_scan` checked the
+    generators against the face set, and no other element is formed."""
+    scan = _scan(t, seed)
+    if scan is None:
         return None
-    base, group = found
-    elements = tuple(sorted(group))
-
-    vertex_orbits = _orbit_partition(range(t.n), lambda v: {p[v] for p in elements})
-    face_orbits = _orbit_partition(
-        t.faces,
-        lambda f: {tuple(sorted((p[f[0]], p[f[1]], p[f[2]]))) for p in elements},
-    )
-    return SymmetryGroup(elements, vertex_orbits, face_orbits, _form(t, base, group))
+    face_orbit = (min(scan.flag_orbit[6 * fi:6 * fi + 6]) for fi in range(t.f2))
+    return SymmetryGroup(tuple(scan.generators), scan.order,
+                         _orbits(scan.vertex_orbit, range(t.n)),
+                         _orbits(face_orbit, t.faces), _form(t, scan))
 
 
-def _orbit_partition(items, orbit_of):
-    seen = set()
-    parts = []
-    for x in items:
-        if x in seen:
-            continue
-        orbit = orbit_of(x)
-        seen.update(orbit)
-        parts.append(tuple(sorted(orbit)))
-    return tuple(parts)
+def _orbits(reps, items) -> tuple[tuple, ...]:
+    """The items grouped by orbit representative, in item order."""
+    parts: dict[int, list] = {}
+    for rep, x in zip(reps, items):
+        parts.setdefault(rep, []).append(x)
+    return tuple(map(tuple, parts.values()))
 
 
 def regularity_flags(t: Triangulation, group: SymmetryGroup) -> tuple[bool, bool]:

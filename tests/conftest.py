@@ -88,6 +88,20 @@ def brute_force_automorphisms(t: Triangulation) -> set[tuple[int, ...]]:
     return out
 
 
+def group_elements(generators, n: int) -> frozenset[tuple[int, ...]]:
+    """Every element of the group that the vertex permutations `generators`
+    generate, closed breadth-first from the identity."""
+    identity = tuple(range(n))
+    elements, queue = {identity}, [identity]
+    for p in queue:  # the queue grows while read
+        for g in generators:
+            e = tuple(g[v] for v in p)  # v -> g[p[v]]
+            if e not in elements:
+                elements.add(e)
+                queue.append(e)
+    return frozenset(elements)
+
+
 def brute_force_isomorphism(a: Triangulation, b: Triangulation):
     """Some face-preserving bijection a -> b, or None, by exhaustive filter."""
     if a.n != b.n or a.f2 != b.f2:

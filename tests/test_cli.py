@@ -377,6 +377,17 @@ class TestBoundedInputs:
         assert proc.returncode == 2
         assert proc.stderr == "error: T_{1000000000,1,3} has more than 100000 vertices\n"
 
+    # A flag-regular member has |Aut| = 12n; the group is kept as generators
+    # and flag orbits, so its size does not bound the memory.
+    @pytest.mark.parametrize("k", [60, pytest.param(100, marks=pytest.mark.stretch)])
+    def test_aut_of_a_large_flag_regular_member(self, tmp_path, k):
+        path = tmp_path / "big.tri"
+        path.write_text(format_tri(fam(f"T({k},{k},0)")))
+        proc = run_limited("aut", str(path), "--json")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert (payload["order"], payload["vertex_orbits"]) == (12 * k * k, 1)
+
 
 class TestUsage:
     def test_unknown_command_exit_2(self):
@@ -386,6 +397,35 @@ class TestUsage:
     def test_missing_argument_exit_2(self):
         code, _, _ = run_cli("invariant", "x.tri")
         assert code == 2
+
+    def test_parser_is_built_once(self, monkeypatch):
+        built = []
+
+        class Counted(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        try:
+            for _ in range(3):
+                assert run_cli("family", "T(7,1,2)", "--json")[0] == 0
+                assert run_cli("frobnicate")[0] == 2
+        finally:
+            cli._build_parser.cache_clear()
+        assert built.count("flatland") == 1
+
+    def test_reused_parser_keeps_no_state(self):
+        # A usage error after a good call reads as it does on its own, and
+        # a --json call leaves no --json behind for the next.
+        first = run_cli("invariant", "x.tri")
+        assert run_cli("family", "T(7,1,2)", "--json")[0] == 0
+        assert run_cli("invariant", "x.tri") == first
+        assert first[0] == 2 and first[2].startswith("usage error: ")
+        code, out, _ = run_cli("family", "T(7,1,2)")
+        assert code == 0 and out.startswith("# T_{7,1,2}\n")
+        assert out.endswith(format_tri(fam("T(7,1,2)")))
 
 
 # Text that looks like a .tri file often enough to get past the header.

@@ -1,5 +1,6 @@
 """Smoke test of the scripts in `scripts/`, run as a user would run them."""
 
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +31,12 @@ def test_family_atlas_bad_vertex_count_is_a_usage_error():
     proc = run_atlas("0")
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
     assert proc.stderr.endswith("error: vertex count must be at least 1\n")
+
+
+def test_bench_aut_smallest_member(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run([sys.executable, "scripts/bench_aut.py", "--ks", "6", "--out", str(out)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (row,) = json.loads(out.read_text())["ladder"]
+    assert (row["k"], row["n"], row["order"]) == (6, 36, 432)

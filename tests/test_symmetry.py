@@ -19,6 +19,7 @@ from tests.conftest import (
     census_report,
     fam,
     flags,
+    group_elements,
     relabel,
     shuffled,
     t1_valid_twists,
@@ -99,6 +100,24 @@ class TestFindIsomorphism:
         assert not result.isomorphic
         assert "orientability" in result.distinguishing_invariant
 
+    @pytest.mark.parametrize("x,y,invariant", [
+        ("T(6,2,2)", "T(12,1,2)", "G_2(EG) shape (other(12v,36e) vs other(12v,30e))"),
+        ("B(3,4)", "K(3,4)", "G_2(EG) shape (other(12v,30e) vs other(12v,36e))"),
+        ("T(12,1,2)", "T(12,1,3)", "canonical code"),
+    ])
+    def test_first_distinguishing_invariant_is_pinned(self, x, y, invariant):
+        # Same n, same orientability: the G_c shapes are compared in the
+        # order c = 0..6, and the code only decides when they all agree.
+        assert find_isomorphism(fam(x), fam(y)).distinguishing_invariant == invariant
+
+    def test_isomorphic_pair_computes_no_shape(self, monkeypatch):
+        # Isomorphic complexes have equal G_c shapes, so a positive answer
+        # needs only the canonical codes.
+        calls = []
+        monkeypatch.setattr(symmetry, "common_neighbor_graph", lambda *a: calls.append(a))
+        assert find_isomorphism(fam("T(12,4,4)"), shuffled(fam("T(12,4,4)"), 3)).isomorphic
+        assert calls == []
+
 
 class TestWitnessMaps:
     # (n, multiplier, source twist, target twist) explicit witnesses.
@@ -155,19 +174,20 @@ class TestAutomorphismGroup:
         # there is one element per least-key start.
         t = shuffled(fam(name), 4)
         group = automorphism_group(t)
-        for perm in group.elements:
+        elements = group_elements(group.generators, t.n)
+        for perm in elements:
             assert is_isomorphism_between(perm, t, t)
-        assert len(set(group.elements)) == group.order == len(least_key_labels(t))
+        assert len(elements) == group.order == len(least_key_labels(t))
 
     def test_group_closure_and_inverse(self):
         group = automorphism_group(fam("B(3,3)"))
-        elements = set(group.elements)
-        for p in group.elements:
+        elements = group_elements(group.generators, 9)
+        for p in elements:
             inv = [0] * len(p)
             for i, v in enumerate(p):
                 inv[v] = i
             assert tuple(inv) in elements
-            for q in group.elements:
+            for q in elements:
                 assert tuple(p[q[i]] for i in range(len(p))) in elements
 
     def test_flag_count_and_divisibility(self):
@@ -185,7 +205,8 @@ class TestAutomorphismGroup:
 
     def test_brute_force_agreement_small(self, tetrahedron, double_pyramid):
         for t in (tetrahedron, double_pyramid, fam("T(7,1,2)")):
-            assert set(automorphism_group(t).elements) == brute_force_automorphisms(t)
+            group = automorphism_group(t)
+            assert group_elements(group.generators, t.n) == brute_force_automorphisms(t)
 
     def test_brute_force_isomorphism_agreement(self):
         a, b = fam("T(4,2,1)"), shuffled(fam("T(4,2,1)"), 7)
@@ -251,7 +272,7 @@ class TestScan:
             label = canonical_form(t).relabeling
             realizing = {
                 tuple(label[p[v]] for v in range(t.n))
-                for p in automorphism_group(t).elements
+                for p in group_elements(automorphism_group(t).generators, t.n)
             }
             assert label == min(realizing)
 
@@ -264,10 +285,11 @@ class TestScan:
                 for seed in range(2):
                     u = shuffled(t, 1000 * n + seed)
                     least = least_key_labels(u)
-                    base, group = symmetry._scan(u)
-                    ties = {tuple(base[g[v]] for v in range(u.n)) for g in group}
+                    scan = symmetry._scan(u)
+                    group = group_elements(scan.generators, u.n)
+                    ties = {tuple(scan.base[g[v]] for v in range(u.n)) for g in group}
                     assert ties == least
-                    assert len(group) == len(least) == automorphism_group(u).order
+                    assert len(group) == len(least) == scan.order == automorphism_group(u).order
 
     def test_seeded_scan_passes_exactly_the_least_key_starts(self):
         # Against the full key of every start, unpruned: a seed passes iff
@@ -284,7 +306,8 @@ class TestScan:
             passed = [s for s, _ in starts if groups[s] is not None]
             group = automorphism_group(t)
             assert passed == least and len(passed) == group.order
-            assert {groups[s].elements for s in passed} == {group.elements}
+            elements = {group_elements(groups[s].generators, t.n) for s in passed}
+            assert elements == {group_elements(group.generators, t.n)}
             assert {groups[s].canonical for s in passed} == {canonical_form(t)}
             assert group.canonical == canonical_form(t)
 
@@ -334,6 +357,32 @@ class TestScan:
             counts.add(len(calls))
         assert len(counts) == 1
         assert counts.pop() < 6 * t.f2
+
+    @pytest.mark.parametrize("name", ["T(6,3,0)", "T(21,1,4)", "T(12,4,4)", "K(4,6)",
+                                      "K(3,12)", "B(6,8)", "Q(7,4)", "B(3,6)"])
+    def test_walks_for_the_least_labelling(self, monkeypatch, name):
+        # The canonical labelling is the least base(g(v)) over the g with
+        # g(0) = u*, the vertex of least base label in the orbit of vertex
+        # 0; there are |Stab(0)| of them.  A torus is vertex-transitive, so
+        # its scan starts at vertex 0 (no distance search) and has
+        # traversed those labellings already: no walk.  Elsewhere each is
+        # one walk, unless the scan happened to start at vertex 0 and it
+        # holds a least-key start.  The count depends on the orbit of
+        # vertex 0, not on the complex alone, because the least labelling
+        # is defined from the vertex names.
+        carry, walks = symmetry._carry, []
+        monkeypatch.setattr(symmetry, "_carry", lambda *a: walks.append(a) or carry(*a))
+        for seed in range(4):
+            t = shuffled(fam(name), seed)
+            group = automorphism_group(t)
+            stabiliser = group.order // len(next(o for o in group.vertex_orbits if 0 in o))
+            started_at_0 = symmetry._first_vertex(t) == 0
+            if name.startswith("T"):
+                assert started_at_0
+            holds_least = any(label[0] == 0 for label in least_key_labels(t))
+            walks.clear()
+            assert canonical_form(t) == group.canonical
+            assert len(walks) == (0 if started_at_0 and holds_least else stabiliser)
 
     def test_code_equality_matches_brute_force_isomorphism(self):
         items = [
