@@ -348,9 +348,7 @@ def _invert(perm: Sequence[int]) -> list[int]:
 
 def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
     """Explicit face-preserving bijection if one exists, else the first
-    distinguishing invariant (cheapest invariant first).  The G_c shapes of
-    isomorphic complexes are equal, so they are computed only once the
-    canonical codes differ."""
+    distinguishing invariant (cheapest invariant first)."""
     if a.n != b.n:
         return IsomorphismResult(None, f"vertex count ({a.n} vs {b.n})")
     if a.f2 != b.f2:
@@ -358,14 +356,14 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
     oa, ob = orientability(a), orientability(b)
     if oa != ob:
         return IsomorphismResult(None, f"orientability ({oa} vs {ob})")
+    ga, gb = skeleton_graph(a), skeleton_graph(b)
+    for c in range(7):
+        sa = graph_shape(common_neighbor_graph(ga, c))
+        sb = graph_shape(common_neighbor_graph(gb, c))
+        if sa != sb:
+            return IsomorphismResult(None, f"G_{c}(EG) shape ({sa} vs {sb})")
     fa, fb = canonical_form(a), canonical_form(b)
     if fa.code != fb.code:
-        ga, gb = skeleton_graph(a), skeleton_graph(b)
-        for c in range(7):
-            sa = graph_shape(common_neighbor_graph(ga, c))
-            sb = graph_shape(common_neighbor_graph(gb, c))
-            if sa != sb:
-                return IsomorphismResult(None, f"G_{c}(EG) shape ({sa} vs {sb})")
         return IsomorphismResult(None, "canonical code")
     inv_b = _invert(fb.relabeling)
     mapping = tuple(inv_b[fa.relabeling[v]] for v in range(a.n))
