@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -172,6 +173,35 @@ def reference_branch_faces(search):
     faces = (tuple(sorted((v, u, x)))
              for x in range(min(search.max_used + 2, search.n)) if x not in (v, u))
     return [f for f in faces if reference_face_ok(search, f)]
+
+
+def reference_forced_face(search):
+    """The first face a link-search state is forced to take, found from its
+    face list alone, or None: a vertex w with 6 neighbours whose link (the
+    edges pq of its faces wpq) is connected with 5 edges and 2 ends p and q,
+    so a path, lies on the face {w, p, q} in every completion."""
+    link: dict[int, list[tuple[int, int]]] = {}
+    for face in search.faces:
+        for w in face:
+            link.setdefault(w, []).append(tuple(x for x in face if x != w))
+    for w in sorted(link):
+        edges = link[w]
+        degree = Counter(x for edge in edges for x in edge)
+        ends = [x for x, d in degree.items() if d == 1]
+        if len(degree) != 6 or len(edges) != 5 or len(ends) != 2:
+            continue
+        component, todo = {ends[0]}, [ends[0]]
+        while todo:
+            x = todo.pop()
+            for edge in edges:
+                if x in edge:
+                    y = edge[0] + edge[1] - x
+                    if y not in component:
+                        component.add(y)
+                        todo.append(y)
+        if len(component) == 6:
+            return tuple(sorted((w, *ends)))
+    return None
 
 
 @functools.cache

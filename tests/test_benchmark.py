@@ -48,7 +48,7 @@ def test_frontier_replay_calls():
         search.run(found)
         nodes += search.nodes
         leaves += found
-    assert (nodes, len(leaves)) == (1924, 43)
+    assert (nodes, len(leaves)) == (731, 43)
     assert len(census._canonicalize_leaves(12, leaves)) == 7
 
 

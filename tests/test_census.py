@@ -19,7 +19,12 @@ from flatland import (
     regularity_flags,
     symmetry,
 )
-from tests.conftest import census_report, reference_branch_faces, reference_target_vertex
+from tests.conftest import (
+    census_report,
+    reference_branch_faces,
+    reference_forced_face,
+    reference_target_vertex,
+)
 from tests.lattice_oracle import klein_classes, torus_classes
 
 EXPECTED_SPLITS = {7: (1, 0), 8: (1, 0), 9: (2, 1), 10: (1, 1), 11: (1, 0), 12: (4, 3)}
@@ -237,9 +242,11 @@ def test_non_finite_budget_rejected(budget):
 
 class _CheckedSearch(census._LinkSearch):
     """A link search that compares every node with the plain rule: the
-    target found by a scan from vertex 0, and `_face_ok` on every x."""
+    target found by a scan from vertex 0, and `_face_ok` on every x.  A
+    node branches only once no face is forced."""
 
     def _branch_faces(self):
+        assert reference_forced_face(self) is None
         assert self.first_open == reference_target_vertex(self)
         faces = super()._branch_faces()
         assert faces == reference_branch_faces(self)
@@ -253,7 +260,34 @@ def test_search_tree_matches_the_plain_rule(n):
     search.run(leaves)
     assert len(census._canonicalize_leaves(n, leaves)) == sum(EXPECTED_SPLITS[n])
     if n == 12:
-        assert (search.nodes, len(leaves)) == (1928, 43)
+        assert (search.nodes, len(leaves)) == (735, 43)
+
+
+class _PlainSearch(census._LinkSearch):
+    """The link search without forced faces: every node branches at once."""
+
+    def _close_forced(self):
+        return True
+
+
+@pytest.mark.parametrize("n", range(7, 17))
+def test_forced_faces_keep_the_plain_leaves(n):
+    # Forced faces prune the tree but add no vertex, so the labelled leaves,
+    # and so the census classes, are those of the plain search.
+    plain, plain_leaves = _PlainSearch(n, census._initial_star(), None, None), []
+    plain.run(plain_leaves)
+    forced, forced_leaves = census._LinkSearch(n, census._initial_star(), None, None), []
+    forced.run(forced_leaves)
+    assert sorted(map(sorted, forced_leaves)) == sorted(map(sorted, plain_leaves))
+    assert census._canonicalize_leaves(n, forced_leaves) == census._canonicalize_leaves(n, plain_leaves)
+    assert forced.nodes < plain.nodes
+
+
+@pytest.mark.parametrize("n,nodes,leaves", [(18, 4535, 69), (24, 15014, 138)])
+def test_whole_search_size(n, nodes, leaves):
+    search, found = census._LinkSearch(n, census._initial_star(), None, None), []
+    search.run(found)
+    assert (search.nodes, len(found)) == (nodes, leaves)
 
 
 @pytest.mark.parametrize("n", range(7, 17))
@@ -296,7 +330,7 @@ class _RecordedSearch(census._LinkSearch):
 @pytest.mark.parametrize("n", range(7, 17))
 def test_split_search_counts_every_node_once(monkeypatch, n):
     # Tasks of at most 16 nodes, in waves, against one search of the whole
-    # tree: the same nodes (1928 at n = 12, the frontier probes included),
+    # tree: the same nodes (735 at n = 12, the frontier probes included),
     # the same leaves and the same census.
     whole, whole_leaves = census._LinkSearch(n, census._initial_star(), None, None), []
     assert whole.run(whole_leaves) == []
