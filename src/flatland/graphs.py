@@ -3,7 +3,11 @@ triangulations.
 
 G_c(G) joins two vertices exactly when they have c common neighbors in G;
 it commutes with relabeling, so differing G_c shapes certify that two
-complexes are non-isomorphic.
+complexes are non-isomorphic.  A graph keeps its neighbourhoods as bit
+masks, so |N(u) & N(v)| is one AND and one popcount.  It counts the common
+neighbours of every pair once, and keeps only the pairs that share one,
+grouped by count: G_1, G_2, ... are read off those groups.  G_0 needs no
+count (no bit in common), so it is built without one.
 """
 
 from __future__ import annotations
@@ -35,20 +39,42 @@ class SimpleGraph:
             adj[b].add(a)
         return tuple(frozenset(s) for s in adj)
 
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Bit v of mask u is set iff u and v are adjacent."""
+        masks = [0] * self.n
+        for a, b in self.edges:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        return tuple(masks)
+
+    @cached_property
+    def pairs_by_common_count(self) -> dict[int, list[Edge]]:
+        """c -> the pairs (u, v), u < v, with exactly c >= 1 common
+        neighbours; the pairs with none are left out."""
+        masks, n = self.neighbor_masks, self.n
+        pairs: dict[int, list[Edge]] = {}
+        for u, mask in enumerate(masks):
+            for v in range(u + 1, n):
+                c = (mask & masks[v]).bit_count()
+                if c:
+                    pairs.setdefault(c, []).append((u, v))
+        return pairs
+
 
 def common_neighbor_graph(g: SimpleGraph, c: int) -> SimpleGraph:
     """The graph on V(g) joining u, v iff they have exactly c common
     neighbors in g."""
     if c < 0:
         raise ValueError("common-neighbor count must be >= 0")
-    adj = g.adjacency
+    if c > 0:
+        return SimpleGraph(g.n, frozenset(g.pairs_by_common_count.get(c, ())))
+    # G_0 tells most non-isomorphic pairs apart, so it pays for no count.
+    masks, n = g.neighbor_masks, g.n
     edges = frozenset(
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if len(adj[u] & adj[v]) == c
+        (u, v) for u, mask in enumerate(masks) for v in range(u + 1, n) if not mask & masks[v]
     )
-    return SimpleGraph(g.n, edges)
+    return SimpleGraph(n, edges)
 
 
 # Component descriptors: ("isolated",), ("cycle", k), ("complete", k),

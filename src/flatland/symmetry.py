@@ -85,6 +85,20 @@ test of orderly generation (McKay, J. Algorithms 26, 1998): a complex
 produced from a known start is kept only if that start has the least key,
 and a kept complex costs one scan, which yields its canonical form and its
 automorphisms, a rejected one the traversals up to the first smaller key.
+
+`iso` (`find_isomorphism`) tries the cheap invariants first: vertex and
+face counts, orientability, then the shapes of G_0..G_6 (`graphs`).  When
+they all agree, it runs the first phase of the scan on both complexes.  Two
+starts with equal keys label their complexes into one face set, so if the
+least keys among the flags at v0 agree, the first starts with that key
+certify an isomorphism, base_b^-1 o base_a, which is checked against the
+face set: one matching leaf is a certificate (McKay & Piperno).  On a
+degree-6 torus pair that is 2 x 12 traversals.  Otherwise (the two v0 may
+lie in orbits that do not correspond) both scans go on with their second
+phases, from where they stopped, to their least keys.  Those are equal iff
+the complexes are isomorphic; the mapping then comes from the two bases in
+the same way, and different keys give the verdict "canonical code".  No
+canonical labelling is formed.
 """
 
 from __future__ import annotations
@@ -228,39 +242,53 @@ def _first_vertex(t: Triangulation) -> int:
     return min(range(t.n), key=distances)
 
 
-def _scan(t: Triangulation, seed: Optional[Face] = None) -> Optional[_Scan]:
-    """The least key's base labelling and the automorphism group, as
-    generators and flag orbits.  With a `seed` start (an oriented face of
-    t), None as soon as some start's key is found to be less than the
-    seed's."""
-    v0 = _first_vertex(t) if seed is None else seed[0]
-    starts = [(start, fi) for fi, face in enumerate(t.faces) for start in permutations(face)]
-    at_v0 = [f for f, (start, _) in enumerate(starts) if start[0] == v0]
-    if seed is not None:
-        fi = t.faces.index(tuple(sorted(seed)))
-        first = starts.index((seed, fi), 6 * fi)
-        at_v0.remove(first)
-        at_v0.insert(0, first)
-    best: Optional[list[int]] = None
-    base: list[int] = []  # the label array of the first start with key best
-    base_inv: list[int] = []
-    base_flag = 0
-    at_best: list[list[int]] = []  # the label arrays of the flags at v0 with key best
-    gens: list[Perm] = []
-    flag_of = {starts[f][0]: f for f in at_v0}  # every flag from the second phase on
-    parent = list(range(len(starts)))  # union-find of the flag orbits
-    size = [1] * len(starts)
-    reached = [False] * len(starts)  # at a root: its class holds a traversed start
+class _Scanner:
+    """One scan of t, run phase by phase: `first_phase` traverses every flag
+    at v0, `second_phase` the other starts.  With a `seed` start (an oriented
+    face of t), a phase returns False as soon as some start's key is found
+    to be less than the seed's."""
 
-    def find(f: int) -> int:
-        while parent[f] != f:
-            parent[f] = f = parent[parent[f]]
-        return f
+    def __init__(self, t: Triangulation, seed: Optional[Face] = None) -> None:
+        self.t = t
+        self.seeded = seed is not None
+        self.v0 = v0 = _first_vertex(t) if seed is None else seed[0]
+        self.starts = starts = [(start, fi) for fi, face in enumerate(t.faces)
+                                for start in permutations(face)]
+        self.at_v0 = at_v0 = [f for f, (start, _) in enumerate(starts) if start[0] == v0]
+        if seed is not None:
+            fi = t.faces.index(tuple(sorted(seed)))
+            first = starts.index((seed, fi), 6 * fi)
+            at_v0.remove(first)
+            at_v0.insert(0, first)
+        self.best: Optional[list[int]] = None
+        self.base: list[int] = []  # the label array of the first start with key best
+        self.base_inv: list[int] = []
+        self.base_flag = 0
+        self.at_best: list[list[int]] = []  # the label arrays of the flags at v0 with key best
+        self.gens: list[Perm] = []
+        self.flag_of = {starts[f][0]: f for f in at_v0}  # every flag from the second phase on
+        self.parent = list(range(len(starts)))  # union-find of the flag orbits
+        self.size = [1] * len(starts)
+        self.reached = [False] * len(starts)  # at a root: its class holds a traversed start
 
-    def merge(perm: Perm, flags: Sequence[int]) -> None:
+    def first_phase(self) -> bool:
+        return self._run(self.at_v0)
+
+    def second_phase(self) -> bool:  # the other starts, by their labels in base
+        starts, base, v0 = self.starts, self.base, self.v0
+        # The ties so far fix v0, so they were merged on the flags at v0 only.
+        self.flag_of.update((start, f) for f, (start, _) in enumerate(starts))
+        for perm in self.gens:
+            self._merge(perm, range(len(starts)))
+        others = (f for f, (start, _) in enumerate(starts) if start[0] != v0)
+        return self._run(sorted(others, key=lambda f: tuple(map(base.__getitem__, starts[f][0]))))
+
+    def _merge(self, perm: Perm, flags: Sequence[int]) -> None:
+        starts, flag_of, parent, size, reached = (self.starts, self.flag_of, self.parent,
+                                                  self.size, self.reached)
         for f in flags:
             x, y, z = starts[f][0]
-            a, b = find(f), find(flag_of[perm[x], perm[y], perm[z]])
+            a, b = _find(parent, f), _find(parent, flag_of[perm[x], perm[y], perm[z]])
             if a != b:
                 if size[a] < size[b]:
                     a, b = b, a
@@ -268,47 +296,63 @@ def _scan(t: Triangulation, seed: Optional[Face] = None) -> Optional[_Scan]:
                 size[a] += size[b]
                 reached[a] = reached[a] or reached[b]
 
-    def second_phase():  # the other starts, by their labels in base
-        # The ties so far fix v0, so they were merged on the flags at v0 only.
-        flag_of.update((start, f) for f, (start, _) in enumerate(starts))
-        for perm in gens:
-            merge(perm, range(len(starts)))
-        others = (f for f, (start, _) in enumerate(starts) if start[0] != v0)
-        yield from sorted(others, key=lambda f: tuple(map(base.__getitem__, starts[f][0])))
-
-    for f in chain(at_v0, second_phase()):
-        start, fi = starts[f]
-        root = find(f)
-        if start[0] != v0 and reached[root]:  # every flag at v0 is traversed
-            continue
-        found = _traverse(t, start, fi, best)
-        covered, reached[root] = reached[root], True
-        if found is None:
-            continue
-        key, label = found
-        if key == best:
-            if start[0] == v0:
-                at_best.append(label)
-            if covered:  # its automorphism is already in the group
+    def _run(self, flags: Sequence[int]) -> bool:
+        t, v0, starts, parent, reached = self.t, self.v0, self.starts, self.parent, self.reached
+        for f in flags:
+            start, fi = starts[f]
+            root = _find(parent, f)
+            if start[0] != v0 and reached[root]:  # every flag at v0 is traversed
                 continue
-            perm = tuple(map(base_inv.__getitem__, label))  # start -> base start
-            if _apply(perm, t.faces) != t.face_set():
-                raise AssertionError("traversal produced a non-automorphism")
-            gens.append(perm)
-            merge(perm, at_v0 if start[0] == v0 else range(len(starts)))
-            continue
-        if best is not None and seed is not None:
-            return None  # a key below the seed's
-        # a key that survives the pruning is at most best
-        best, base, base_inv, base_flag = key, label, _invert(label), f
-        at_best = [label] if start[0] == v0 else []
+            found = _traverse(t, start, fi, self.best)
+            covered, reached[root] = reached[root], True
+            if found is None:
+                continue
+            key, label = found
+            if key == self.best:
+                if start[0] == v0:
+                    self.at_best.append(label)
+                if covered:  # its automorphism is already in the group
+                    continue
+                perm = tuple(map(self.base_inv.__getitem__, label))  # start -> base start
+                if _apply(perm, t.faces) != t.face_set():
+                    raise AssertionError("traversal produced a non-automorphism")
+                self.gens.append(perm)
+                self._merge(perm, self.at_v0 if start[0] == v0 else range(len(starts)))
+                continue
+            if self.best is not None and self.seeded:
+                return False  # a key below the seed's
+            # a key that survives the pruning is at most best
+            self.best, self.base, self.base_inv, self.base_flag = key, label, _invert(label), f
+            self.at_best = [label] if start[0] == v0 else []
+        return True
 
-    flag_orbit = [find(f) for f in range(len(starts))]
-    vertex_orbit = [len(starts)] * t.n
-    for ((x, _, _), _), rep in zip(starts, flag_orbit):
-        vertex_orbit[x] = min(vertex_orbit[x], rep)
-    return _Scan(base, gens, starts, flag_orbit, vertex_orbit, size[flag_orbit[base_flag]],
-                 at_best if v0 == 0 else [])
+    def result(self) -> _Scan:
+        starts, parent = self.starts, self.parent
+        flag_orbit = [_find(parent, f) for f in range(len(starts))]
+        vertex_orbit = [len(starts)] * self.t.n
+        for ((x, _, _), _), rep in zip(starts, flag_orbit):
+            vertex_orbit[x] = min(vertex_orbit[x], rep)
+        return _Scan(self.base, self.gens, starts, flag_orbit, vertex_orbit,
+                     self.size[flag_orbit[self.base_flag]],
+                     self.at_best if self.v0 == 0 else [])
+
+
+def _find(parent: list[int], f: int) -> int:
+    """The root of flag f in the union-find `parent`, halving the path."""
+    while parent[f] != f:
+        parent[f] = f = parent[parent[f]]
+    return f
+
+
+def _scan(t: Triangulation, seed: Optional[Face] = None) -> Optional[_Scan]:
+    """The least key's base labelling and the automorphism group, as
+    generators and flag orbits.  With a `seed` start (an oriented face of
+    t), None as soon as some start's key is found to be less than the
+    seed's."""
+    scanner = _Scanner(t, seed)
+    if scanner.first_phase() and scanner.second_phase():
+        return scanner.result()
+    return None
 
 
 def _labels_at_0(t: Triangulation, scan: _Scan):
@@ -362,13 +406,18 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
         sb = graph_shape(common_neighbor_graph(gb, c))
         if sa != sb:
             return IsomorphismResult(None, f"G_{c}(EG) shape ({sa} vs {sb})")
-    fa, fb = canonical_form(a), canonical_form(b)
-    if fa.code != fb.code:
-        return IsomorphismResult(None, "canonical code")
-    inv_b = _invert(fb.relabeling)
-    mapping = tuple(inv_b[fa.relabeling[v]] for v in range(a.n))
+    scan_a, scan_b = _Scanner(a), _Scanner(b)
+    scan_a.first_phase()
+    scan_b.first_phase()
+    if scan_a.best != scan_b.best:  # the scans go on to the canonical keys
+        scan_a.second_phase()
+        scan_b.second_phase()
+        if scan_a.best != scan_b.best:
+            return IsomorphismResult(None, "canonical code")
+    inv_b = _invert(scan_b.base)
+    mapping = tuple(inv_b[label] for label in scan_a.base)
     if _apply(mapping, a.faces) != b.face_set():
-        raise AssertionError("canonical relabelings produced a non-isomorphism")
+        raise AssertionError("equal keys produced a non-isomorphism")
     return IsomorphismResult(mapping)
 
 

@@ -63,6 +63,18 @@ class TestCommonNeighborGraph:
         )
         assert lhs.edges == mapped
 
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_definition_on_any_simple_graph(self, graph):
+        n, pairs = graph
+        g = SimpleGraph(n, frozenset((min(e), max(e)) for e in pairs if e[0] != e[1]))
+        adj = [{v for e in g.edges if u in e for v in e if v != u} for u in range(n)]
+        for c in range(n + 2):
+            expected = {(u, v) for u in range(n) for v in range(u + 1, n)
+                        if len(adj[u] & adj[v]) == c}
+            assert common_neighbor_graph(g, c).edges == expected
+
 
 @pytest.mark.parametrize("edge", [(1, 1), (2, 1), (-1, 0), (0, 3)])
 def test_bad_edge_rejected(edge):

@@ -40,3 +40,15 @@ def test_bench_aut_smallest_member(tmp_path):
     assert proc.returncode == 0, proc.stderr
     (row,) = json.loads(out.read_text())["ladder"]
     assert (row["k"], row["n"], row["order"]) == (6, 36, 432)
+
+
+def test_bench_iso_smallest_ladder(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run([sys.executable, "scripts/bench_iso.py", "--ns", "9", "--out", str(out)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    pairs = {which: {verdict: row["pairs"] for verdict, row in result[which]["classes"].items()}
+             for which in ("catalog", "members")}
+    assert pairs == {"catalog": {"G_3": 4, "isomorphic": 6, "orientability": 5},
+                     "members": {"isomorphic": 11, "orientability": 4}}

@@ -8,9 +8,13 @@ from flatland import (
     automorphism_group,
     build_triangulation,
     canonical_form,
+    common_neighbor_graph,
     find_isomorphism,
+    graph_shape,
     known_catalog,
+    orientability,
     regularity_flags,
+    skeleton_graph,
     symmetry,
 )
 from tests.conftest import (
@@ -109,6 +113,52 @@ class TestFindIsomorphism:
         # Same n, same orientability: the G_c shapes are compared in the
         # order c = 0..6, and the code only decides when they all agree.
         assert find_isomorphism(fam(x), fam(y)).distinguishing_invariant == invariant
+
+    def test_shape_ties_cost_no_more_than_two_scans(self, monkeypatch):
+        # Pairs that only the canonical key tells apart: both scans go on
+        # from their first phases, so they traverse no flag twice.
+        complexes = list(dict.fromkeys(
+            named.complex for n in range(7, 17) for named in known_catalog(n)))
+        shapes = {t: (t.n, orientability(t), tuple(
+            graph_shape(common_neighbor_graph(skeleton_graph(t), c)) for c in range(7)))
+            for t in complexes}
+        codes = {t: canonical_form(t).code for t in complexes}
+        ties = [(a, b) for i, a in enumerate(complexes) for b in complexes[i + 1:]
+                if shapes[a] == shapes[b] and codes[a] != codes[b]]
+        assert len(ties) == 27
+        traverse, calls = symmetry._traverse, []
+        monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
+        for a, b in ties:
+            calls.clear()
+            canonical_form(a)
+            canonical_form(b)
+            scans = len(calls)
+            calls.clear()
+            assert find_isomorphism(a, b).distinguishing_invariant == "canonical code"
+            assert len(calls) <= scans
+
+    # The members of the benchmark's symmetry-queries workload.
+    MEMBERS = ["T(6,3,0)", "B(3,6)", "T(21,1,4)", "T(12,2,5)", "K(4,6)", "T(9,3,3)",
+               "Q(7,4)", "T(6,6,0)", "K(3,12)", "T(12,4,4)", "B(6,8)"]
+
+    @pytest.mark.parametrize("name", MEMBERS)
+    def test_traversals_do_not_depend_on_the_labelling(self, monkeypatch, name):
+        # Equal least keys among the flags at v0 certify a pair, so a torus
+        # pair costs its two first phases, 12 flags each, and no canonical
+        # labelling is formed.
+        traverse, calls = symmetry._traverse, []
+        monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
+        monkeypatch.setattr(symmetry, "_form", None)
+        copies = [shuffled(fam(name), seed) for seed in range(3)]
+        counts = set()
+        for a, b in permutations(copies, 2):
+            calls.clear()
+            result = find_isomorphism(a, b)
+            assert is_isomorphism_between(result.mapping, a, b)
+            counts.add(len(calls))
+        assert len(counts) == 1
+        if name.startswith("T"):
+            assert counts == {2 * 12}
 
 
 class TestWitnessMaps:
