@@ -4,7 +4,8 @@ triangulations.
 G_c(G) joins two vertices exactly when they have c common neighbors in G;
 it commutes with relabeling, so differing G_c shapes certify that two
 complexes are non-isomorphic.  A graph keeps its neighbourhoods as bit
-masks, so |N(u) & N(v)| is one AND and one popcount.  It counts the common
+masks, so |N(u) & N(v)| is one AND and one popcount, a degree is one
+popcount, and a component grows by whole frontiers.  It counts the common
 neighbours of every pair once, and keeps only the pairs that share one,
 grouped by count: G_1, G_2, ... are read off those groups.  G_0 needs no
 count (no bit in common), so it is built without one.
@@ -12,7 +13,7 @@ count (no bit in common), so it is built without one.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,14 +31,6 @@ class SimpleGraph:
         for a, b in self.edges:
             if not (0 <= a < b < self.n):
                 raise ValueError(f"bad edge ({a}, {b}) for n={self.n}")
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return tuple(frozenset(s) for s in adj)
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -74,7 +67,16 @@ def common_neighbor_graph(g: SimpleGraph, c: int) -> SimpleGraph:
     edges = frozenset(
         (u, v) for u, mask in enumerate(masks) for v in range(u + 1, n) if not mask & masks[v]
     )
-    return SimpleGraph(n, edges)
+    g0 = SimpleGraph(n, edges)
+    # G_0 is nearly complete, so its masks come from g's, not from its edges:
+    # v shares a neighbour with u iff it is a neighbour of a neighbour of u.
+    near = [1 << u for u in range(n)]
+    for a, b in g.edges:
+        near[a] |= masks[b]
+        near[b] |= masks[a]
+    full = (1 << n) - 1
+    g0.__dict__["neighbor_masks"] = tuple(full ^ m for m in near)  # cached_property's slot
+    return g0
 
 
 # Component descriptors: ("isolated",), ("cycle", k), ("complete", k),
@@ -114,8 +116,8 @@ def _classify_component(g: SimpleGraph, comp: list[int]) -> Descriptor:
     k = len(comp)
     if k == 1:
         return ("isolated",)
-    adj = g.adjacency
-    degs = sorted(len(adj[v]) for v in comp)  # a component holds every neighbour
+    masks = g.neighbor_masks
+    degs = sorted(masks[v].bit_count() for v in comp)  # a component holds every neighbour
     ne = sum(degs) // 2
     if k >= 3 and degs == [2] * k:
         return ("cycle", k)
@@ -127,21 +129,24 @@ def _classify_component(g: SimpleGraph, comp: list[int]) -> Descriptor:
 
 
 def graph_shape(g: SimpleGraph) -> GraphShape:
-    """Decompose into connected components and classify each."""
-    seen = [False] * g.n
+    """Decompose into connected components and classify each.  A component
+    grows by whole frontiers: the OR of their vertices' neighbour masks,
+    less the vertices already reached."""
+    masks = g.neighbor_masks
+    unseen = (1 << g.n) - 1
     descriptors: list[Descriptor] = []
-    for v in range(g.n):
-        if seen[v]:
-            continue
-        comp = [v]
-        seen[v] = True
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
+    while unseen:
+        frontier = unseen & -unseen
+        unseen ^= frontier
+        comp: list[int] = []
+        while frontier:
+            reach = 0
+            while frontier:  # take its vertices lowest first
+                low = frontier & -frontier
+                frontier ^= low
+                comp.append(low.bit_length() - 1)
+                reach |= masks[comp[-1]]
+            frontier = reach & unseen
+            unseen ^= frontier
         descriptors.append(_classify_component(g, comp))
     return GraphShape(tuple(sorted(descriptors)))

@@ -218,7 +218,7 @@ def euler_characteristic(t: Triangulation) -> int:
 
 
 def degree_profile(t: Triangulation) -> tuple[tuple[int, ...], Optional[int]]:
-    degrees = tuple(map(len, skeleton_graph(t).adjacency))
+    degrees = tuple(mask.bit_count() for mask in skeleton_graph(t).neighbor_masks)
     regular = degrees[0] if len(set(degrees)) == 1 else None
     return degrees, regular
 

@@ -20,9 +20,7 @@ flags (an automorphism fixing a flag fixes the flags of the adjacent faces,
 hence all flags), so the least-key starts are in bijection with the
 automorphisms, |Aut| divides 6*f_2, there are 6*f_2/|Aut| flag orbits, and a
 complex is combinatorially regular iff |Aut| = 6*f_2.  The canonical
-labelling is the lexicographically least labelling of a least-key start, so
-canonicalising the canonical complex gives the identity; the canonical code
-is the sorted relabelled face list.
+code is the face list relabelled by a least-key start, sorted.
 
 The scan also prunes by automorphisms (McKay & Piperno, Practical graph
 isomorphism II, J. Symb. Comput. 60, 2014).  Each start that ties with the
@@ -65,14 +63,10 @@ least doubles G: a flag-regular map, where every start has the least key
 and the stabiliser of a vertex has order 12, costs at most
 12 + log2(|Aut|/12) traversals instead of 6*f_2.
 
-The canonical labelling is the least of the |Aut| least-key labellings
-base(g(v)), and it is found among |Stab(0)| of them: its label of vertex 0
-is the least base label u* over the orbit of vertex 0, so it comes from an
-element g with g(0) = u*.  When v0 is vertex 0 and holds a least-key start,
-the first phase has traversed exactly those labellings, and they are kept.
-Otherwise each g is rebuilt from the image of one flag at 0, a flag in its
-class at u*, by one walk (`_carry`).  So a group costs O(f_2 log|Aut|) time
-and O(f_2) memory, not O(|Aut| n).
+The canonical labelling is `base`, the labelling of the first traversed
+start with the least key: as in nauty, any labelling that gives the
+canonical code is canonical, and every least-key labelling gives it.  So a
+group costs O(f_2 log|Aut|) time and O(f_2) memory, not O(|Aut| n).
 
 One scan gives both facts: `automorphism_group` takes the group the scan
 built and carries the canonical form of the same scan.  It may be seeded
@@ -96,29 +90,28 @@ face set: one matching leaf is a certificate (McKay & Piperno).  On a
 degree-6 torus pair that is 2 x 12 traversals.  Otherwise (the two v0 may
 lie in orbits that do not correspond) both scans go on with their second
 phases, from where they stopped, to their least keys.  Those are equal iff
-the complexes are isomorphic; the mapping then comes from the two bases in
-the same way, and different keys give the verdict "canonical code".  No
-canonical labelling is formed.
+the complexes are isomorphic; the mapping then goes through the two
+canonical labellings, base_b^-1 o base_a again, and different keys give
+the verdict "canonical code".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, permutations
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graphs import common_neighbor_graph, graph_shape
 from .surface import Face, Triangulation, orientability, skeleton_graph
 
 Code = tuple[int, ...]
 Perm = tuple[int, ...]  # vertex v -> perm[v]
-Start = tuple[Face, int]  # an oriented face and the index of its face
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
     code: Code  # flattened canonical face list
-    relabeling: tuple[int, ...]  # input vertex -> canonical vertex
+    relabeling: tuple[int, ...]  # input vertex -> its label in a least-key start
 
     @property
     def faces(self) -> tuple[Face, ...]:
@@ -143,19 +136,6 @@ class IsomorphismResult:
     @property
     def isomorphic(self) -> bool:
         return self.mapping is not None
-
-
-class _Scan(NamedTuple):
-    """What one scan found.  Flags are numbered as `starts` lists them, six
-    per face in face order."""
-
-    base: list[int]  # the label array of the first start with the least key
-    generators: list[Perm]
-    starts: list[Start]
-    flag_orbit: list[int]  # flag -> a representative flag of its orbit
-    vertex_orbit: list[int]  # vertex -> the least representative of its flags' orbits
-    order: int
-    least_at_0: list[list[int]]  # the least-key label arrays of the flags at 0, if all traversed
 
 
 def _traverse(t: Triangulation, start: Face, start_fi: int, best: Optional[list[int]]):
@@ -188,29 +168,6 @@ def _traverse(t: Triangulation, start: Face, start_fi: int, best: Optional[list[
                 seen[gi] = True
                 queue.append((q, p, w, gi))
     return key, label
-
-
-def _carry(t: Triangulation, source: Start, image: Start) -> list[int]:
-    """The vertex map of the automorphism that takes the start `source` to
-    the start `image`, which must lie in its orbit: the two traversals,
-    walked side by side, meet corresponding vertices."""
-    (x, y, z), fi = source
-    (a, b, c), gi = image
-    perm = [-1] * t.n
-    perm[x], perm[y], perm[z] = a, b, c
-    seen = [False] * t.f2
-    seen[fi] = True
-    queue = [(x, y, z, fi, a, b, c, gi)]
-    table = t.across
-    for x, y, z, fi, a, b, c, gi in queue:  # breadth-first: the queue grows while read
-        across, image_across = table[fi], table[gi]
-        for p, q, r, s, u, v in ((x, y, z, a, b, c), (y, z, x, b, c, a), (z, x, y, c, a, b)):
-            fj, w = across[r]
-            gj, perm[w] = image_across[v]
-            if not seen[fj]:
-                seen[fj] = True
-                queue.append((q, p, w, fj, u, s, perm[w], gj))
-    return perm
 
 
 def _first_vertex(t: Triangulation) -> int:
@@ -246,14 +203,15 @@ class _Scanner:
     """One scan of t, run phase by phase: `first_phase` traverses every flag
     at v0, `second_phase` the other starts.  With a `seed` start (an oriented
     face of t), a phase returns False as soon as some start's key is found
-    to be less than the seed's."""
+    to be less than the seed's.  After both phases, `base` is the canonical
+    labelling and the union-find holds the flag orbits of the group."""
 
     def __init__(self, t: Triangulation, seed: Optional[Face] = None) -> None:
         self.t = t
         self.seeded = seed is not None
         self.v0 = v0 = _first_vertex(t) if seed is None else seed[0]
         self.starts = starts = [(start, fi) for fi, face in enumerate(t.faces)
-                                for start in permutations(face)]
+                                for start in permutations(face)]  # six flags per face
         self.at_v0 = at_v0 = [f for f, (start, _) in enumerate(starts) if start[0] == v0]
         if seed is not None:
             fi = t.faces.index(tuple(sorted(seed)))
@@ -264,7 +222,6 @@ class _Scanner:
         self.base: list[int] = []  # the label array of the first start with key best
         self.base_inv: list[int] = []
         self.base_flag = 0
-        self.at_best: list[list[int]] = []  # the label arrays of the flags at v0 with key best
         self.gens: list[Perm] = []
         self.flag_of = {starts[f][0]: f for f in at_v0}  # every flag from the second phase on
         self.parent = list(range(len(starts)))  # union-find of the flag orbits
@@ -309,8 +266,6 @@ class _Scanner:
                 continue
             key, label = found
             if key == self.best:
-                if start[0] == v0:
-                    self.at_best.append(label)
                 if covered:  # its automorphism is already in the group
                     continue
                 perm = tuple(map(self.base_inv.__getitem__, label))  # start -> base start
@@ -323,18 +278,7 @@ class _Scanner:
                 return False  # a key below the seed's
             # a key that survives the pruning is at most best
             self.best, self.base, self.base_inv, self.base_flag = key, label, _invert(label), f
-            self.at_best = [label] if start[0] == v0 else []
         return True
-
-    def result(self) -> _Scan:
-        starts, parent = self.starts, self.parent
-        flag_orbit = [_find(parent, f) for f in range(len(starts))]
-        vertex_orbit = [len(starts)] * self.t.n
-        for ((x, _, _), _), rep in zip(starts, flag_orbit):
-            vertex_orbit[x] = min(vertex_orbit[x], rep)
-        return _Scan(self.base, self.gens, starts, flag_orbit, vertex_orbit,
-                     self.size[flag_orbit[self.base_flag]],
-                     self.at_best if self.v0 == 0 else [])
 
 
 def _find(parent: list[int], f: int) -> int:
@@ -344,39 +288,25 @@ def _find(parent: list[int], f: int) -> int:
     return f
 
 
-def _scan(t: Triangulation, seed: Optional[Face] = None) -> Optional[_Scan]:
-    """The least key's base labelling and the automorphism group, as
-    generators and flag orbits.  With a `seed` start (an oriented face of
-    t), None as soon as some start's key is found to be less than the
+def _scan(t: Triangulation, seed: Optional[Face] = None) -> Optional[_Scanner]:
+    """The finished scan: the least key's base labelling and the automorphism
+    group, as generators and flag orbits.  With a `seed` start (an oriented
+    face of t), None as soon as some start's key is found to be less than the
     seed's."""
     scanner = _Scanner(t, seed)
     if scanner.first_phase() and scanner.second_phase():
-        return scanner.result()
+        return scanner
     return None
 
 
-def _labels_at_0(t: Triangulation, scan: _Scan):
-    """The least-key label arrays base(g(v)) with g(0) = u*, the vertex of
-    least base label in the orbit of vertex 0: one walk per element g, which
-    takes a fixed flag at 0 to a flag at u* in its orbit."""
-    base, starts, flag_orbit = scan.base, scan.starts, scan.flag_orbit
-    orbit_0 = (v for v in range(t.n) if scan.vertex_orbit[v] == scan.vertex_orbit[0])
-    u = min(orbit_0, key=base.__getitem__)
-    source = next(f for f, ((x, _, _), _) in enumerate(starts) if x == 0)
-    for f, ((x, _, _), _) in enumerate(starts):
-        if x == u and flag_orbit[f] == flag_orbit[source]:
-            yield list(map(base.__getitem__, _carry(t, starts[source], starts[f])))
-
-
-def _form(t: Triangulation, scan: _Scan) -> CanonicalForm:
-    label = min(scan.least_at_0 or _labels_at_0(t, scan))
+def _form(t: Triangulation, label: list[int]) -> CanonicalForm:
     rel = sorted(tuple(sorted((label[a], label[b], label[c]))) for a, b, c in t.faces)
     return CanonicalForm(tuple(v for f in rel for v in f), tuple(label))
 
 
 def canonical_form(t: Triangulation) -> CanonicalForm:
     """Deterministic relabeling-invariant encoding of the surface."""
-    return _form(t, _scan(t))
+    return _form(t, _scan(t).base)
 
 
 def _apply(perm: Sequence[int], faces: Sequence[Face]) -> frozenset[Face]:
@@ -429,10 +359,15 @@ def automorphism_group(t: Triangulation, seed: Optional[Face] = None) -> Optiona
     scan = _scan(t, seed)
     if scan is None:
         return None
-    face_orbit = (min(scan.flag_orbit[6 * fi:6 * fi + 6]) for fi in range(t.f2))
-    return SymmetryGroup(tuple(scan.generators), scan.order,
-                         _orbits(scan.vertex_orbit, range(t.n)),
-                         _orbits(face_orbit, t.faces), _form(t, scan))
+    starts, parent = scan.starts, scan.parent
+    flag_orbit = [_find(parent, f) for f in range(len(starts))]  # flag -> its orbit's root
+    vertex_orbit = [len(starts)] * t.n  # vertex -> the least root over its flags
+    for ((x, _, _), _), rep in zip(starts, flag_orbit):
+        vertex_orbit[x] = min(vertex_orbit[x], rep)
+    face_orbit = (min(flag_orbit[6 * fi:6 * fi + 6]) for fi in range(t.f2))
+    return SymmetryGroup(tuple(scan.gens), scan.size[flag_orbit[scan.base_flag]],
+                         _orbits(vertex_orbit, range(t.n)),
+                         _orbits(face_orbit, t.faces), _form(t, scan.base))
 
 
 def _orbits(reps, items) -> tuple[tuple, ...]:

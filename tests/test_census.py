@@ -369,6 +369,16 @@ def test_no_class_scanned_twice(monkeypatch):
     assert set(unseeded) == {named.complex for named in known_catalog(12)}
 
 
+@pytest.mark.parametrize("n,traversals", [(12, 633), (18, 894), (24, 1946)])
+def test_census_traversals_are_pinned(monkeypatch, n, traversals):
+    # The whole census's canonical scans, seeded leaves and catalog: the
+    # benchmark's traced passes rely on this count being the same in each.
+    traverse, calls = symmetry._traverse, []
+    monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
+    classify_census(n)
+    assert len(calls) == traversals
+
+
 # Totals past the paper's range, n -> (torus, Klein bottle), from the
 # lattice oracle, which shares no code with the search; its classes are
 # also checked one by one (tests/test_lattice_oracle.py).  They also check

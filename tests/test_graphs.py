@@ -73,7 +73,9 @@ class TestCommonNeighborGraph:
         for c in range(n + 2):
             expected = {(u, v) for u in range(n) for v in range(u + 1, n)
                         if len(adj[u] & adj[v]) == c}
-            assert common_neighbor_graph(g, c).edges == expected
+            h = common_neighbor_graph(g, c)
+            assert h.edges == expected
+            assert h.neighbor_masks == SimpleGraph(n, h.edges).neighbor_masks
 
 
 @pytest.mark.parametrize("edge", [(1, 1), (2, 1), (-1, 0), (0, 3)])

@@ -61,7 +61,10 @@ class TestCanonicalForm:
         canon = build_triangulation(t.n, form.faces)
         again = canonical_form(canon)
         assert again.code == form.code
-        assert again.relabeling == tuple(range(t.n))
+        # A least-key labelling, not the least one: on the canonical
+        # complex it is an automorphism, the identity only if it happens
+        # to be the first least-key start traversed.
+        assert is_isomorphism_between(again.relabeling, canon, canon)
 
     def test_relabeling_realizes_the_code(self):
         t = fam("Q(5,2)")
@@ -286,13 +289,17 @@ class TestFlagOrbits:
             assert regularity_of(t)[1] == (len(orbits) == 1)
 
 
-def least_key_labels(t):
-    """The label arrays of the starts with the least key, from the full key
+def least_key_starts(t):
+    """Each start with the least key -> its label array, from the full key
     of every start (no pruning)."""
-    found = [symmetry._traverse(t, s, fi, None)
-             for fi, face in enumerate(t.faces) for s in permutations(face)]
-    least = min(key for key, _ in found)
-    return {tuple(label) for key, label in found if key == least}
+    found = {s: symmetry._traverse(t, s, fi, None)
+             for fi, face in enumerate(t.faces) for s in permutations(face)}
+    least = min(key for key, _ in found.values())
+    return {s: tuple(label) for s, (key, label) in found.items() if key == least}
+
+
+def least_key_labels(t):
+    return set(least_key_starts(t).values())
 
 
 def census_classes(ns):
@@ -304,19 +311,26 @@ class TestScan:
         for seed, t in enumerate(census_classes(range(7, 13))):
             form = canonical_form(shuffled(t, seed))
             assert form.code == canonical_form(t).code
-            again = canonical_form(build_triangulation(t.n, form.faces))
+            canon = build_triangulation(t.n, form.faces)
+            again = canonical_form(canon)
             assert again.code == form.code
-            assert again.relabeling == tuple(range(t.n))
+            assert is_isomorphism_between(again.relabeling, canon, canon)
 
-    def test_relabeling_is_the_least_that_realizes_the_code(self):
-        for name in ("T(7,1,2)", "B(3,3)", "Q(5,2)", "T(4,4,2)"):
-            t = shuffled(fam(name), 3)
-            label = canonical_form(t).relabeling
-            realizing = {
-                tuple(label[p[v]] for v in range(t.n))
-                for p in group_elements(automorphism_group(t).generators, t.n)
-            }
-            assert label == min(realizing)
+    def test_relabeling_is_a_least_key_labelling(self):
+        # The canonical labelling is the base of the scan: the labelling of
+        # a least-key start, which realizes the code.  `aut`, `iso` and the
+        # census read the same one, and a seeded group's is the seed's own.
+        for n in range(7, 22):
+            for t in {named.complex for named in known_catalog(n)}:
+                for u in (t, shuffled(t, 2000 * n), shuffled(t, 2000 * n + 1)):
+                    least = least_key_starts(u)
+                    form = canonical_form(u)
+                    assert relabel(u, form.relabeling).faces == form.faces
+                    assert form.relabeling in least.values()
+                    assert automorphism_group(u).canonical == form
+                    seed, label = max(least.items())
+                    seeded = automorphism_group(u, seed).canonical
+                    assert seeded.relabeling == label and seeded.code == form.code
 
     def test_ties_are_the_least_key_starts(self):
         # The pruned scan skips starts; base composed with its group must
@@ -328,15 +342,15 @@ class TestScan:
                     u = shuffled(t, 1000 * n + seed)
                     least = least_key_labels(u)
                     scan = symmetry._scan(u)
-                    group = group_elements(scan.generators, u.n)
+                    group = group_elements(scan.gens, u.n)
                     ties = {tuple(scan.base[g[v]] for v in range(u.n)) for g in group}
                     assert ties == least
-                    assert len(group) == len(least) == scan.order == automorphism_group(u).order
+                    assert len(group) == len(least) == automorphism_group(u).order
 
     def test_seeded_scan_passes_exactly_the_least_key_starts(self):
         # Against the full key of every start, unpruned: a seed passes iff
         # its key is the least (one start per automorphism), and then it
-        # gives the unseeded group and the canonical form.  T(3,3,0) is
+        # gives the unseeded group and the canonical code.  T(3,3,0) is
         # flag-regular, so every start has the least key; K(3,4) is the
         # Klein bottle with the largest group for n <= 15 (|Aut| = 24).
         for name in ("T(7,1,2)", "B(3,3)", "Q(5,2)", "T(4,4,2)", "T(3,3,0)", "K(3,4)"):
@@ -350,7 +364,7 @@ class TestScan:
             assert passed == least and len(passed) == group.order
             elements = {group_elements(groups[s].generators, t.n) for s in passed}
             assert elements == {group_elements(group.generators, t.n)}
-            assert {groups[s].canonical for s in passed} == {canonical_form(t)}
+            assert {groups[s].canonical.code for s in passed} == {canonical_form(t).code}
             assert group.canonical == canonical_form(t)
 
     @pytest.mark.parametrize("name", ["T(3,3,0)", "T(9,3,3)", "T(6,6,0)", "T(12,4,4)",
@@ -402,34 +416,29 @@ class TestScan:
 
     @pytest.mark.parametrize("name", ["T(6,3,0)", "T(21,1,4)", "T(12,4,4)", "K(4,6)",
                                       "K(3,12)", "B(6,8)", "Q(7,4)", "B(3,6)"])
-    def test_walks_for_the_least_labelling(self, monkeypatch, name):
-        # The canonical labelling is the least base(g(v)) over the g with
-        # g(0) = u*, the vertex of least base label in the orbit of vertex
-        # 0; there are |Stab(0)| of them.  A torus is vertex-transitive, so
-        # its scan starts at vertex 0 (no distance search) and has
-        # traversed those labellings already: no walk.  Elsewhere each is
-        # one walk, unless the scan happened to start at vertex 0 and it
-        # holds a least-key start.  The count depends on the orbit of
-        # vertex 0, not on the complex alone, because the least labelling
-        # is defined from the vertex names.
-        carry, walks = symmetry._carry, []
-        monkeypatch.setattr(symmetry, "_carry", lambda *a: walks.append(a) or carry(*a))
+    def test_canonical_labelling_is_the_scans_base(self, monkeypatch, name):
+        # canonical_form takes the labelling of the first least-key start
+        # that the scan traversed, so it costs exactly the traversals and
+        # face-set checks of the scan that gives the group.  A torus is
+        # vertex-transitive, so its scan starts at vertex 0.
+        traverse, calls = symmetry._traverse, []
+        apply, applied = symmetry._apply, []
+        monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
+        monkeypatch.setattr(symmetry, "_apply", lambda *a: applied.append(a) or apply(*a))
         for seed in range(4):
             t = shuffled(fam(name), seed)
-            group = automorphism_group(t)
-            stabiliser = group.order // len(next(o for o in group.vertex_orbits if 0 in o))
-            started_at_0 = symmetry._first_vertex(t) == 0
             if name.startswith("T"):
-                assert started_at_0
-            holds_least = any(label[0] == 0 for label in least_key_labels(t))
-            walks.clear()
-            assert canonical_form(t) == group.canonical
-            assert len(walks) == (0 if started_at_0 and holds_least else stabiliser)
-            # The kept labellings are the ones the walks would give.
-            scan = symmetry._scan(t)
-            if scan.least_at_0:
-                walked = list(symmetry._labels_at_0(t, scan))
-                assert sorted(walked) == sorted(scan.least_at_0)
+                assert symmetry._first_vertex(t) == 0
+            calls.clear()
+            applied.clear()
+            group = automorphism_group(t)
+            work = len(calls), len(applied)
+            calls.clear()
+            applied.clear()
+            form = canonical_form(t)
+            assert (len(calls), len(applied)) == work
+            assert form == group.canonical
+            assert form.relabeling in least_key_labels(t)
 
     def test_code_equality_matches_brute_force_isomorphism(self):
         items = [
