@@ -3,30 +3,29 @@
 figures as JSON (by default to BENCH_aut.json).
 
 T(k,k,0) has n = k*k vertices and |Aut| = 12n, the largest group a degree-6
-complex on n vertices can have.  Each k runs in a fresh child process, which
-builds the member, times `automorphism_group` (best of 3, wall clock) and
-reports its own peak resident set size: the interpreter, the member and the
-scan.  A child that gets the order wrong makes the script exit 1.
+complex on n vertices can have.  Each timing runs in a fresh child process,
+which builds the member, times one `automorphism_group` call (wall clock)
+and reports its own peak resident set size: the interpreter, the member and
+the scan.  Each k keeps the best of REPEATS children per tree; with
+`--baseline`, the two trees are timed alternately (see timing.py).  A child
+that gets the order wrong makes the script exit 1.
 
 Examples:
     python3 scripts/bench_aut.py
     python3 scripts/bench_aut.py --src ../other/src --ks 6 12 20 --out other.json
-    python3 scripts/bench_aut.py --label "this change" --baseline other.json
+    python3 scripts/bench_aut.py --label "this change" --baseline ../parent/src
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import timing
+
 LADDER = (6, 12, 20, 30, 40, 60)
-REPEATS = 3
 
 
 def child(k: int) -> None:
@@ -36,56 +35,44 @@ def child(k: int) -> None:
     from flatland import automorphism_group, construct_family, parse_name
 
     t = construct_family(parse_name(f"T({k},{k},0)")).complex
-    best, order = float("inf"), 0
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        order = automorphism_group(t).order
-        best = min(best, time.perf_counter() - start)
+    start = time.perf_counter()
+    order = automorphism_group(t).order
+    seconds = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(json.dumps({"k": k, "n": t.n, "order": order, "seconds": round(best, 4),
+    print(json.dumps({"k": k, "n": t.n, "order": order, "seconds": round(seconds, 4),
                       "peak_rss_mb": round(peak, 1)}))
-
-
-def measure(k: int, src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, "--child", str(k)], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--ks", type=int, nargs="+", default=LADDER, metavar="K")
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="directory that holds the flatland package to time")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_aut.json")
-    ap.add_argument("--label", default="", help="what was timed, e.g. a commit")
-    ap.add_argument("--baseline", type=Path,
-                    help="an earlier output of this script, kept in the new one")
+    timing.add_tree_arguments(ap, timing.ROOT / "BENCH_aut.json")
     ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child is not None:
         child(args.child)
         return 0
 
-    ladder = []
+    ladder: list[dict] = []
+    baseline: list[dict] = []
     for k in args.ks:
-        row = measure(k, args.src.resolve())
-        print(json.dumps(row), file=sys.stderr)
-        ladder.append(row)
+        ours, theirs = timing.alternate(__file__, [str(k)], args.src, args.baseline)
+        for rows, runs in ((ladder, ours), (baseline, theirs)):
+            if runs:
+                rows.append(min(runs, key=lambda row: row["seconds"]))
+                print(json.dumps(rows[-1]), file=sys.stderr)
     result = {
-        "what": f"automorphism_group(T(k,k,0)): best of {REPEATS} wall-clock seconds, "
-                "and peak RSS of a fresh process that builds the member and scans it",
-        "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
-                    "system": platform.system()},
+        "what": f"automorphism_group(T(k,k,0)): the best of {timing.REPEATS} fresh processes "
+                "that each build the member and time one scan, in wall-clock seconds, "
+                "and the peak RSS of that process",
+        "machine": timing.machine(),
         "label": args.label,
         "ladder": ladder,
     }
     if args.baseline:
-        earlier = json.loads(args.baseline.read_text())
-        result["baseline"] = {"label": earlier.get("label", ""), "ladder": earlier["ladder"]}
+        result["baseline"] = {"ladder": baseline}
     args.out.write_text(json.dumps(result, indent=2) + "\n")
-    wrong = [row["k"] for row in ladder if row["order"] != 12 * row["n"]]
+    wrong = [row["k"] for row in ladder + baseline if row["order"] != 12 * row["n"]]
     if wrong:
         print(f"error: order is not 12n for k = {wrong}", file=sys.stderr)
         return 1

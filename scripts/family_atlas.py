@@ -36,7 +36,7 @@ def main() -> int:
     for i, code in enumerate(sorted(by_code)):
         group = by_code[code]
         t = group[0].complex
-        names = ", ".join(sorted(g.name for g in group))
+        names = ", ".join(g.name for g in group)  # catalog order, as `classify` prints
         print(f"class {i}: {surface_type(t)}, |Aut| = {aut[t].order}")
         print(f"  {names}")
     return 0

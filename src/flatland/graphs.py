@@ -3,56 +3,97 @@ triangulations.
 
 G_c(G) joins two vertices exactly when they have c common neighbors in G;
 it commutes with relabeling, so differing G_c shapes certify that two
-complexes are non-isomorphic.  A graph keeps its neighbourhoods as bit
-masks, so |N(u) & N(v)| is one AND and one popcount, a degree is one
-popcount, and a component grows by whole frontiers.  It counts the common
-neighbours of every pair once, and keeps only the pairs that share one,
-grouped by count: G_1, G_2, ... are read off those groups.  G_0 needs no
-count (no bit in common), so it is built without one.
+complexes are non-isomorphic.  A graph is its neighbour bit masks alone:
+|N(u) & N(v)| is one AND and one popcount, and a breadth-first walk
+(`layers`) grows by whole distance classes.  Edges are checked only where
+they come from outside, in `SimpleGraph(n, edges)`; G_c graphs are built
+from masks.  A graph counts the common neighbours of every pair once, into
+the masks of G_1, G_2, ...; G_0 needs no count (no neighbour in common).
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimpleGraph:
     """Undirected graph on vertices 0..n-1, no loops or multi-edges."""
 
     n: int
-    edges: frozenset[Edge]  # (a, b) with a < b
+    neighbor_masks: tuple[int, ...]  # bit v of mask u is set iff u and v are adjacent
 
-    def __post_init__(self) -> None:
-        for a, b in self.edges:
-            if not (0 <= a < b < self.n):
-                raise ValueError(f"bad edge ({a}, {b}) for n={self.n}")
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Bit v of mask u is set iff u and v are adjacent."""
-        masks = [0] * self.n
-        for a, b in self.edges:
+    def __init__(self, n: int, edges: Iterable[Edge]) -> None:
+        masks = [0] * n
+        for a, b in edges:
+            if not 0 <= a < b < n:
+                raise ValueError(f"bad edge ({a}, {b}) for n={n}")
             masks[a] |= 1 << b
             masks[b] |= 1 << a
-        return tuple(masks)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "neighbor_masks", tuple(masks))
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """(a, b) with a < b, one per edge."""
+        return frozenset((u, v) for u, mask in enumerate(self.neighbor_masks)
+                         for v in _vertices(mask) if u < v)
 
     @cached_property
-    def pairs_by_common_count(self) -> dict[int, list[Edge]]:
-        """c -> the pairs (u, v), u < v, with exactly c >= 1 common
-        neighbours; the pairs with none are left out."""
+    def masks_by_common_count(self) -> dict[int, tuple[int, ...]]:
+        """c -> the neighbour masks of G_c, for each c >= 1 that some pair
+        of vertices has."""
         masks, n = self.neighbor_masks, self.n
-        pairs: dict[int, list[Edge]] = {}
+        by_count: defaultdict[int, list[int]] = defaultdict(lambda: [0] * n)
         for u, mask in enumerate(masks):
             for v in range(u + 1, n):
                 c = (mask & masks[v]).bit_count()
                 if c:
-                    pairs.setdefault(c, []).append((u, v))
-        return pairs
+                    gc = by_count[c]
+                    gc[u] |= 1 << v
+                    gc[v] |= 1 << u
+        return {c: tuple(gc) for c, gc in by_count.items()}
+
+
+def _from_masks(n: int, masks: tuple[int, ...]) -> SimpleGraph:
+    """The graph with these masks, unchecked: they must be symmetric and loop-free."""
+    g = object.__new__(SimpleGraph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "neighbor_masks", masks)
+    return g
+
+
+def _vertices(mask: int) -> Iterator[int]:
+    """The vertices of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _reach(masks: tuple[int, ...], mask: int) -> int:
+    """The vertices adjacent to some vertex of the mask."""
+    reach = 0
+    for v in _vertices(mask):
+        reach |= masks[v]
+    return reach
+
+
+def layers(g: SimpleGraph, v: int) -> list[int]:
+    """The distance classes from v, nearest first, as masks: layer d holds
+    the vertices at distance d from v."""
+    found: list[int] = []
+    layer = reached = 1 << v
+    while layer:
+        found.append(layer)
+        layer = _reach(g.neighbor_masks, layer) & ~reached
+        reached |= layer
+    return found
 
 
 def common_neighbor_graph(g: SimpleGraph, c: int) -> SimpleGraph:
@@ -60,23 +101,14 @@ def common_neighbor_graph(g: SimpleGraph, c: int) -> SimpleGraph:
     neighbors in g."""
     if c < 0:
         raise ValueError("common-neighbor count must be >= 0")
+    n, masks = g.n, g.neighbor_masks
     if c > 0:
-        return SimpleGraph(g.n, frozenset(g.pairs_by_common_count.get(c, ())))
-    # G_0 tells most non-isomorphic pairs apart, so it pays for no count.
-    masks, n = g.neighbor_masks, g.n
-    edges = frozenset(
-        (u, v) for u, mask in enumerate(masks) for v in range(u + 1, n) if not mask & masks[v]
-    )
-    g0 = SimpleGraph(n, edges)
-    # G_0 is nearly complete, so its masks come from g's, not from its edges:
+        return _from_masks(n, g.masks_by_common_count.get(c, (0,) * n))
+    # G_0 tells most non-isomorphic pairs apart, so it pays for no count:
     # v shares a neighbour with u iff it is a neighbour of a neighbour of u.
-    near = [1 << u for u in range(n)]
-    for a, b in g.edges:
-        near[a] |= masks[b]
-        near[b] |= masks[a]
     full = (1 << n) - 1
-    g0.__dict__["neighbor_masks"] = tuple(full ^ m for m in near)  # cached_property's slot
-    return g0
+    return _from_masks(n, tuple(full ^ (1 << u | _reach(masks, mask))
+                                for u, mask in enumerate(masks)))
 
 
 # Component descriptors: ("isolated",), ("cycle", k), ("complete", k),
@@ -112,12 +144,12 @@ class GraphShape:
         return "+".join(parts) if parts else "null_0"
 
 
-def _classify_component(g: SimpleGraph, comp: list[int]) -> Descriptor:
-    k = len(comp)
+def _classify_component(g: SimpleGraph, comp: int) -> Descriptor:
+    k = comp.bit_count()
     if k == 1:
         return ("isolated",)
     masks = g.neighbor_masks
-    degs = sorted(masks[v].bit_count() for v in comp)  # a component holds every neighbour
+    degs = sorted(masks[v].bit_count() for v in _vertices(comp))  # a component holds every neighbour
     ne = sum(degs) // 2
     if k >= 3 and degs == [2] * k:
         return ("cycle", k)
@@ -130,23 +162,11 @@ def _classify_component(g: SimpleGraph, comp: list[int]) -> Descriptor:
 
 def graph_shape(g: SimpleGraph) -> GraphShape:
     """Decompose into connected components and classify each.  A component
-    grows by whole frontiers: the OR of their vertices' neighbour masks,
-    less the vertices already reached."""
-    masks = g.neighbor_masks
+    is the union of the layers of its least vertex."""
     unseen = (1 << g.n) - 1
     descriptors: list[Descriptor] = []
     while unseen:
-        frontier = unseen & -unseen
-        unseen ^= frontier
-        comp: list[int] = []
-        while frontier:
-            reach = 0
-            while frontier:  # take its vertices lowest first
-                low = frontier & -frontier
-                frontier ^= low
-                comp.append(low.bit_length() - 1)
-                reach |= masks[comp[-1]]
-            frontier = reach & unseen
-            unseen ^= frontier
+        comp = sum(layers(g, (unseen & -unseen).bit_length() - 1))  # disjoint masks
+        unseen ^= comp
         descriptors.append(_classify_component(g, comp))
     return GraphShape(tuple(sorted(descriptors)))

@@ -74,13 +74,6 @@ class Triangulation:
     faces: tuple[Face, ...]  # sorted triples in lexicographic order
 
     @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        seen: set[Edge] = set()
-        for a, b, c in self.faces:
-            seen.update(((a, b), (a, c), (b, c)))
-        return tuple(sorted(seen))
-
-    @cached_property
     def across(self) -> Adjacency:
         """across[fi][r] = (gi, w): across the edge of face fi opposite its
         vertex r lies face gi, whose vertex off that edge is w."""
@@ -114,7 +107,7 @@ class Triangulation:
 
     @property
     def f1(self) -> int:
-        return len(self.edges)
+        return 3 * self.f2 // 2  # every edge lies in exactly two faces
 
     @property
     def f2(self) -> int:
@@ -234,7 +227,7 @@ def surface_type(t: Triangulation) -> SurfaceType:
 
 def skeleton_graph(t: Triangulation) -> SimpleGraph:
     """EG(T), the 1-skeleton."""
-    return SimpleGraph(t.n, frozenset(t.edges))
+    return SimpleGraph(t.n, (e for a, b, c in t.faces for e in ((a, b), (a, c), (b, c))))
 
 
 def manifold_report(n: int, face_list: Iterable[Sequence[int]]) -> ManifoldReport:

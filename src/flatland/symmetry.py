@@ -101,7 +101,7 @@ from dataclasses import dataclass
 from itertools import chain, permutations
 from typing import Optional, Sequence
 
-from .graphs import common_neighbor_graph, graph_shape
+from .graphs import common_neighbor_graph, graph_shape, layers
 from .surface import Face, Triangulation, orientability, skeleton_graph
 
 Code = tuple[int, ...]
@@ -180,23 +180,10 @@ def _first_vertex(t: Triangulation) -> int:
         faces_at[v] += 1
     if faces_at.count(6) == t.n and orientability(t):  # chi = n - 3n + 2n = 0
         return 0
-    adj: list[list[int]] = [[] for _ in range(t.n)]
-    for a, b in t.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    def distances(v: int) -> list[int]:
-        dist = [-1] * t.n
-        dist[v] = 0
-        queue = [v]
-        for x in queue:  # breadth-first: the queue grows while read
-            for y in adj[x]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return sorted(dist)
-
-    return min(range(t.n), key=distances)
+    # Sorted distance lists (of length n) order as their layer sizes, negated:
+    # the less has more vertices in the first layer where the sizes differ.
+    g = skeleton_graph(t)
+    return min(range(t.n), key=lambda v: [-layer.bit_count() for layer in layers(g, v)])
 
 
 class _Scanner:

@@ -10,6 +10,7 @@ from flatland import (
     graph_shape,
     skeleton_graph,
 )
+from flatland.graphs import layers
 from tests.conftest import fam
 
 
@@ -75,7 +76,26 @@ class TestCommonNeighborGraph:
                         if len(adj[u] & adj[v]) == c}
             h = common_neighbor_graph(g, c)
             assert h.edges == expected
-            assert h.neighbor_masks == SimpleGraph(n, h.edges).neighbor_masks
+            assert SimpleGraph(n, h.edges) == h
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n - 1),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+    @settings(max_examples=60, deadline=None)
+    def test_layers_are_the_distance_classes(self, graph):
+        n, v, pairs = graph
+        g = SimpleGraph(n, frozenset((min(e), max(e)) for e in pairs if e[0] != e[1]))
+        adj = [{u for e in g.edges if w in e for u in e if u != w} for w in range(n)]
+        dist = {v: 0}
+        queue = [v]
+        for x in queue:  # a plain breadth-first search
+            for y in adj[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        expected = [sum(1 << u for u in dist if dist[u] == d)
+                    for d in range(max(dist.values()) + 1)]
+        assert layers(g, v) == expected
 
 
 @pytest.mark.parametrize("edge", [(1, 1), (2, 1), (-1, 0), (0, 3)])

@@ -13,6 +13,7 @@ from flatland import (
     degree_profile,
     euler_characteristic,
     find_isomorphism,
+    known_catalog,
     manifold_report,
     orientability,
     skeleton_graph,
@@ -164,10 +165,12 @@ class TestInvariants:
     def test_surface_from_invariants(self, euler, orientable, expected):
         assert str(surface_from_invariants(euler, orientable)) == expected
 
-    def test_two_f1_equals_three_f2(self):
-        for name in ("T(7,1,2)", "B(3,3)", "Q(5,2)", "K(3,4)"):
-            t = fam(name)
+    def test_two_f1_equals_three_f2(self, tetrahedron, double_pyramid):
+        # f1 is read off f2, so it is checked against the skeleton's edges.
+        catalog = {named.complex for n in range(7, 25) for named in known_catalog(n)}
+        for t in (tetrahedron, double_pyramid, build_triangulation(*RP2), *catalog):
             assert 2 * t.f1 == 3 * t.f2
+            assert t.f1 == len(skeleton_graph(t).edges)
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)

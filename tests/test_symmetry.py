@@ -332,6 +332,29 @@ class TestScan:
                     seeded = automorphism_group(u, seed).canonical
                     assert seeded.relabeling == label and seeded.code == form.code
 
+    def test_first_vertex_has_the_least_sorted_distances(self):
+        # Off the torus, v0 is the first vertex whose sorted distances to
+        # all vertices are least; the scan reads them off its layers.
+        def distances(t, v):
+            adj = [set() for _ in range(t.n)]
+            for face in t.faces:
+                for x in face:
+                    adj[x].update(face)
+            dist = {v: 0}
+            queue = [v]
+            for x in queue:  # a plain breadth-first search
+                for y in adj[x] - dist.keys():
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+            return sorted(dist.values())
+
+        klein = {named.complex for n in range(7, 41) for named in known_catalog(n)
+                 if not orientability(named.complex)}
+        assert len(klein) == 81
+        for t in klein:
+            for u in (t, shuffled(t, t.n), shuffled(t, t.n + 1)):
+                assert symmetry._first_vertex(u) == min(range(u.n), key=lambda v: distances(u, v))
+
     def test_ties_are_the_least_key_starts(self):
         # The pruned scan skips starts; base composed with its group must
         # still be the label arrays of exactly the least-key starts under
