@@ -1,4 +1,5 @@
-"""Fresh-process timing shared by `bench_aut.py` and `bench_iso.py`.
+"""Fresh-process timing shared by `bench_aut.py`, `bench_iso.py` and
+`bench_census.py`.
 
 A script times a tree of the flatland package by running itself with
 `--child ...` in a fresh interpreter whose PYTHONPATH is that tree's `src`

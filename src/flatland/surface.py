@@ -80,6 +80,10 @@ class Triangulation:
         return _face_adjacency(self.faces)
 
     @cached_property
+    def face_index(self) -> dict[Face, int]:  # face -> its index in `faces`
+        return {face: fi for fi, face in enumerate(self.faces)}
+
+    @cached_property
     def _walk(self) -> tuple[int, bool]:
         """(faces reached, coherent): orients face 0 as listed, then, breadth
         first, the face across each edge p -> q of an oriented face as q -> p;

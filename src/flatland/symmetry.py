@@ -1,6 +1,8 @@
 """Canonical forms, certified isomorphism testing, and automorphism groups.
 
 A *start* is one of the 6*f_2 flags, written as an oriented face (x, y, z).
+The scan names the flag of face fi read in its k-th order (in
+`permutations` order, so first its vertex of rank k // 2) by 6*fi + k.
 From a start, a breadth-first traversal of the face adjacency labels x, y, z
 as 0, 1, 2, and for each popped face (x, y, z) crosses its edges (p, q) =
 (x, y), (y, z), (z, x) in turn: the vertex w beyond the edge gets the next
@@ -27,19 +29,20 @@ isomorphism II, J. Symb. Comput. 60, 2014).  Each start that ties with the
 least key so far gives an automorphism, and the scan keeps the group G that
 these generate; it stays valid when a smaller key later replaces the least
 one.  A start in the G-orbit of a traversed start has that start's key, so
-it is skipped.  This loses nothing: a skipped start is pruned, tied or least
-exactly when its traversed preimage was.  G is kept as its generators and
-the flag orbits they cut out: a union-find over the 6*f_2 flags, in which
-each new generator merges every flag with its image, and each class records
-whether it holds a traversed start.  The action is free, so a tie inside
-those classes (at a flag at v0, below) gives an element of G, and one
-outside them a new generator: it alone is checked against the face set.
-The other elements are products of checked ones, and none is listed.  The
-first traversed start with the final least key reaches every other
-least-key start, through a tie or through a skip from a start it reaches,
-so at the end G is all of Aut, and the least-key labellings are that
-start's labelling composed with the elements of G.  Freeness gives the rest
-without the elements: |Aut| is the size of that start's class, and two
+it is skipped.  This loses nothing: a skipped start is pruned, tied or
+least exactly when its traversed preimage was.  G is kept as its generators
+and the flag orbits they cut out: a union-find over the 6*f_2 integer
+flags, in which each new generator merges every flag with its image, and
+each class records whether it holds a traversed start; a face's six flags
+find their images with one face lookup and a 6 x 6 table.  The action is
+free, so a tie inside those classes (at a flag at v0, below) gives an
+element of G, and one outside them a new generator: it alone is checked
+against the face set.  The other elements are products of checked ones, and
+none is listed.  The first traversed start with the final least key reaches
+every other least-key start, through a tie or through a skip from a start
+it reaches, so at the end G is all of Aut, and the least-key labellings are
+that start's labelling composed with the elements of G.  Freeness gives the
+rest without the elements: |Aut| is the size of that start's class, and two
 vertices (faces) lie in one orbit iff their flags lie in the same classes.
 
 Which starts a scan traverses depends on their order, so the order is fixed
@@ -47,7 +50,8 @@ by the complex, not by its vertex names.  The scan first traverses every
 flag at one vertex v0, the starts (v0, y, z), and skips none of them.
 Whatever their order, the first of them with their least key becomes the
 least so far and the later ones with that key tie with it, so G is then the
-whole stabiliser of v0, and the traversed starts are the flags at v0.  The
+whole stabiliser of v0, and the traversed starts are the flags at v0
+(those ties fix v0, so they are merged on the faces at v0 only).  The
 other starts follow in the order of their labels under that least key's
 labelling, an order fixed by the complex and v0 up to an automorphism.  So
 the traversals, and their number, depend only on the complex and the orbit
@@ -93,15 +97,22 @@ phases, from where they stopped, to their least keys.  Those are equal iff
 the complexes are isomorphic; the mapping then goes through the two
 canonical labellings, base_b^-1 o base_a again, and different keys give
 the verdict "canonical code".
+
+The same certificate spares a scan given the canonical codes of known
+classes: `canonical_form(t, classes)` stops after the first phase if the
+code of its base is one of them.  That code is t relabelled, so it proves
+an isomorphism onto that class, and it is t's canonical code; no theorem
+is used.  The census names its classes from the catalog this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, permutations
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Collection, Optional, Sequence
 
-from .graphs import common_neighbor_graph, graph_shape, layers
+from .graphs import SimpleGraph, common_neighbor_graph, graph_shape, layers
 from .surface import Face, Triangulation, orientability, skeleton_graph
 
 Code = tuple[int, ...]
@@ -170,11 +181,12 @@ def _traverse(t: Triangulation, start: Face, start_fi: int, best: Optional[list[
     return key, label
 
 
-def _first_vertex(t: Triangulation) -> int:
+def _first_vertex(t: Triangulation, g: Optional[SimpleGraph] = None) -> int:
     """Vertex 0 on a torus, else a vertex whose sorted list of distances to
-    all vertices is least.  A torus is vertex-transitive, and the list is an
-    invariant, so on a relabelled copy the vertex chosen lies in the same
-    orbit whenever the vertices with the least list form one."""
+    all vertices is least, read off the skeleton `g` if one is given.  A
+    torus is vertex-transitive, and the list is an invariant, so on a
+    relabelled copy the vertex chosen lies in the same orbit whenever the
+    vertices with the least list form one."""
     faces_at = [0] * t.n
     for v in chain.from_iterable(t.faces):
         faces_at[v] += 1
@@ -182,8 +194,16 @@ def _first_vertex(t: Triangulation) -> int:
         return 0
     # Sorted distance lists (of length n) order as their layer sizes, negated:
     # the less has more vertices in the first layer where the sizes differ.
-    g = skeleton_graph(t)
+    g = skeleton_graph(t) if g is None else g
     return min(range(t.n), key=lambda v: [-layer.bit_count() for layer in layers(g, v)])
+
+
+_ORDERS = tuple(permutations(range(3)))  # flag 6*fi + k is face fi read in order k
+_READ = tuple(itemgetter(*order) for order in _ORDERS)
+# _IMAGE[x > y, x > z, y > z][k]: the order of the image of a flag read in
+# order k, when a permutation sends the face's vertices to x, y, z.
+_IMAGE = {(x > y, x > z, y > z): tuple(_ORDERS.index(tuple((x, y, z)[i] for i in order))
+                                       for order in _ORDERS) for x, y, z in _ORDERS}
 
 
 class _Scanner:
@@ -193,16 +213,18 @@ class _Scanner:
     to be less than the seed's.  After both phases, `base` is the canonical
     labelling and the union-find holds the flag orbits of the group."""
 
-    def __init__(self, t: Triangulation, seed: Optional[Face] = None) -> None:
+    def __init__(self, t: Triangulation, seed: Optional[Face] = None,
+                 g: Optional[SimpleGraph] = None) -> None:
         self.t = t
         self.seeded = seed is not None
-        self.v0 = v0 = _first_vertex(t) if seed is None else seed[0]
-        self.starts = starts = [(start, fi) for fi, face in enumerate(t.faces)
-                                for start in permutations(face)]  # six flags per face
-        self.at_v0 = at_v0 = [f for f, (start, _) in enumerate(starts) if start[0] == v0]
+        self.v0 = v0 = _first_vertex(t, g) if seed is None else seed[0]
+        self.faces_at_v0 = [fi for fi, face in enumerate(t.faces) if v0 in face]
+        # The flags at v0 of a face are the two orders that read v0 first.
+        self.at_v0 = at_v0 = [6 * fi + 2 * t.faces[fi].index(v0) + k
+                              for fi in self.faces_at_v0 for k in (0, 1)]
         if seed is not None:
-            fi = t.faces.index(tuple(sorted(seed)))
-            first = starts.index((seed, fi), 6 * fi)
+            face = tuple(sorted(seed))
+            first = 6 * t.face_index[face] + _ORDERS.index(tuple(map(face.index, seed)))
             at_v0.remove(first)
             at_v0.insert(0, first)
         self.best: Optional[list[int]] = None
@@ -210,44 +232,54 @@ class _Scanner:
         self.base_inv: list[int] = []
         self.base_flag = 0
         self.gens: list[Perm] = []
-        self.flag_of = {starts[f][0]: f for f in at_v0}  # every flag from the second phase on
-        self.parent = list(range(len(starts)))  # union-find of the flag orbits
-        self.size = [1] * len(starts)
-        self.reached = [False] * len(starts)  # at a root: its class holds a traversed start
+        flags = 6 * t.f2
+        self.parent = list(range(flags))  # union-find of the flag orbits
+        self.size = [1] * flags
+        self.reached = [False] * flags  # at a root: its class holds a traversed start
 
     def first_phase(self) -> bool:
-        return self._run(self.at_v0)
+        return self._run(self.at_v0, self.faces_at_v0, skip=False)
 
     def second_phase(self) -> bool:  # the other starts, by their labels in base
-        starts, base, v0 = self.starts, self.base, self.v0
-        # The ties so far fix v0, so they were merged on the flags at v0 only.
-        self.flag_of.update((start, f) for f, (start, _) in enumerate(starts))
+        t, base, v0, n, flags = self.t, self.base, self.v0, self.t.n, 6 * self.t.f2
+        faces = range(t.f2)
+        # The ties so far fix v0, so they were merged on the faces at v0 only.
         for perm in self.gens:
-            self._merge(perm, range(len(starts)))
-        others = (f for f, (start, _) in enumerate(starts) if start[0] != v0)
-        return self._run(sorted(others, key=lambda f: tuple(map(base.__getitem__, starts[f][0]))))
+            self._merge(perm, faces)
+        # A flag's labels in base, read in base n, then the flag.
+        keyed = sorted(((base[x] * n + base[y]) * n + base[z]) * flags + 6 * fi + k
+                       for fi, face in enumerate(t.faces)
+                       for k, (x, y, z) in enumerate(read(face) for read in _READ) if x != v0)
+        return self._run([key % flags for key in keyed], faces, skip=True)
 
-    def _merge(self, perm: Perm, flags: Sequence[int]) -> None:
-        starts, flag_of, parent, size, reached = (self.starts, self.flag_of, self.parent,
-                                                  self.size, self.reached)
-        for f in flags:
-            x, y, z = starts[f][0]
-            a, b = _find(parent, f), _find(parent, flag_of[perm[x], perm[y], perm[z]])
-            if a != b:
-                if size[a] < size[b]:
-                    a, b = b, a
-                parent[b] = a
-                size[a] += size[b]
-                reached[a] = reached[a] or reached[b]
+    def _merge(self, perm: Perm, faces: Sequence[int]) -> None:
+        """Merge every flag of the faces with its image under perm."""
+        t_faces, index = self.t.faces, self.t.face_index
+        parent, size, reached = self.parent, self.size, self.reached
+        for fi in faces:
+            a, b, c = t_faces[fi]
+            x, y, z = perm[a], perm[b], perm[c]
+            image = _IMAGE[x > y, x > z, y > z]
+            gi = 6 * index[tuple(sorted((x, y, z)))]
+            for k in range(6):
+                a, b = _find(parent, 6 * fi + k), _find(parent, gi + image[k])
+                if a != b:
+                    if size[a] < size[b]:
+                        a, b = b, a
+                    parent[b] = a
+                    size[a] += size[b]
+                    reached[a] = reached[a] or reached[b]
 
-    def _run(self, flags: Sequence[int]) -> bool:
-        t, v0, starts, parent, reached = self.t, self.v0, self.starts, self.parent, self.reached
+    def _run(self, flags: Sequence[int], faces: Sequence[int], skip: bool) -> bool:
+        """Traverse the flags in turn; a tie merges its generator on `faces`.
+        With `skip`, a flag whose orbit holds a traversed start is passed over;
+        the first phase skips none, since every flag at v0 is compared."""
+        t, parent, reached = self.t, self.parent, self.reached
         for f in flags:
-            start, fi = starts[f]
             root = _find(parent, f)
-            if start[0] != v0 and reached[root]:  # every flag at v0 is traversed
+            if skip and reached[root]:
                 continue
-            found = _traverse(t, start, fi, self.best)
+            found = _traverse(t, _READ[f % 6](t.faces[f // 6]), f // 6, self.best)
             covered, reached[root] = reached[root], True
             if found is None:
                 continue
@@ -259,7 +291,7 @@ class _Scanner:
                 if _apply(perm, t.faces) != t.face_set():
                     raise AssertionError("traversal produced a non-automorphism")
                 self.gens.append(perm)
-                self._merge(perm, self.at_v0 if start[0] == v0 else range(len(starts)))
+                self._merge(perm, faces)
                 continue
             if self.best is not None and self.seeded:
                 return False  # a key below the seed's
@@ -291,9 +323,17 @@ def _form(t: Triangulation, label: list[int]) -> CanonicalForm:
     return CanonicalForm(tuple(v for f in rel for v in f), tuple(label))
 
 
-def canonical_form(t: Triangulation) -> CanonicalForm:
-    """Deterministic relabeling-invariant encoding of the surface."""
-    return _form(t, _scan(t).base)
+def canonical_form(t: Triangulation, classes: Collection[Code] = ()) -> CanonicalForm:
+    """Deterministic relabeling-invariant encoding of the surface.  When the
+    code from the flags at v0 is one of `classes` (canonical codes), it is
+    returned without the rest of the scan: an equal code is an isomorphism
+    onto that class, so it is t's canonical code too."""
+    scanner = _Scanner(t)
+    scanner.first_phase()
+    if classes and (form := _form(t, scanner.base)).code in classes:
+        return form
+    scanner.second_phase()
+    return _form(t, scanner.base)
 
 
 def _apply(perm: Sequence[int], faces: Sequence[Face]) -> frozenset[Face]:
@@ -323,7 +363,7 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
         sb = graph_shape(common_neighbor_graph(gb, c))
         if sa != sb:
             return IsomorphismResult(None, f"G_{c}(EG) shape ({sa} vs {sb})")
-    scan_a, scan_b = _Scanner(a), _Scanner(b)
+    scan_a, scan_b = _Scanner(a, g=ga), _Scanner(b, g=gb)
     scan_a.first_phase()
     scan_b.first_phase()
     if scan_a.best != scan_b.best:  # the scans go on to the canonical keys
@@ -346,10 +386,11 @@ def automorphism_group(t: Triangulation, seed: Optional[Face] = None) -> Optiona
     scan = _scan(t, seed)
     if scan is None:
         return None
-    starts, parent = scan.starts, scan.parent
-    flag_orbit = [_find(parent, f) for f in range(len(starts))]  # flag -> its orbit's root
-    vertex_orbit = [len(starts)] * t.n  # vertex -> the least root over its flags
-    for ((x, _, _), _), rep in zip(starts, flag_orbit):
+    flags, parent = 6 * t.f2, scan.parent
+    flag_orbit = [_find(parent, f) for f in range(flags)]  # flag -> its orbit's root
+    vertex_orbit = [flags] * t.n  # vertex -> the least root over its flags
+    for f, rep in enumerate(flag_orbit):
+        x = t.faces[f // 6][f % 6 // 2]  # the vertex a flag reads first
         vertex_orbit[x] = min(vertex_orbit[x], rep)
     face_orbit = (min(flag_orbit[6 * fi:6 * fi + 6]) for fi in range(t.f2))
     return SymmetryGroup(tuple(scan.gens), scan.size[flag_orbit[scan.base_flag]],

@@ -17,6 +17,7 @@ from flatland import (
     euler_characteristic,
     known_catalog,
     regularity_flags,
+    surface_type,
     symmetry,
 )
 from tests.conftest import (
@@ -64,7 +65,8 @@ def test_catalog_canonicalised_once_per_distinct_complex(monkeypatch):
     catalog, scanned = census.known_catalog(12), []
     monkeypatch.setattr(census, "known_catalog", lambda n: catalog)
     canonical = census.canonical_form
-    monkeypatch.setattr(census, "canonical_form", lambda t: scanned.append(t) or canonical(t))
+    monkeypatch.setattr(census, "canonical_form",
+                        lambda t, *classes: scanned.append(t) or canonical(t, *classes))
     report = classify_census(12)
     members = {id(named.complex) for named in catalog}
     assert (len(catalog), sum(id(t) in members for t in scanned)) == (19, 16)
@@ -153,7 +155,8 @@ def test_time_budget_checked_after_the_search(monkeypatch, slow, progress):
     monkeypatch.setattr(census, "time", clock)
     slowed(monkeypatch, clock, slow)
     canonical, seen = census.canonical_form, []  # the clock at each canonical form
-    monkeypatch.setattr(census, "canonical_form", lambda t: seen.append(clock.now) or canonical(t))
+    monkeypatch.setattr(census, "canonical_form",
+                        lambda t, *classes: seen.append(clock.now) or canonical(t, *classes))
     with pytest.raises(ResourceLimit) as stop:
         classify_census(9, budget_seconds=10)
     assert str(stop.value) == f"census classification exceeded its time budget ({progress})"
@@ -355,21 +358,30 @@ def test_split_search_counts_every_node_once(monkeypatch, n):
 def test_no_class_scanned_twice(monkeypatch):
     # A class is scanned in full once, as its kept leaf, from the search
     # flag; that scan also gives its group.  The only unseeded scans are of
-    # the 16 distinct complexes among the 19 catalog members of n = 12.
-    scan, unseeded = symmetry._scan, []
+    # the 16 distinct complexes among the 19 catalog members of n = 12, and
+    # all but one Klein bottle stop after the flags at v0, where the code is
+    # already a class's.
+    unseeded, finished = [], []
 
-    def recorded(t, seed=None):
-        if seed is None:
-            unseeded.append(t)
-        return scan(t, seed)
+    class Recorded(symmetry._Scanner):
+        def __init__(self, t, seed=None, g=None):
+            super().__init__(t, seed, g)
+            if seed is None:
+                unseeded.append(t)
 
-    monkeypatch.setattr(symmetry, "_scan", recorded)
+        def second_phase(self):
+            if not self.seeded:
+                finished.append(self.t)
+            return super().second_phase()
+
+    monkeypatch.setattr(symmetry, "_Scanner", Recorded)
     classify_census(12)
     assert len(unseeded) == 16
     assert set(unseeded) == {named.complex for named in known_catalog(12)}
+    assert [surface_type(t).kind for t in finished] == ["klein_bottle"]
 
 
-@pytest.mark.parametrize("n,traversals", [(12, 633), (18, 894), (24, 1946)])
+@pytest.mark.parametrize("n,traversals", [(12, 510), (18, 787), (24, 1618)])
 def test_census_traversals_are_pinned(monkeypatch, n, traversals):
     # The whole census's canonical scans, seeded leaves and catalog: the
     # benchmark's traced passes rely on this count being the same in each.

@@ -53,6 +53,17 @@ def test_bench_aut_smallest_member(tmp_path):
     assert (row["k"], row["n"], row["order"]) == (6, 36, 432)
 
 
+def test_bench_census_smallest_member(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run([sys.executable, "scripts/bench_census.py", "--ns", "12", "--out",
+                           str(out)], cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(out.read_text())["ladder"]
+    assert [(row["n"], row["jobs"], row["classes"], row["tori"], row["klein_bottles"],
+             row["traversals"], row["catalog_scans"], row["stopped_at_v0"]) for row in rows] == [
+        (12, 1, 7, 4, 3, 510, 16, 15), (12, 2, 7, 4, 3, 510, 16, 15)]
+
+
 def test_bench_iso_smallest_ladder(tmp_path):
     out = tmp_path / "bench.json"
     proc = subprocess.run([sys.executable, "scripts/bench_iso.py", "--ns", "9", "--out", str(out)],
