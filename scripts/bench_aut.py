@@ -7,7 +7,8 @@ complex on n vertices can have.  Each timing runs in a fresh child process,
 which builds the member, times one `automorphism_group` call (wall clock)
 and reports its own peak resident set size: the interpreter, the member and
 the scan.  Each k keeps the best of REPEATS children per tree; with
-`--baseline`, the two trees are timed alternately (see timing.py).  A child
+`--baseline`, the two trees are timed alternately, and each row counts the
+rounds its tree won (`rounds_won`, see timing.py).  A child
 that gets the order wrong makes the script exit 1.
 
 Examples:
@@ -21,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from operator import itemgetter
 
 import timing
 
@@ -55,16 +56,21 @@ def main() -> int:
 
     ladder: list[dict] = []
     baseline: list[dict] = []
+    seconds = itemgetter("seconds")
     for k in args.ks:
-        ours, theirs = timing.alternate(__file__, [str(k)], args.src, args.baseline)
-        for rows, runs in ((ladder, ours), (baseline, theirs)):
-            if runs:
-                rows.append(min(runs, key=lambda row: row["seconds"]))
-                print(json.dumps(rows[-1]), file=sys.stderr)
+        rounds = timing.alternate(__file__, [str(k)], args.src, args.baseline)
+        ours, theirs = zip(*rounds)
+        ladder.append(min(ours, key=seconds))
+        if args.baseline:
+            ladder[-1]["rounds_won"] = timing.rounds_won(rounds, seconds)
+            baseline.append(min(theirs, key=seconds))
+            print(json.dumps(baseline[-1]), file=sys.stderr)
+        print(json.dumps(ladder[-1]), file=sys.stderr)
     result = {
         "what": f"automorphism_group(T(k,k,0)): the best of {timing.REPEATS} fresh processes "
                 "that each build the member and time one scan, in wall-clock seconds, "
-                "and the peak RSS of that process",
+                "and the peak RSS of that process; with a baseline, rounds_won counts the "
+                f"rounds of {timing.REPEATS} in which this tree was the faster",
         "machine": timing.machine(),
         "label": args.label,
         "ladder": ladder,

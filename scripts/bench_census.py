@@ -6,13 +6,14 @@ Each timing runs in a fresh child process, which times one
 `classify_census(n, jobs=jobs)` call (wall clock) and reports the class
 counts, a digest of the census and its own peak resident set size (the
 pool's workers aside).  Each (n, jobs) keeps the best of REPEATS children
-per tree; with `--baseline`, the two trees are timed alternately (see
-timing.py).  One more child per tree and n, at jobs 1 and not timed,
-counts the `_traverse` calls of the whole census and the distinct catalog
-complexes whose scan stopped after the flags at v0 (an unseeded scan that
-never ran its second phase).  The tasks, the leaves and the catalog do not
-depend on the job count, so neither do these counts.  The script exits 1
-if two children of one n give different censuses.
+per tree; with `--baseline`, the two trees are timed alternately, and each
+row counts the rounds its tree won (`rounds_won`, see timing.py).  One more
+child per tree and n, at jobs 1 and not timed, counts the `_traverse` calls
+of the whole census and the distinct catalog complexes whose scan stopped
+after the flags at v0 (an unseeded scan that never ran its second phase).
+The tasks, the leaves and the catalog do not depend on the job count, so
+neither do these counts.  The script exits 1 if two children of one n give
+different censuses.
 
 Examples:
     python3 scripts/bench_census.py
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import itemgetter
 
 import timing
 
@@ -92,23 +94,30 @@ def main() -> int:
     trees = [args.src] + ([args.baseline] if args.baseline else [])
     ladders: list[list[dict]] = [[] for _ in trees]
     censuses: dict[int, set[str]] = {}  # n -> the census digests its children gave
+    seconds = itemgetter("seconds")
     for n in args.ns:
         counts = [timing.child_output(__file__, ["count", str(n), "1"], src) for src in trees]
         for jobs in args.jobs:
-            runs = timing.alternate(__file__, ["time", str(n), str(jobs)], args.src, args.baseline)
-            for ladder, tree_runs, counted in zip(ladders, runs, counts):
-                row = min(tree_runs, key=lambda row: row["seconds"])
+            rounds = timing.alternate(__file__, ["time", str(n), str(jobs)],
+                                      args.src, args.baseline)
+            for ladder, tree_runs, counted in zip(ladders, zip(*rounds), counts):
+                row = min(tree_runs, key=seconds)
                 row.update({key: counted[key] for key in
                             ("traversals", "catalog_scans", "stopped_at_v0")})
                 ladder.append(row)
                 censuses.setdefault(n, set()).update(run["census_sha256"]
-                                                     for run in tree_runs + [counted])
-                print(json.dumps(row), file=sys.stderr)
+                                                     for run in (*tree_runs, counted))
+            if args.baseline:
+                ladders[0][-1]["rounds_won"] = timing.rounds_won(rounds, seconds)
+            for ladder in ladders:
+                print(json.dumps(ladder[-1]), file=sys.stderr)
     result = {
         "what": f"classify_census(n, jobs=jobs): the best of {timing.REPEATS} fresh processes "
                 "that each time one census, in wall-clock seconds, and the peak RSS of that "
-                "process; traversals and stopped_at_v0 (of catalog_scans) come from one "
-                "more census at jobs 1.  Per-layer times wait for a census stats record.",
+                f"process; with a baseline, rounds_won counts the rounds of {timing.REPEATS} "
+                "in which this tree was the faster; traversals and stopped_at_v0 (of "
+                "catalog_scans) come from one more census at jobs 1.  Per-layer times wait "
+                "for a census stats record.",
         "machine": timing.machine(),
         "label": args.label,
         "ladder": ladders[0],

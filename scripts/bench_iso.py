@@ -14,10 +14,11 @@ A pair's verdict class is "isomorphic" or the invariant that told it apart:
 pair of its set once, on freshly built complexes (so nothing a complex
 caches is reused).  Each set runs in REPEATS children per tree, and each
 pair's best wall time counts; with `--baseline`, the two trees are timed
-alternately (see timing.py).  A class's seconds are the sum over its
-pairs.  `verdicts_sha256` digests every pair's verdict string in order,
-the mapping aside, so two outputs with the same digest gave the same
-verdicts and invariants.  A child exits 1 if a mapping it gets is not an
+alternately, and each set counts the rounds in which its `--src` child took
+less time over all its pairs (`rounds_won`, see timing.py).  A class's
+seconds are the sum over its pairs.  `verdicts_sha256` digests every pair's
+verdict string in order, the mapping aside, so two outputs with the same
+digest gave the same verdicts and invariants.  A child exits 1 if a mapping it gets is not an
 isomorphism, and the script then exits 1.
 
 Examples:
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Sequence
 
 import timing
 
@@ -104,7 +106,7 @@ def child(which: str, ns) -> int:
     return 1 if wrong else 0
 
 
-def summary(runs: list[dict]) -> dict:
+def summary(runs: Sequence[dict]) -> dict:
     """One set's figures from its children on one tree: each pair's best
     time, summed per verdict class."""
     if len({run["verdicts_sha256"] for run in runs}) != 1:
@@ -137,15 +139,20 @@ def main() -> int:
     sets, baseline = {}, {}
     for which in ("catalog", "members"):
         argv = [which, "--ns", *map(str, args.ns)]
-        ours, theirs = timing.alternate(__file__, argv, args.src, args.baseline)
-        for figures, runs in ((sets, ours), (baseline, theirs)):
-            if runs:
-                figures[which] = summary(runs)
-                print(json.dumps({which: figures[which]}), file=sys.stderr)
+        rounds = timing.alternate(__file__, argv, args.src, args.baseline)
+        ours, theirs = zip(*rounds)
+        sets[which] = summary(ours)
+        if args.baseline:
+            sets[which]["rounds_won"] = timing.rounds_won(rounds, lambda run: sum(run["seconds"]))
+            baseline[which] = summary(theirs)
+            print(json.dumps({which: baseline[which]}), file=sys.stderr)
+        print(json.dumps({which: sets[which]}), file=sys.stderr)
     result = {
         "what": f"find_isomorphism per verdict class: the sum over its pairs of each pair's "
                 f"best of {timing.REPEATS} wall-clock seconds on freshly built complexes, one "
-                "per fresh process, and the least peak RSS of those processes",
+                "per fresh process, and the least peak RSS of those processes; with a baseline, "
+                f"rounds_won counts the rounds of {timing.REPEATS} in which this tree's child "
+                "took less time in all",
         "machine": timing.machine(),
         "label": args.label,
         "ns": list(args.ns),

@@ -7,7 +7,9 @@ directory.  The child does the work once and prints one JSON object.  Each
 tree gets REPEATS children.  With a baseline tree, the two trees are timed
 alternately, one child at a time, and which goes first swaps every round,
 so both see the same load on a shared machine; the script keeps each
-tree's best.
+tree's best, and counts the rounds in which `--src` was the faster tree
+(`rounds_won`, out of REPEATS): a best-of-REPEATS difference smaller than
+the spread between runs shows up as a split count.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
@@ -52,12 +54,18 @@ def child_output(script: str, argv: list[str], src: Path) -> dict:
 
 
 def alternate(script: str, argv: list[str], src: Path,
-              baseline: Optional[Path]) -> tuple[list[dict], list[dict]]:
-    """REPEATS child outputs on `src`, and as many on `baseline` (none
-    without one), taken in turn; each round swaps which tree goes first."""
+              baseline: Optional[Path]) -> list[tuple[dict, Optional[dict]]]:
+    """REPEATS rounds, each a pair of child outputs: one on `src` and one on
+    `baseline` (None without one).  Each round swaps which tree goes first."""
     trees = [src] if baseline is None else [src, baseline]
-    runs: list[list[dict]] = [[] for _ in trees]
+    rounds = []
     for r in range(REPEATS):
-        for i in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
-            runs[i].append(child_output(script, argv, trees[i]))
-    return runs[0], runs[1] if baseline is not None else []
+        order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
+        outputs = {i: child_output(script, argv, trees[i]) for i in order}
+        rounds.append((outputs[0], outputs.get(1)))
+    return rounds
+
+
+def rounds_won(rounds: list[tuple[dict, Optional[dict]]], seconds: Callable[[dict], float]) -> int:
+    """The number of rounds in which `src` took fewer seconds than the baseline."""
+    return sum(seconds(ours) < seconds(theirs) for ours, theirs in rounds)

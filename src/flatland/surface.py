@@ -3,10 +3,13 @@
 A triangulation is stored as a vertex count plus a set of sorted triangle
 faces on vertices 0..n-1.  Validity (every edge in exactly two faces, every
 vertex link a single cycle, connected) is checked once, in
-`build_triangulation`; all other operations may assume it.  One
-face-adjacency table per complex, `Triangulation.across`, serves the checks
-(building it is the edge check), one face walk for both connectivity and
-`orientability` (`Triangulation._walk`), and the canonical scan.
+`build_triangulation`; all other operations may assume it.  Each incidence
+table is built once per complex, on first use, and kept on it.  The face
+adjacency `Triangulation.across` serves the checks (building it is the edge
+check), one face walk for connectivity and `orientability`
+(`Triangulation._walk`), and the scan; the stars `Triangulation.stars` the
+link check, the degrees and the scan's flags at v0; the 1-skeleton
+(`skeleton_graph`) the G_c invariants and the choice of v0.
 """
 
 from __future__ import annotations
@@ -78,6 +81,20 @@ class Triangulation:
         """across[fi][r] = (gi, w): across the edge of face fi opposite its
         vertex r lies face gi, whose vertex off that edge is w."""
         return _face_adjacency(self.faces)
+
+    @cached_property
+    def stars(self) -> tuple[tuple[int, ...], ...]:
+        """stars[v]: the indices of the faces at vertex v, ascending."""
+        stars: list[list[int]] = [[] for _ in range(self.n)]
+        for fi, (a, b, c) in enumerate(self.faces):
+            stars[a].append(fi)
+            stars[b].append(fi)
+            stars[c].append(fi)
+        return tuple(map(tuple, stars))
+
+    @cached_property
+    def _skeleton(self) -> SimpleGraph:
+        return SimpleGraph(self.n, (e for a, b, c in self.faces for e in ((a, b), (a, c), (b, c))))
 
     @cached_property
     def face_index(self) -> dict[Face, int]:  # face -> its index in `faces`
@@ -181,27 +198,21 @@ def build_triangulation(n: int, face_list: Iterable[Sequence[int]]) -> Triangula
     if len(used) < n:
         unused = next(v for v in range(n) if v not in used)
         raise NotAManifold(f"vertex {unused} lies in no face")
-    faces_at = [0] * n  # the number of faces at each vertex
-    face_at = [0] * n  # one of them
-    for fi, f in enumerate(faces):
-        for v in f:
-            faces_at[v] += 1
-            face_at[v] = fi
 
     t = Triangulation(n, tuple(faces))
     across = t.across  # raises at the first edge not in exactly two faces
 
     # Every vertex link must be one cycle, not several: walking around v
     # face by face, across the edges at v, must reach every face at v.
-    for v in range(n):
-        fi = face_at[v]
+    for v, star in enumerate(t.stars):
+        fi = star[0]
         r, s = (x for x in faces[fi] if x != v)
         gi, w = across[fi][r]  # the face {v, s, w} across the edge {v, s}
         walked = 1
         while gi != fi:  # cross the edge {v, w} of the face {v, s, w}
             (gi, w), s = across[gi][s], w
             walked += 1
-        if walked != faces_at[v]:
+        if walked != len(star):
             raise NotAManifold(f"link of vertex {v} is not a single cycle")
 
     if t._walk[0] != len(faces):
@@ -215,7 +226,7 @@ def euler_characteristic(t: Triangulation) -> int:
 
 
 def degree_profile(t: Triangulation) -> tuple[tuple[int, ...], Optional[int]]:
-    degrees = tuple(mask.bit_count() for mask in skeleton_graph(t).neighbor_masks)
+    degrees = tuple(map(len, t.stars))  # each vertex link is one cycle
     regular = degrees[0] if len(set(degrees)) == 1 else None
     return degrees, regular
 
@@ -230,8 +241,8 @@ def surface_type(t: Triangulation) -> SurfaceType:
 
 
 def skeleton_graph(t: Triangulation) -> SimpleGraph:
-    """EG(T), the 1-skeleton."""
-    return SimpleGraph(t.n, (e for a, b, c in t.faces for e in ((a, b), (a, c), (b, c))))
+    """EG(T), the 1-skeleton, built once per complex."""
+    return t._skeleton
 
 
 def manifold_report(n: int, face_list: Iterable[Sequence[int]]) -> ManifoldReport:

@@ -56,12 +56,14 @@ other starts follow in the order of their labels under that least key's
 labelling, an order fixed by the complex and v0 up to an automorphism.  So
 the traversals, and their number, depend only on the complex and the orbit
 of v0.  v0 is the seed's first vertex, or else a vertex whose sorted
-distances to all vertices are least (`_first_vertex`): an invariant, so its
-orbit is fixed whenever the vertices with those distances form one orbit,
-as on every vertex-transitive complex.  An orientable complex with every
-vertex in 6 faces has chi = 0, so it is a torus, which is vertex-transitive
-(Datta & Upadhyay); there v0 is vertex 0 and no distance is computed.  v0
-only orders the starts, so no result rests on that theorem.  A traversed
+distances to all vertices are least (`_first_vertex`, on the complex's one
+skeleton, which `iso` also reads): an invariant, so its orbit is fixed
+whenever the vertices with those distances form one orbit, as on every
+vertex-transitive complex.  An orientable complex whose stars all hold 6
+faces has chi = 0, so it is a torus, which is vertex-transitive (Datta &
+Upadhyay); there v0 is vertex 0 and no distance is computed.  v0 only
+orders the starts, so no result rests on that theorem; its flags come from
+its star, `Triangulation.stars[v0]`, in face order.  A traversed
 start lies outside the orbits of the starts before it, so a later tie at
 least doubles G: a flag-regular map, where every start has the least key
 and the stabiliser of a vertex has order 12, costs at most
@@ -108,11 +110,11 @@ is used.  The census names its classes from the catalog this way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import permutations
 from operator import itemgetter
 from typing import Collection, Optional, Sequence
 
-from .graphs import SimpleGraph, common_neighbor_graph, graph_shape, layers
+from .graphs import common_neighbor_graph, graph_shape, layers
 from .surface import Face, Triangulation, orientability, skeleton_graph
 
 Code = tuple[int, ...]
@@ -181,20 +183,16 @@ def _traverse(t: Triangulation, start: Face, start_fi: int, best: Optional[list[
     return key, label
 
 
-def _first_vertex(t: Triangulation, g: Optional[SimpleGraph] = None) -> int:
+def _first_vertex(t: Triangulation) -> int:
     """Vertex 0 on a torus, else a vertex whose sorted list of distances to
-    all vertices is least, read off the skeleton `g` if one is given.  A
-    torus is vertex-transitive, and the list is an invariant, so on a
-    relabelled copy the vertex chosen lies in the same orbit whenever the
-    vertices with the least list form one."""
-    faces_at = [0] * t.n
-    for v in chain.from_iterable(t.faces):
-        faces_at[v] += 1
-    if faces_at.count(6) == t.n and orientability(t):  # chi = n - 3n + 2n = 0
+    all vertices is least.  A torus is vertex-transitive, and the list is an
+    invariant, so on a relabelled copy the vertex chosen lies in the same
+    orbit whenever the vertices with the least list form one."""
+    if all(len(star) == 6 for star in t.stars) and orientability(t):  # chi = n - 3n + 2n = 0
         return 0
     # Sorted distance lists (of length n) order as their layer sizes, negated:
     # the less has more vertices in the first layer where the sizes differ.
-    g = skeleton_graph(t) if g is None else g
+    g = skeleton_graph(t)
     return min(range(t.n), key=lambda v: [-layer.bit_count() for layer in layers(g, v)])
 
 
@@ -213,15 +211,13 @@ class _Scanner:
     to be less than the seed's.  After both phases, `base` is the canonical
     labelling and the union-find holds the flag orbits of the group."""
 
-    def __init__(self, t: Triangulation, seed: Optional[Face] = None,
-                 g: Optional[SimpleGraph] = None) -> None:
+    def __init__(self, t: Triangulation, seed: Optional[Face] = None) -> None:
         self.t = t
         self.seeded = seed is not None
-        self.v0 = v0 = _first_vertex(t, g) if seed is None else seed[0]
-        self.faces_at_v0 = [fi for fi, face in enumerate(t.faces) if v0 in face]
+        self.v0 = v0 = _first_vertex(t) if seed is None else seed[0]
         # The flags at v0 of a face are the two orders that read v0 first.
         self.at_v0 = at_v0 = [6 * fi + 2 * t.faces[fi].index(v0) + k
-                              for fi in self.faces_at_v0 for k in (0, 1)]
+                              for fi in t.stars[v0] for k in (0, 1)]
         if seed is not None:
             face = tuple(sorted(seed))
             first = 6 * t.face_index[face] + _ORDERS.index(tuple(map(face.index, seed)))
@@ -238,7 +234,7 @@ class _Scanner:
         self.reached = [False] * flags  # at a root: its class holds a traversed start
 
     def first_phase(self) -> bool:
-        return self._run(self.at_v0, self.faces_at_v0, skip=False)
+        return self._run(self.at_v0, self.t.stars[self.v0], skip=False)
 
     def second_phase(self) -> bool:  # the other starts, by their labels in base
         t, base, v0, n, flags = self.t, self.base, self.v0, self.t.n, 6 * self.t.f2
@@ -307,17 +303,6 @@ def _find(parent: list[int], f: int) -> int:
     return f
 
 
-def _scan(t: Triangulation, seed: Optional[Face] = None) -> Optional[_Scanner]:
-    """The finished scan: the least key's base labelling and the automorphism
-    group, as generators and flag orbits.  With a `seed` start (an oriented
-    face of t), None as soon as some start's key is found to be less than the
-    seed's."""
-    scanner = _Scanner(t, seed)
-    if scanner.first_phase() and scanner.second_phase():
-        return scanner
-    return None
-
-
 def _form(t: Triangulation, label: list[int]) -> CanonicalForm:
     rel = sorted(tuple(sorted((label[a], label[b], label[c]))) for a, b, c in t.faces)
     return CanonicalForm(tuple(v for f in rel for v in f), tuple(label))
@@ -363,7 +348,7 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
         sb = graph_shape(common_neighbor_graph(gb, c))
         if sa != sb:
             return IsomorphismResult(None, f"G_{c}(EG) shape ({sa} vs {sb})")
-    scan_a, scan_b = _Scanner(a, g=ga), _Scanner(b, g=gb)
+    scan_a, scan_b = _Scanner(a), _Scanner(b)
     scan_a.first_phase()
     scan_b.first_phase()
     if scan_a.best != scan_b.best:  # the scans go on to the canonical keys
@@ -381,10 +366,11 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
 def automorphism_group(t: Triangulation, seed: Optional[Face] = None) -> Optional[SymmetryGroup]:
     """The complete automorphism group, by generators, orbits and order,
     with the canonical form.  With a `seed` start (an oriented face of t),
-    None unless that start has the least key.  `_scan` checked the
-    generators against the face set, and no other element is formed."""
-    scan = _scan(t, seed)
-    if scan is None:
+    None as soon as some start's key is found to be less than the seed's.
+    The scan checked the generators against the face set, and no other
+    element is formed."""
+    scan = _Scanner(t, seed)
+    if not (scan.first_phase() and scan.second_phase()):
         return None
     flags, parent = 6 * t.f2, scan.parent
     flag_orbit = [_find(parent, f) for f in range(flags)]  # flag -> its orbit's root

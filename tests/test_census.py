@@ -364,8 +364,8 @@ def test_no_class_scanned_twice(monkeypatch):
     unseeded, finished = [], []
 
     class Recorded(symmetry._Scanner):
-        def __init__(self, t, seed=None, g=None):
-            super().__init__(t, seed, g)
+        def __init__(self, t, seed=None):
+            super().__init__(t, seed)
             if seed is None:
                 unseeded.append(t)
 

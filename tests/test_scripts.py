@@ -2,6 +2,7 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -78,14 +79,17 @@ def test_bench_iso_smallest_ladder(tmp_path):
 
 def test_bench_baseline_on_the_same_tree(tmp_path):
     # Both trees are timed in the same run, so the same tree must give the
-    # same orders and the same verdicts on both sides.
+    # same orders and the same verdicts on both sides.  Each row or set
+    # counts the rounds its --src child won, out of REPEATS.
     outs = {}
-    for script, args in (("bench_aut.py", ["--ks", "6"]), ("bench_iso.py", ["--ns", "9"])):
+    for script, args in (("bench_aut.py", ["--ks", "6"]), ("bench_iso.py", ["--ns", "9"]),
+                         ("bench_census.py", ["--ns", "12", "--jobs", "1"])):
         outs[script] = tmp_path / script.replace(".py", ".json")
         proc = subprocess.run([sys.executable, f"scripts/{script}", *args, "--out",
                                str(outs[script]), "--baseline", "src"],
                               cwd=ROOT, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+    repeats = runpy.run_path(str(ROOT / "scripts" / "timing.py"))["REPEATS"]
     aut = json.loads(outs["bench_aut.py"].read_text())
     assert [row["order"] for row in aut["ladder"]] == [row["order"] for row in
                                                       aut["baseline"]["ladder"]] == [432]
@@ -93,3 +97,7 @@ def test_bench_baseline_on_the_same_tree(tmp_path):
     for which in ("catalog", "members"):
         assert iso[which]["verdicts_sha256"] == iso["baseline"][which]["verdicts_sha256"]
         assert iso[which]["classes"].keys() == iso["baseline"][which]["classes"].keys()
+    census = json.loads(outs["bench_census.py"].read_text())
+    assert census["ladder"][0]["census_sha256"] == census["baseline"]["ladder"][0]["census_sha256"]
+    for row in (*aut["ladder"], iso["catalog"], iso["members"], *census["ladder"]):
+        assert row["rounds_won"] in range(repeats + 1)

@@ -214,17 +214,36 @@ class TestFaceAdjacency:
         assert len(calls) == 1
 
     def test_find_isomorphism_builds_each_skeleton_once(self, monkeypatch):
-        calls = []
-        skeleton = flatland.symmetry.skeleton_graph
-        monkeypatch.setattr(flatland.symmetry, "skeleton_graph",
-                            lambda t: calls.append(t) or skeleton(t))
-        # A Klein bottle's scans read v0 off the skeletons built for the
-        # G_c shapes.
+        builds = []
+        graph = flatland.surface.SimpleGraph
+        monkeypatch.setattr(flatland.surface, "SimpleGraph",
+                            lambda n, edges: builds.append(n) or graph(n, edges))
+        # The skeleton is kept on its complex: a Klein bottle's scan reads
+        # v0 off the skeleton built for the G_c shapes.
         for name in ("T(12,1,3)", "K(4,6)"):
-            calls.clear()
+            builds.clear()
             t = fam(name)
             assert find_isomorphism(t, shuffled(t, 3)).isomorphic
-            assert len(calls) == 2
+            assert len(builds) == 2
+        builds.clear()
+        assert automorphism_group(fam("K(4,6)")) is not None
+        assert len(builds) == 1
+        # Validation reads the degrees off the stars.
+        builds.clear()
+        t = fam("K(4,6)")
+        assert manifold_report(t.n, t.faces).regular_degree == 6
+        assert builds == []
+
+
+class TestStars:
+    def test_stars_and_degrees_match_a_recount(self, tetrahedron, double_pyramid):
+        # The double pyramid has mixed degrees, and RP2 is non-orientable.
+        catalog = {named.complex for n in range(7, 31) for named in known_catalog(n)}
+        for t in (tetrahedron, double_pyramid, build_triangulation(*RP2), *catalog):
+            assert t.stars == tuple(tuple(fi for fi, face in enumerate(t.faces) if v in face)
+                                    for v in range(t.n))
+            assert degree_profile(t)[0] == tuple(mask.bit_count()
+                                                 for mask in skeleton_graph(t).neighbor_masks)
 
 
 def neg_edges(t) -> set[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import io
 from itertools import permutations
 
 import pytest
@@ -8,8 +9,10 @@ from flatland import (
     automorphism_group,
     build_triangulation,
     canonical_form,
+    cli,
     common_neighbor_graph,
     find_isomorphism,
+    format_tri,
     graph_shape,
     known_catalog,
     orientability,
@@ -394,7 +397,9 @@ class TestScan:
                 for seed in range(2):
                     u = shuffled(t, 1000 * n + seed)
                     least = least_key_labels(u)
-                    scan = symmetry._scan(u)
+                    scan = symmetry._Scanner(u)
+                    scan.first_phase()
+                    scan.second_phase()
                     group = group_elements(scan.gens, u.n)
                     ties = {tuple(scan.base[g[v]] for v in range(u.n)) for g in group}
                     assert ties == least
@@ -515,3 +520,60 @@ class TestScan:
             other = shuffled(t, seed)
             assert canonical_form(other).code == canonical_form(t).code
             assert automorphism_group(other).order == automorphism_group(t).order
+
+
+
+def corrupt_traversals(monkeypatch, when):
+    """Make `_traverse` swap the labels 0 and 1 of its start in each result
+    for which when(t, key, best) holds."""
+    traverse = symmetry._traverse
+
+    def corrupted(t, start, start_fi, best):
+        found = traverse(t, start, start_fi, best)
+        if found is not None and when(t, found[0], best):
+            found[1][start[0]], found[1][start[1]] = 1, 0
+        return found
+
+    monkeypatch.setattr(symmetry, "_traverse", corrupted)
+
+
+def is_tie(t, key, best):
+    return key == best
+
+
+class TestSafetyChecks:
+    # Each check guards a proof step: a traversal that mislabels its start
+    # ends in the AssertionError, and the CLI turns that into exit 2.  The
+    # same swap in every label array of b keeps b's ties automorphisms, but
+    # its base no longer maps a's faces onto b's.
+    def test_a_tie_that_is_no_automorphism_raises(self, monkeypatch):
+        corrupt_traversals(monkeypatch, is_tie)
+        with pytest.raises(AssertionError, match="traversal produced a non-automorphism"):
+            automorphism_group(fam("T(12,1,3)"))
+
+    def test_equal_keys_that_give_no_isomorphism_raise(self, monkeypatch):
+        for name in ("T(12,1,3)", "K(4,6)"):
+            a = fam(name)
+            b = shuffled(a, 3)
+            corrupt_traversals(monkeypatch, lambda t, key, best: t is b)
+            with pytest.raises(AssertionError, match="equal keys produced a non-isomorphism"):
+                find_isomorphism(a, b)
+
+    def test_cli_exit_2_without_a_traceback(self, monkeypatch, tmp_path):
+        def run(*argv):
+            out, err = io.StringIO(), io.StringIO()
+            return cli.run(list(argv), out=out, err=err), out.getvalue(), err.getvalue()
+
+        path = str(tmp_path / "t.tri")
+        with open(path, "w") as f:
+            f.write(format_tri(fam("T(12,1,3)")))
+        corrupt_traversals(monkeypatch, is_tie)
+        assert run("aut", path) == (
+            2, "", "error: unexpected AssertionError('traversal produced a non-automorphism')\n")
+        monkeypatch.undo()
+        build, built = cli.build_triangulation, []
+        monkeypatch.setattr(cli, "build_triangulation",
+                            lambda n, faces: built.append(build(n, faces)) or built[-1])
+        corrupt_traversals(monkeypatch, lambda t, key, best: t is built[-1])
+        assert run("iso", path, path) == (
+            2, "", "error: unexpected AssertionError('equal keys produced a non-isomorphism')\n")
