@@ -9,8 +9,10 @@ pool's workers aside).  Each (n, jobs) keeps the best of REPEATS children
 per tree; with `--baseline`, the two trees are timed alternately, and each
 row counts the rounds its tree won (`rounds_won`, see timing.py).  One more
 child per tree and n, at jobs 1 and not timed, counts the `_traverse` calls
-of the whole census and the distinct catalog complexes whose scan stopped
-after the flags at v0 (an unseeded scan that never ran its second phase).
+of the whole census, the distinct catalog complexes whose scan stopped
+after the flags at v0 (an unseeded scan that never ran its second phase),
+the link-search nodes (summed over every `_LinkSearch`, the frontier
+probes included) and the leaves handed to `_canonicalize_leaves`.
 The tasks, the leaves and the catalog do not depend on the job count, so
 neither do these counts.  The script exits 1 if two children of one n give
 different censuses.
@@ -38,13 +40,15 @@ def child(mode: str, n: int, jobs: int) -> None:
     import resource
     import time
 
-    from flatland import classify_census, symmetry
+    from flatland import census, classify_census, symmetry
 
     counts = {}
     if mode == "count":
         traverse, scanner = symmetry._traverse, symmetry._Scanner
         init, second_phase = scanner.__init__, scanner.second_phase
         traversals, unseeded = [0], []  # unseeded scanners, kept alive
+        searches, leaves = [], [0]  # every link search, frontier probes included
+        search_init, canonicalize = census._LinkSearch.__init__, census._canonicalize_leaves
 
         def counted(*args):
             traversals[0] += 1
@@ -59,14 +63,25 @@ def child(mode: str, n: int, jobs: int) -> None:
             self.finished = True
             return second_phase(self)
 
+        def recorded_search_init(self, *args, **kwargs):
+            searches.append(self)
+            search_init(self, *args, **kwargs)
+
+        def counted_leaves(n, found, *args, **kwargs):
+            leaves[0] += len(found)
+            return canonicalize(n, found, *args, **kwargs)
+
         symmetry._traverse = counted
+        census._LinkSearch.__init__ = recorded_search_init
+        census._canonicalize_leaves = counted_leaves
         scanner.__init__, scanner.second_phase = recorded_init, recorded_second_phase
     start = time.perf_counter()
     report = classify_census(n, jobs=jobs)
     seconds = time.perf_counter() - start
     if mode == "count":
         counts = {"traversals": traversals[0], "catalog_scans": len(unseeded),
-                  "stopped_at_v0": sum(not hasattr(s, "finished") for s in unseeded)}
+                  "stopped_at_v0": sum(not hasattr(s, "finished") for s in unseeded),
+                  "nodes": sum(search.nodes for search in searches), "leaves": leaves[0]}
     digest = hashlib.sha256()
     for item in report.items:
         digest.update(f"{item.code} {item.weakly_regular} {item.combinatorially_regular} "
@@ -103,7 +118,7 @@ def main() -> int:
             for ladder, tree_runs, counted in zip(ladders, zip(*rounds), counts):
                 row = min(tree_runs, key=seconds)
                 row.update({key: counted[key] for key in
-                            ("traversals", "catalog_scans", "stopped_at_v0")})
+                            ("traversals", "catalog_scans", "stopped_at_v0", "nodes", "leaves")})
                 ladder.append(row)
                 censuses.setdefault(n, set()).update(run["census_sha256"]
                                                      for run in (*tree_runs, counted))
@@ -115,9 +130,10 @@ def main() -> int:
         "what": f"classify_census(n, jobs=jobs): the best of {timing.REPEATS} fresh processes "
                 "that each time one census, in wall-clock seconds, and the peak RSS of that "
                 f"process; with a baseline, rounds_won counts the rounds of {timing.REPEATS} "
-                "in which this tree was the faster; traversals and stopped_at_v0 (of "
-                "catalog_scans) come from one more census at jobs 1.  Per-layer times wait "
-                "for a census stats record.",
+                "in which this tree was the faster; traversals, stopped_at_v0 (of "
+                "catalog_scans), the link-search nodes (frontier probes included) and the "
+                "leaves canonicalised come from one more census at jobs 1.  Per-layer times "
+                "wait for a census stats record.",
         "machine": timing.machine(),
         "label": args.label,
         "ladder": ladders[0],

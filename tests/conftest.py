@@ -122,84 +122,113 @@ def flags(t: Triangulation) -> list[tuple[int, int, tuple[int, int, int]]]:
     return [(v, u, f) for f in t.faces for v in f for u in f if u != v]
 
 
-def reference_target_vertex(search) -> int:
+def reference_links(faces) -> dict[int, list[tuple[int, int]]]:
+    """The link of each vertex w of a face list, as the edges pq of its
+    faces wpq."""
+    link: dict[int, list[tuple[int, int]]] = {}
+    for face in faces:
+        for w in face:
+            link.setdefault(w, []).append(tuple(x for x in face if x != w))
+    return link
+
+
+def _link_degrees(edges) -> Counter:
+    """Each neighbour of a vertex with the number of its link edges (faces
+    on the edge to it)."""
+    return Counter(x for edge in edges for x in edge)
+
+
+def _link_component(edges, start: int) -> set[int]:
+    """The vertices of the link component of `start`, by a breadth-first walk."""
+    component, todo = {start}, [start]
+    while todo:
+        x = todo.pop()
+        for edge in edges:
+            if x in edge:
+                y = edge[0] + edge[1] - x
+                if y not in component:
+                    component.add(y)
+                    todo.append(y)
+    return component
+
+
+def reference_first_open(search) -> int:
     """The least vertex of a `census._LinkSearch` state that is not complete
-    (6 neighbours, every edge on two faces), or n, by a scan from vertex 0."""
+    (6 neighbours, each on two faces), or n, from its face list alone."""
+    link = reference_links(search.faces)
     for v in range(search.n):
-        if len(search.lk[v]) != 6 or any(len(on) != 2 for on in search.lk[v].values()):
+        degrees = _link_degrees(link.get(v, ()))
+        if len(degrees) != 6 or any(d != 2 for d in degrees.values()):
             return v
     return search.n
 
 
+def reference_target_vertex(search) -> int:
+    """The vertex a link-search state branches at, from its face list
+    alone: the least vertex with 6 neighbours and an open link (a neighbour
+    on one face only), else the least vertex that is not complete, or n."""
+    link = reference_links(search.faces)
+    for v in sorted(link):
+        degrees = _link_degrees(link[v])
+        if len(degrees) == 6 and 1 in degrees.values():
+            return v
+    return reference_first_open(search)
+
+
 def reference_face_ok(search, face) -> bool:
-    """The face rule of the link search, checked from scratch: the face is
-    new, every edge stays on at most two faces, every vertex has at most 6
-    neighbours, and a vertex link closes only into a whole 6-cycle (its
-    component is found by a breadth-first walk)."""
-    if face in search.faces:
+    """The face rule of the link search, checked from the face list alone:
+    the face is new, every edge stays on at most two faces, every vertex has
+    at most 6 neighbours, and a vertex link closes only into a whole
+    6-cycle."""
+    if set(face) in map(set, search.faces):
         return False
-    lk = search.lk
+    link = reference_links(search.faces)
     a, b, c = face
-    for p, q in ((a, b), (a, c), (b, c)):
-        if len(lk[p].get(q, ())) >= 2:
-            return False
     for w, p, q in ((a, b, c), (b, a, c), (c, a, b)):
-        degree = len(lk[w]) + (p not in lk[w]) + (q not in lk[w])
+        edges = link.get(w, [])
+        degrees = _link_degrees(edges)
+        if degrees[p] >= 2 or degrees[q] >= 2:
+            return False
+        degree = len(degrees) + (p not in degrees) + (q not in degrees)
         if degree > 6:
             return False
-        if p in lk[w] and q in lk[w]:
-            component, todo = {p}, [p]
-            while todo:
-                for y in lk[w][todo.pop()]:
-                    if y not in component:
-                        component.add(y)
-                        todo.append(y)
+        if p in degrees and q in degrees:
+            component = _link_component(edges, p)
             if q in component and (degree != 6 or len(component) != 6):
                 return False
     return True
 
 
 def reference_branch_faces(search):
-    """Branch faces of a link-search state by the plain rule: extend the
-    target vertex v at its least open neighbour u with every x below
-    min(max_used + 2, n) that passes `reference_face_ok`; None when no
-    vertex is open."""
+    """Branch faces of a link-search state, from its face list alone: put a
+    face on the edge from the target vertex v to its least open neighbour
+    u, with every x below min(max_used + 2, n) that passes
+    `reference_face_ok`; None when every vertex is complete."""
     v = reference_target_vertex(search)
     if v == search.n:
         return None
-    if not search.lk[v]:
+    degrees = _link_degrees(reference_links(search.faces).get(v, ()))
+    if not degrees:
         return []
-    u = min(x for x, on in search.lk[v].items() if len(on) == 1)
-    faces = (tuple(sorted((v, u, x)))
-             for x in range(min(search.max_used + 2, search.n)) if x not in (v, u))
+    u = min(x for x, d in degrees.items() if d == 1)
+    top = min(max(max(face) for face in search.faces) + 2, search.n)
+    faces = (tuple(sorted((v, u, x))) for x in range(top) if x not in (v, u))
     return [f for f in faces if reference_face_ok(search, f)]
 
 
 def reference_forced_face(search):
     """The first face a link-search state is forced to take, found from its
-    face list alone, or None: a vertex w with 6 neighbours whose link (the
-    edges pq of its faces wpq) is connected with 5 edges and 2 ends p and q,
-    so a path, lies on the face {w, p, q} in every completion."""
-    link: dict[int, list[tuple[int, int]]] = {}
-    for face in search.faces:
-        for w in face:
-            link.setdefault(w, []).append(tuple(x for x in face if x != w))
+    face list alone, or None: a vertex w with 6 neighbours whose link is
+    connected with 5 edges and 2 ends p and q, so a path, lies on the face
+    {w, p, q} in every completion."""
+    link = reference_links(search.faces)
     for w in sorted(link):
         edges = link[w]
-        degree = Counter(x for edge in edges for x in edge)
-        ends = [x for x, d in degree.items() if d == 1]
-        if len(degree) != 6 or len(edges) != 5 or len(ends) != 2:
+        degrees = _link_degrees(edges)
+        ends = [x for x, d in degrees.items() if d == 1]
+        if len(degrees) != 6 or len(edges) != 5 or len(ends) != 2:
             continue
-        component, todo = {ends[0]}, [ends[0]]
-        while todo:
-            x = todo.pop()
-            for edge in edges:
-                if x in edge:
-                    y = edge[0] + edge[1] - x
-                    if y not in component:
-                        component.add(y)
-                        todo.append(y)
-        if len(component) == 6:
+        if len(_link_component(edges, ends[0])) == 6:
             return tuple(sorted((w, *ends)))
     return None
 

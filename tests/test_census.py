@@ -23,8 +23,9 @@ from flatland import (
 from tests.conftest import (
     census_report,
     reference_branch_faces,
+    reference_first_open,
     reference_forced_face,
-    reference_target_vertex,
+    reference_links,
 )
 from tests.lattice_oracle import klein_classes, torus_classes
 
@@ -244,13 +245,14 @@ def test_non_finite_budget_rejected(budget):
 
 
 class _CheckedSearch(census._LinkSearch):
-    """A link search that compares every node with the plain rule: the
-    target found by a scan from vertex 0, and `_face_ok` on every x.  A
-    node branches only once no face is forced."""
+    """A link search that compares every node with the rule, as the
+    oracles in conftest read it from the face list: the first open vertex,
+    and the branch faces at the target vertex with `_face_ok` on every x.
+    A node branches only once no face is forced."""
 
     def _branch_faces(self):
         assert reference_forced_face(self) is None
-        assert self.first_open == reference_target_vertex(self)
+        assert self.first_open == reference_first_open(self)
         faces = super()._branch_faces()
         assert faces == reference_branch_faces(self)
         return faces
@@ -263,7 +265,38 @@ def test_search_tree_matches_the_plain_rule(n):
     search.run(leaves)
     assert len(census._canonicalize_leaves(n, leaves)) == sum(EXPECTED_SPLITS[n])
     if n == 12:
-        assert (search.nodes, len(leaves)) == (735, 43)
+        assert (search.nodes, len(leaves)) == (587, 43)
+
+
+class _FailFirstSearch(census._LinkSearch):
+    """A link search that records, at each node with a vertex that has 6
+    neighbours and an open link, the least such vertex, its open ends and
+    the branch faces."""
+
+    def _branch_faces(self):
+        faces = super()._branch_faces()
+        for w, edges in sorted(reference_links(self.faces).items()):
+            degrees = Counter(x for edge in edges for x in edge)
+            ends = {x for x, d in degrees.items() if d == 1}
+            if len(degrees) == 6 and ends:
+                self.checked.append((w, ends, faces))
+                break
+        return faces
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_branch_closes_a_full_vertex_first(n):
+    # Fail-first: a vertex with 6 neighbours and an open link takes no new
+    # neighbour, so its faces lie on two of its open ends, and the least
+    # such vertex is branched at before any vertex that can still grow.
+    search = _FailFirstSearch(n, census._initial_star(), None, None)
+    search.checked = []
+    search.run([])
+    assert search.checked
+    for w, ends, faces in search.checked:
+        for face in faces:
+            assert w in face
+            assert len(ends & set(face)) == 2
 
 
 class _PlainSearch(census._LinkSearch):
@@ -286,7 +319,7 @@ def test_forced_faces_keep_the_plain_leaves(n):
     assert forced.nodes < plain.nodes
 
 
-@pytest.mark.parametrize("n,nodes,leaves", [(18, 4535, 69), (24, 15014, 138)])
+@pytest.mark.parametrize("n,nodes,leaves", [(18, 3126, 69), (24, 9282, 138)])
 def test_whole_search_size(n, nodes, leaves):
     search, found = census._LinkSearch(n, census._initial_star(), None, None), []
     search.run(found)
@@ -333,7 +366,7 @@ class _RecordedSearch(census._LinkSearch):
 @pytest.mark.parametrize("n", range(7, 17))
 def test_split_search_counts_every_node_once(monkeypatch, n):
     # Tasks of at most 16 nodes, in waves, against one search of the whole
-    # tree: the same nodes (735 at n = 12, the frontier probes included),
+    # tree: the same nodes (587 at n = 12, the frontier probes included),
     # the same leaves and the same census.
     whole, whole_leaves = census._LinkSearch(n, census._initial_star(), None, None), []
     assert whole.run(whole_leaves) == []
@@ -395,7 +428,7 @@ def test_census_traversals_are_pinned(monkeypatch, n, traversals):
 # lattice oracle, which shares no code with the search; its classes are
 # also checked one by one (tests/test_lattice_oracle.py).  They also check
 # the leaf test, which would lose a class without an error.
-BEYOND_PAPER_SPLITS = {n: (len(torus_classes(n)), len(klein_classes(n))) for n in range(16, 25)}
+BEYOND_PAPER_SPLITS = {n: (len(torus_classes(n)), len(klein_classes(n))) for n in range(16, 31)}
 
 
 @pytest.mark.stretch

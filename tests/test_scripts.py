@@ -61,8 +61,9 @@ def test_bench_census_smallest_member(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(out.read_text())["ladder"]
     assert [(row["n"], row["jobs"], row["classes"], row["tori"], row["klein_bottles"],
-             row["traversals"], row["catalog_scans"], row["stopped_at_v0"]) for row in rows] == [
-        (12, 1, 7, 4, 3, 510, 16, 15), (12, 2, 7, 4, 3, 510, 16, 15)]
+             row["traversals"], row["catalog_scans"], row["stopped_at_v0"], row["nodes"],
+             row["leaves"]) for row in rows] == [
+        (12, 1, 7, 4, 3, 510, 16, 15, 587, 43), (12, 2, 7, 4, 3, 510, 16, 15, 587, 43)]
 
 
 def test_bench_iso_smallest_ladder(tmp_path):
