@@ -11,8 +11,9 @@ row counts the rounds its tree won (`rounds_won`, see timing.py).  One more
 child per tree and n, at jobs 1 and not timed, counts the `_traverse` calls
 of the whole census, the distinct catalog complexes whose scan stopped
 after the flags at v0 (an unseeded scan that never ran its second phase),
-the link-search nodes (summed over every `_LinkSearch`, the frontier
-probes included) and the leaves handed to `_canonicalize_leaves`.
+the link-search nodes and the nodes its prefix test ended (`pruned`), both
+summed over every `_LinkSearch`, the frontier probes included, and the
+leaves handed to `_canonicalize_leaves`.
 The tasks, the leaves and the catalog do not depend on the job count, so
 neither do these counts.  The script exits 1 if two children of one n give
 different censuses.
@@ -81,7 +82,10 @@ def child(mode: str, n: int, jobs: int) -> None:
     if mode == "count":
         counts = {"traversals": traversals[0], "catalog_scans": len(unseeded),
                   "stopped_at_v0": sum(not hasattr(s, "finished") for s in unseeded),
-                  "nodes": sum(search.nodes for search in searches), "leaves": leaves[0]}
+                  "nodes": sum(search.nodes for search in searches),
+                  # a tree without the prefix test ends no node by it
+                  "pruned": sum(getattr(search, "pruned", 0) for search in searches),
+                  "leaves": leaves[0]}
     digest = hashlib.sha256()
     for item in report.items:
         digest.update(f"{item.code} {item.weakly_regular} {item.combinatorially_regular} "
@@ -118,7 +122,8 @@ def main() -> int:
             for ladder, tree_runs, counted in zip(ladders, zip(*rounds), counts):
                 row = min(tree_runs, key=seconds)
                 row.update({key: counted[key] for key in
-                            ("traversals", "catalog_scans", "stopped_at_v0", "nodes", "leaves")})
+                            ("traversals", "catalog_scans", "stopped_at_v0", "nodes", "pruned",
+                             "leaves")})
                 ladder.append(row)
                 censuses.setdefault(n, set()).update(run["census_sha256"]
                                                      for run in (*tree_runs, counted))
@@ -131,9 +136,9 @@ def main() -> int:
                 "that each time one census, in wall-clock seconds, and the peak RSS of that "
                 f"process; with a baseline, rounds_won counts the rounds of {timing.REPEATS} "
                 "in which this tree was the faster; traversals, stopped_at_v0 (of "
-                "catalog_scans), the link-search nodes (frontier probes included) and the "
-                "leaves canonicalised come from one more census at jobs 1.  Per-layer times "
-                "wait for a census stats record.",
+                "catalog_scans), the link-search nodes (frontier probes included), the "
+                "nodes the prefix test ended (pruned) and the leaves canonicalised come from "
+                "one more census at jobs 1.  Per-layer times wait for a census stats record.",
         "machine": timing.machine(),
         "label": args.label,
         "ladder": ladders[0],

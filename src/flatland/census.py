@@ -17,7 +17,8 @@ the same leaf, so a class with automorphism group Aut comes out as
 key of the canonical scan (`symmetry`); the least-key flags of a class
 form one orbit, so exactly one leaf per class is kept, and the output is
 independent of search order.  A leaf is dropped once some start's key,
-traversed to its end, is smaller than its search flag's.  The full scan of
+traversed to its end, is smaller than its search flag's; most are dropped
+before they are built, by the prefix test below.  The full scan of
 a kept leaf also gives its class's automorphism group, and so the
 regularity flags: no class is scanned again.
 
@@ -37,12 +38,38 @@ neighbours whose link is one path, with ends p and q, lies on the face
 {w, p, q} in every completion.  A forced face brings in no new vertex, so
 the leaves and their labelling are those of the plain search, and one that
 cannot be added ends the branch at once.  Only the vertices of the last
-face added can be forced, so this costs a few checks per node too.  The
-two rules together cut the whole search at n = 12, 18, 24, 30, 36, 42 to
-587, 3 126, 9 282, 21 089, 42 327, 77 632 nodes, with the same 43, 69,
-138, 180, 226, 228 leaves (forced faces alone: 735, 4 535, 15 014,
-39 033, 88 035, 183 356 nodes; at n = 24, fail-first alone: 18 566,
-neither: 64 058).
+face added can be forced, so this costs a few checks per node too.
+
+Then a node runs the first phase of the leaf test on its faces, the prefix
+pruning of plantri (Brinkmann and McKay 2007).  It traverses the search
+flag and the other 11 flags at vertex 0, whose star is closed from the
+root, exactly as `symmetry._traverse` does, and stops each traversal at
+its first edge that lies on one face only.  An edge on two faces keeps
+them in every completion, so the key up to there, the prefix, is a prefix
+of that flag's key in every completion.
+If some flag's prefix is smaller than the search flag's at a position both
+reach, every leaf below has a smaller key than its search flag's, the leaf
+test would drop it, and the node ends; its leaves were never the kept ones.
+So the prefix test loses no class, and the leaves left are exactly those
+of the search without it whose search flag has the least key among the
+flags at vertex 0 (ties kept).  A prefix changes only when its stopping
+edge gets its second face, so each node keeps the traversals of the search
+flag and of the flags still tied with it, each with its stopping edge, and
+goes on with a traversal, from a copy, only once that edge is closed; a
+tied flag is followed no further than the search flag's key, and a flag
+found larger is dropped for the whole subtree.  That gives the same
+verdict at every node as a test from scratch on its faces, so the nodes
+do not depend on where the search is split.  The labels are a dict over
+the vertices met and the faces bit masks of their vertices, so nothing of
+size n is allocated.
+
+The rules together cut the whole search at n = 12, 18, 24, 30, 36, 42 to
+234, 1 255, 2 874, 6 618, 11 951, 19 218 nodes, 33, 143, 324, 626, 1 019,
+1 323 of them ended by the prefix test, with 10, 13, 31, 33, 45, 41
+leaves.  Without the prefix test: 587, 3 126, 9 282, 21 089, 42 327,
+77 632 nodes, with 43, 69, 138, 180, 226, 228 leaves, 12n/|Aut| per class
+(forced faces alone: 735, 4 535, 15 014, 39 033, 88 035, 183 356 nodes;
+at n = 24, fail-first alone: 18 566, neither: 64 058).
 
 Every census takes one path, whatever the number of jobs: the search tree
 is expanded breadth-first until it has `_FRONTIER_TARGET` open states or
@@ -84,6 +111,10 @@ _FRONTIER_TARGET = 8  # open states the search is split into, for any jobs
 _SPLIT_NODES = 2048  # nodes a task searches before it hands back the rest
 _SEARCH_FLAG: Face = (0, 1, 2)  # the start every leaf is labelled from
 _Class = tuple[tuple[Face, ...], tuple[bool, bool]]  # faces, (weakly, combinatorially regular)
+# A traversal of the flags at vertex 0 as far as the faces reach: the edge it
+# stopped at (p None once it is complete), its key, labels, queued faces (as
+# vertex bit masks), queue, and the queue position and edge to go on from.
+_Prefix = tuple[Optional[int], int, list[int], dict[int, int], set[int], list[Face], int, int]
 
 
 class ResourceLimit(RuntimeError):
@@ -118,6 +149,8 @@ class _LinkSearch:
         self.deadline = deadline
         self.quota = quota
         self.nodes = 0
+        self.pruned = 0  # nodes ended by the prefix test
+        self.ties: Optional[list[_Prefix]] = None  # the search flag's traversal, then its ties
         self._undo: list[tuple[int, int]] = []  # (max_used, first_open) before each face
         for f in faces:
             self._apply(f)
@@ -266,14 +299,53 @@ class _LinkSearch:
                 todo += (p, q)
         return True
 
+    def _search_flag_leads(self) -> bool:
+        """The prefix test: False when some flag at vertex 0 has a smaller
+        key than the search flag in every completion of the faces.
+
+        `ties` holds the traversal of the search flag, stopped at its first
+        edge on one face, then those of the flags at vertex 0 whose keys
+        agree with it as far as both reach, each stopped at its first edge
+        on one face or once it is as long as the search flag's key (stop
+        edge -1).  A traversal goes on only once its edge lies on two
+        faces, or the search flag's key has grown, from a copy, since the
+        parent node keeps the old one.  A flag whose key then differs from
+        the search flag's is dropped if it is larger, and ends the node if
+        it is smaller."""
+        lk, ties = self.lk, self.ties
+        if ties is None:
+            ties = [_start(_SEARCH_FLAG)] + [_start((0, a, b)) for a, on_0a in lk[0].items()
+                                             for b in on_0a if (0, a, b) != _SEARCH_FLAG]
+        p, q = ties[0][:2]
+        grown = p is not None and len(lk[p][q]) == 2
+        kept = [_resume(lk, ties[0]) if grown else ties[0]]
+        lead = kept[0][2]
+        for s in ties[1:]:
+            p, q = s[:2]
+            if p is not None and (grown if p < 0 else len(lk[p][q]) == 2):
+                s = _resume(lk, s, lead)
+                key = s[2]
+                at = len(key) - 1
+                if key[at] != lead[at]:
+                    if key[at] < lead[at]:
+                        return False
+                    continue
+            kept.append(s)
+        self.ties = kept
+        return True
+
     def _visit(self) -> Optional[list[Face]]:
         """Count the current state as one search node, check the deadline,
-        add its forced faces and return its branch faces: [] when a forced
-        face cannot be added, None when the complex is complete."""
+        add its forced faces, run the prefix test and return its branch
+        faces: [] when a forced face cannot be added or the test fails,
+        None when the complex is complete."""
         self.nodes += 1
         if self.nodes % _CHECK_EVERY == 1:
             _check_deadline(self.deadline, "census search")
         if not self._close_forced():
+            return []
+        if not self._search_flag_leads():
+            self.pruned += 1
             return []
         return self._branch_faces()
 
@@ -281,8 +353,9 @@ class _LinkSearch:
         """Append every completion of the current faces to `leaves`.  The
         search is 2n - 6 faces deep, so it keeps a stack instead of
         recursing: for each node on the path from the root, its branch
-        iterator and its face count once its forced faces are added, so
-        backtracking takes back the forced faces with the branch face.
+        iterator, its face count once its forced faces are added, so
+        backtracking takes back the forced faces with the branch face, and
+        its traversals of the flags at vertex 0.
 
         With a `quota` (None: no limit), the search stops once it has
         counted that many nodes and returns the states it has not entered:
@@ -290,25 +363,70 @@ class _LinkSearch:
         faces included) plus each remaining sibling face.  Their roots are
         not counted here, so searching them counts every node of the
         subtree exactly once.  Otherwise it returns []."""
-        stack: list[tuple[Iterator[Face], int]] = []
+        stack: list[tuple[Iterator[Face], int, Optional[list[_Prefix]]]] = []
         while True:
             branch = self._visit()
             if branch is None:
                 leaves.append(tuple(self.faces))
                 branch = []
-            stack.append((iter(branch), len(self.faces)))
+            stack.append((iter(branch), len(self.faces), self.ties))
             if self.quota is not None and self.nodes >= self.quota:
-                return [tuple(self.faces[:end]) + (face,) for rest, end in stack for face in rest]
+                return [tuple(self.faces[:end]) + (face,)
+                        for rest, end, _ in stack for face in rest]
             face = next(stack[-1][0], None)
             while face is None:
                 stack.pop()
                 if not stack:
                     return []
-                rest, end = stack[-1]
+                rest, end, self.ties = stack[-1]
                 while len(self.faces) > end:
                     self._revert()
                 face = next(rest, None)
             self._apply(face)
+
+
+def _start(flag: Face) -> _Prefix:
+    """A traversal of the flag (x, y, z) that has not crossed an edge yet."""
+    x, y, z = flag
+    return x, y, [], {x: 0, y: 1, z: 2}, {1 << x | 1 << y | 1 << z}, [flag], 0, 0
+
+
+def _resume(lk: list[dict[int, list[int]]], prefix: _Prefix,
+            lead: Optional[list[int]] = None) -> _Prefix:
+    """A copy of the traversal carried on over the faces in `lk` to the
+    next edge on one face, or to its end.  It is `symmetry._traverse`: the
+    edges are crossed in the same order, and the faces queued and the
+    vertices labelled in the same way.  With `lead`, the search flag's key,
+    it also stops (stop edge -1) at the first entry that differs from
+    lead's, or once it has as many entries as lead."""
+    _, _, key, label, seen, queue, qi, ei = prefix
+    key, label, seen, queue = key[:], dict(label), set(seen), queue[:]
+    end = -1 if lead is None else len(lead)
+    add_key, get_label, enqueue = key.append, label.get, queue.append
+    while qi < len(queue):  # breadth-first: the queue grows while read
+        x, y, z = queue[qi]
+        for p, q, r in ((x, y, z), (y, z, x), (z, x, y))[ei:]:
+            at = len(key)
+            if at == end:
+                return -1, 0, key, label, seen, queue, qi, ei
+            on_pq = lk[p][q]
+            if len(on_pq) == 1:
+                return p, q, key, label, seen, queue, qi, ei
+            w = on_pq[0] + on_pq[1] - r
+            lw = get_label(w)
+            if lw is None:
+                lw = label[w] = len(label)
+            add_key(lw)
+            face = 1 << p | 1 << q | 1 << w
+            if face not in seen:
+                seen.add(face)
+                enqueue((q, p, w))
+            ei += 1
+            if end >= 0 and lw != lead[at]:
+                return -1, 0, key, label, seen, queue, qi, ei
+        qi += 1
+        ei = 0
+    return None, 0, key, label, seen, queue, qi, 0
 
 
 def _check_deadline(deadline: Optional[float], layer: str) -> None:

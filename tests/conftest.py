@@ -233,6 +233,49 @@ def reference_forced_face(search):
     return None
 
 
+def reference_prefix(faces, flag) -> list[int]:
+    """The key of the flag (x, y, z) over a face list, as `symmetry` reads
+    it, as far as the faces fix it: breadth-first from the flag's face, the
+    edges (x, y), (y, z), (z, x) of each face in turn, the vertex beyond an
+    edge labelled in first-use order, and the face there queued as (q, p,
+    w).  It stops at the first edge that lies on one face only."""
+    sides: dict[frozenset, list[frozenset]] = {}
+    for face in map(frozenset, faces):
+        for edge in itertools.combinations(face, 2):
+            sides.setdefault(frozenset(edge), []).append(face)
+    label = {v: i for i, v in enumerate(flag)}
+    key: list[int] = []
+    queue, seen = [flag], {frozenset(flag)}
+    for x, y, z in queue:  # the queue grows while read
+        for p, q in ((x, y), (y, z), (z, x)):
+            on_pq = sides[frozenset((p, q))]
+            if len(on_pq) == 1:
+                return key
+            (other,) = [face for face in on_pq if face != {x, y, z}]
+            (w,) = other - {p, q}
+            key.append(label.setdefault(w, len(label)))
+            if other not in seen:
+                seen.add(other)
+                queue.append((q, p, w))
+    return key
+
+
+def reference_prefix_loses(search) -> bool:
+    """Whether some flag at vertex 0 of a link-search state has a smaller
+    key than the search flag (0, 1, 2) in every completion, from its face
+    list alone: their fixed prefixes differ at a position both reach, and
+    the flag's entry there is the smaller."""
+    lead = reference_prefix(search.faces, (0, 1, 2))
+    for face in search.faces:
+        if 0 in face:
+            for a, b in itertools.permutations(set(face) - {0}):
+                key = reference_prefix(search.faces, (0, a, b))
+                common = min(len(key), len(lead))
+                if key[:common] < lead[:common]:
+                    return True
+    return False
+
+
 @functools.cache
 def census_report(n: int) -> CensusReport:
     """`classify_census(n)`, run once per test session: the census totals

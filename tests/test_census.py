@@ -26,6 +26,7 @@ from tests.conftest import (
     reference_first_open,
     reference_forced_face,
     reference_links,
+    reference_prefix_loses,
 )
 from tests.lattice_oracle import klein_classes, torus_classes
 
@@ -123,7 +124,7 @@ def test_time_budget_checked_at_the_root_of_each_state(monkeypatch):
     monkeypatch.setattr(census, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
     with pytest.raises(ResourceLimit) as stop:
         classify_census(9, budget_seconds=1.5)
-    assert str(stop.value) == "census search exceeded its time budget (0 nodes, 0/9 states done)"
+    assert str(stop.value) == "census search exceeded its time budget (0 nodes, 0/8 states done)"
 
 
 class FakeClock:
@@ -246,9 +247,14 @@ def test_non_finite_budget_rejected(budget):
 
 class _CheckedSearch(census._LinkSearch):
     """A link search that compares every node with the rule, as the
-    oracles in conftest read it from the face list: the first open vertex,
-    and the branch faces at the target vertex with `_face_ok` on every x.
-    A node branches only once no face is forced."""
+    oracles in conftest read it from the face list: the prefix test, the
+    first open vertex, and the branch faces at the target vertex with
+    `_face_ok` on every x.  A node branches only once no face is forced."""
+
+    def _search_flag_leads(self):
+        leads = super()._search_flag_leads()
+        assert leads != reference_prefix_loses(self)
+        return leads
 
     def _branch_faces(self):
         assert reference_forced_face(self) is None
@@ -265,7 +271,7 @@ def test_search_tree_matches_the_plain_rule(n):
     search.run(leaves)
     assert len(census._canonicalize_leaves(n, leaves)) == sum(EXPECTED_SPLITS[n])
     if n == 12:
-        assert (search.nodes, len(leaves)) == (587, 43)
+        assert (search.nodes, len(leaves), search.pruned) == (234, 10, 33)
 
 
 class _FailFirstSearch(census._LinkSearch):
@@ -319,20 +325,62 @@ def test_forced_faces_keep_the_plain_leaves(n):
     assert forced.nodes < plain.nodes
 
 
-@pytest.mark.parametrize("n,nodes,leaves", [(18, 3126, 69), (24, 9282, 138)])
-def test_whole_search_size(n, nodes, leaves):
+# n -> (nodes, leaves, pruned) of the whole search.
+WHOLE_SEARCH_SIZES = {18: (1255, 13, 143), 24: (2874, 31, 324)}
+
+
+@pytest.mark.parametrize("n", sorted(WHOLE_SEARCH_SIZES))
+def test_whole_search_size(n):
     search, found = census._LinkSearch(n, census._initial_star(), None, None), []
     search.run(found)
-    assert (search.nodes, len(found)) == (nodes, leaves)
+    assert (search.nodes, len(found), search.pruned) == WHOLE_SEARCH_SIZES[n]
+
+
+class _UnprunedSearch(census._LinkSearch):
+    """The link search without the prefix test: every flag of a class
+    gives a leaf."""
+
+    def _search_flag_leads(self):
+        return True
+
+
+def _flags_at_0(t):
+    """The flags (0, a, b) of a complex, each with the index of its face."""
+    flags = []
+    for fi in t.stars[0]:
+        a, b = (v for v in t.faces[fi] if v != 0)
+        flags += [((0, a, b), fi), ((0, b, a), fi)]
+    return flags
+
+
+@pytest.mark.parametrize("n", range(7, 17))
+def test_prefix_test_keeps_the_leaves_whose_search_flag_leads(n):
+    # The prefix test drops a leaf exactly when a flag at vertex 0 has a
+    # smaller key than the search flag, by `symmetry._traverse` on the
+    # complex the leaf builds, and the leaves keep their order.
+    unpruned, all_leaves = _UnprunedSearch(n, census._initial_star(), None, None), []
+    unpruned.run(all_leaves)
+    search, leaves = census._LinkSearch(n, census._initial_star(), None, None), []
+    search.run(leaves)
+
+    def leads(faces):
+        t = build_triangulation(n, faces)
+        keys = {flag: symmetry._traverse(t, flag, fi, None)[0] for flag, fi in _flags_at_0(t)}
+        assert len(keys) == 12
+        return keys[census._SEARCH_FLAG] == min(keys.values())
+
+    assert leaves == [faces for faces in all_leaves if leads(faces)]
+    assert unpruned.pruned == 0 and search.nodes < unpruned.nodes
 
 
 @pytest.mark.parametrize("n", range(7, 17))
 def test_one_leaf_kept_per_class(n):
-    # The whole search gives each class once per flag orbit, 12n/|Aut|
-    # leaves.  The leaf test keeps exactly one of them, and the classes are
-    # those of canonicalising every leaf and keeping the first per code.
+    # The search without the prefix test gives each class once per flag
+    # orbit, 12n/|Aut| leaves.  The leaf test keeps exactly one of them,
+    # and the classes are those of canonicalising every leaf and keeping
+    # the first per code.
     leaves = []
-    census._LinkSearch(n, census._initial_star(), None, None).run(leaves)
+    _UnprunedSearch(n, census._initial_star(), None, None).run(leaves)
     forms = [canonical_form(build_triangulation(n, faces)) for faces in leaves]
     first: dict = {}
     for form in forms:
@@ -366,7 +414,7 @@ class _RecordedSearch(census._LinkSearch):
 @pytest.mark.parametrize("n", range(7, 17))
 def test_split_search_counts_every_node_once(monkeypatch, n):
     # Tasks of at most 16 nodes, in waves, against one search of the whole
-    # tree: the same nodes (587 at n = 12, the frontier probes included),
+    # tree: the same nodes (234 at n = 12, the frontier probes included),
     # the same leaves and the same census.
     whole, whole_leaves = census._LinkSearch(n, census._initial_star(), None, None), []
     assert whole.run(whole_leaves) == []
@@ -414,21 +462,25 @@ def test_no_class_scanned_twice(monkeypatch):
     assert [surface_type(t).kind for t in finished] == ["klein_bottle"]
 
 
-@pytest.mark.parametrize("n,traversals", [(12, 510), (18, 787), (24, 1618)])
-def test_census_traversals_are_pinned(monkeypatch, n, traversals):
+# n -> the `_traverse` calls of the whole census.
+CENSUS_TRAVERSALS = {12: 415, 18: 631, 24: 1311}
+
+
+@pytest.mark.parametrize("n", sorted(CENSUS_TRAVERSALS))
+def test_census_traversals_are_pinned(monkeypatch, n):
     # The whole census's canonical scans, seeded leaves and catalog: the
     # benchmark's traced passes rely on this count being the same in each.
     traverse, calls = symmetry._traverse, []
     monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
     classify_census(n)
-    assert len(calls) == traversals
+    assert len(calls) == CENSUS_TRAVERSALS[n]
 
 
 # Totals past the paper's range, n -> (torus, Klein bottle), from the
 # lattice oracle, which shares no code with the search; its classes are
 # also checked one by one (tests/test_lattice_oracle.py).  They also check
 # the leaf test, which would lose a class without an error.
-BEYOND_PAPER_SPLITS = {n: (len(torus_classes(n)), len(klein_classes(n))) for n in range(16, 31)}
+BEYOND_PAPER_SPLITS = {n: (len(torus_classes(n)), len(klein_classes(n))) for n in range(16, 37)}
 
 
 @pytest.mark.stretch

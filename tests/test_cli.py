@@ -289,15 +289,15 @@ class TestClassify:
         jsonschema.validate(json.loads(out1), load_schema("census.schema.json"))
 
     def test_json_deterministic_across_jobs_where_the_search_splits(self, monkeypatch):
-        # At n = 18 a frontier state outgrows one task, so the census runs
+        # At n = 24 a frontier state outgrows one task, so the census runs
         # in several waves.
-        states = census._frontier(18, census._FRONTIER_TARGET)[0]
-        assert any(census._LinkSearch(18, list(s), None, census._SPLIT_NODES).run([])
+        states = census._frontier(24, census._FRONTIER_TARGET)[0]
+        assert any(census._LinkSearch(24, list(s), None, census._SPLIT_NODES).run([])
                    for s in states)
         monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
         outputs = set()
         for jobs in ("1", "2", "3"):
-            code, out, _ = run_cli("classify", "--n", "18", "--jobs", jobs, "--json")
+            code, out, _ = run_cli("classify", "--n", "24", "--jobs", jobs, "--json")
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
@@ -343,14 +343,19 @@ class TestJobs:
 
 
 def run_limited(*argv, timeout=60):
-    """Run the CLI in a child process whose address space is capped at
+    """Run the CLI in a child process whose address space is capped at 1 GiB."""
+    return run_python_limited("-m", "flatland.cli", *argv, timeout=timeout)
+
+
+def run_python_limited(*argv, timeout=60):
+    """Run Python in a child process whose address space is capped at
     1 GiB; the limit is set in the child only, never on this process."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "flatland.cli", *argv], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           preexec_fn=limit, capture_output=True, text=True, timeout=timeout)
 
 
@@ -371,6 +376,15 @@ class TestBoundedInputs:
     def test_huge_census_hits_the_budget(self):
         proc = run_limited("classify", "--n", "1000000000", "--budget", "0.5", timeout=30)
         assert proc.returncode == 3 and "time budget" in proc.stderr
+
+    def test_huge_search_runs_its_prefix_test_in_bounded_memory(self):
+        # The prefix test labels only the vertices in use, so 512 nodes of
+        # a search on 10^9 vertices fit in 1 GiB.
+        proc = run_python_limited("-c", "from flatland import census\n"
+                                  "s = census._LinkSearch(10**9, census._initial_star(), None, 512)\n"
+                                  "s.run([])\n"
+                                  "print(s.nodes, s.pruned, len(s.ties))")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "512 1 2\n", "")
 
     def test_huge_family_exit_2(self):
         proc = run_limited("family", "T(1000000000,1,3)")

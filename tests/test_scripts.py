@@ -62,8 +62,8 @@ def test_bench_census_smallest_member(tmp_path):
     rows = json.loads(out.read_text())["ladder"]
     assert [(row["n"], row["jobs"], row["classes"], row["tori"], row["klein_bottles"],
              row["traversals"], row["catalog_scans"], row["stopped_at_v0"], row["nodes"],
-             row["leaves"]) for row in rows] == [
-        (12, 1, 7, 4, 3, 510, 16, 15, 587, 43), (12, 2, 7, 4, 3, 510, 16, 15, 587, 43)]
+             row["leaves"], row["pruned"]) for row in rows] == [
+        (12, 1, 7, 4, 3, 415, 16, 15, 234, 10, 33), (12, 2, 7, 4, 3, 415, 16, 15, 234, 10, 33)]
 
 
 def test_bench_iso_smallest_ladder(tmp_path):
