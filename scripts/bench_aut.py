@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Time `automorphism_group` on the flag-regular tori T(k,k,0) and write the
-figures as JSON (by default to BENCH_aut.json).
+"""Time `automorphism_group` on the flag-regular tori T(k,k,0) and on Klein
+bottles K(m,2n), and write the figures as JSON (by default to
+BENCH_aut.json).
 
 T(k,k,0) has n = k*k vertices and |Aut| = 12n, the largest group a degree-6
-complex on n vertices can have.  Each timing runs in a fresh child process,
-which builds the member, times one `automorphism_group` call (wall clock)
-and reports its own peak resident set size: the interpreter, the member and
-the scan.  Each k keeps the best of REPEATS children per tree; with
-`--baseline`, the two trees are timed alternately, and each row counts the
-rounds its tree won (`rounds_won`, see timing.py).  A child
-that gets the order wrong makes the script exit 1.
+complex on n vertices can have.  A Klein bottle has several vertex orbits,
+so its scan first picks the vertex it starts from (`_first_vertex`) and
+visits more than one vertex class.  Each timing runs in a fresh child
+process, which builds the member, times one `automorphism_group` call (wall
+clock) and reports its own peak resident set size: the interpreter, the
+member and the scan.  Each member keeps the best of REPEATS children per
+tree; with `--baseline`, the two trees are timed alternately, and each row
+counts the rounds its tree won (`rounds_won`, see timing.py).  The script
+exits 1 when a torus's order is not 12n, or when the two trees give a Klein
+bottle different orders or vertex orbits.
 
 Examples:
     python3 scripts/bench_aut.py
-    python3 scripts/bench_aut.py --src ../other/src --ks 6 12 20 --out other.json
+    python3 scripts/bench_aut.py --src ../other/src --ks 6 12 20 --kleins --out other.json
     python3 scripts/bench_aut.py --label "this change" --baseline ../parent/src
 """
 
@@ -27,60 +31,79 @@ from operator import itemgetter
 import timing
 
 LADDER = (6, 12, 20, 30, 40, 60)
+KLEINS = ("K(10,20)", "K(20,40)", "K(50,100)")
 
 
-def child(k: int) -> None:
+def child(name: str) -> None:
     import resource
     import time
 
     from flatland import automorphism_group, construct_family, parse_name
 
-    t = construct_family(parse_name(f"T({k},{k},0)")).complex
+    t = construct_family(parse_name(name)).complex
     start = time.perf_counter()
-    order = automorphism_group(t).order
+    group = automorphism_group(t)
     seconds = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(json.dumps({"k": k, "n": t.n, "order": order, "seconds": round(seconds, 4),
+    print(json.dumps({"member": name, "n": t.n, "order": group.order,
+                      "vertex_orbits": len(group.vertex_orbits), "seconds": round(seconds, 4),
                       "peak_rss_mb": round(peak, 1)}))
+
+
+def time_members(names: list[str], args: argparse.Namespace) -> tuple[list[dict], list[dict]]:
+    """The best child per member on --src and, with a baseline, on it."""
+    ours: list[dict] = []
+    theirs: list[dict] = []
+    seconds = itemgetter("seconds")
+    for name in names:
+        rounds = timing.alternate(__file__, [name], args.src, args.baseline)
+        mine, other = zip(*rounds)
+        ours.append(min(mine, key=seconds))
+        if args.baseline:
+            ours[-1]["rounds_won"] = timing.rounds_won(rounds, seconds)
+            theirs.append(min(other, key=seconds))
+            print(json.dumps(theirs[-1]), file=sys.stderr)
+        print(json.dumps(ours[-1]), file=sys.stderr)
+    return ours, theirs
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--ks", type=int, nargs="+", default=LADDER, metavar="K")
+    ap.add_argument("--kleins", nargs="*", default=KLEINS, metavar="NAME",
+                    help="Klein bottles to time after the tori; none when given empty")
     timing.add_tree_arguments(ap, timing.ROOT / "BENCH_aut.json")
-    ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child is not None:
         child(args.child)
         return 0
 
-    ladder: list[dict] = []
-    baseline: list[dict] = []
-    seconds = itemgetter("seconds")
-    for k in args.ks:
-        rounds = timing.alternate(__file__, [str(k)], args.src, args.baseline)
-        ours, theirs = zip(*rounds)
-        ladder.append(min(ours, key=seconds))
-        if args.baseline:
-            ladder[-1]["rounds_won"] = timing.rounds_won(rounds, seconds)
-            baseline.append(min(theirs, key=seconds))
-            print(json.dumps(baseline[-1]), file=sys.stderr)
-        print(json.dumps(ladder[-1]), file=sys.stderr)
+    ladder, baseline = time_members([f"T({k},{k},0)" for k in args.ks], args)
+    klein, klein_baseline = time_members(list(args.kleins), args)
     result = {
-        "what": f"automorphism_group(T(k,k,0)): the best of {timing.REPEATS} fresh processes "
-                "that each build the member and time one scan, in wall-clock seconds, "
-                "and the peak RSS of that process; with a baseline, rounds_won counts the "
-                f"rounds of {timing.REPEATS} in which this tree was the faster",
+        "what": f"automorphism_group on T(k,k,0) (ladder) and on Klein bottles (klein): the "
+                f"best of {timing.REPEATS} fresh processes that each build the member and "
+                "time one scan, in wall-clock seconds, and the peak RSS of that process; with "
+                f"a baseline, rounds_won counts the rounds of {timing.REPEATS} in which this "
+                "tree was the faster",
         "machine": timing.machine(),
         "label": args.label,
         "ladder": ladder,
+        "klein": klein,
     }
     if args.baseline:
-        result["baseline"] = {"ladder": baseline}
+        result["baseline"] = {"ladder": baseline, "klein": klein_baseline}
     args.out.write_text(json.dumps(result, indent=2) + "\n")
-    wrong = [row["k"] for row in ladder + baseline if row["order"] != 12 * row["n"]]
+    wrong = [row["member"] for row in ladder + baseline if row["order"] != 12 * row["n"]]
     if wrong:
-        print(f"error: order is not 12n for k = {wrong}", file=sys.stderr)
+        print(f"error: order is not 12n for {wrong}", file=sys.stderr)
+        return 1
+    facts = itemgetter("order", "vertex_orbits")
+    differ = [ours["member"] for ours, theirs in zip(klein, klein_baseline)
+              if facts(ours) != facts(theirs)]
+    if differ:
+        print(f"error: the trees give different groups for {differ}", file=sys.stderr)
         return 1
     return 0
 

@@ -5,7 +5,8 @@ G_c(G) joins two vertices exactly when they have c common neighbors in G;
 it commutes with relabeling, so differing G_c shapes certify that two
 complexes are non-isomorphic.  A graph is its neighbour bit masks alone:
 |N(u) & N(v)| is one AND and one popcount, and a breadth-first walk
-(`layers`) grows by whole distance classes.  Edges are checked only where
+(`layers`) grows by whole distance classes, and the balls of all vertices
+(`balls`) grow one radius at a time together.  Edges are checked only where
 they come from outside, in `SimpleGraph(n, edges)`; G_c graphs are built
 from masks.  A graph counts the common neighbours of every pair once, into
 the masks of G_1, G_2, ...; G_0 needs no count (no neighbour in common).
@@ -15,7 +16,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -96,6 +98,21 @@ def layers(g: SimpleGraph, v: int) -> list[int]:
     return found
 
 
+def balls(g: SimpleGraph) -> Iterator[list[int]]:
+    """The closed balls of all vertices as masks, radius 0, 1, 2, ... until
+    none grows: B_{r+1}(v) is B_r(v) with the balls B_r(u) of the
+    neighbours u of v, so a radius costs one OR per edge end for all
+    vertices at once."""
+    near = [tuple(_vertices(mask)) for mask in g.neighbor_masks]
+    ball = [1 << v for v in range(g.n)]
+    while True:
+        yield ball
+        grown = [reduce(or_, map(ball.__getitem__, us), b) for b, us in zip(ball, near)]
+        if grown == ball:
+            return
+        ball = grown
+
+
 def common_neighbor_graph(g: SimpleGraph, c: int) -> SimpleGraph:
     """The graph on V(g) joining u, v iff they have exactly c common
     neighbors in g."""
@@ -161,10 +178,11 @@ def _classify_component(g: SimpleGraph, comp: int) -> Descriptor:
 
 
 def graph_shape(g: SimpleGraph) -> GraphShape:
-    """Decompose into connected components and classify each.  A component
-    is the union of the layers of its least vertex."""
-    unseen = (1 << g.n) - 1
-    descriptors: list[Descriptor] = []
+    """Decompose into connected components and classify each.  The isolated
+    vertices are the zero masks; any other component is the union of the
+    layers of its least vertex."""
+    unseen = sum(1 << v for v, mask in enumerate(g.neighbor_masks) if mask)
+    descriptors: list[Descriptor] = [("isolated",)] * (g.n - unseen.bit_count())
     while unseen:
         comp = sum(layers(g, (unseen & -unseen).bit_length() - 1))  # disjoint masks
         unseen ^= comp

@@ -31,19 +31,26 @@ these generate; it stays valid when a smaller key later replaces the least
 one.  A start in the G-orbit of a traversed start has that start's key, so
 it is skipped.  This loses nothing: a skipped start is pruned, tied or
 least exactly when its traversed preimage was.  G is kept as its generators
-and the flag orbits they cut out: a union-find over the 6*f_2 integer
-flags, in which each new generator merges every flag with its image, and
-each class records whether it holds a traversed start; a face's six flags
-find their images with one face lookup and a 6 x 6 table.  The action is
+and the orbits they cut out.  The vertex orbits are classes that each new
+generator joins along its cycles, relabelling the smaller class.  The flag
+orbits are a union-find over the 6*f_2 integer flags, in which a generator
+merges a flag with its image, and each class records whether it holds a
+traversed start; a face's six flags find their images with one face lookup
+and a 6 x 6 table.  A flag's orbit lies over its vertex's orbit, so the
+flag orbits are kept only over the vertex classes that the scan visits:
+before the flags at a vertex are compared, every generator is merged over
+the stars of its class, each (face, generator) pair once.  The action is
 free, so a tie inside those classes (at a flag at v0, below) gives an
 element of G, and one outside them a new generator: it alone is checked
 against the face set.  The other elements are products of checked ones, and
 none is listed.  The first traversed start with the final least key reaches
 every other least-key start, through a tie or through a skip from a start
 it reaches, so at the end G is all of Aut, and the least-key labellings are
-that start's labelling composed with the elements of G.  Freeness gives the
-rest without the elements: |Aut| is the size of that start's class, and two
-vertices (faces) lie in one orbit iff their flags lie in the same classes.
+that start's labelling composed with the elements of G.  Orbit and
+stabiliser give the order without the elements: |Aut| = |orbit(v0)| *
+|Stab(v0)|, and Stab(v0), which the first phase below finds, acts freely on
+the flags at v0, so its order is the size of any of its classes there.  The
+face orbits are joined from the generators applied to the faces.
 
 Which starts a scan traverses depends on their order, so the order is fixed
 by the complex, not by its vertex names.  The scan first traverses every
@@ -52,22 +59,38 @@ Whatever their order, the first of them with their least key becomes the
 least so far and the later ones with that key tie with it, so G is then the
 whole stabiliser of v0, and the traversed starts are the flags at v0
 (those ties fix v0, so they are merged on the faces at v0 only).  The
-other starts follow in the order of their labels under that least key's
-labelling, an order fixed by the complex and v0 up to an automorphism.  So
-the traversals, and their number, depend only on the complex and the orbit
-of v0.  v0 is the seed's first vertex, or else a vertex whose sorted
+second phase visits the other vertices in the order of their labels under
+that least key's labelling, and the 12 flags at each in the order of the
+labels of their other two vertices: an order fixed by the complex and v0
+up to an automorphism.  So the traversals, and their number, depend only
+on the complex and the orbit of v0.  A vertex class is settled once one of
+its vertices has had all its flags traversed or skipped; v0's is settled
+by the first phase.  Every flag at a vertex of a settled class lies in the
+orbit of a traversed start, so the phase passes over such a vertex, and
+over the rest of a vertex once a tie there settles its class.  A tie may
+instead grow the class without settling it (after a smaller key, a
+generator maps to the new base); then the stars it gains are merged before
+the next flag.  Since a flag's orbit lies over its vertex's class, a flag
+is skipped exactly when it would be with the flag orbits kept over every
+face, and the scan traverses the same starts in the same order.
+
+v0 is the seed's first vertex, or else the least vertex whose sorted
 distances to all vertices are least (`_first_vertex`, on the complex's one
 skeleton, which `iso` also reads): an invariant, so its orbit is fixed
 whenever the vertices with those distances form one orbit, as on every
-vertex-transitive complex.  An orientable complex whose stars all hold 6
-faces has chi = 0, so it is a torus, which is vertex-transitive (Datta &
-Upadhyay); there v0 is vertex 0 and no distance is computed.  v0 only
-orders the starts, so no result rests on that theorem; its flags come from
-its star, `Triangulation.stars[v0]`, in face order.  A traversed
-start lies outside the orbits of the starts before it, so a later tie at
-least doubles G: a flag-regular map, where every start has the least key
-and the stabiliser of a vertex has order 12, costs at most
-12 + log2(|Aut|/12) traversals instead of 6*f_2.
+vertex-transitive complex.  The less sorted list has the larger closed ball
+B_r(v) at the first radius where they differ, so `_first_vertex` grows the
+balls of all vertices one radius at a time, B_{r+1}(v) = B_r(v) with the
+B_r(u) of the neighbours u (`graphs.balls`), and keeps the vertices whose
+ball is largest: O(n diam) mask operations, not a search from each vertex.
+An orientable complex whose stars all hold 6 faces has chi = 0, so it is a
+torus, which is vertex-transitive (Datta & Upadhyay); there v0 is vertex 0
+and no ball is grown.  v0 only orders the starts, so no result rests on
+that theorem; its flags come from its star, `Triangulation.stars[v0]`, in
+face order.  A traversed start lies outside the orbits of the starts
+before it, so a later tie at least doubles G: a flag-regular map, where
+every start has the least key and the stabiliser of a vertex has order 12,
+costs at most 12 + log2(|Aut|/12) traversals instead of 6*f_2.
 
 The canonical labelling is `base`, the labelling of the first traversed
 start with the least key: as in nauty, any labelling that gives the
@@ -114,7 +137,7 @@ from itertools import permutations
 from operator import itemgetter
 from typing import Collection, Optional, Sequence
 
-from .graphs import common_neighbor_graph, graph_shape, layers
+from .graphs import balls, common_neighbor_graph, graph_shape
 from .surface import Face, Triangulation, orientability, skeleton_graph
 
 Code = tuple[int, ...]
@@ -184,16 +207,22 @@ def _traverse(t: Triangulation, start: Face, start_fi: int, best: Optional[list[
 
 
 def _first_vertex(t: Triangulation) -> int:
-    """Vertex 0 on a torus, else a vertex whose sorted list of distances to
-    all vertices is least.  A torus is vertex-transitive, and the list is an
-    invariant, so on a relabelled copy the vertex chosen lies in the same
-    orbit whenever the vertices with the least list form one."""
+    """Vertex 0 on a torus, else the least vertex whose sorted list of
+    distances to all vertices is least.  A torus is vertex-transitive, and
+    the list is an invariant, so on a relabelled copy the vertex chosen lies
+    in the same orbit whenever the vertices with the least list form one."""
     if all(len(star) == 6 for star in t.stars) and orientability(t):  # chi = n - 3n + 2n = 0
         return 0
-    # Sorted distance lists (of length n) order as their layer sizes, negated:
-    # the less has more vertices in the first layer where the sizes differ.
-    g = skeleton_graph(t)
-    return min(range(t.n), key=lambda v: [-layer.bit_count() for layer in layers(g, v)])
+    # The less sorted list has more vertices within distance r, at the
+    # first radius r where the ball sizes differ.
+    best = range(t.n)
+    for ball in balls(skeleton_graph(t)):
+        sizes = [ball[v].bit_count() for v in best]
+        top = max(sizes)
+        best = [v for v, size in zip(best, sizes) if size == top]
+        if len(best) == 1 or top == t.n:
+            break
+    return best[0]
 
 
 _ORDERS = tuple(permutations(range(3)))  # flag 6*fi + k is face fi read in order k
@@ -206,18 +235,17 @@ _IMAGE = {(x > y, x > z, y > z): tuple(_ORDERS.index(tuple((x, y, z)[i] for i in
 
 class _Scanner:
     """One scan of t, run phase by phase: `first_phase` traverses every flag
-    at v0, `second_phase` the other starts.  With a `seed` start (an oriented
-    face of t), a phase returns False as soon as some start's key is found
-    to be less than the seed's.  After both phases, `base` is the canonical
-    labelling and the union-find holds the flag orbits of the group."""
+    at v0, `second_phase` the other starts, vertex by vertex.  With a `seed`
+    start (an oriented face of t), a phase returns False as soon as some
+    start's key is found to be less than the seed's.  After both phases,
+    `base` is the canonical labelling, `gens` generate the group, and
+    `root` names each vertex's orbit."""
 
     def __init__(self, t: Triangulation, seed: Optional[Face] = None) -> None:
         self.t = t
         self.seeded = seed is not None
         self.v0 = v0 = _first_vertex(t) if seed is None else seed[0]
-        # The flags at v0 of a face are the two orders that read v0 first.
-        self.at_v0 = at_v0 = [6 * fi + 2 * t.faces[fi].index(v0) + k
-                              for fi in t.stars[v0] for k in (0, 1)]
+        self.at_v0 = at_v0 = _flags_at(t, v0)
         if seed is not None:
             face = tuple(sorted(seed))
             first = 6 * t.face_index[face] + _ORDERS.index(tuple(map(face.index, seed)))
@@ -226,51 +254,79 @@ class _Scanner:
         self.best: Optional[list[int]] = None
         self.base: list[int] = []  # the label array of the first start with key best
         self.base_inv: list[int] = []
-        self.base_flag = 0
         self.gens: list[Perm] = []
         flags = 6 * t.f2
-        self.parent = list(range(flags))  # union-find of the flag orbits
+        self.parent = list(range(flags))  # union-find of the flag orbits, over merged faces
         self.size = [1] * flags
         self.reached = [False] * flags  # at a root: its class holds a traversed start
+        self.merged = [0] * t.f2  # face -> the number of generators merged over its flags
+        # The vertex orbits, from the second phase on: vertex -> the root of
+        # its class, root -> the class, and whether it holds a visited vertex.
+        self.root: list[int] = []
+        self.members: list[list[int]] = []
+        self.settled: list[bool] = []
 
     def first_phase(self) -> bool:
-        return self._run(self.at_v0, self.t.stars[self.v0], skip=False)
+        return self._run(self.at_v0, self.v0, skip=False)
 
-    def second_phase(self) -> bool:  # the other starts, by their labels in base
-        t, base, v0, n, flags = self.t, self.base, self.v0, self.t.n, 6 * self.t.f2
-        faces = range(t.f2)
-        # The ties so far fix v0, so they were merged on the faces at v0 only.
+    def second_phase(self) -> bool:  # the other vertices, by their labels in base
+        t, n, base, v0 = self.t, self.t.n, self.base, self.v0
+        self.root, self.members = list(range(n)), [[v] for v in range(n)]
+        self.settled = [False] * n
         for perm in self.gens:
-            self._merge(perm, faces)
-        # A flag's labels in base, read in base n, then the flag.
-        keyed = sorted(((base[x] * n + base[y]) * n + base[z]) * flags + 6 * fi + k
-                       for fi, face in enumerate(t.faces)
-                       for k, (x, y, z) in enumerate(read(face) for read in _READ) if x != v0)
-        return self._run([key % flags for key in keyed], faces, skip=True)
+            self._join_vertices(perm)
+        self.settled[self.root[v0]] = True
+        for x in self.base_inv[1:]:  # this base's order, kept if a smaller key replaces it
+            if self.settled[self.root[x]]:
+                continue
+            flags = sorted(_flags_at(t, x),
+                           key=lambda f: [base[w] for w in _READ[f % 6](t.faces[f // 6])])
+            if not self._run(flags, x, skip=True):
+                return False
+            self.settled[self.root[x]] = True
+        return True
 
-    def _merge(self, perm: Perm, faces: Sequence[int]) -> None:
-        """Merge every flag of the faces with its image under perm."""
-        t_faces, index = self.t.faces, self.t.face_index
+    def _join_vertices(self, perm: Perm) -> None:
+        """Merge the vertex classes along a new generator."""
+        settled = self.settled
+        for a, b in _join(self.root, self.members, perm):
+            settled[a] = settled[a] or settled[b]
+
+    def _catch_up(self, v: int) -> None:
+        """Merge every generator over the stars of v's class, so that the
+        union-find holds the orbits of the flags at those vertices; each
+        (face, generator) pair is merged once.  In the first phase the class
+        is v0 alone, since its ties fix v0."""
+        gens, merged, stars = self.gens, self.merged, self.t.stars
+        for u in self.members[self.root[v]] if self.root else (v,):
+            for fi in stars[u]:
+                for perm in gens[merged[fi]:]:
+                    self._merge(perm, fi)
+                merged[fi] = len(gens)
+
+    def _merge(self, perm: Perm, fi: int) -> None:
+        """Merge every flag of face fi with its image under perm."""
         parent, size, reached = self.parent, self.size, self.reached
-        for fi in faces:
-            a, b, c = t_faces[fi]
-            x, y, z = perm[a], perm[b], perm[c]
-            image = _IMAGE[x > y, x > z, y > z]
-            gi = 6 * index[tuple(sorted((x, y, z)))]
-            for k in range(6):
-                a, b = _find(parent, 6 * fi + k), _find(parent, gi + image[k])
-                if a != b:
-                    if size[a] < size[b]:
-                        a, b = b, a
-                    parent[b] = a
-                    size[a] += size[b]
-                    reached[a] = reached[a] or reached[b]
+        a, b, c = self.t.faces[fi]
+        x, y, z = perm[a], perm[b], perm[c]
+        image = _IMAGE[x > y, x > z, y > z]
+        gi = 6 * self.t.face_index[tuple(sorted((x, y, z)))]
+        for k in range(6):
+            a, b = _find(parent, 6 * fi + k), _find(parent, gi + image[k])
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                reached[a] = reached[a] or reached[b]
 
-    def _run(self, flags: Sequence[int], faces: Sequence[int], skip: bool) -> bool:
-        """Traverse the flags in turn; a tie merges its generator on `faces`.
-        With `skip`, a flag whose orbit holds a traversed start is passed over;
-        the first phase skips none, since every flag at v0 is compared."""
+    def _run(self, flags: Sequence[int], v: int, skip: bool) -> bool:
+        """Traverse the flags at v in turn; a tie adds a generator.  With
+        `skip` (the second phase), a flag whose orbit holds a traversed start
+        is passed over, and so are the rest once v's class is settled; the
+        first phase skips none, since every flag at v0 is compared."""
         t, parent, reached = self.t, self.parent, self.reached
+        self._catch_up(v)
         for f in flags:
             root = _find(parent, f)
             if skip and reached[root]:
@@ -287,13 +343,40 @@ class _Scanner:
                 if _apply(perm, t.faces) != t.face_set():
                     raise AssertionError("traversal produced a non-automorphism")
                 self.gens.append(perm)
-                self._merge(perm, faces)
+                if skip:
+                    self._join_vertices(perm)
+                    if self.settled[self.root[v]]:
+                        return True  # every flag at v is in the orbit of a traversed start
+                self._catch_up(v)
                 continue
             if self.best is not None and self.seeded:
                 return False  # a key below the seed's
             # a key that survives the pruning is at most best
-            self.best, self.base, self.base_inv, self.base_flag = key, label, _invert(label), f
+            self.best, self.base, self.base_inv = key, label, _invert(label)
         return True
+
+
+def _flags_at(t: Triangulation, v: int) -> list[int]:
+    """The 12 flags at v, in star order: for each face at v, the two
+    orders that read v first."""
+    return [6 * fi + 2 * t.faces[fi].index(v) + k for fi in t.stars[v] for k in (0, 1)]
+
+
+def _join(root: list[int], members: list[list[int]], image: Sequence[int]) -> list[tuple[int, int]]:
+    """Merge the class of each item i with the class of image[i], and return
+    the merges as (kept, absorbed) roots.  root[i] is the root of i's class,
+    members[r] the class of root r; the smaller class is relabelled."""
+    merges = []
+    for a, b in set(zip(root, map(root.__getitem__, image))):
+        a, b = root[a], root[b]
+        if a != b:
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            for i in members[b]:
+                root[i] = a
+            members[a] += members[b]
+            merges.append((a, b))
+    return merges
 
 
 def _find(parent: list[int], f: int) -> int:
@@ -372,16 +455,19 @@ def automorphism_group(t: Triangulation, seed: Optional[Face] = None) -> Optiona
     scan = _Scanner(t, seed)
     if not (scan.first_phase() and scan.second_phase()):
         return None
-    flags, parent = 6 * t.f2, scan.parent
-    flag_orbit = [_find(parent, f) for f in range(flags)]  # flag -> its orbit's root
-    vertex_orbit = [flags] * t.n  # vertex -> the least root over its flags
-    for f, rep in enumerate(flag_orbit):
-        x = t.faces[f // 6][f % 6 // 2]  # the vertex a flag reads first
-        vertex_orbit[x] = min(vertex_orbit[x], rep)
-    face_orbit = (min(flag_orbit[6 * fi:6 * fi + 6]) for fi in range(t.f2))
-    return SymmetryGroup(tuple(scan.gens), scan.size[flag_orbit[scan.base_flag]],
-                         _orbits(vertex_orbit, range(t.n)),
-                         _orbits(face_orbit, t.faces), _form(t, scan.base))
+    # The first phase merged the flags at v0 into the orbits of Stab(v0),
+    # which acts on them freely.
+    parent, at_v0 = scan.parent, scan.at_v0
+    first = _find(parent, at_v0[0])
+    stabiliser = sum(_find(parent, f) == first for f in at_v0)
+    face_root, face_members = list(range(t.f2)), [[fi] for fi in range(t.f2)]
+    index = t.face_index
+    for perm in scan.gens:
+        _join(face_root, face_members,
+              [index[tuple(sorted((perm[a], perm[b], perm[c])))] for a, b, c in t.faces])
+    return SymmetryGroup(tuple(scan.gens), len(scan.members[scan.root[scan.v0]]) * stabiliser,
+                         _orbits(scan.root, range(t.n)), _orbits(face_root, t.faces),
+                         _form(t, scan.base))
 
 
 def _orbits(reps, items) -> tuple[tuple, ...]:

@@ -23,7 +23,9 @@ from flatland import (
     classify_census,
     construct_family,
     parse_name,
+    skeleton_graph,
 )
+from flatland.graphs import layers
 
 TETRAHEDRON = (4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
@@ -281,6 +283,14 @@ def census_report(n: int) -> CensusReport:
     """`classify_census(n)`, run once per test session: the census totals
     and the lattice oracle check the same run."""
     return classify_census(n, budget_seconds=600)
+
+
+def reference_first_vertex(t: Triangulation) -> int:
+    """The first vertex of a scan off the torus, by one breadth-first walk
+    per vertex: the least vertex whose layer sizes, negated, are least, that
+    is, whose sorted distances to all vertices are least."""
+    g = skeleton_graph(t)
+    return min(range(t.n), key=lambda v: [-layer.bit_count() for layer in layers(g, v)])
 
 
 def shuffled(t: Triangulation, seed: int) -> Triangulation:

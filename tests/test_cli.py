@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatland import build_triangulation, census, cli, format_tri
-from tests.conftest import fam
+from tests.conftest import fam, shuffled
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -392,7 +392,7 @@ class TestBoundedInputs:
         assert proc.stderr == "error: T_{1000000000,1,3} has more than 100000 vertices\n"
 
     # A flag-regular member has |Aut| = 12n; the group is kept as generators
-    # and flag orbits, so its size does not bound the memory.
+    # and orbits, so its size does not bound the memory.
     @pytest.mark.parametrize("k", [60, pytest.param(100, marks=pytest.mark.stretch)])
     def test_aut_of_a_large_flag_regular_member(self, tmp_path, k):
         path = tmp_path / "big.tri"
@@ -401,6 +401,17 @@ class TestBoundedInputs:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
         assert (payload["order"], payload["vertex_orbits"]) == (12 * k * k, 1)
+
+    # A Klein bottle's scan starts at the vertex with the largest balls,
+    # grown for all 5000 vertices at once.
+    @pytest.mark.stretch
+    def test_aut_of_a_large_klein_bottle(self, tmp_path):
+        path = tmp_path / "big.tri"
+        path.write_text(format_tri(shuffled(fam("K(50,100)"), 1)))
+        proc = run_limited("aut", str(path), "--json")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert (payload["order"], payload["vertex_orbits"]) == (400, 26)
 
 
 class TestUsage:

@@ -8,9 +8,10 @@ from flatland import (
     SimpleGraph,
     common_neighbor_graph,
     graph_shape,
+    known_catalog,
     skeleton_graph,
 )
-from flatland.graphs import layers
+from flatland.graphs import GraphShape, _classify_component, balls, layers
 from tests.conftest import fam
 
 
@@ -98,6 +99,30 @@ class TestCommonNeighborGraph:
         assert layers(g, v) == expected
 
 
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+    @settings(max_examples=60, deadline=None)
+    def test_balls_are_the_unions_of_the_layers(self, graph):
+        # Radius r holds, for every vertex, its layers 0..r; the balls stop
+        # at the largest eccentricity, where none grows.
+        n, pairs = graph
+        g = SimpleGraph(n, frozenset((min(e), max(e)) for e in pairs if e[0] != e[1]))
+        walks = [layers(g, v) for v in range(n)]
+        radii = max(map(len, walks))
+        assert list(balls(g)) == [[sum(walk[:r + 1]) for walk in walks] for r in range(radii)]
+
+
+def layer_shape(g: SimpleGraph) -> GraphShape:
+    """The shape from one breadth-first walk per component, an isolated
+    vertex included."""
+    unseen, parts = (1 << g.n) - 1, []
+    while unseen:
+        comp = sum(layers(g, (unseen & -unseen).bit_length() - 1))
+        unseen ^= comp
+        parts.append(_classify_component(g, comp))
+    return GraphShape(tuple(sorted(parts)))
+
+
 @pytest.mark.parametrize("edge", [(1, 1), (2, 1), (-1, 0), (0, 3)])
 def test_bad_edge_rejected(edge):
     with pytest.raises(ValueError, match="bad edge"):
@@ -129,3 +154,22 @@ class TestGraphShape:
         assert shape_of("K(3,4)", 4) == "3K_4"
         assert shape_of("B(5,3)", 4) == "C_10+C_5"
 
+    def test_isolated_vertices_from_zero_masks(self):
+        # Every G_c of every distinct catalog complex with n <= 30 has the
+        # shape that one walk per component gives.
+        complexes = dict.fromkeys(named.complex for n in range(7, 31)
+                                  for named in known_catalog(n))
+        assert len(complexes) == 405
+        for t in complexes:
+            g = skeleton_graph(t)
+            for c in range(7):
+                h = common_neighbor_graph(g, c)
+                assert graph_shape(h) == layer_shape(h)
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+    @settings(max_examples=60, deadline=None)
+    def test_shape_of_any_simple_graph(self, graph):
+        n, pairs = graph
+        g = SimpleGraph(n, frozenset((min(e), max(e)) for e in pairs if e[0] != e[1]))
+        assert graph_shape(g) == layer_shape(g)

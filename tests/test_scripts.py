@@ -47,11 +47,15 @@ def test_family_atlas_bad_vertex_count_is_a_usage_error():
 
 def test_bench_aut_smallest_member(tmp_path):
     out = tmp_path / "bench.json"
-    proc = subprocess.run([sys.executable, "scripts/bench_aut.py", "--ks", "6", "--out", str(out)],
+    proc = subprocess.run([sys.executable, "scripts/bench_aut.py", "--ks", "6", "--kleins",
+                           "K(10,20)", "--out", str(out)],
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    (row,) = json.loads(out.read_text())["ladder"]
-    assert (row["k"], row["n"], row["order"]) == (6, 36, 432)
+    result = json.loads(out.read_text())
+    (row,) = result["ladder"]
+    assert (row["member"], row["n"], row["order"]) == ("T(6,6,0)", 36, 432)
+    (row,) = result["klein"]
+    assert (row["member"], row["n"], row["order"], row["vertex_orbits"]) == ("K(10,20)", 200, 80, 6)
 
 
 def test_bench_census_smallest_member(tmp_path):
@@ -83,7 +87,7 @@ def test_bench_baseline_on_the_same_tree(tmp_path):
     # same orders and the same verdicts on both sides.  Each row or set
     # counts the rounds its --src child won, out of REPEATS.
     outs = {}
-    for script, args in (("bench_aut.py", ["--ks", "6"]), ("bench_iso.py", ["--ns", "9"]),
+    for script, args in (("bench_aut.py", ["--ks", "6", "--kleins"]), ("bench_iso.py", ["--ns", "9"]),
                          ("bench_census.py", ["--ns", "12", "--jobs", "1"])):
         outs[script] = tmp_path / script.replace(".py", ".json")
         proc = subprocess.run([sys.executable, f"scripts/{script}", *args, "--out",

@@ -27,6 +27,7 @@ from tests.conftest import (
     fam,
     flags,
     group_elements,
+    reference_first_vertex,
     relabel,
     shuffled,
     t1_valid_twists,
@@ -367,7 +368,9 @@ class TestScan:
 
     def test_first_vertex_has_the_least_sorted_distances(self):
         # Off the torus, v0 is the first vertex whose sorted distances to
-        # all vertices are least; the scan reads them off its layers.
+        # all vertices are least.  The scan reads them off the balls it
+        # grows for all vertices at once, and picks the vertex that a plain
+        # breadth-first search, or one layered walk, from each vertex picks.
         def distances(t, v):
             adj = [set() for _ in range(t.n)]
             for face in t.faces:
@@ -386,7 +389,31 @@ class TestScan:
         assert len(klein) == 81
         for t in klein:
             for u in (t, shuffled(t, t.n), shuffled(t, t.n + 1)):
-                assert symmetry._first_vertex(u) == min(range(u.n), key=lambda v: distances(u, v))
+                least = min(range(u.n), key=lambda v: distances(u, v))
+                assert symmetry._first_vertex(u) == least == reference_first_vertex(u)
+        for name in ("K(10,20)", "K(20,40)"):
+            u = shuffled(fam(name), 1)
+            assert symmetry._first_vertex(u) == reference_first_vertex(u)
+
+    def test_scan_work_on_the_catalog(self, monkeypatch):
+        # The traversals and face-set checks over the 405 distinct catalog
+        # complexes with n <= 30, two relabellings each: the orbits are kept
+        # only over the vertex classes a scan visits, and it traverses and
+        # checks what it would with the orbits kept over every face.
+        traverse, calls = symmetry._traverse, []
+        apply, applied = symmetry._apply, []
+        monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
+        monkeypatch.setattr(symmetry, "_apply", lambda *a: applied.append(a) or apply(*a))
+        complexes = [shuffled(t, seed) for n in range(7, 31)
+                     for t in dict.fromkeys(named.complex for named in known_catalog(n))
+                     for seed in (0, 1)]
+        assert len(complexes) == 810
+        for scan in (automorphism_group, canonical_form):
+            calls.clear()
+            applied.clear()
+            for t in complexes:
+                scan(t)
+            assert (len(calls), len(applied)) == (15257, 2247)
 
     def test_ties_are_the_least_key_starts(self):
         # The pruned scan skips starts; base composed with its group must
