@@ -12,8 +12,10 @@ child per tree and n, at jobs 1 and not timed, counts the `_traverse` calls
 of the whole census, the distinct catalog complexes whose scan stopped
 after the flags at v0 (an unseeded scan that never ran its second phase),
 the link-search nodes and the nodes its prefix test ended (`pruned`), both
-summed over every `_LinkSearch`, the frontier probes included, and the
-leaves handed to `_canonicalize_leaves`.
+summed over every `_LinkSearch`, the frontier probes included, the most
+nodes of any one `_LinkSearch` (`largest_task_nodes`: the largest frontier
+state, which bounds what a second job can gain), and the leaves handed to
+`_canonicalize_leaves`.
 The tasks, the leaves and the catalog do not depend on the job count, so
 neither do these counts.  The script exits 1 if two children of one n give
 different censuses.
@@ -85,6 +87,7 @@ def child(mode: str, n: int, jobs: int) -> None:
                   "nodes": sum(search.nodes for search in searches),
                   # a tree without the prefix test ends no node by it
                   "pruned": sum(getattr(search, "pruned", 0) for search in searches),
+                  "largest_task_nodes": max((search.nodes for search in searches), default=0),
                   "leaves": leaves[0]}
     digest = hashlib.sha256()
     for item in report.items:
@@ -123,7 +126,7 @@ def main() -> int:
                 row = min(tree_runs, key=seconds)
                 row.update({key: counted[key] for key in
                             ("traversals", "catalog_scans", "stopped_at_v0", "nodes", "pruned",
-                             "leaves")})
+                             "largest_task_nodes", "leaves")})
                 ladder.append(row)
                 censuses.setdefault(n, set()).update(run["census_sha256"]
                                                      for run in (*tree_runs, counted))
@@ -137,8 +140,9 @@ def main() -> int:
                 f"process; with a baseline, rounds_won counts the rounds of {timing.REPEATS} "
                 "in which this tree was the faster; traversals, stopped_at_v0 (of "
                 "catalog_scans), the link-search nodes (frontier probes included), the "
-                "nodes the prefix test ended (pruned) and the leaves canonicalised come from "
-                "one more census at jobs 1.  Per-layer times wait for a census stats record.",
+                "nodes the prefix test ended (pruned), the most nodes of any one link search "
+                "(largest_task_nodes) and the leaves canonicalised come from one more census "
+                "at jobs 1.  Per-layer times wait for a census stats record.",
         "machine": timing.machine(),
         "label": args.label,
         "ladder": ladders[0],

@@ -73,17 +73,15 @@ at n = 24, fail-first alone: 18 566, neither: 64 058).
 
 Every census takes one path, whatever the number of jobs: the search tree
 is expanded breadth-first until it has `_FRONTIER_TARGET` open states or
-runs out of them, and the states are searched depth-first in waves, in this
-process for one job and in a process pool otherwise.  A task
-(`_search_worker`) searches one state for at most `_SPLIT_NODES` nodes,
-tests and canonicalises the leaves it found, and hands back the branches
-it did not enter, each with the forced faces above it; the first wave is
-the frontier and each next wave is the states the previous one handed
-back, in task order.  One state holds nearly all the nodes at larger n, so
-this split by work done is what lets a second job pay.  The tasks depend
-only on n, so they and the output are the same for every job count.  The
-census stops early only on its time budget, which raises where the
-deadline is found to have passed.
+runs out of them, and each state is one task (`_search_worker`), run in this
+process for one job and in a process pool otherwise.  The frontier is grown
+by the search itself: a search stopped after one node hands back the
+branches it did not enter, each with the forced faces above it.  A task
+searches its state to the end and tests and canonicalises the leaves it
+found.  The tasks depend only on n, so they and the output are the same for
+every job count; at larger n one state holds nearly all the nodes, so a
+second job gains little.  The census stops early only on its time budget,
+which raises where the deadline is found to have passed.
 
 The classes are then named from `known_catalog`, one canonical form per
 distinct complex, given the classes' codes: at n = 24, 43 of the 46 scans
@@ -108,7 +106,6 @@ Face = tuple[int, int, int]
 
 _CHECK_EVERY = 256  # nodes between deadline checks, the first at the root
 _FRONTIER_TARGET = 8  # open states the search is split into, for any jobs
-_SPLIT_NODES = 2048  # nodes a task searches before it hands back the rest
 _SEARCH_FLAG: Face = (0, 1, 2)  # the start every leaf is labelled from
 _Class = tuple[tuple[Face, ...], tuple[bool, bool]]  # faces, (weakly, combinatorially regular)
 # A traversal of the flags at vertex 0 as far as the faces reach: the edge it
@@ -459,31 +456,26 @@ def _add_class(found: dict[Code, _Class], code: Code, found_class: _Class) -> No
 
 
 def _search_worker(args: tuple[int, tuple[Face, ...], Optional[float]]
-                   ) -> tuple[dict[Code, _Class], int, list[tuple[Face, ...]]]:
-    """Search one state for at most `_SPLIT_NODES` nodes.  Returns the
-    classes of the leaves found, the nodes searched and the states left
-    unsearched; raises ResourceLimit once the deadline has passed."""
+                   ) -> tuple[dict[Code, _Class], int]:
+    """Search one state to its end.  Returns the classes of the leaves found
+    and the nodes searched; raises ResourceLimit once the deadline has
+    passed."""
     n, faces, deadline = args
-    state = _LinkSearch(n, list(faces), deadline, _SPLIT_NODES)
+    state = _LinkSearch(n, list(faces), deadline, None)
     leaves: list[tuple[Face, ...]] = []
-    rest = state.run(leaves)
-    return _canonicalize_leaves(n, leaves, deadline), state.nodes, rest
+    state.run(leaves)
+    return _canonicalize_leaves(n, leaves, deadline), state.nodes
 
 
 def _frontier(n: int, target: int) -> tuple[list[tuple[Face, ...]], list[tuple[Face, ...]]]:
     """Expand the search breadth-first until at least `target` open states
-    exist; returns (open states, completed leaves found on the way).  Each
-    probe adds its forced faces, and its states and leaves carry them."""
+    exist; returns (open states, completed leaves found on the way).  A
+    state is expanded by a search with a quota of one node, so its children
+    and leaf carry its forced faces."""
     states: list[tuple[Face, ...]] = [tuple(_initial_star())]
     leaves: list[tuple[Face, ...]] = []
     while states and len(states) < target:
-        probe = _LinkSearch(n, list(states.pop(0)), None, None)
-        branch = probe._visit()
-        faces = tuple(probe.faces)
-        if branch is None:
-            leaves.append(faces)
-            continue
-        states.extend(faces + (f,) for f in branch)
+        states += _LinkSearch(n, list(states.pop(0)), None, 1).run(leaves)
     return states, leaves
 
 
@@ -502,15 +494,11 @@ def _enumerate_with_codes(n: int, deadline: Optional[float], jobs: int
         pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
         with pool or contextlib.nullcontext():
             search = pool.map if pool else map
-            # Each wave is the states the previous one left, in result order.
-            while done < len(states):
-                wave = [(n, s, deadline) for s in states[done:]]
-                for classes, searched, rest in search(_search_worker, wave):
-                    nodes += searched
-                    done += 1
-                    states += rest
-                    for code, found_class in classes.items():
-                        _add_class(found, code, found_class)
+            for classes, searched in search(_search_worker, [(n, s, deadline) for s in states]):
+                nodes += searched
+                done += 1
+                for code, found_class in classes.items():
+                    _add_class(found, code, found_class)
     except ResourceLimit as stop:
         raise ResourceLimit(f"{stop} ({nodes} nodes, {done}/{len(states)} states done)") from None
     # found holds the relabelled, sorted faces of validated leaves: valid
@@ -567,9 +555,8 @@ def classify_census(
     covers all of it: the search and its leaf scans, then each catalog
     member's canonical form and each class's classification.  A stop in
     the search gives the nodes searched below the frontier by the tasks
-    that finished, and the states done out of those known so far (the
-    frontier and the states tasks handed back); a later stop gives the
-    classes done."""
+    that finished, and the frontier states done out of all of them; a later
+    stop gives the classes done."""
     if n < 1:
         raise ValueError("vertex count must be at least 1")
     if budget_seconds is not None and not math.isfinite(budget_seconds):

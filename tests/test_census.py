@@ -413,12 +413,13 @@ class _RecordedSearch(census._LinkSearch):
 
 @pytest.mark.parametrize("n", range(7, 17))
 def test_split_search_counts_every_node_once(monkeypatch, n):
-    # Tasks of at most 16 nodes, in waves, against one search of the whole
-    # tree: the same nodes (234 at n = 12, the frontier probes included),
-    # the same leaves and the same census.
+    # A frontier of 64 states, one task each, against one search of the
+    # whole tree: the same nodes (234 at n = 12, the frontier probes
+    # included), the same leaves and the same census.
     whole, whole_leaves = census._LinkSearch(n, census._initial_star(), None, None), []
     assert whole.run(whole_leaves) == []
-    monkeypatch.setattr(census, "_SPLIT_NODES", 16)
+    states = census._frontier(n, 64)[0]
+    monkeypatch.setattr(census, "_FRONTIER_TARGET", 64)
     monkeypatch.setattr(_RecordedSearch, "made", [])
     monkeypatch.setattr(census, "_LinkSearch", _RecordedSearch)
     canonicalize, split_leaves = census._canonicalize_leaves, []
@@ -426,14 +427,39 @@ def test_split_search_counts_every_node_once(monkeypatch, n):
                         lambda n, leaves, deadline=None:
                         split_leaves.extend(leaves) or canonicalize(n, leaves, deadline))
     got = census._enumerate_with_codes(n, None, 1)
+    probes = [search for search in _RecordedSearch.made if search.quota == 1]
+    assert [search.nodes for search in probes] == [1] * len(probes)
+    assert len(_RecordedSearch.made) == len(probes) + len(states)
     assert sum(search.nodes for search in _RecordedSearch.made) == whole.nodes
-    assert max(search.nodes for search in _RecordedSearch.made) <= 16
     assert sorted(split_leaves) == sorted(whole_leaves)
     classes = canonicalize(n, whole_leaves)
     assert [(code, t.faces, flags) for code, t, flags in got] == [
         (code, *classes[code]) for code in sorted(classes)]
     for _, t, flags in got:
         assert flags == regularity_flags(t, automorphism_group(t))
+
+
+def _breadth_first_frontier(n, target):
+    """`_frontier` from the node visit alone: pop the first state, visit
+    it, and queue its leaf or its children."""
+    states, leaves = [tuple(census._initial_star())], []
+    while states and len(states) < target:
+        probe = census._LinkSearch(n, list(states.pop(0)), None, None)
+        branch = probe._visit()
+        faces = tuple(probe.faces)
+        if branch is None:
+            leaves.append(faces)
+        else:
+            states += [faces + (face,) for face in branch]
+    return states, leaves
+
+
+@pytest.mark.parametrize("target", [1, 8, 64])
+@pytest.mark.parametrize("n", range(7, 17))
+def test_frontier_is_the_breadth_first_expansion(n, target):
+    # The states and leaves, in order: the search's hand-back after one
+    # node is that node's children.
+    assert census._frontier(n, target) == _breadth_first_frontier(n, target)
 
 
 def test_no_class_scanned_twice(monkeypatch):

@@ -66,8 +66,9 @@ def test_bench_census_smallest_member(tmp_path):
     rows = json.loads(out.read_text())["ladder"]
     assert [(row["n"], row["jobs"], row["classes"], row["tori"], row["klein_bottles"],
              row["traversals"], row["catalog_scans"], row["stopped_at_v0"], row["nodes"],
-             row["leaves"], row["pruned"]) for row in rows] == [
-        (12, 1, 7, 4, 3, 415, 16, 15, 234, 10, 33), (12, 2, 7, 4, 3, 415, 16, 15, 234, 10, 33)]
+             row["leaves"], row["pruned"], row["largest_task_nodes"]) for row in rows] == [
+        (12, 1, 7, 4, 3, 415, 16, 15, 234, 10, 33, 167),
+        (12, 2, 7, 4, 3, 415, 16, 15, 234, 10, 33, 167)]
 
 
 def test_bench_iso_smallest_ladder(tmp_path):
