@@ -53,15 +53,20 @@ test would drop it, and the node ends; its leaves were never the kept ones.
 So the prefix test loses no class, and the leaves left are exactly those
 of the search without it whose search flag has the least key among the
 flags at vertex 0 (ties kept).  A prefix changes only when its stopping
-edge gets its second face, so each node keeps the traversals of the search
-flag and of the flags still tied with it, each with its stopping edge, and
-goes on with a traversal, from a copy, only once that edge is closed; a
-tied flag is followed no further than the search flag's key, and a flag
-found larger is dropped for the whole subtree.  That gives the same
-verdict at every node as a test from scratch on its faces, so the nodes
-do not depend on where the search is split.  The labels are a dict over
-the vertices met and the faces bit masks of their vertices, so nothing of
-size n is allocated.
+edge gets its second face, so each node keeps the search flag's traversal,
+with its stopping edge, and goes on with it, from a copy, only once that
+edge is closed.  Two flags whose keys agree up to some position have
+queued the same faces and crossed the same edges so far, read in their
+own labels, so a flag still tied with the search flag crosses next the
+search flag's edge at that position, read through its labels.  A tie
+holds only its position in the search flag's key, its labels and its
+vertices by label; it stops at its first edge on one face or at the end
+of the search flag's key, and a flag found larger is dropped for the
+whole subtree.  That gives the same verdict at every node as a test from
+scratch on its faces, so the nodes do not depend on where the search is
+split.  The labels are dicts and lists over the vertices met and the
+queued faces bit masks of their vertices, so nothing of size n is
+allocated.
 
 The rules together cut the whole search at n = 12, 18, 24, 30, 36, 42 to
 234, 1 255, 2 874, 6 618, 11 951, 19 218 nodes, 33, 143, 324, 626, 1 019,
@@ -108,10 +113,15 @@ _CHECK_EVERY = 256  # nodes between deadline checks, the first at the root
 _FRONTIER_TARGET = 8  # open states the search is split into, for any jobs
 _SEARCH_FLAG: Face = (0, 1, 2)  # the start every leaf is labelled from
 _Class = tuple[tuple[Face, ...], tuple[bool, bool]]  # faces, (weakly, combinatorially regular)
-# A traversal of the flags at vertex 0 as far as the faces reach: the edge it
-# stopped at (p None once it is complete), its key, labels, queued faces (as
+# The search flag's traversal as far as the faces reach: the edge it stopped
+# at (p None once it is complete), its key, the labels of the edge crossed
+# and of its face's third vertex at each entry, its labels, queued faces (as
 # vertex bit masks), queue, and the queue position and edge to go on from.
-_Prefix = tuple[Optional[int], int, list[int], dict[int, int], set[int], list[Face], int, int]
+_Prefix = tuple[Optional[int], int, list[int], list[Face], dict[int, int], set[int],
+                list[Face], int, int]
+# A flag tied with the search flag: its position in the search flag's key,
+# its labels and its vertices by label.
+_Tie = tuple[int, dict[int, int], list[int]]
 
 
 class ResourceLimit(RuntimeError):
@@ -147,7 +157,7 @@ class _LinkSearch:
         self.quota = quota
         self.nodes = 0
         self.pruned = 0  # nodes ended by the prefix test
-        self.ties: Optional[list[_Prefix]] = None  # the search flag's traversal, then its ties
+        self.ties: Optional[list[_Prefix | _Tie]] = None  # the search flag's, then its ties
         self._undo: list[tuple[int, int]] = []  # (max_used, first_open) before each face
         for f in faces:
             self._apply(f)
@@ -300,34 +310,44 @@ class _LinkSearch:
         """The prefix test: False when some flag at vertex 0 has a smaller
         key than the search flag in every completion of the faces.
 
-        `ties` holds the traversal of the search flag, stopped at its first
-        edge on one face, then those of the flags at vertex 0 whose keys
-        agree with it as far as both reach, each stopped at its first edge
-        on one face or once it is as long as the search flag's key (stop
-        edge -1).  A traversal goes on only once its edge lies on two
-        faces, or the search flag's key has grown, from a copy, since the
-        parent node keeps the old one.  A flag whose key then differs from
-        the search flag's is dropped if it is larger, and ends the node if
-        it is smaller."""
+        `ties` holds the search flag's traversal, stopped at its first edge
+        on one face, then the flags still tied with it, each stopped at its
+        first edge on one face or at the end of the search flag's key.  The
+        parent node keeps the old ones, so a traversal goes on from a copy,
+        and a tie copies its labels before it labels a new vertex.  A tie
+        whose entry differs from the search flag's is dropped if it is
+        larger, and ends the node if it is smaller."""
         lk, ties = self.lk, self.ties
         if ties is None:
-            ties = [_start(_SEARCH_FLAG)] + [_start((0, a, b)) for a, on_0a in lk[0].items()
+            ties = [_start(_SEARCH_FLAG)] + [(0, {0: 0, a: 1, b: 2}, [0, a, b])
+                                             for a, on_0a in lk[0].items()
                                              for b in on_0a if (0, a, b) != _SEARCH_FLAG]
         p, q = ties[0][:2]
-        grown = p is not None and len(lk[p][q]) == 2
-        kept = [_resume(lk, ties[0]) if grown else ties[0]]
-        lead = kept[0][2]
-        for s in ties[1:]:
-            p, q = s[:2]
-            if p is not None and (grown if p < 0 else len(lk[p][q]) == 2):
-                s = _resume(lk, s, lead)
-                key = s[2]
-                at = len(key) - 1
-                if key[at] != lead[at]:
-                    if key[at] < lead[at]:
+        kept = [_resume(lk, ties[0]) if p is not None and len(lk[p][q]) == 2 else ties[0]]
+        key, steps = kept[0][2:4]
+        end = len(key)
+        for at, label, inv in ties[1:]:
+            copied = False
+            while at < end:
+                a, b, c = steps[at]
+                on_ab = lk[inv[a]][inv[b]]
+                if len(on_ab) == 1:
+                    break
+                w = on_ab[0] + on_ab[1] - inv[c]
+                lw = label.get(w, len(inv))
+                if lw != key[at]:
+                    if lw < key[at]:
                         return False
-                    continue
-            kept.append(s)
+                    at = -1  # larger: dropped for the whole subtree
+                    break
+                if lw == len(inv):  # a new vertex
+                    if not copied:
+                        label, inv, copied = dict(label), inv[:], True
+                    label[w] = lw
+                    inv.append(w)
+                at += 1
+            if at >= 0:
+                kept.append((at, label, inv))
         self.ties = kept
         return True
 
@@ -360,7 +380,7 @@ class _LinkSearch:
         faces included) plus each remaining sibling face.  Their roots are
         not counted here, so searching them counts every node of the
         subtree exactly once.  Otherwise it returns []."""
-        stack: list[tuple[Iterator[Face], int, Optional[list[_Prefix]]]] = []
+        stack: list[tuple[Iterator[Face], int, Optional[list[_Prefix | _Tie]]]] = []
         while True:
             branch = self._visit()
             if branch is None:
@@ -385,45 +405,38 @@ class _LinkSearch:
 def _start(flag: Face) -> _Prefix:
     """A traversal of the flag (x, y, z) that has not crossed an edge yet."""
     x, y, z = flag
-    return x, y, [], {x: 0, y: 1, z: 2}, {1 << x | 1 << y | 1 << z}, [flag], 0, 0
+    return x, y, [], [], {x: 0, y: 1, z: 2}, {1 << x | 1 << y | 1 << z}, [flag], 0, 0
 
 
-def _resume(lk: list[dict[int, list[int]]], prefix: _Prefix,
-            lead: Optional[list[int]] = None) -> _Prefix:
+def _resume(lk: list[dict[int, list[int]]], prefix: _Prefix) -> _Prefix:
     """A copy of the traversal carried on over the faces in `lk` to the
     next edge on one face, or to its end.  It is `symmetry._traverse`: the
     edges are crossed in the same order, and the faces queued and the
-    vertices labelled in the same way.  With `lead`, the search flag's key,
-    it also stops (stop edge -1) at the first entry that differs from
-    lead's, or once it has as many entries as lead."""
-    _, _, key, label, seen, queue, qi, ei = prefix
-    key, label, seen, queue = key[:], dict(label), set(seen), queue[:]
-    end = -1 if lead is None else len(lead)
-    add_key, get_label, enqueue = key.append, label.get, queue.append
+    vertices labelled in the same way.  Each key entry also records the
+    labels of the edge crossed and of the third vertex of its face."""
+    _, _, key, steps, label, seen, queue, qi, ei = prefix
+    key, steps, label, seen, queue = key[:], steps[:], dict(label), set(seen), queue[:]
+    add_key, add_step, get_label, enqueue = key.append, steps.append, label.get, queue.append
     while qi < len(queue):  # breadth-first: the queue grows while read
         x, y, z = queue[qi]
         for p, q, r in ((x, y, z), (y, z, x), (z, x, y))[ei:]:
-            at = len(key)
-            if at == end:
-                return -1, 0, key, label, seen, queue, qi, ei
             on_pq = lk[p][q]
             if len(on_pq) == 1:
-                return p, q, key, label, seen, queue, qi, ei
+                return p, q, key, steps, label, seen, queue, qi, ei
             w = on_pq[0] + on_pq[1] - r
             lw = get_label(w)
             if lw is None:
                 lw = label[w] = len(label)
             add_key(lw)
+            add_step((label[p], label[q], label[r]))
             face = 1 << p | 1 << q | 1 << w
             if face not in seen:
                 seen.add(face)
                 enqueue((q, p, w))
             ei += 1
-            if end >= 0 and lw != lead[at]:
-                return -1, 0, key, label, seen, queue, qi, ei
         qi += 1
         ei = 0
-    return None, 0, key, label, seen, queue, qi, 0
+    return None, 0, key, steps, label, seen, queue, qi, 0
 
 
 def _check_deadline(deadline: Optional[float], layer: str) -> None:
@@ -481,7 +494,8 @@ def _frontier(n: int, target: int) -> tuple[list[tuple[Face, ...]], list[tuple[F
 
 def _enumerate_with_codes(n: int, deadline: Optional[float], jobs: int
                           ) -> list[tuple[Code, Triangulation, tuple[bool, bool]]]:
-    jobs = min(jobs, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(jobs, cpus or 1)
     if n <= 6:
         return []
     states, leaves = _frontier(n, _FRONTIER_TARGET)
@@ -547,9 +561,10 @@ def classify_census(
     """All degree-6 triangulations on n vertices up to isomorphism, each in
     canonical form, sorted by canonical code and classified by surface type
     and membership in the named families; its regularity flags come from
-    its leaf.  No items for n <= 6.  The search runs in min(jobs,
-    os.cpu_count()) processes; `budget_seconds` must be finite and `jobs`
-    at least 1.
+    its leaf.  No items for n <= 6.  The search runs in at most jobs
+    processes, and no more than the CPUs this process may run on (its
+    affinity set, or os.cpu_count() where the platform has none);
+    `budget_seconds` must be finite and `jobs` at least 1.
 
     A census that exceeds the time budget raises ResourceLimit.  The budget
     covers all of it: the search and its leaf scans, then each catalog

@@ -235,31 +235,47 @@ def reference_forced_face(search):
     return None
 
 
-def reference_prefix(faces, flag) -> list[int]:
-    """The key of the flag (x, y, z) over a face list, as `symmetry` reads
-    it, as far as the faces fix it: breadth-first from the flag's face, the
-    edges (x, y), (y, z), (z, x) of each face in turn, the vertex beyond an
-    edge labelled in first-use order, and the face there queued as (q, p,
-    w).  It stops at the first edge that lies on one face only."""
+def _reference_crossings(faces, flag):
+    """The traversal of the flag (x, y, z) over a face list, as `symmetry`
+    reads it, as far as the faces fix it: breadth-first from the flag's
+    face, the edges (x, y), (y, z), (z, x) of each face in turn, the vertex
+    beyond an edge labelled in first-use order, and the face there queued
+    as (q, p, w).  Yields, for each edge crossed, the vertex beyond it and
+    the labels so far (one dict, updated in place); it stops at the first
+    edge that lies on one face only."""
     sides: dict[frozenset, list[frozenset]] = {}
     for face in map(frozenset, faces):
         for edge in itertools.combinations(face, 2):
             sides.setdefault(frozenset(edge), []).append(face)
     label = {v: i for i, v in enumerate(flag)}
-    key: list[int] = []
     queue, seen = [flag], {frozenset(flag)}
     for x, y, z in queue:  # the queue grows while read
         for p, q in ((x, y), (y, z), (z, x)):
             on_pq = sides[frozenset((p, q))]
             if len(on_pq) == 1:
-                return key
+                return
             (other,) = [face for face in on_pq if face != {x, y, z}]
             (w,) = other - {p, q}
-            key.append(label.setdefault(w, len(label)))
+            label.setdefault(w, len(label))
+            yield w, label
             if other not in seen:
                 seen.add(other)
                 queue.append((q, p, w))
-    return key
+
+
+def reference_prefix(faces, flag) -> list[int]:
+    """The key of the flag over a face list as far as the faces fix it:
+    the label of the vertex beyond each edge crossed."""
+    return [label[w] for w, label in _reference_crossings(faces, flag)]
+
+
+def reference_labels(faces, flag, crossings: int) -> dict[int, int]:
+    """The labels of the vertices that the traversal of the flag has met
+    after crossing that many edges, from scratch over a face list."""
+    label = {v: i for i, v in enumerate(flag)}
+    for _, label in itertools.islice(_reference_crossings(faces, flag), crossings):
+        pass
+    return dict(label)
 
 
 def reference_prefix_loses(search) -> bool:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import types
@@ -25,7 +26,9 @@ from tests.conftest import (
     reference_branch_faces,
     reference_first_open,
     reference_forced_face,
+    reference_labels,
     reference_links,
+    reference_prefix,
     reference_prefix_loses,
 )
 from tests.lattice_oracle import klein_classes, torus_classes
@@ -194,7 +197,9 @@ def test_deep_search_reaches_a_leaf_without_recursion():
 
 
 def test_deep_search_hits_the_time_budget(monkeypatch):
+    # Two CPUs, so that jobs = 2 starts a pool on any machine.
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for jobs in (1, 2):
         with pytest.raises(ResourceLimit, match="exceeded its time budget"):
             classify_census(600, budget_seconds=0.5, jobs=jobs)
@@ -223,11 +228,20 @@ class _RecordingPool:
         return map(fn, args)
 
 
-@pytest.mark.parametrize("cpus,jobs,workers", [(3, 64, [3]), (3, 2, [2]), (None, 8, [])])
+# cpus: os.cpu_count() on a platform without os.sched_getaffinity, or the
+# affinity set, which caps the workers below a larger os.cpu_count().
+@pytest.mark.parametrize("cpus,jobs,workers", [
+    (3, 64, [3]), (3, 2, [2]), (None, 8, []), ({0}, 2, []), ({0, 1, 2}, 64, [3]),
+])
 def test_jobs_clamped_to_cpu_count(monkeypatch, cpus, jobs, workers):
     monkeypatch.setattr(_RecordingPool, "max_workers", [])
     monkeypatch.setattr(census, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
+    if isinstance(cpus, set):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    else:
+        monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
+        monkeypatch.delattr(census.os, "sched_getaffinity", raising=False)
     result = classify_census(10, jobs=jobs)
     assert _RecordingPool.max_workers == workers
     assert result == classify_census(10)
@@ -247,14 +261,40 @@ def test_non_finite_budget_rejected(budget):
 
 class _CheckedSearch(census._LinkSearch):
     """A link search that compares every node with the rule, as the
-    oracles in conftest read it from the face list: the prefix test, the
-    first open vertex, and the branch faces at the target vertex with
-    `_face_ok` on every x.  A node branches only once no face is forced."""
+    oracles in conftest read it from the face list: the prefix test and
+    what it keeps, the first open vertex, and the branch faces at the
+    target vertex with `_face_ok` on every x.  A node branches only once no
+    face is forced."""
 
     def _search_flag_leads(self):
         leads = super()._search_flag_leads()
         assert leads != reference_prefix_loses(self)
+        if leads:
+            self._check_ties()
         return leads
+
+    def _check_ties(self):
+        # The search flag's traversal holds its prefix, and the ties are
+        # exactly the other flags at vertex 0 whose prefix agrees with it
+        # over their common length.  Each sits at that length, with the
+        # labels a traversal from scratch gives after as many crossings, and
+        # its vertices listed by label.
+        lead = reference_prefix(self.faces, census._SEARCH_FLAG)
+        assert self.ties[0][2] == lead
+        tied = {}
+        for face in self.faces:
+            if 0 in face:
+                for a, b in itertools.permutations(set(face) - {0}):
+                    key = reference_prefix(self.faces, (0, a, b))
+                    common = min(len(key), len(lead))
+                    if (0, a, b) != census._SEARCH_FLAG and key[:common] == lead[:common]:
+                        tied[0, a, b] = common
+        ties = {tuple(inv[:3]): (at, label, inv) for at, label, inv in self.ties[1:]}
+        assert len(ties) == len(self.ties) - 1 and ties.keys() == tied.keys()
+        for flag, (at, label, inv) in ties.items():
+            assert at == tied[flag]
+            assert label == reference_labels(self.faces, flag, at)
+            assert inv == sorted(label, key=label.get)
 
     def _branch_faces(self):
         assert reference_forced_face(self) is None
@@ -264,12 +304,15 @@ class _CheckedSearch(census._LinkSearch):
         return faces
 
 
-@pytest.mark.parametrize("n", range(7, 13))
+# Ties live longer at larger n, so the stretch sizes check them further.
+@pytest.mark.parametrize("n", [*range(7, 13), *(pytest.param(n, marks=pytest.mark.stretch)
+                                                for n in range(13, 17))])
 def test_search_tree_matches_the_plain_rule(n):
     search = _CheckedSearch(n, census._initial_star(), None, None)
     leaves = []
     search.run(leaves)
-    assert len(census._canonicalize_leaves(n, leaves)) == sum(EXPECTED_SPLITS[n])
+    classes = EXPECTED_SPLITS.get(n) or (len(torus_classes(n)), len(klein_classes(n)))
+    assert len(census._canonicalize_leaves(n, leaves)) == sum(classes)
     if n == 12:
         assert (search.nodes, len(leaves), search.pruned) == (234, 10, 33)
 

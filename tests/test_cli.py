@@ -292,6 +292,7 @@ class TestClassify:
         # At n = 24 the search splits into 8 frontier states of very unequal
         # size: one holds 2 682 of the 2 867 nodes below them.
         monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         outputs = set()
         for jobs in ("1", "2", "3"):
             code, out, _ = run_cli("classify", "--n", "24", "--jobs", jobs, "--json")
