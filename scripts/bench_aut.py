@@ -7,11 +7,14 @@ T(k,k,0) has n = k*k vertices and |Aut| = 12n, the largest group a degree-6
 complex on n vertices can have.  A Klein bottle has several vertex orbits,
 so its scan first picks the vertex it starts from (`_first_vertex`) and
 visits more than one vertex class.  Each timing runs in a fresh child
-process, which builds the member, times one `automorphism_group` call (wall
-clock) and reports its own peak resident set size: the interpreter, the
-member and the scan.  Each member keeps the best of REPEATS children per
-tree; with `--baseline`, the two trees are timed alternately, and each row
-counts the rounds its tree won (`rounds_won`, see timing.py).  The script
+process, which builds the member, times its load from `.tri` text
+(`parse_tri`, then `build_triangulation`: `parse_s` and `build_s`) and one
+`automorphism_group` call on the loaded complex (`seconds`), all wall clock,
+and reports its own peak resident set size: the interpreter, the member and
+the scan.  Each member keeps the best of REPEATS children per tree: the
+row of the fastest scan, with each load figure the least of its own.  With
+`--baseline`, the two trees are timed alternately, and each row counts the
+rounds its tree won (`rounds_won`, by `seconds`; see timing.py).  The script
 exits 1 when a torus's order is not 12n, or when the two trees give a Klein
 bottle different orders or vertex orbits.
 
@@ -38,30 +41,41 @@ def child(name: str) -> None:
     import resource
     import time
 
-    from flatland import automorphism_group, construct_family, parse_name
+    from flatland import (automorphism_group, build_triangulation, construct_family, format_tri,
+                          parse_name, parse_tri)
 
-    t = construct_family(parse_name(name)).complex
+    text = format_tri(construct_family(parse_name(name)).complex)
     start = time.perf_counter()
+    n, faces = parse_tri(text)
+    parsed = time.perf_counter()
+    t = build_triangulation(n, faces)
+    built = time.perf_counter()
     group = automorphism_group(t)
-    seconds = time.perf_counter() - start
+    seconds = time.perf_counter() - built
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(json.dumps({"member": name, "n": t.n, "order": group.order,
                       "vertex_orbits": len(group.vertex_orbits), "seconds": round(seconds, 4),
+                      "parse_s": round(parsed - start, 5), "build_s": round(built - parsed, 5),
                       "peak_rss_mb": round(peak, 1)}))
+
+
+def best(rows: tuple[dict, ...]) -> dict:
+    """The row of the fastest scan, with each load figure the least of any row."""
+    return {**min(rows, key=itemgetter("seconds")),
+            **{key: min(row[key] for row in rows) for key in ("parse_s", "build_s")}}
 
 
 def time_members(names: list[str], args: argparse.Namespace) -> tuple[list[dict], list[dict]]:
     """The best child per member on --src and, with a baseline, on it."""
     ours: list[dict] = []
     theirs: list[dict] = []
-    seconds = itemgetter("seconds")
     for name in names:
         rounds = timing.alternate(__file__, [name], args.src, args.baseline)
         mine, other = zip(*rounds)
-        ours.append(min(mine, key=seconds))
+        ours.append(best(mine))
         if args.baseline:
-            ours[-1]["rounds_won"] = timing.rounds_won(rounds, seconds)
-            theirs.append(min(other, key=seconds))
+            ours[-1]["rounds_won"] = timing.rounds_won(rounds, itemgetter("seconds"))
+            theirs.append(best(other))
             print(json.dumps(theirs[-1]), file=sys.stderr)
         print(json.dumps(ours[-1]), file=sys.stderr)
     return ours, theirs
@@ -83,8 +97,10 @@ def main() -> int:
     klein, klein_baseline = time_members(list(args.kleins), args)
     result = {
         "what": f"automorphism_group on T(k,k,0) (ladder) and on Klein bottles (klein): the "
-                f"best of {timing.REPEATS} fresh processes that each build the member and "
-                "time one scan, in wall-clock seconds, and the peak RSS of that process; with "
+                f"best of {timing.REPEATS} fresh processes that each load the member from its "
+                ".tri text (parse_s: parse_tri, build_s: build_triangulation; each the best of "
+                "its own) and time one scan (seconds), in wall-clock seconds, and the peak RSS "
+                "of the fastest scan's process; with "
                 f"a baseline, rounds_won counts the rounds of {timing.REPEATS} in which this "
                 "tree was the faster",
         "machine": timing.machine(),

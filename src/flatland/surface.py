@@ -6,14 +6,17 @@ vertex link a single cycle, connected) is checked once, in
 `build_triangulation`; all other operations may assume it.  Each incidence
 table is built once per complex, on first use, and kept on it.  The face
 adjacency `Triangulation.across` serves the checks (building it is the edge
-check), one face walk for connectivity and `orientability`
-(`Triangulation._walk`), and the scan; the stars `Triangulation.stars` the
-link check, the degrees and the scan's flags at v0; the 1-skeleton
-(`skeleton_graph`) the G_c invariants and the choice of v0.
+check: one pass over the faces pairs each edge's two sides), one face walk
+for connectivity and `orientability` (`Triangulation._walk`, which keeps
+each face's orientation as one parity bit), and the scan; the stars
+`Triangulation.stars` the link check, the degrees and the scan's flags at
+v0; the 1-skeleton (`skeleton_graph`) the G_c invariants and the choice of
+v0.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -104,21 +107,28 @@ class Triangulation:
     def _walk(self) -> tuple[int, bool]:
         """(faces reached, coherent): orients face 0 as listed, then, breadth
         first, the face across each edge p -> q of an oriented face as q -> p;
-        coherent unless a face reached twice gets opposite orientations."""
-        across = self.across
-        orient: list[Optional[Face]] = [None] * self.f2
-        orient[0] = self.faces[0]
+        coherent unless a face reached twice gets opposite orientations.
+
+        A face's orientation is one bit, its parity against the sorted face
+        (a, b, c): 0 for a -> b -> c -> a.  With bit 0, a -> b and b -> c run
+        up the vertex order and c -> a, the edge opposite the middle vertex,
+        runs down; bit 1 turns all three round.  So where the edge of face fi
+        opposite r is the edge of face gi opposite w, gi takes the bit that
+        makes the edge run the other way in gi:
+        1 ^ bit(fi) ^ (r is fi's middle) ^ (w is gi's middle)."""
+        faces, across = self.faces, self.across
+        orient = [-1] * self.f2
+        orient[0] = 0
         queue = [0]
         coherent = True
         for fi in queue:  # the queue grows while read
-            x, y, z = orient[fi]
-            for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
-                gi, w = across[fi][r]
-                o = orient[gi]
-                if o is None:
-                    orient[gi] = (q, p, w)
+            flip, middle = orient[fi] ^ 1, faces[fi][1]
+            for r, (gi, w) in across[fi].items():
+                o = flip ^ (r == middle) ^ (w == faces[gi][1])
+                if orient[gi] < 0:
+                    orient[gi] = o
                     queue.append(gi)
-                elif o not in ((q, p, w), (p, w, q), (w, q, p)):
+                elif orient[gi] != o:
                     coherent = False
         return len(queue), coherent
 
@@ -133,9 +143,6 @@ class Triangulation:
     @property
     def f2(self) -> int:
         return len(self.faces)
-
-    def face_set(self) -> frozenset[Face]:
-        return frozenset(self.faces)
 
 
 @dataclass(frozen=True)
@@ -154,9 +161,11 @@ class ManifoldReport:
 def _normalize_faces(n: int, face_list: Iterable[Sequence[int]]) -> list[Face]:
     faces: set[Face] = set()
     for raw in face_list:
-        t = tuple(sorted(raw))
-        if len(t) != 3 or len(set(t)) != 3:
-            raise NotAManifold(f"face {tuple(raw)} does not have three distinct vertices")
+        t = tuple(raw)
+        if not (len(t) == 3 and t[0] < t[1] < t[2]):  # else already sorted, and distinct
+            if len(t) != 3 or len(set(t)) != 3:
+                raise NotAManifold(f"face {t} does not have three distinct vertices")
+            t = tuple(sorted(t))
         if t[0] < 0 or t[2] >= n:
             raise ValueError(f"face {t} out of range for n={n}")
         if t in faces:
@@ -168,19 +177,32 @@ def _normalize_faces(n: int, face_list: Iterable[Sequence[int]]) -> list[Face]:
 def _face_adjacency(faces: Sequence[Face]) -> Adjacency:
     """The table `Triangulation.across` of a face list; raises NotAManifold
     at the first edge, in face order, that does not lie in exactly two
-    faces."""
-    sides: dict[Edge, list[tuple[int, int]]] = {}
+    faces.  One pass pairs each edge's second side with its first; only
+    when a third side comes or a side is left over are the edges counted,
+    to name that edge."""
+    sides: dict[Edge, Optional[tuple[int, int]]] = {}  # edge -> its first side; None once paired
+    across: Adjacency = tuple({} for _ in faces)
     for fi, (a, b, c) in enumerate(faces):
         for edge, r in (((a, b), c), ((a, c), b), ((b, c), a)):
-            sides.setdefault(edge, []).append((fi, r))
-    across: Adjacency = tuple({} for _ in faces)
-    for edge, on_edge in sides.items():
-        if len(on_edge) != 2:
-            raise NotAManifold(f"edge {edge} lies in {len(on_edge)} face(s), expected 2")
-        (f1, r1), (f2, r2) = on_edge
-        across[f1][r1] = (f2, r2)
-        across[f2][r2] = (f1, r1)
+            side = (fi, r)
+            other = sides.setdefault(edge, side)
+            if other is side:
+                continue
+            if other is None:
+                raise _edge_fault(faces)
+            across[fi][r] = other
+            across[other[0]][other[1]] = side
+            sides[edge] = None
+    if 2 * len(sides) != 3 * len(faces):  # some edge lies in one face only
+        raise _edge_fault(faces)
     return across
+
+
+def _edge_fault(faces: Sequence[Face]) -> NotAManifold:
+    """The error for the first edge, in face order, not in exactly two faces."""
+    counts = Counter(e for a, b, c in faces for e in ((a, b), (a, c), (b, c)))
+    edge, count = next((e, k) for e, k in counts.items() if k != 2)
+    return NotAManifold(f"edge {edge} lies in {count} face(s), expected 2")
 
 
 def build_triangulation(n: int, face_list: Iterable[Sequence[int]]) -> Triangulation:

@@ -340,7 +340,7 @@ class _Scanner:
                 if covered:  # its automorphism is already in the group
                     continue
                 perm = tuple(map(self.base_inv.__getitem__, label))  # start -> base start
-                if _apply(perm, t.faces) != t.face_set():
+                if _apply(perm, t.faces) != t.face_index.keys():
                     raise AssertionError("traversal produced a non-automorphism")
                 self.gens.append(perm)
                 if skip:
@@ -441,7 +441,7 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
             return IsomorphismResult(None, "canonical code")
     inv_b = _invert(scan_b.base)
     mapping = tuple(inv_b[label] for label in scan_a.base)
-    if _apply(mapping, a.faces) != b.face_set():
+    if _apply(mapping, a.faces) != b.face_index.keys():
         raise AssertionError("equal keys produced a non-isomorphism")
     return IsomorphismResult(mapping)
 

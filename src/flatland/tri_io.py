@@ -3,6 +3,9 @@
 `.tri`: line 1 is `n f`; then f lines `a b c` with 0 <= a < b < c < n, faces
 in lexicographic order; `#` begins a comment line; UTF-8, LF line endings.
 Integers are ASCII `-?[0-9]+` of at most 4300 digits, the most `int()` reads.
+A line's tokens are checked by one match of the whole line, and their
+lengths only on a line long enough to hold a number over the limit; the
+errors are those of a check token by token.
 """
 
 from __future__ import annotations
@@ -26,27 +29,27 @@ class TriFormatError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-_INTEGER = re.compile(r"-?[0-9]+")
+_INTEGERS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")  # tokens joined by single spaces
 _MAX_DIGITS = sys.int_info.default_max_str_digits
 _TOO_LONG = f"a number has more than {_MAX_DIGITS} digits"
 
 
 def _integers(lineno: int, tokens: list[str], what: str) -> list[int]:
-    if not all(_INTEGER.fullmatch(t) for t in tokens):
+    line = " ".join(tokens)
+    if _INTEGERS.fullmatch(line) is None:
         raise TriFormatError(lineno, f"{what} must be integers")
-    if any(len(t.lstrip("-")) > _MAX_DIGITS for t in tokens):
+    if len(line) > _MAX_DIGITS and any(len(t.lstrip("-")) > _MAX_DIGITS for t in tokens):
         raise TriFormatError(lineno, _TOO_LONG)
-    return [int(t) for t in tokens]
+    return list(map(int, tokens))
 
 
 def parse_tri(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     header: list[int] | None = None
     faces: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if header is None:
             if len(parts) != 2:
                 raise TriFormatError(lineno, "expected header `n f`")

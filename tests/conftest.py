@@ -11,14 +11,19 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
+import sys
 from collections import Counter
+from typing import Optional
 
 import pytest
 
 from flatland import (
     CensusReport,
     FamilySpec,
+    NotAManifold,
     Triangulation,
+    TriFormatError,
     build_triangulation,
     classify_census,
     construct_family,
@@ -80,7 +85,7 @@ def apply_perm_faces(perm, faces):
 
 def brute_force_automorphisms(t: Triangulation) -> set[tuple[int, ...]]:
     """All vertex permutations preserving the face set, by exhaustive filter."""
-    target = t.face_set()
+    target = frozenset(t.faces)
     out = set()
     for perm in itertools.permutations(range(t.n)):
         for a, b, c in t.faces:
@@ -109,7 +114,7 @@ def brute_force_isomorphism(a: Triangulation, b: Triangulation):
     """Some face-preserving bijection a -> b, or None, by exhaustive filter."""
     if a.n != b.n or a.f2 != b.f2:
         return None
-    target = b.face_set()
+    target = frozenset(b.faces)
     for perm in itertools.permutations(range(a.n)):
         for x, y, z in a.faces:
             if tuple(sorted((perm[x], perm[y], perm[z]))) not in target:
@@ -292,6 +297,87 @@ def reference_prefix_loses(search) -> bool:
                 if key[:common] < lead[:common]:
                     return True
     return False
+
+
+_REFERENCE_INTEGER = re.compile(r"-?[0-9]+")
+_REFERENCE_MAX_DIGITS = sys.int_info.default_max_str_digits
+
+
+def _reference_integers(lineno: int, tokens: list[str], what: str) -> list[int]:
+    if not all(_REFERENCE_INTEGER.fullmatch(t) for t in tokens):
+        raise TriFormatError(lineno, f"{what} must be integers")
+    if any(len(t.lstrip("-")) > _REFERENCE_MAX_DIGITS for t in tokens):
+        raise TriFormatError(lineno, f"a number has more than {_REFERENCE_MAX_DIGITS} digits")
+    return [int(t) for t in tokens]
+
+
+def reference_parse_tri(text: str) -> tuple[int, list[tuple[int, int, int]]]:
+    """`tri_io.parse_tri` read token by token: each line stripped, then each
+    token matched on its own, then each token's length checked."""
+    header: Optional[list[int]] = None
+    faces: list[tuple[int, int, int]] = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if header is None:
+            if len(parts) != 2:
+                raise TriFormatError(lineno, "expected header `n f`")
+            header_line, header = lineno, _reference_integers(lineno, parts, "header values")
+            continue
+        if len(parts) != 3:
+            raise TriFormatError(lineno, "expected a face `a b c`")
+        a, b, c = _reference_integers(lineno, parts, "face vertices")
+        if not a < b < c:
+            raise TriFormatError(lineno, f"face {a} {b} {c} is not strictly increasing")
+        faces.append((a, b, c))
+    if header is None:
+        raise TriFormatError(None, "missing header `n f`")
+    n, f = header
+    if len(faces) != f:
+        raise TriFormatError(header_line, f"header promised {f} faces, found {len(faces)}")
+    return n, faces
+
+
+def reference_face_adjacency(faces) -> tuple[dict[int, tuple[int, int]], ...]:
+    """`Triangulation.across` of a face list by collecting every edge's
+    sides first; raises NotAManifold at the first edge, in face order, that
+    does not lie in exactly two faces, with its count."""
+    sides: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for fi, (a, b, c) in enumerate(faces):
+        for edge, r in (((a, b), c), ((a, c), b), ((b, c), a)):
+            sides.setdefault(edge, []).append((fi, r))
+    across: tuple[dict[int, tuple[int, int]], ...] = tuple({} for _ in faces)
+    for edge, on_edge in sides.items():
+        if len(on_edge) != 2:
+            raise NotAManifold(f"edge {edge} lies in {len(on_edge)} face(s), expected 2")
+        (f1, r1), (f2, r2) = on_edge
+        across[f1][r1] = (f2, r2)
+        across[f2][r2] = (f1, r1)
+    return across
+
+
+def reference_walk(faces, across) -> tuple[int, bool]:
+    """(faces reached, coherent) of `Triangulation._walk`, with each face's
+    orientation kept as a vertex triple: face 0 as listed, then, breadth
+    first, the face across each edge p -> q of an oriented face as q -> p;
+    incoherent when a face reached again is not a rotation of that triple."""
+    orient: list[Optional[tuple[int, int, int]]] = [None] * len(faces)
+    orient[0] = faces[0]
+    queue = [0]
+    coherent = True
+    for fi in queue:  # the queue grows while read
+        x, y, z = orient[fi]
+        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+            gi, w = across[fi][r]
+            o = orient[gi]
+            if o is None:
+                orient[gi] = (q, p, w)
+                queue.append(gi)
+            elif o not in ((q, p, w), (p, w, q), (w, q, p)):
+                coherent = False
+    return len(queue), coherent
 
 
 @functools.cache

@@ -91,7 +91,7 @@ def _multiplier_is_iso(n: int, a: int, src: int, dst: int) -> bool:
         tuple(sorted((mapping[x], mapping[y], mapping[z])))
         for x, y, z in fam(f"T({n},1,{src})").faces
     )
-    return image == fam(f"T({n},1,{dst})").face_set()
+    return image == frozenset(fam(f"T({n},1,{dst})").faces)
 
 
 def test_criterion_2_twist_isomorphism_fixtures():

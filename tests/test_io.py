@@ -12,7 +12,7 @@ from flatland import (
     to_json_dict,
     write_tri,
 )
-from tests.conftest import TETRAHEDRON, fam
+from tests.conftest import TETRAHEDRON, fam, reference_parse_tri
 
 
 def test_round_trip_text():
@@ -47,6 +47,67 @@ def test_json_file_dispatch(tmp_path):
     path.write_text(json.dumps(to_json_dict(t)))
     n, faces = read_tri(path)
     assert build_triangulation(n, faces) == t
+
+
+_TETRA = "0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
+_LONG, _OVERLONG = "9" * 4300, "9" * 4301
+
+# Each entry: a `.tri` text that either parses or fails with one message.
+_CORPUS = (
+    "4 4\n" + _TETRA,
+    "4\t4\n0\t1\t2\n0 1\t3\n\t0 2 3 \n1 2 3\t\n",
+    "4 4\r\n0 1 2\r\n0 1 3\r\n0 2 3\r\n1 2 3\r\n",
+    "4\x0c4\n0\x0b1 2\n0\u20031\u00a03\n0 2 3\n1 2 3\n",  # whitespace str.split() knows
+    "004 04\n000 01 002\n0 1 03\n0 2 3\n1 2 3\n",
+    "4 1\n-0 1 2\n",
+    "4 1\n-2 -1 0\n",
+    "4 1\n0 1 +2\n",
+    "4 0_4\n" + _TETRA,
+    "4 4\n0 1 2\n0 1 \u0663\n0 2 3\n1 2 3\n",
+    "4 4\n0 1 2\n0 1 3\n0 2 3\n1 2 \uff13\n",
+    "\u0664 4\n" + _TETRA,
+    "4 1\n0 1 -\n",
+    "4 1\n0 1 --2\n",
+    "4 1\n0 1 2-3\n",
+    f"{_LONG} 0\n",
+    f"-{_LONG} 0\n",
+    f"{_OVERLONG} 4\n",
+    f"4 1\n0 1 {_LONG}\n",
+    f"4 1\n0 1 -{_OVERLONG}\n",
+    f"4 1\n0 x {_OVERLONG}\n",  # not an integer: named before the length
+    "4 1\n0 1" + " " * 5000 + "2\n",  # a long line of short numbers
+    "# a comment\n\n   # an indented comment\n4 4\n\n0 1 2\n#\n0 1 3\n \t \n0 2 3\n1 2 3",
+    "#4 4\n4 4\n" + _TETRA + "# 5 6 7\n",
+    "4\n",
+    "4 4 4\n" + _TETRA,
+    "4 4\n0 1\n",
+    "4 4\n0 1 2 3\n",
+    "4 1\n2 1 0\n",
+    "4 1\n1 1 2\n",
+    "4 4\n0 1 2\n0 1 3\n0 2 3\n",
+    "# c\n4 4\n0 1 2\n",
+    "4 2\n0 1 2\n0 1 3\n0 2 3\n",
+    "",
+    "\n\n",
+    "# only comments",
+    "x y\n",
+    "4 y\n",
+)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except TriFormatError as exc:
+        return str(exc)
+
+
+def test_parse_matches_the_reference_parser():
+    # One match per line gives the faces, or the error text, of a check
+    # token by token.
+    outcomes = [_outcome(parse_tri, text) for text in _CORPUS]
+    assert outcomes == [_outcome(reference_parse_tri, text) for text in _CORPUS]
+    assert {type(o) for o in outcomes} == {tuple, str}
 
 
 class TestErrors:

@@ -56,6 +56,8 @@ def test_bench_aut_smallest_member(tmp_path):
     assert (row["member"], row["n"], row["order"]) == ("T(6,6,0)", 36, 432)
     (row,) = result["klein"]
     assert (row["member"], row["n"], row["order"], row["vertex_orbits"]) == ("K(10,20)", 200, 80, 6)
+    for row in (*result["ladder"], *result["klein"]):  # the load, layer by layer
+        assert row["parse_s"] > 0 and row["build_s"] > 0
 
 
 def test_bench_census_smallest_member(tmp_path):
@@ -99,6 +101,8 @@ def test_bench_baseline_on_the_same_tree(tmp_path):
     aut = json.loads(outs["bench_aut.py"].read_text())
     assert [row["order"] for row in aut["ladder"]] == [row["order"] for row in
                                                       aut["baseline"]["ladder"]] == [432]
+    for row in (*aut["ladder"], *aut["baseline"]["ladder"]):
+        assert row["parse_s"] > 0 and row["build_s"] > 0
     iso = json.loads(outs["bench_iso.py"].read_text())
     for which in ("catalog", "members"):
         assert iso[which]["verdicts_sha256"] == iso["baseline"][which]["verdicts_sha256"]

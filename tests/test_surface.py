@@ -1,3 +1,6 @@
+import functools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ import flatland.symmetry
 from flatland import (
     Disconnected,
     NotAManifold,
+    Triangulation,
     automorphism_group,
     build_triangulation,
     canonical_form,
@@ -20,7 +24,21 @@ from flatland import (
     surface_type,
 )
 from flatland.surface import surface_from_invariants
-from tests.conftest import TETRAHEDRON, fam, relabel, shuffled
+from tests.conftest import (
+    TETRAHEDRON,
+    fam,
+    reference_face_adjacency,
+    reference_walk,
+    relabel,
+    shuffled,
+)
+
+
+@functools.cache
+def catalog_up_to_30() -> frozenset:
+    """The distinct catalog complexes with 7 <= n <= 30."""
+    return frozenset(named.complex for n in range(7, 31) for named in known_catalog(n))
+
 
 # The 6-vertex real projective plane (the hemi-icosahedron): 10 faces.
 RP2 = (6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
@@ -172,6 +190,23 @@ class TestInvariants:
             assert 2 * t.f1 == 3 * t.f2
             assert t.f1 == len(skeleton_graph(t).edges)
 
+    def test_walk_matches_the_reference_walk(self):
+        # The parity bit gives the faces reached and the verdict of a walk
+        # that keeps each orientation as a vertex triple.
+        catalog = catalog_up_to_30()
+        complexes = [build_triangulation(*RP2)]
+        complexes += [shuffled(t, seed) for t in catalog for seed in (1, 2)]
+        tetra, rp2 = TETRAHEDRON[1], RP2[1]
+        for n, faces in ((8, tetra + [tuple(v + 4 for v in f) for f in tetra]),
+                         (10, rp2 + [tuple(v + 6 for v in f) for f in tetra])):
+            complexes.append(Triangulation(n, tuple(sorted(faces))))  # disconnected
+        walks = []
+        for t in complexes:
+            walks.append(t._walk)
+            assert t._walk == reference_walk(t.faces, t.across)
+        assert walks[-2:] == [(4, True), (10, False)]
+        assert {coherent for _, coherent in walks} == {True, False}
+
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_orientability_is_relabeling_invariant(self, seed):
@@ -201,6 +236,44 @@ class TestFaceAdjacency:
                 assert gi != fi and w not in face
                 assert set(t.faces[gi]) == edge | {w}
                 assert t.across[gi][w] == (fi, r)
+
+    def test_matches_the_reference_table(self, tetrahedron):
+        catalog = catalog_up_to_30()
+        for t in (tetrahedron, build_triangulation(*RP2), *catalog):
+            assert flatland.surface._face_adjacency(t.faces) == reference_face_adjacency(t.faces)
+
+    @pytest.mark.parametrize("faces,message", [
+        # (0, 1, 4) puts the edge (0, 1) in 3 faces and (0, 4), (1, 4) in 1.
+        ([(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (1, 2, 3)], "edge (0, 1) lies in 3 face(s)"),
+        # Edges (0, 1) and (0, 2) in 3 faces, (1, 5) and (2, 5) in 1: as many
+        # distinct edges as a surface has, so only the third sides tell.
+        ([(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4), (1, 2, 3), (1, 4, 5), (2, 4, 5)],
+         "edge (0, 1) lies in 3 face(s)"),
+        # The tetrahedron without (1, 2, 3): its edges lie in 1 face.
+        ([(0, 1, 2), (0, 1, 3), (0, 2, 3)], "edge (1, 2) lies in 1 face(s)"),
+        # The third face on (1, 2) comes last, after the edge (0, 4) in 1 face.
+        ([(0, 4, 5), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (1, 2, 4)],
+         "edge (0, 4) lies in 1 face(s)"),
+        # Two tetrahedra on the edge (0, 1): it lies in 4 faces, every other
+        # edge in 2, and pairing the sides in turn would pair it twice.
+        ([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4), (0, 1, 5), (0, 4, 5), (1, 4, 5)],
+         "edge (0, 1) lies in 4 face(s)"),
+        ([(0, 1, 4), (0, 1, 5), (0, 4, 5), (1, 4, 5), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+         "edge (0, 1) lies in 4 face(s)"),
+    ])
+    def test_first_faulty_edge_matches_the_reference(self, faces, message):
+        # The first edge, in face order, not in exactly two faces, with its count.
+        expected = f"{message}, expected 2"
+        for build in (flatland.surface._face_adjacency, reference_face_adjacency):
+            with pytest.raises(NotAManifold) as caught:
+                build(faces)
+            assert str(caught.value) == expected
+        # build_triangulation sorts the faces first, and names the same edge
+        # as the reference does on the sorted list.
+        with pytest.raises(NotAManifold) as caught:
+            reference_face_adjacency(sorted(faces))
+        with pytest.raises(NotAManifold, match=re.escape(str(caught.value))):
+            build_triangulation(1 + max(map(max, faces)), faces)
 
     def test_built_once_per_complex(self, monkeypatch):
         calls = []
@@ -238,7 +311,7 @@ class TestFaceAdjacency:
 class TestStars:
     def test_stars_and_degrees_match_a_recount(self, tetrahedron, double_pyramid):
         # The double pyramid has mixed degrees, and RP2 is non-orientable.
-        catalog = {named.complex for n in range(7, 31) for named in known_catalog(n)}
+        catalog = catalog_up_to_30()
         for t in (tetrahedron, double_pyramid, build_triangulation(*RP2), *catalog):
             assert t.stars == tuple(tuple(fi for fi, face in enumerate(t.faces) if v in face)
                                     for v in range(t.n))

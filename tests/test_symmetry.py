@@ -44,7 +44,7 @@ def is_isomorphism_between(mapping, a, b) -> bool:
     image = frozenset(
         tuple(sorted((mapping[x], mapping[y], mapping[z]))) for x, y, z in a.faces
     )
-    return image == b.face_set()
+    return image == frozenset(b.faces)
 
 
 def test_catalog_codes_certified_from_the_flags_at_v0(monkeypatch):
