@@ -38,8 +38,12 @@ def add_tree_arguments(ap: argparse.ArgumentParser, out: Path) -> None:
 
 
 def machine() -> dict:
+    """The interpreter and the CPUs: all of the machine's, and those this
+    process may run on (its affinity set, or all of them where the platform
+    has none), which cap the census's `--jobs`."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {"python": platform.python_version(), "cpus": os.cpu_count(),
-            "system": platform.system()}
+            "usable_cpus": usable, "system": platform.system()}
 
 
 def child_output(script: str, argv: list[str], src: Path) -> dict:

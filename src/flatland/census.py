@@ -43,16 +43,22 @@ face added can be forced, so this costs a few checks per node too.
 Then a node runs the first phase of the leaf test on its faces, the prefix
 pruning of plantri (Brinkmann and McKay 2007).  It traverses the search
 flag and the other 11 flags at vertex 0, whose star is closed from the
-root, exactly as `symmetry._traverse` does, and stops each traversal at
-its first edge that lies on one face only.  An edge on two faces keeps
-them in every completion, so the key up to there, the prefix, is a prefix
-of that flag's key in every completion.
+root, and, from the first node where vertex 1 is complete, the 12 flags
+at vertex 1, the other end of the search flag's first edge, which the
+search completes early.  It traverses them exactly as
+`symmetry._traverse` does, and stops each traversal at its first edge
+that lies on one face only.  An edge on two faces keeps them in every
+completion, so the key up to there, the prefix, is a prefix of that
+flag's key in every completion.
 If some flag's prefix is smaller than the search flag's at a position both
 reach, every leaf below has a smaller key than its search flag's, the leaf
 test would drop it, and the node ends; its leaves were never the kept ones.
 So the prefix test loses no class, and the leaves left are exactly those
 of the search without it whose search flag has the least key among the
-flags at vertex 0 (ties kept).  A prefix changes only when its stopping
+24 flags at vertices 0 and 1 (ties kept).  Racing the flags at vertex 2
+too, or at every complete vertex, ends a few more nodes but costs more
+than it saves: at n = 24 it leaves 1 921 or 1 842 nodes instead of 2 063,
+and the search takes longer.  A prefix changes only when its stopping
 edge gets its second face, so each node keeps the search flag's traversal,
 with its stopping edge, and goes on with it, from a copy, only once that
 edge is closed.  Two flags whose keys agree up to some position have
@@ -69,12 +75,15 @@ queued faces bit masks of their vertices, so nothing of size n is
 allocated.
 
 The rules together cut the whole search at n = 12, 18, 24, 30, 36, 42 to
-234, 1 255, 2 874, 6 618, 11 951, 19 218 nodes, 33, 143, 324, 626, 1 019,
-1 323 of them ended by the prefix test, with 10, 13, 31, 33, 45, 41
-leaves.  Without the prefix test: 587, 3 126, 9 282, 21 089, 42 327,
-77 632 nodes, with 43, 69, 138, 180, 226, 228 leaves, 12n/|Aut| per class
-(forced faces alone: 735, 4 535, 15 014, 39 033, 88 035, 183 356 nodes;
-at n = 24, fail-first alone: 18 566, neither: 64 058).
+191, 1 026, 2 063, 4 380, 7 493, 11 423 nodes, 36, 167, 344, 558, 971,
+1 324 of them ended by the prefix test, with 7, 9, 20, 19, 30, 26 leaves
+for 7, 9, 18, 19, 25, 23 classes.  With the flags at vertex 0 alone in the
+prefix test: 234, 1 255, 2 874, 6 618, 11 951, 19 218 nodes, 33, 143,
+324, 626, 1 019, 1 323 ended, 10, 13, 31, 33, 45, 41 leaves.  Without the
+prefix test: 587, 3 126, 9 282, 21 089, 42 327, 77 632 nodes, with 43,
+69, 138, 180, 226, 228 leaves, 12n/|Aut| per class (forced faces alone:
+735, 4 535, 15 014, 39 033, 88 035, 183 356 nodes; at n = 24, fail-first
+alone: 18 566, neither: 64 058).
 
 Every census takes one path, whatever the number of jobs: the search tree
 is expanded breadth-first until it has `_FRONTIER_TARGET` open states or
@@ -158,6 +167,7 @@ class _LinkSearch:
         self.nodes = 0
         self.pruned = 0  # nodes ended by the prefix test
         self.ties: Optional[list[_Prefix | _Tie]] = None  # the search flag's, then its ties
+        self.ties_at_1 = False  # whether the ties have taken in the flags at vertex 1
         self._undo: list[tuple[int, int]] = []  # (max_used, first_open) before each face
         for f in faces:
             self._apply(f)
@@ -307,21 +317,23 @@ class _LinkSearch:
         return True
 
     def _search_flag_leads(self) -> bool:
-        """The prefix test: False when some flag at vertex 0 has a smaller
-        key than the search flag in every completion of the faces.
+        """The prefix test: False when some flag at vertex 0 or 1 has a
+        smaller key than the search flag in every completion of the faces.
 
         `ties` holds the search flag's traversal, stopped at its first edge
         on one face, then the flags still tied with it, each stopped at its
-        first edge on one face or at the end of the search flag's key.  The
-        parent node keeps the old ones, so a traversal goes on from a copy,
-        and a tie copies its labels before it labels a new vertex.  A tie
-        whose entry differs from the search flag's is dropped if it is
-        larger, and ends the node if it is smaller."""
-        lk, ties = self.lk, self.ties
+        first edge on one face or at the end of the search flag's key: the
+        other flags at vertex 0 from the root, and the flags at vertex 1
+        from the first node where vertex 1 is complete.  The parent node
+        keeps the old ones, so a traversal goes on from a copy, and a tie
+        copies its labels before it labels a new vertex.  A tie whose entry
+        differs from the search flag's is dropped if it is larger, and ends
+        the node if it is smaller."""
+        lk, ties, at_1 = self.lk, self.ties, self.ties_at_1
         if ties is None:
-            ties = [_start(_SEARCH_FLAG)] + [(0, {0: 0, a: 1, b: 2}, [0, a, b])
-                                             for a, on_0a in lk[0].items()
-                                             for b in on_0a if (0, a, b) != _SEARCH_FLAG]
+            ties = [_start(_SEARCH_FLAG)] + _flags_at(lk, 0)
+        if not at_1 and self.first_open > 1:
+            ties, at_1 = ties + _flags_at(lk, 1), True
         p, q = ties[0][:2]
         kept = [_resume(lk, ties[0]) if p is not None and len(lk[p][q]) == 2 else ties[0]]
         key, steps = kept[0][2:4]
@@ -348,7 +360,7 @@ class _LinkSearch:
                 at += 1
             if at >= 0:
                 kept.append((at, label, inv))
-        self.ties = kept
+        self.ties, self.ties_at_1 = kept, at_1
         return True
 
     def _visit(self) -> Optional[list[Face]]:
@@ -371,8 +383,9 @@ class _LinkSearch:
         search is 2n - 6 faces deep, so it keeps a stack instead of
         recursing: for each node on the path from the root, its branch
         iterator, its face count once its forced faces are added, so
-        backtracking takes back the forced faces with the branch face, and
-        its traversals of the flags at vertex 0.
+        backtracking takes back the forced faces with the branch face, its
+        traversals of the search flag and its ties, and whether those have
+        taken in the flags at vertex 1.
 
         With a `quota` (None: no limit), the search stops once it has
         counted that many nodes and returns the states it has not entered:
@@ -380,26 +393,33 @@ class _LinkSearch:
         faces included) plus each remaining sibling face.  Their roots are
         not counted here, so searching them counts every node of the
         subtree exactly once.  Otherwise it returns []."""
-        stack: list[tuple[Iterator[Face], int, Optional[list[_Prefix | _Tie]]]] = []
+        stack: list[tuple[Iterator[Face], int, Optional[list[_Prefix | _Tie]], bool]] = []
         while True:
             branch = self._visit()
             if branch is None:
                 leaves.append(tuple(self.faces))
                 branch = []
-            stack.append((iter(branch), len(self.faces), self.ties))
+            stack.append((iter(branch), len(self.faces), self.ties, self.ties_at_1))
             if self.quota is not None and self.nodes >= self.quota:
                 return [tuple(self.faces[:end]) + (face,)
-                        for rest, end, _ in stack for face in rest]
+                        for rest, end, _, _ in stack for face in rest]
             face = next(stack[-1][0], None)
             while face is None:
                 stack.pop()
                 if not stack:
                     return []
-                rest, end, self.ties = stack[-1]
+                rest, end, self.ties, self.ties_at_1 = stack[-1]
                 while len(self.faces) > end:
                     self._revert()
                 face = next(rest, None)
             self._apply(face)
+
+
+def _flags_at(lk: list[dict[int, list[int]]], v: int) -> list[_Tie]:
+    """The flags at the complete vertex v other than the search flag, as
+    ties that have not crossed an edge yet."""
+    return [(0, {v: 0, a: 1, b: 2}, [v, a, b])
+            for a, on_va in lk[v].items() for b in on_va if (v, a, b) != _SEARCH_FLAG]
 
 
 def _start(flag: Face) -> _Prefix:

@@ -283,19 +283,26 @@ def reference_labels(faces, flag, crossings: int) -> dict[int, int]:
     return dict(label)
 
 
+def reference_rivals(search) -> list[tuple[int, int, int]]:
+    """The flags that the prefix test of a link-search state races against
+    the search flag (0, 1, 2), from its face list alone: the other flags at
+    vertex 0, and, once vertex 1 is complete, the flags at vertex 1."""
+    centres = (0, 1) if reference_first_open(search) > 1 else (0,)
+    return [(v, a, b) for v in centres for face in search.faces if v in face
+            for a, b in itertools.permutations(set(face) - {v}) if (v, a, b) != (0, 1, 2)]
+
+
 def reference_prefix_loses(search) -> bool:
-    """Whether some flag at vertex 0 of a link-search state has a smaller
-    key than the search flag (0, 1, 2) in every completion, from its face
-    list alone: their fixed prefixes differ at a position both reach, and
-    the flag's entry there is the smaller."""
+    """Whether some flag of `reference_rivals` has a smaller key than the
+    search flag in every completion, from the face list alone: their fixed
+    prefixes differ at a position both reach, and the flag's entry there is
+    the smaller."""
     lead = reference_prefix(search.faces, (0, 1, 2))
-    for face in search.faces:
-        if 0 in face:
-            for a, b in itertools.permutations(set(face) - {0}):
-                key = reference_prefix(search.faces, (0, a, b))
-                common = min(len(key), len(lead))
-                if key[:common] < lead[:common]:
-                    return True
+    for flag in reference_rivals(search):
+        key = reference_prefix(search.faces, flag)
+        common = min(len(key), len(lead))
+        if key[:common] < lead[:common]:
+            return True
     return False
 
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 import sys
 import types
@@ -30,6 +29,7 @@ from tests.conftest import (
     reference_links,
     reference_prefix,
     reference_prefix_loses,
+    reference_rivals,
 )
 from tests.lattice_oracle import klein_classes, torus_classes
 
@@ -275,20 +275,20 @@ class _CheckedSearch(census._LinkSearch):
 
     def _check_ties(self):
         # The search flag's traversal holds its prefix, and the ties are
-        # exactly the other flags at vertex 0 whose prefix agrees with it
+        # exactly the flags it races (the other flags at vertex 0, and those
+        # at vertex 1 once vertex 1 is complete) whose prefix agrees with it
         # over their common length.  Each sits at that length, with the
         # labels a traversal from scratch gives after as many crossings, and
         # its vertices listed by label.
         lead = reference_prefix(self.faces, census._SEARCH_FLAG)
         assert self.ties[0][2] == lead
         tied = {}
-        for face in self.faces:
-            if 0 in face:
-                for a, b in itertools.permutations(set(face) - {0}):
-                    key = reference_prefix(self.faces, (0, a, b))
-                    common = min(len(key), len(lead))
-                    if (0, a, b) != census._SEARCH_FLAG and key[:common] == lead[:common]:
-                        tied[0, a, b] = common
+        for flag in reference_rivals(self):
+            key = reference_prefix(self.faces, flag)
+            common = min(len(key), len(lead))
+            if key[:common] == lead[:common]:
+                tied[flag] = common
+        assert self.ties_at_1 == (reference_first_open(self) > 1)
         ties = {tuple(inv[:3]): (at, label, inv) for at, label, inv in self.ties[1:]}
         assert len(ties) == len(self.ties) - 1 and ties.keys() == tied.keys()
         for flag, (at, label, inv) in ties.items():
@@ -314,7 +314,7 @@ def test_search_tree_matches_the_plain_rule(n):
     classes = EXPECTED_SPLITS.get(n) or (len(torus_classes(n)), len(klein_classes(n)))
     assert len(census._canonicalize_leaves(n, leaves)) == sum(classes)
     if n == 12:
-        assert (search.nodes, len(leaves), search.pruned) == (234, 10, 33)
+        assert (search.nodes, len(leaves), search.pruned) == (191, 7, 36)
 
 
 class _FailFirstSearch(census._LinkSearch):
@@ -369,7 +369,7 @@ def test_forced_faces_keep_the_plain_leaves(n):
 
 
 # n -> (nodes, leaves, pruned) of the whole search.
-WHOLE_SEARCH_SIZES = {18: (1255, 13, 143), 24: (2874, 31, 324)}
+WHOLE_SEARCH_SIZES = {18: (1026, 9, 167), 24: (2063, 20, 344)}
 
 
 @pytest.mark.parametrize("n", sorted(WHOLE_SEARCH_SIZES))
@@ -387,19 +387,21 @@ class _UnprunedSearch(census._LinkSearch):
         return True
 
 
-def _flags_at_0(t):
-    """The flags (0, a, b) of a complex, each with the index of its face."""
+def _flags_with_faces(t, *centres):
+    """The flags (v, a, b) of a complex at each centre v, each with the
+    index of its face."""
     flags = []
-    for fi in t.stars[0]:
-        a, b = (v for v in t.faces[fi] if v != 0)
-        flags += [((0, a, b), fi), ((0, b, a), fi)]
+    for v in centres:
+        for fi in t.stars[v]:
+            a, b = (u for u in t.faces[fi] if u != v)
+            flags += [((v, a, b), fi), ((v, b, a), fi)]
     return flags
 
 
 @pytest.mark.parametrize("n", range(7, 17))
 def test_prefix_test_keeps_the_leaves_whose_search_flag_leads(n):
-    # The prefix test drops a leaf exactly when a flag at vertex 0 has a
-    # smaller key than the search flag, by `symmetry._traverse` on the
+    # The prefix test drops a leaf exactly when a flag at vertex 0 or 1 has
+    # a smaller key than the search flag, by `symmetry._traverse` on the
     # complex the leaf builds, and the leaves keep their order.
     unpruned, all_leaves = _UnprunedSearch(n, census._initial_star(), None, None), []
     unpruned.run(all_leaves)
@@ -408,8 +410,9 @@ def test_prefix_test_keeps_the_leaves_whose_search_flag_leads(n):
 
     def leads(faces):
         t = build_triangulation(n, faces)
-        keys = {flag: symmetry._traverse(t, flag, fi, None)[0] for flag, fi in _flags_at_0(t)}
-        assert len(keys) == 12
+        keys = {flag: symmetry._traverse(t, flag, fi, None)[0]
+                for flag, fi in _flags_with_faces(t, 0, 1)}
+        assert len(keys) == 24
         return keys[census._SEARCH_FLAG] == min(keys.values())
 
     assert leaves == [faces for faces in all_leaves if leads(faces)]
@@ -457,7 +460,7 @@ class _RecordedSearch(census._LinkSearch):
 @pytest.mark.parametrize("n", range(7, 17))
 def test_split_search_counts_every_node_once(monkeypatch, n):
     # A frontier of 64 states, one task each, against one search of the
-    # whole tree: the same nodes (234 at n = 12, the frontier probes
+    # whole tree: the same nodes (191 at n = 12, the frontier probes
     # included), the same leaves and the same census.
     whole, whole_leaves = census._LinkSearch(n, census._initial_star(), None, None), []
     assert whole.run(whole_leaves) == []
@@ -532,7 +535,7 @@ def test_no_class_scanned_twice(monkeypatch):
 
 
 # n -> the `_traverse` calls of the whole census.
-CENSUS_TRAVERSALS = {12: 415, 18: 631, 24: 1311}
+CENSUS_TRAVERSALS = {12: 373, 18: 574, 24: 1150}
 
 
 @pytest.mark.parametrize("n", sorted(CENSUS_TRAVERSALS))
@@ -549,7 +552,7 @@ def test_census_traversals_are_pinned(monkeypatch, n):
 # lattice oracle, which shares no code with the search; its classes are
 # also checked one by one (tests/test_lattice_oracle.py).  They also check
 # the leaf test, which would lose a class without an error.
-BEYOND_PAPER_SPLITS = {n: (len(torus_classes(n)), len(klein_classes(n))) for n in range(16, 37)}
+BEYOND_PAPER_SPLITS = {n: (len(torus_classes(n)), len(klein_classes(n))) for n in range(16, 43)}
 
 
 @pytest.mark.stretch

@@ -301,11 +301,13 @@ class TestClassify:
         assert len(outputs) == 1
 
     def test_a_class_kept_twice_exit_2(self, monkeypatch):
-        # A leaf test that keeps every leaf finds the classes of n = 12 more
-        # than once.  That is an internal error, not a silent dedupe, and it
-        # ends with exit 2, not a traceback.
+        # A leaf test that keeps every leaf, with no prefix test before it,
+        # finds the classes of n = 12 more than once.  That is an internal
+        # error, not a silent dedupe, and it ends with exit 2, not a
+        # traceback.
         group = census.automorphism_group
         monkeypatch.setattr(census, "automorphism_group", lambda t, seed: group(t))
+        monkeypatch.setattr(census._LinkSearch, "_search_flag_leads", lambda self: True)
         code, out, err = run_cli("classify", "--n", "12", "--json")
         assert (code, out) == (2, "")
         assert err.startswith("error: unexpected AssertionError('a census class was kept twice")
@@ -382,7 +384,7 @@ class TestBoundedInputs:
                                   "s = census._LinkSearch(10**9, census._initial_star(), None, 512)\n"
                                   "s.run([])\n"
                                   "print(s.nodes, s.pruned, len(s.ties))")
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "512 1 2\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "512 1 4\n", "")
 
     def test_huge_family_exit_2(self):
         proc = run_limited("family", "T(1000000000,1,3)")

@@ -83,7 +83,7 @@ def assert_census_classes(n, kind, quotients):
 
 
 # The census runs for n >= 13 are `stretch`, as elsewhere.
-CENSUS_NS = [n if n < 13 else pytest.param(n, marks=pytest.mark.stretch) for n in range(7, 37)]
+CENSUS_NS = [n if n < 13 else pytest.param(n, marks=pytest.mark.stretch) for n in range(7, 43)]
 
 
 @pytest.mark.parametrize("n", CENSUS_NS)

@@ -65,12 +65,14 @@ def test_bench_census_smallest_member(tmp_path):
     proc = subprocess.run([sys.executable, "scripts/bench_census.py", "--ns", "12", "--out",
                            str(out)], cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    rows = json.loads(out.read_text())["ladder"]
+    result = json.loads(out.read_text())
+    assert 1 <= result["machine"]["usable_cpus"] <= result["machine"]["cpus"]
+    rows = result["ladder"]
     assert [(row["n"], row["jobs"], row["classes"], row["tori"], row["klein_bottles"],
              row["traversals"], row["catalog_scans"], row["stopped_at_v0"], row["nodes"],
              row["leaves"], row["pruned"], row["largest_task_nodes"]) for row in rows] == [
-        (12, 1, 7, 4, 3, 415, 16, 15, 234, 10, 33, 167),
-        (12, 2, 7, 4, 3, 415, 16, 15, 234, 10, 33, 167)]
+        (12, 1, 7, 4, 3, 373, 16, 15, 191, 7, 36, 124),
+        (12, 2, 7, 4, 3, 373, 16, 15, 191, 7, 36, 124)]
 
 
 def test_bench_iso_smallest_ladder(tmp_path):
