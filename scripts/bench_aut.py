@@ -11,12 +11,15 @@ process, which builds the member, times its load from `.tri` text
 (`parse_tri`, then `build_triangulation`: `parse_s` and `build_s`) and one
 `automorphism_group` call on the loaded complex (`seconds`), all wall clock,
 and reports its own peak resident set size: the interpreter, the member and
-the scan.  Each member keeps the best of REPEATS children per tree: the
-row of the fastest scan, with each load figure the least of its own.  With
-`--baseline`, the two trees are timed alternately, and each row counts the
-rounds its tree won (`rounds_won`, by `seconds`; see timing.py).  The script
-exits 1 when a torus's order is not 12n, or when the two trees give a Klein
-bottle different orders or vertex orbits.
+the scan.  A second, untimed `automorphism_group` call in the same child
+counts the scan's `_traverse` calls (`traversals`), so the timed call runs
+unwrapped and a refresh shows whether the time moved with the work.  Each
+member keeps the best of REPEATS children per tree: the row of the fastest
+scan, with each load figure the least of its own.  With `--baseline`, the
+two trees are timed alternately, and each row counts the rounds its tree
+won (`rounds_won`, by `seconds`; see timing.py).  The script exits 1 when
+a torus's order is not 12n, or when the two trees give a member different
+orders, vertex orbits or traversal counts.
 
 Examples:
     python3 scripts/bench_aut.py
@@ -42,7 +45,7 @@ def child(name: str) -> None:
     import time
 
     from flatland import (automorphism_group, build_triangulation, construct_family, format_tri,
-                          parse_name, parse_tri)
+                          parse_name, parse_tri, symmetry)
 
     text = format_tri(construct_family(parse_name(name)).complex)
     start = time.perf_counter()
@@ -53,8 +56,17 @@ def child(name: str) -> None:
     group = automorphism_group(t)
     seconds = time.perf_counter() - built
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    traverse, traversals = symmetry._traverse, [0]
+
+    def counted(*args):
+        traversals[0] += 1
+        return traverse(*args)
+
+    symmetry._traverse = counted
+    automorphism_group(t)
     print(json.dumps({"member": name, "n": t.n, "order": group.order,
-                      "vertex_orbits": len(group.vertex_orbits), "seconds": round(seconds, 4),
+                      "vertex_orbits": len(group.vertex_orbits), "traversals": traversals[0],
+                      "seconds": round(seconds, 4),
                       "parse_s": round(parsed - start, 5), "build_s": round(built - parsed, 5),
                       "peak_rss_mb": round(peak, 1)}))
 
@@ -100,7 +112,8 @@ def main() -> int:
                 f"best of {timing.REPEATS} fresh processes that each load the member from its "
                 ".tri text (parse_s: parse_tri, build_s: build_triangulation; each the best of "
                 "its own) and time one scan (seconds), in wall-clock seconds, and the peak RSS "
-                "of the fastest scan's process; with "
+                "of the fastest scan's process; traversals counts the _traverse calls of a "
+                "second, untimed scan; with "
                 f"a baseline, rounds_won counts the rounds of {timing.REPEATS} in which this "
                 "tree was the faster",
         "machine": timing.machine(),
@@ -115,8 +128,8 @@ def main() -> int:
     if wrong:
         print(f"error: order is not 12n for {wrong}", file=sys.stderr)
         return 1
-    facts = itemgetter("order", "vertex_orbits")
-    differ = [ours["member"] for ours, theirs in zip(klein, klein_baseline)
+    facts = itemgetter("order", "vertex_orbits", "traversals")
+    differ = [ours["member"] for ours, theirs in zip(ladder + klein, baseline + klein_baseline)
               if facts(ours) != facts(theirs)]
     if differ:
         print(f"error: the trees give different groups for {differ}", file=sys.stderr)

@@ -135,7 +135,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from operator import itemgetter
-from typing import Collection, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 from .graphs import balls, common_neighbor_graph, graph_shape
 from .surface import Face, Triangulation, orientability, skeleton_graph
@@ -185,24 +185,59 @@ def _traverse(t: Triangulation, start: Face, start_fi: int, best: Optional[list[
     seen[start_fi] = True
     queue = [(x, y, z, start_fi)]
     key: list[int] = []
-    tight = best is not None  # the key so far equals best's prefix
+    add, enqueue = key.append, queue.append
+    at = -1 if best is None else 0  # the entry of best compared next; -1 once below best
     table = t.across
     for x, y, z, fi in queue:  # breadth-first: the queue grows while read
         across = table[fi]
-        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
-            gi, w = across[r]
-            lw = label[w]
-            if lw < 0:
-                lw = label[w] = nxt
-                nxt += 1
-            if tight and lw != best[len(key)]:
-                if lw > best[len(key)]:
-                    return None
-                tight = False
-            key.append(lw)
-            if not seen[gi]:
-                seen[gi] = True
-                queue.append((q, p, w, gi))
+        gi, w = across[z]  # the edge (x, y)
+        lw = label[w]
+        if lw < 0:
+            lw = label[w] = nxt
+            nxt += 1
+        if at >= 0:
+            if lw == best[at]:
+                at += 1
+            elif lw > best[at]:
+                return None
+            else:
+                at = -1
+        add(lw)
+        if not seen[gi]:
+            seen[gi] = True
+            enqueue((y, x, w, gi))
+        gi, w = across[x]  # the edge (y, z)
+        lw = label[w]
+        if lw < 0:
+            lw = label[w] = nxt
+            nxt += 1
+        if at >= 0:
+            if lw == best[at]:
+                at += 1
+            elif lw > best[at]:
+                return None
+            else:
+                at = -1
+        add(lw)
+        if not seen[gi]:
+            seen[gi] = True
+            enqueue((z, y, w, gi))
+        gi, w = across[y]  # the edge (z, x)
+        lw = label[w]
+        if lw < 0:
+            lw = label[w] = nxt
+            nxt += 1
+        if at >= 0:
+            if lw == best[at]:
+                at += 1
+            elif lw > best[at]:
+                return None
+            else:
+                at = -1
+        add(lw)
+        if not seen[gi]:
+            seen[gi] = True
+            enqueue((x, z, w, gi))
     return key, label
 
 
@@ -227,10 +262,12 @@ def _first_vertex(t: Triangulation) -> int:
 
 _ORDERS = tuple(permutations(range(3)))  # flag 6*fi + k is face fi read in order k
 _READ = tuple(itemgetter(*order) for order in _ORDERS)
-# _IMAGE[x > y, x > z, y > z][k]: the order of the image of a flag read in
-# order k, when a permutation sends the face's vertices to x, y, z.
-_IMAGE = {(x > y, x > z, y > z): tuple(_ORDERS.index(tuple((x, y, z)[i] for i in order))
-                                       for order in _ORDERS) for x, y, z in _ORDERS}
+# _IMAGE[x > y, x > z, y > z], when a permutation sends a face's vertices to
+# x, y, z: the reader that sorts (x, y, z), and at k the order of the image
+# of the flag read in order k.
+_IMAGE = {(x > y, x > z, y > z): (itemgetter(*map((x, y, z).index, range(3))),
+                                  tuple(_ORDERS.index(tuple((x, y, z)[i] for i in order))
+                                        for order in _ORDERS)) for x, y, z in _ORDERS}
 
 
 class _Scanner:
@@ -308,9 +345,9 @@ class _Scanner:
         """Merge every flag of face fi with its image under perm."""
         parent, size, reached = self.parent, self.size, self.reached
         a, b, c = self.t.faces[fi]
-        x, y, z = perm[a], perm[b], perm[c]
-        image = _IMAGE[x > y, x > z, y > z]
-        gi = 6 * self.t.face_index[tuple(sorted((x, y, z)))]
+        xyz = x, y, z = perm[a], perm[b], perm[c]
+        read, image = _IMAGE[x > y, x > z, y > z]
+        gi = 6 * self.t.face_index[read(xyz)]
         for k in range(6):
             a, b = _find(parent, 6 * fi + k), _find(parent, gi + image[k])
             if a != b:
@@ -387,7 +424,7 @@ def _find(parent: list[int], f: int) -> int:
 
 
 def _form(t: Triangulation, label: list[int]) -> CanonicalForm:
-    rel = sorted(tuple(sorted((label[a], label[b], label[c]))) for a, b, c in t.faces)
+    rel = sorted(_images(label, t.faces))
     return CanonicalForm(tuple(v for f in rel for v in f), tuple(label))
 
 
@@ -405,7 +442,20 @@ def canonical_form(t: Triangulation, classes: Collection[Code] = ()) -> Canonica
 
 
 def _apply(perm: Sequence[int], faces: Sequence[Face]) -> frozenset[Face]:
-    return frozenset(tuple(sorted((perm[a], perm[b], perm[c]))) for a, b, c in faces)
+    return frozenset(_images(perm, faces))
+
+
+def _images(perm: Sequence[int], faces: Sequence[Face]) -> Iterator[Face]:
+    """Each face's image under perm, sorted by compare-swaps, in face order."""
+    for a, b, c in faces:
+        x, y, z = perm[a], perm[b], perm[c]
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+            if x > y:
+                x, y = y, x
+        yield x, y, z
 
 
 def _invert(perm: Sequence[int]) -> list[int]:
@@ -463,8 +513,7 @@ def automorphism_group(t: Triangulation, seed: Optional[Face] = None) -> Optiona
     face_root, face_members = list(range(t.f2)), [[fi] for fi in range(t.f2)]
     index = t.face_index
     for perm in scan.gens:
-        _join(face_root, face_members,
-              [index[tuple(sorted((perm[a], perm[b], perm[c])))] for a, b, c in t.faces])
+        _join(face_root, face_members, [index[face] for face in _images(perm, t.faces)])
     return SymmetryGroup(tuple(scan.gens), len(scan.members[scan.root[scan.v0]]) * stabiliser,
                          _orbits(scan.root, range(t.n)), _orbits(face_root, t.faces),
                          _form(t, scan.base))

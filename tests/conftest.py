@@ -274,6 +274,15 @@ def reference_prefix(faces, flag) -> list[int]:
     return [label[w] for w, label in _reference_crossings(faces, flag)]
 
 
+def reference_traversal(faces, n: int, flag) -> tuple[list[int], list[int]]:
+    """The whole key of the flag over the face list of a closed complex on
+    n vertices, and its label array (vertex -> label)."""
+    key, label = [], {}
+    for w, label in _reference_crossings(faces, flag):
+        key.append(label[w])
+    return key, [label[v] for v in range(n)]
+
+
 def reference_labels(faces, flag, crossings: int) -> dict[int, int]:
     """The labels of the vertices that the traversal of the flag has met
     after crossing that many edges, from scratch over a face list."""

@@ -419,6 +419,25 @@ def test_prefix_test_keeps_the_leaves_whose_search_flag_leads(n):
     assert unpruned.pruned == 0 and search.nodes < unpruned.nodes
 
 
+@pytest.mark.parametrize("n", [12, 18])
+def test_resume_is_the_scans_traversal(n):
+    # Over a complete leaf, `_resume` carries the search flag's traversal to
+    # its end, with no stop edge, and gives the key and labels that
+    # `symmetry._traverse` gives on the complex the leaf builds.  The leaves
+    # are those of the search without the prefix test, which hold the whole
+    # search's.
+    leaves = []
+    _UnprunedSearch(n, census._initial_star(), None, None).run(leaves)
+    assert len(leaves) == {12: 43, 18: 69}[n]  # 12n/|Aut| per class
+    for faces in leaves:
+        lk = census._LinkSearch(n, list(faces), None, None).lk
+        stop, _, key, _, label = census._resume(lk, census._start(census._SEARCH_FLAG))[:5]
+        t = build_triangulation(n, faces)
+        found = symmetry._traverse(t, census._SEARCH_FLAG, t.face_index[census._SEARCH_FLAG], None)
+        assert stop is None
+        assert (key, [label[v] for v in range(n)]) == found
+
+
 @pytest.mark.parametrize("n", range(7, 17))
 def test_one_leaf_kept_per_class(n):
     # The search without the prefix test gives each class once per flag

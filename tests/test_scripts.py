@@ -52,10 +52,13 @@ def test_bench_aut_smallest_member(tmp_path):
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
+    # Traversal counts are the scan's work, pinned so that a refresh shows
+    # whether its time moved with it.
     (row,) = result["ladder"]
-    assert (row["member"], row["n"], row["order"]) == ("T(6,6,0)", 36, 432)
+    assert (row["member"], row["n"], row["order"], row["traversals"]) == ("T(6,6,0)", 36, 432, 13)
     (row,) = result["klein"]
-    assert (row["member"], row["n"], row["order"], row["vertex_orbits"]) == ("K(10,20)", 200, 80, 6)
+    assert (row["member"], row["n"], row["order"], row["vertex_orbits"], row["traversals"]) == (
+        "K(10,20)", 200, 80, 6, 43)
     for row in (*result["ladder"], *result["klein"]):  # the load, layer by layer
         assert row["parse_s"] > 0 and row["build_s"] > 0
 
@@ -101,8 +104,9 @@ def test_bench_baseline_on_the_same_tree(tmp_path):
         assert proc.returncode == 0, proc.stderr
     repeats = runpy.run_path(str(ROOT / "scripts" / "timing.py"))["REPEATS"]
     aut = json.loads(outs["bench_aut.py"].read_text())
-    assert [row["order"] for row in aut["ladder"]] == [row["order"] for row in
-                                                      aut["baseline"]["ladder"]] == [432]
+    facts = [[(row["order"], row["traversals"]) for row in rows]
+             for rows in (aut["ladder"], aut["baseline"]["ladder"])]
+    assert facts == [[(432, 13)]] * 2
     for row in (*aut["ladder"], *aut["baseline"]["ladder"]):
         assert row["parse_s"] > 0 and row["build_s"] > 0
     iso = json.loads(outs["bench_iso.py"].read_text())

@@ -1,4 +1,5 @@
 import io
+import random
 from itertools import permutations
 
 import pytest
@@ -28,6 +29,7 @@ from tests.conftest import (
     flags,
     group_elements,
     reference_first_vertex,
+    reference_traversal,
     relabel,
     shuffled,
     t1_valid_twists,
@@ -321,6 +323,40 @@ class TestFlagOrbits:
             assert all(len(orbit) == len(group) for orbit in orbits)  # free action
             assert len(orbits) == 6 * t.f2 // automorphism_group(t).order
             assert regularity_of(t)[1] == (len(orbits) == 1)
+
+
+class TestTraverse:
+    """`_traverse` against a plain rolled traversal of the face list
+    (`reference_traversal`), on every start of small complexes and on
+    sampled starts of a large one."""
+
+    @staticmethod
+    def check(t, starts):
+        # With `best`, a traversal stops exactly when the first entry that
+        # differs from best is larger, and otherwise gives the whole key.
+        reference = [reference_traversal(t.faces, t.n, s) for s, _ in starts]
+        keys = [key for key, _ in reference]
+        least, greatest = min(keys), max(keys)
+        stopped = False
+        for i, ((s, fi), (key, label)) in enumerate(zip(starts, reference)):
+            assert symmetry._traverse(t, s, fi, None) == (key, label)
+            for best in (key, least, greatest, keys[(i + 1) % len(keys)]):
+                larger = next((a > b for a, b in zip(key, best) if a != b), False)
+                found = symmetry._traverse(t, s, fi, best)
+                assert found == (None if larger else (key, label))
+                stopped = stopped or found is None
+        assert stopped == (least != greatest)
+
+    def test_every_start_of_small_complexes(self, tetrahedron):
+        for t in (tetrahedron, *(shuffled(fam(name), 3) for name in
+                                 ("T(7,1,2)", "B(3,3)", "Q(5,2)", "K(3,4)"))):
+            self.check(t, [(s, fi) for fi, face in enumerate(t.faces) for s in permutations(face)])
+
+    def test_sampled_starts_of_a_large_complex(self):
+        t = shuffled(fam("K(10,20)"), 4)
+        assert t.n >= 100
+        starts = [(s, fi) for fi, face in enumerate(t.faces) for s in permutations(face)]
+        self.check(t, random.Random(t.n).sample(starts, 24))
 
 
 def least_key_starts(t):
