@@ -47,9 +47,12 @@ root, and, from the first node where vertex 1 is complete, the 12 flags
 at vertex 1, the other end of the search flag's first edge, which the
 search completes early.  It traverses them exactly as
 `symmetry._traverse` does, and stops each traversal at its first edge
-that lies on one face only.  An edge on two faces keeps them in every
-completion, so the key up to there, the prefix, is a prefix of that
-flag's key in every completion.
+that lies on one face only.  A flag's first edge, from its complete
+vertex, lies on two faces, so each traversal starts having crossed it,
+with the vertex beyond labelled 3 (`_start`, `_flags_at`); then each
+queued face crosses its other two edges.  An edge on two faces keeps them
+in every completion, so the key up to there, the prefix, is a prefix of
+that flag's key in every completion.
 If some flag's prefix is smaller than the search flag's at a position both
 reach, every leaf below has a smaller key than its search flag's, the leaf
 test would drop it, and the node ends; its leaves were never the kept ones.
@@ -125,7 +128,8 @@ _Class = tuple[tuple[Face, ...], tuple[bool, bool]]  # faces, (weakly, combinato
 # The search flag's traversal as far as the faces reach: the edge it stopped
 # at (p None once it is complete), its key, the labels of the edge crossed
 # and of its face's third vertex at each entry, its labels, queued faces (as
-# vertex bit masks), queue, and the queue position and edge to go on from.
+# vertex bit masks), queue, and the queue position and edge to go on from
+# (0 for a face's (y, z), 1 for its (z, x)).
 _Prefix = tuple[Optional[int], int, list[int], list[Face], dict[int, int], set[int],
                 list[Face], int, int]
 # A flag tied with the search flag: its position in the search flag's key,
@@ -331,7 +335,7 @@ class _LinkSearch:
         the node if it is smaller."""
         lk, ties, at_1 = self.lk, self.ties, self.ties_at_1
         if ties is None:
-            ties = [_start(_SEARCH_FLAG)] + _flags_at(lk, 0)
+            ties = [_start(lk, _SEARCH_FLAG)] + _flags_at(lk, 0)
         if not at_1 and self.first_open > 1:
             ties, at_1 = ties + _flags_at(lk, 1), True
         p, q = ties[0][:2]
@@ -416,30 +420,36 @@ class _LinkSearch:
 
 
 def _flags_at(lk: list[dict[int, list[int]]], v: int) -> list[_Tie]:
-    """The flags at the complete vertex v other than the search flag, as
-    ties that have not crossed an edge yet."""
-    return [(0, {v: 0, a: 1, b: 2}, [v, a, b])
-            for a, on_va in lk[v].items() for b in on_va if (v, a, b) != _SEARCH_FLAG]
+    """The flags (v, a, b) at the complete vertex v other than the search
+    flag, as ties that have crossed only their first edge va, to w: each
+    edge va lies on the faces {v, a, b} and {v, a, w}."""
+    return [(0, {v: 0, a: 1, b: 2, w: 3}, [v, a, b, w])
+            for a, (b1, b2) in lk[v].items() for b, w in ((b1, b2), (b2, b1))
+            if (v, a, b) != _SEARCH_FLAG]
 
 
-def _start(flag: Face) -> _Prefix:
-    """A traversal of the flag (x, y, z) that has not crossed an edge yet."""
+def _start(lk: list[dict[int, list[int]]], flag: Face) -> _Prefix:
+    """A traversal of the flag (x, y, z) that has crossed only its first
+    edge, (x, y), to w: x, y, z, w are labelled 0..3, and (x, y, z) and
+    (y, x, w) queued.  The edge xy must lie on two faces in `lk`."""
     x, y, z = flag
-    return x, y, [], [], {x: 0, y: 1, z: 2}, {1 << x | 1 << y | 1 << z}, [flag], 0, 0
+    w = sum(lk[x][y]) - z
+    return (x, y, [], [], {x: 0, y: 1, z: 2, w: 3},
+            {1 << x | 1 << y | 1 << z, 1 << x | 1 << y | 1 << w}, [flag, (y, x, w)], 0, 0)
 
 
 def _resume(lk: list[dict[int, list[int]]], prefix: _Prefix) -> _Prefix:
     """A copy of the traversal carried on over the faces in `lk` to the
-    next edge on one face, or to its end.  It is `symmetry._traverse`: the
-    edges are crossed in the same order, and the faces queued and the
-    vertices labelled in the same way.  Each key entry also records the
-    labels of the edge crossed and of the third vertex of its face."""
+    next edge on one face, or to its end.  It is `symmetry._traverse`: each
+    queued face (x, y, z) crosses (y, z), then (z, x), the faces are queued
+    and the vertices labelled in the same way.  Each key entry also records
+    the labels of the edge crossed and of the third vertex of its face."""
     _, _, key, steps, label, seen, queue, qi, ei = prefix
     key, steps, label, seen, queue = key[:], steps[:], dict(label), set(seen), queue[:]
     add_key, add_step, get_label, enqueue = key.append, steps.append, label.get, queue.append
     while qi < len(queue):  # breadth-first: the queue grows while read
         x, y, z = queue[qi]
-        for p, q, r in ((x, y, z), (y, z, x), (z, x, y))[ei:]:
+        for p, q, r in ((y, z, x), (z, x, y))[ei:]:
             on_pq = lk[p][q]
             if len(on_pq) == 1:
                 return p, q, key, steps, label, seen, queue, qi, ei

@@ -4,16 +4,19 @@ A *start* is one of the 6*f_2 flags, written as an oriented face (x, y, z).
 The scan names the flag of face fi read in its k-th order (in
 `permutations` order, so first its vertex of rank k // 2) by 6*fi + k.
 From a start, a breadth-first traversal of the face adjacency labels x, y, z
-as 0, 1, 2, and for each popped face (x, y, z) crosses its edges (p, q) =
-(x, y), (y, z), (z, x) in turn: the vertex w beyond the edge gets the next
-free label if it has none, and the face there is queued as (q, p, w) if it
-is new.  The *key* of the start is the sequence of the 3*f_2 labels of those
-vertices w.  The key determines the labelled face set (replay the
-traversal), and the traversal never looks at vertex names, so isomorphic
-complexes have the same keys.  The canonical key is the least one.  The
-scan compares each key with the least key so far while producing it and
-drops the start at the first larger entry (the prefix pruning of plantri,
-Brinkmann & McKay 2007).
+as 0, 1, 2 and the vertex w beyond the edge (x, y) as 3, and queues (x, y,
+z) and (y, x, w).  Each popped face (x, y, z) crosses its edges (p, q) =
+(y, z), (z, x) in turn: the vertex w beyond the edge gets the next free
+label if it has none, and the face there is queued as (q, p, w) if it is
+new.  Its edge (x, y) is not crossed: it leads back to the face it was
+queued from (for the start, to the face of w), which is seen and whose
+vertices have labels.  The *key* of the start is the sequence of the 2*f_2
+labels of those vertices w.  The key determines the labelled face set
+(replay the traversal), and the traversal never looks at vertex names, so
+isomorphic complexes have the same keys.  The canonical key is the least
+one.  The scan compares each key with the least key so far while producing
+it and drops the start at the first larger entry (the prefix pruning of
+plantri, Brinkmann & McKay 2007).
 
 Two starts with equal keys differ by an automorphism (the permutation that
 takes each vertex to the vertex with its label in the other start), and
@@ -178,34 +181,19 @@ def _traverse(t: Triangulation, start: Face, start_fi: int, best: Optional[list[
     """Key and label array (input vertex -> label) of one start, or None as
     soon as a key entry exceeds `best` at the same position."""
     label = [-1] * t.n
+    table = t.across
     x, y, z = start
-    label[x], label[y], label[z] = 0, 1, 2
-    nxt = 3
+    gi, w = table[start_fi][z]  # the edge (x, y)
+    label[x], label[y], label[z], label[w] = 0, 1, 2, 3
+    nxt = 4
     seen = [False] * t.f2
-    seen[start_fi] = True
-    queue = [(x, y, z, start_fi)]
+    seen[start_fi] = seen[gi] = True
+    queue = [(x, y, z, start_fi), (y, x, w, gi)]
     key: list[int] = []
     add, enqueue = key.append, queue.append
     at = -1 if best is None else 0  # the entry of best compared next; -1 once below best
-    table = t.across
     for x, y, z, fi in queue:  # breadth-first: the queue grows while read
         across = table[fi]
-        gi, w = across[z]  # the edge (x, y)
-        lw = label[w]
-        if lw < 0:
-            lw = label[w] = nxt
-            nxt += 1
-        if at >= 0:
-            if lw == best[at]:
-                at += 1
-            elif lw > best[at]:
-                return None
-            else:
-                at = -1
-        add(lw)
-        if not seen[gi]:
-            seen[gi] = True
-            enqueue((y, x, w, gi))
         gi, w = across[x]  # the edge (y, z)
         lw = label[w]
         if lw < 0:

@@ -242,25 +242,38 @@ def reference_forced_face(search):
 
 def _reference_crossings(faces, flag):
     """The traversal of the flag (x, y, z) over a face list, as `symmetry`
-    reads it, as far as the faces fix it: breadth-first from the flag's
-    face, the edges (x, y), (y, z), (z, x) of each face in turn, the vertex
-    beyond an edge labelled in first-use order, and the face there queued
-    as (q, p, w).  Yields, for each edge crossed, the vertex beyond it and
-    the labels so far (one dict, updated in place); it stops at the first
-    edge that lies on one face only."""
+    reads it, as far as the faces fix it: the vertex w beyond the edge
+    (x, y) is labelled 3 and its face queued as (y, x, w) before any key
+    entry, then breadth-first from the flag's face, the edges (y, z) and
+    (z, x) of each face in turn, the vertex beyond an edge labelled in
+    first-use order, and the face there queued as (q, p, w).  Yields, for
+    each of those edges crossed, the vertex beyond it and the labels so far
+    (one dict, updated in place); it stops at the first edge that lies on
+    one face only, (x, y) included."""
     sides: dict[frozenset, list[frozenset]] = {}
     for face in map(frozenset, faces):
         for edge in itertools.combinations(face, 2):
             sides.setdefault(frozenset(edge), []).append(face)
-    label = {v: i for i, v in enumerate(flag)}
-    queue, seen = [flag], {frozenset(flag)}
+
+    def beyond(x, y, z):
+        on_pq = sides[frozenset((x, y))]
+        if len(on_pq) == 1:
+            return None
+        (other,) = [face for face in on_pq if face != {x, y, z}]
+        (w,) = other - {x, y}
+        return other, w
+
+    x, y, z = flag
+    if (found := beyond(x, y, z)) is None:
+        return
+    first, w = found
+    label = {x: 0, y: 1, z: 2, w: 3}
+    queue, seen = [flag, (y, x, w)], {frozenset(flag), first}
     for x, y, z in queue:  # the queue grows while read
-        for p, q in ((x, y), (y, z), (z, x)):
-            on_pq = sides[frozenset((p, q))]
-            if len(on_pq) == 1:
+        for p, q, r in ((y, z, x), (z, x, y)):
+            if (found := beyond(p, q, r)) is None:
                 return
-            (other,) = [face for face in on_pq if face != {x, y, z}]
-            (w,) = other - {p, q}
+            other, w = found
             label.setdefault(w, len(label))
             yield w, label
             if other not in seen:
@@ -285,8 +298,11 @@ def reference_traversal(faces, n: int, flag) -> tuple[list[int], list[int]]:
 
 def reference_labels(faces, flag, crossings: int) -> dict[int, int]:
     """The labels of the vertices that the traversal of the flag has met
-    after crossing that many edges, from scratch over a face list."""
-    label = {v: i for i, v in enumerate(flag)}
+    after crossing that many edges after (x, y), from scratch over a face
+    list on which (x, y) lies on two faces."""
+    x, y, z = flag
+    (w,) = {v for face in faces if {x, y} <= set(face) for v in face} - {x, y, z}
+    label = {x: 0, y: 1, z: 2, w: 3}
     for _, label in itertools.islice(_reference_crossings(faces, flag), crossings):
         pass
     return dict(label)

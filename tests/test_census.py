@@ -431,7 +431,7 @@ def test_resume_is_the_scans_traversal(n):
     assert len(leaves) == {12: 43, 18: 69}[n]  # 12n/|Aut| per class
     for faces in leaves:
         lk = census._LinkSearch(n, list(faces), None, None).lk
-        stop, _, key, _, label = census._resume(lk, census._start(census._SEARCH_FLAG))[:5]
+        stop, _, key, _, label = census._resume(lk, census._start(lk, census._SEARCH_FLAG))[:5]
         t = build_triangulation(n, faces)
         found = symmetry._traverse(t, census._SEARCH_FLAG, t.face_index[census._SEARCH_FLAG], None)
         assert stop is None

@@ -1,5 +1,7 @@
 """The census's classes against the lattice quotients T/L and T/G."""
 
+import math
+
 import pytest
 
 from flatland import (
@@ -158,3 +160,36 @@ def test_weakly_regular_klein_bottles_by_the_formula():
     for n in range(9, 161):
         count = sum(map(weakly_regular, klein_classes(n)))
         assert count == (n % 4 == 2), n
+
+
+def flag_regular_lattices(n: int) -> list:
+    """The regular maps {3,6}_(b,0) on n = b^2 vertices and {3,6}_(b,b) on
+    n = 3b^2 (Coxeter & Moser 1957, Altshuler 1973), as sublattices: bT,
+    and the lattice spanned by (3b, 0) and (2b, b)."""
+    b, c = math.isqrt(n), math.isqrt(n // 3)
+    return [(b, 0, b)] * (b * b == n) + [(3 * c, 2 * c, c)] * (3 * c * c == n)
+
+
+def assert_flag_regular_keys(ns):
+    # |Aut| = 12n, the number of flags, exactly at the regular torus maps;
+    # no Klein bottle has it.
+    for n in ns:
+        keys = [key for key in torus_classes(n) + klein_classes(n) if aut_order(key) == 12 * n]
+        assert keys == flag_regular_lattices(n), n
+
+
+def test_flag_regular_maps_by_the_formula():
+    assert_flag_regular_keys(range(7, 49))
+
+
+@pytest.mark.stretch
+def test_flag_regular_maps_by_the_formula_to_100():
+    assert_flag_regular_keys(range(49, 101))
+
+
+@pytest.mark.parametrize("n", CENSUS_NS)
+def test_combinatorially_regular_classes_are_the_regular_maps(n):
+    regular = {canonical_form(build_triangulation(n, quotient_faces(lat))).code
+               for lat in flag_regular_lattices(n)}
+    assert regular == {item.code for item in census_report(n).items
+                       if item.combinatorially_regular}

@@ -1,6 +1,6 @@
 import io
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -325,10 +325,33 @@ class TestFlagOrbits:
             assert regularity_of(t)[1] == (len(orbits) == 1)
 
 
+def three_crossing_key(faces, flag) -> list[int]:
+    """The key of the flag by the rule that crosses all three edges of each
+    face: breadth-first from the flag's face, the edges (x, y), (y, z),
+    (z, x) of each face (x, y, z) in turn, the vertex beyond an edge
+    labelled in first-use order, and the face there queued as (q, p, w)."""
+    sides: dict[frozenset, list[frozenset]] = {}
+    for face in map(frozenset, faces):
+        for edge in combinations(face, 2):
+            sides.setdefault(frozenset(edge), []).append(face)
+    label = {v: i for i, v in enumerate(flag)}
+    queue, seen, key = [flag], {frozenset(flag)}, []
+    for x, y, z in queue:  # the queue grows while read
+        for p, q in ((x, y), (y, z), (z, x)):
+            (other,) = [face for face in sides[frozenset((p, q))] if face != {x, y, z}]
+            (w,) = other - {p, q}
+            key.append(label.setdefault(w, len(label)))
+            if other not in seen:
+                seen.add(other)
+                queue.append((q, p, w))
+    return key
+
+
 class TestTraverse:
     """`_traverse` against a plain rolled traversal of the face list
-    (`reference_traversal`), on every start of small complexes and on
-    sampled starts of a large one."""
+    (`reference_traversal`), and against the key that crosses three edges
+    per face, on every start of small complexes and on sampled starts of a
+    large one."""
 
     @staticmethod
     def check(t, starts):
@@ -346,6 +369,20 @@ class TestTraverse:
                 assert found == (None if larger else (key, label))
                 stopped = stopped or found is None
         assert stopped == (least != greatest)
+        # The key drops the first crossing of every face from the three-edge
+        # key: the start's edge (x, y) always gives the new vertex 3, and any
+        # other face's goes back into the face it was queued from, whose
+        # vertices the entries before it have labelled.  So the starts sort
+        # in one order, with the same ties, by either key.
+        old = [three_crossing_key(t.faces, s) for s, _ in starts]
+        assert keys == [[e for j, e in enumerate(entries) if j % 3] for entries in old]
+        assert all(entries[0] == 3 for entries in old)
+
+        def ranks(keys):
+            order = sorted(set(map(tuple, keys)))
+            return [order.index(tuple(key)) for key in keys]
+
+        assert ranks(keys) == ranks(old)
 
     def test_every_start_of_small_complexes(self, tetrahedron):
         for t in (tetrahedron, *(shuffled(fam(name), 3) for name in
