@@ -15,11 +15,14 @@ pair of its set once, on freshly built complexes (so nothing a complex
 caches is reused).  Each set runs in REPEATS children per tree, and each
 pair's best wall time counts; with `--baseline`, the two trees are timed
 alternately, and each set counts the rounds in which its `--src` child took
-less time over all its pairs (`rounds_won`, see timing.py).  A class's
-seconds are the sum over its pairs.  `verdicts_sha256` digests every pair's
-verdict string in order, the mapping aside, so two outputs with the same
-digest gave the same verdicts and invariants.  A child exits 1 if a mapping it gets is not an
-isomorphism, and the script then exits 1.
+less time over all its pairs (`rounds_won`, see timing.py), and so does each
+verdict class over its own pairs.  A class's seconds are the sum over its
+pairs.  The catalog's 3 017 G_0 pairs stop at the G_0 shape and run no scan,
+so their `rounds_won` shows how far the machine drifts between children.
+`verdicts_sha256` digests every pair's verdict string in order, the mapping
+aside, so two outputs with the same digest gave the same verdicts and
+invariants.  A child exits 1 if a mapping it gets is not an isomorphism,
+and the script then exits 1.
 
 Examples:
     python3 scripts/bench_iso.py
@@ -106,6 +109,11 @@ def child(which: str, ns) -> int:
     return 1 if wrong else 0
 
 
+def class_seconds(run: dict, verdict: str) -> float:
+    """The seconds of one child over the pairs of one verdict class."""
+    return sum(seconds for v, seconds in zip(run["verdicts"], run["seconds"]) if v == verdict)
+
+
 def summary(runs: Sequence[dict]) -> dict:
     """One set's figures from its children on one tree: each pair's best
     time, summed per verdict class."""
@@ -144,6 +152,8 @@ def main() -> int:
         sets[which] = summary(ours)
         if args.baseline:
             sets[which]["rounds_won"] = timing.rounds_won(rounds, lambda run: sum(run["seconds"]))
+            for verdict, row in sets[which]["classes"].items():
+                row["rounds_won"] = timing.rounds_won(rounds, lambda run: class_seconds(run, verdict))
             baseline[which] = summary(theirs)
             print(json.dumps({which: baseline[which]}), file=sys.stderr)
         print(json.dumps({which: sets[which]}), file=sys.stderr)
@@ -152,7 +162,7 @@ def main() -> int:
                 f"best of {timing.REPEATS} wall-clock seconds on freshly built complexes, one "
                 "per fresh process, and the least peak RSS of those processes; with a baseline, "
                 f"rounds_won counts the rounds of {timing.REPEATS} in which this tree's child "
-                "took less time in all",
+                "took less time in all, on a set or on a class's pairs",
         "machine": timing.machine(),
         "label": args.label,
         "ns": list(args.ns),

@@ -7,9 +7,10 @@ complexes are non-isomorphic.  A graph is its neighbour bit masks alone:
 |N(u) & N(v)| is one AND and one popcount, and a breadth-first walk
 (`layers`) grows by whole distance classes, and the balls of all vertices
 (`balls`) grow one radius at a time together.  Edges are checked only where
-they come from outside, in `SimpleGraph(n, edges)`; G_c graphs are built
-from masks.  A graph counts the common neighbours of every pair once, into
-the masks of G_1, G_2, ...; G_0 needs no count (no neighbour in common).
+they come from outside, in `SimpleGraph(n, edges)`; the skeleton of a
+validated complex and the G_c graphs are built from masks.  A graph counts
+the common neighbours of every pair once, into the masks of G_1, G_2, ...;
+G_0 needs no count (no neighbour in common).
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class SimpleGraph:
         return {c: tuple(gc) for c, gc in by_count.items()}
 
 
-def _from_masks(n: int, masks: tuple[int, ...]) -> SimpleGraph:
+def from_masks(n: int, masks: tuple[int, ...]) -> SimpleGraph:
     """The graph with these masks, unchecked: they must be symmetric and loop-free."""
     g = object.__new__(SimpleGraph)
     object.__setattr__(g, "n", n)
@@ -120,11 +121,11 @@ def common_neighbor_graph(g: SimpleGraph, c: int) -> SimpleGraph:
         raise ValueError("common-neighbor count must be >= 0")
     n, masks = g.n, g.neighbor_masks
     if c > 0:
-        return _from_masks(n, g.masks_by_common_count.get(c, (0,) * n))
+        return from_masks(n, g.masks_by_common_count.get(c, (0,) * n))
     # G_0 tells most non-isomorphic pairs apart, so it pays for no count:
     # v shares a neighbour with u iff it is a neighbour of a neighbour of u.
     full = (1 << n) - 1
-    return _from_masks(n, tuple(full ^ (1 << u | _reach(masks, mask))
+    return from_masks(n, tuple(full ^ (1 << u | _reach(masks, mask))
                                 for u, mask in enumerate(masks)))
 
 

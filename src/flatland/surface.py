@@ -19,9 +19,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, from_masks
 
 Face = tuple[int, int, int]
 Edge = tuple[int, int]
@@ -97,7 +98,12 @@ class Triangulation:
 
     @cached_property
     def _skeleton(self) -> SimpleGraph:
-        return SimpleGraph(self.n, (e for a, b, c in self.faces for e in ((a, b), (a, c), (b, c))))
+        masks = [0] * self.n  # the faces are valid, so the masks need no check
+        for a, b, c in self.faces:
+            masks[a] |= 1 << b | 1 << c
+            masks[b] |= 1 << a | 1 << c
+            masks[c] |= 1 << a | 1 << b
+        return from_masks(self.n, tuple(masks))
 
     @cached_property
     def face_index(self) -> dict[Face, int]:  # face -> its index in `faces`
@@ -159,8 +165,17 @@ class ManifoldReport:
 
 
 def _normalize_faces(n: int, face_list: Iterable[Sequence[int]]) -> list[Face]:
+    listed = list(face_list)
+    last: tuple = ()
+    for t in listed:  # a list of increasing triples in increasing order is kept as it is
+        if not (type(t) is tuple and len(t) == 3 and t[0] < t[1] < t[2] and last < t):
+            break
+        last = t
+    else:
+        if listed and listed[0][0] >= 0 and max(map(itemgetter(2), listed)) < n:
+            return listed
     faces: set[Face] = set()
-    for raw in face_list:
+    for raw in listed:
         t = tuple(raw)
         if not (len(t) == 3 and t[0] < t[1] < t[2]):  # else already sorted, and distinct
             if len(t) != 3 or len(set(t)) != 3:

@@ -38,22 +38,23 @@ and the orbits they cut out.  The vertex orbits are classes that each new
 generator joins along its cycles, relabelling the smaller class.  The flag
 orbits are a union-find over the 6*f_2 integer flags, in which a generator
 merges a flag with its image, and each class records whether it holds a
-traversed start; a face's six flags find their images with one face lookup
-and a 6 x 6 table.  A flag's orbit lies over its vertex's orbit, so the
-flag orbits are kept only over the vertex classes that the scan visits:
-before the flags at a vertex are compared, every generator is merged over
-the stars of its class, each (face, generator) pair once.  The action is
-free, so a tie inside those classes (at a flag at v0, below) gives an
-element of G, and one outside them a new generator: it alone is checked
-against the face set.  The other elements are products of checked ones, and
-none is listed.  The first traversed start with the final least key reaches
-every other least-key start, through a tie or through a skip from a start
-it reaches, so at the end G is all of Aut, and the least-key labellings are
+traversed start; a face's six flags find their images with the generator's
+face permutation and a 6 x 6 table.  A flag's orbit lies over its vertex's
+orbit, so the flag orbits are kept only over the vertex classes that the
+scan visits: before the flags at a vertex are compared, every generator is
+merged over the stars of its class, each (face, generator) pair once.  The
+action is free, so a tie inside those classes (at a flag at v0, below)
+gives an element of G, and one outside them a new generator: it alone is
+checked against the face set, one lookup per face, which gives its face
+permutation.  The other elements are products of checked ones, and none is
+listed.  The first traversed start with the final least key reaches every
+other least-key start, through a tie or through a skip from a start it
+reaches, so at the end G is all of Aut, and the least-key labellings are
 that start's labelling composed with the elements of G.  Orbit and
 stabiliser give the order without the elements: |Aut| = |orbit(v0)| *
 |Stab(v0)|, and Stab(v0), which the first phase below finds, acts freely on
 the flags at v0, so its order is the size of any of its classes there.  The
-face orbits are joined from the generators applied to the faces.
+face orbits are joined along the generators' face permutations.
 
 Which starts a scan traverses depends on their order, so the order is fixed
 by the complex, not by its vertex names.  The scan first traverses every
@@ -251,11 +252,10 @@ def _first_vertex(t: Triangulation) -> int:
 _ORDERS = tuple(permutations(range(3)))  # flag 6*fi + k is face fi read in order k
 _READ = tuple(itemgetter(*order) for order in _ORDERS)
 # _IMAGE[x > y, x > z, y > z], when a permutation sends a face's vertices to
-# x, y, z: the reader that sorts (x, y, z), and at k the order of the image
-# of the flag read in order k.
-_IMAGE = {(x > y, x > z, y > z): (itemgetter(*map((x, y, z).index, range(3))),
-                                  tuple(_ORDERS.index(tuple((x, y, z)[i] for i in order))
-                                        for order in _ORDERS)) for x, y, z in _ORDERS}
+# x, y, z: at k the order in which the image face reads the image of the
+# flag read in order k.
+_IMAGE = {(x > y, x > z, y > z): tuple(_ORDERS.index(tuple((x, y, z)[i] for i in order))
+                                       for order in _ORDERS) for x, y, z in _ORDERS}
 
 
 class _Scanner:
@@ -263,8 +263,8 @@ class _Scanner:
     at v0, `second_phase` the other starts, vertex by vertex.  With a `seed`
     start (an oriented face of t), a phase returns False as soon as some
     start's key is found to be less than the seed's.  After both phases,
-    `base` is the canonical labelling, `gens` generate the group, and
-    `root` names each vertex's orbit."""
+    `base` is the canonical labelling, `gens` generate the group (acting on
+    face indices as `face_gens`), and `root` names each vertex's orbit."""
 
     def __init__(self, t: Triangulation, seed: Optional[Face] = None) -> None:
         self.t = t
@@ -280,6 +280,7 @@ class _Scanner:
         self.base: list[int] = []  # the label array of the first start with key best
         self.base_inv: list[int] = []
         self.gens: list[Perm] = []
+        self.face_gens: list[list[int]] = []
         flags = 6 * t.f2
         self.parent = list(range(flags))  # union-find of the flag orbits, over merged faces
         self.size = [1] * flags
@@ -322,20 +323,20 @@ class _Scanner:
         union-find holds the orbits of the flags at those vertices; each
         (face, generator) pair is merged once.  In the first phase the class
         is v0 alone, since its ties fix v0."""
-        gens, merged, stars = self.gens, self.merged, self.t.stars
+        gens, face_gens, merged, stars = self.gens, self.face_gens, self.merged, self.t.stars
         for u in self.members[self.root[v]] if self.root else (v,):
             for fi in stars[u]:
-                for perm in gens[merged[fi]:]:
-                    self._merge(perm, fi)
+                for g in range(merged[fi], len(gens)):
+                    self._merge(gens[g], fi, face_gens[g][fi])
                 merged[fi] = len(gens)
 
-    def _merge(self, perm: Perm, fi: int) -> None:
-        """Merge every flag of face fi with its image under perm."""
+    def _merge(self, perm: Perm, fi: int, gi: int) -> None:
+        """Merge every flag of face fi with its image, a flag of gi = perm(fi)."""
         parent, size, reached = self.parent, self.size, self.reached
         a, b, c = self.t.faces[fi]
-        xyz = x, y, z = perm[a], perm[b], perm[c]
-        read, image = _IMAGE[x > y, x > z, y > z]
-        gi = 6 * self.t.face_index[read(xyz)]
+        x, y, z = perm[a], perm[b], perm[c]
+        image = _IMAGE[x > y, x > z, y > z]
+        gi *= 6
         for k in range(6):
             a, b = _find(parent, 6 * fi + k), _find(parent, gi + image[k])
             if a != b:
@@ -365,9 +366,11 @@ class _Scanner:
                 if covered:  # its automorphism is already in the group
                     continue
                 perm = tuple(map(self.base_inv.__getitem__, label))  # start -> base start
-                if _apply(perm, t.faces) != t.face_index.keys():
+                face_perm = _face_map(perm, t.faces, t.face_index)
+                if face_perm is None:
                     raise AssertionError("traversal produced a non-automorphism")
                 self.gens.append(perm)
+                self.face_gens.append(face_perm)
                 if skip:
                     self._join_vertices(perm)
                     if self.settled[self.root[v]]:
@@ -429,8 +432,13 @@ def canonical_form(t: Triangulation, classes: Collection[Code] = ()) -> Canonica
     return _form(t, scanner.base)
 
 
-def _apply(perm: Sequence[int], faces: Sequence[Face]) -> frozenset[Face]:
-    return frozenset(_images(perm, faces))
+def _face_map(perm: Perm, faces: Sequence[Face], index: dict[Face, int]) -> Optional[list[int]]:
+    """Each face's image under perm as its index in `index`, or None if one is
+    not there: a bijection (as traversals give) maps faces onto faces iff so."""
+    try:
+        return list(map(index.__getitem__, _images(perm, faces)))
+    except KeyError:
+        return None
 
 
 def _images(perm: Sequence[int], faces: Sequence[Face]) -> Iterator[Face]:
@@ -479,7 +487,7 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
             return IsomorphismResult(None, "canonical code")
     inv_b = _invert(scan_b.base)
     mapping = tuple(inv_b[label] for label in scan_a.base)
-    if _apply(mapping, a.faces) != b.face_index.keys():
+    if _face_map(mapping, a.faces, b.face_index) is None:
         raise AssertionError("equal keys produced a non-isomorphism")
     return IsomorphismResult(mapping)
 
@@ -499,9 +507,8 @@ def automorphism_group(t: Triangulation, seed: Optional[Face] = None) -> Optiona
     first = _find(parent, at_v0[0])
     stabiliser = sum(_find(parent, f) == first for f in at_v0)
     face_root, face_members = list(range(t.f2)), [[fi] for fi in range(t.f2)]
-    index = t.face_index
-    for perm in scan.gens:
-        _join(face_root, face_members, [index[face] for face in _images(perm, t.faces)])
+    for face_perm in scan.face_gens:
+        _join(face_root, face_members, face_perm)
     return SymmetryGroup(tuple(scan.gens), len(scan.members[scan.root[scan.v0]]) * stabiliser,
                          _orbits(scan.root, range(t.n)), _orbits(face_root, t.faces),
                          _form(t, scan.base))

@@ -3,9 +3,11 @@
 `.tri`: line 1 is `n f`; then f lines `a b c` with 0 <= a < b < c < n, faces
 in lexicographic order; `#` begins a comment line; UTF-8, LF line endings.
 Integers are ASCII `-?[0-9]+` of at most 4300 digits, the most `int()` reads.
-A line's tokens are checked by one match of the whole line, and their
-lengths only on a line long enough to hold a number over the limit; the
-errors are those of a check token by token.
+Text as `format_tri` writes it (single spaces, no leading zeros, LF after
+every line) is read in one match and one split; other text, and faults,
+line by line: a line's tokens are checked by one match of the whole line,
+and their lengths only on a line long enough to hold a number over the
+limit; the errors are those of a check token by token.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ class TriFormatError(ValueError):
 _INTEGERS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")  # tokens joined by single spaces
 _MAX_DIGITS = sys.int_info.default_max_str_digits
 _TOO_LONG = f"a number has more than {_MAX_DIGITS} digits"
+_NUMBER = rf"(?:0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})"
+_WRITTEN = re.compile(rf"(?:#[^\n]*\n)*({_NUMBER} {_NUMBER}\n(?:{_NUMBER} {_NUMBER} {_NUMBER}\n)*)")
 
 
 def _integers(lineno: int, tokens: list[str], what: str) -> list[int]:
@@ -44,6 +48,16 @@ def _integers(lineno: int, tokens: list[str], what: str) -> list[int]:
 
 
 def parse_tri(text: str) -> tuple[int, list[tuple[int, int, int]]]:
+    if (written := _WRITTEN.fullmatch(text)) is not None:
+        numbers = map(int, written[1].split())
+        n, f = next(numbers), next(numbers)
+        faces = list(zip(numbers, numbers, numbers))
+        if len(faces) == f and all(a < b < c for a, b, c in faces):
+            return n, faces
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     header: list[int] | None = None
     faces: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):

@@ -372,6 +372,26 @@ def reference_parse_tri(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     return n, faces
 
 
+def reference_normalize_faces(n: int, face_list) -> list[tuple[int, int, int]]:
+    """`surface._normalize_faces` face by face, whatever the input: each face
+    sorted unless it is an increasing triple, checked for range and
+    repeats, and the set sorted; raises at the first bad face in input
+    order."""
+    faces: set[tuple[int, int, int]] = set()
+    for raw in face_list:
+        t = tuple(raw)
+        if not (len(t) == 3 and t[0] < t[1] < t[2]):  # else already sorted, and distinct
+            if len(t) != 3 or len(set(t)) != 3:
+                raise NotAManifold(f"face {t} does not have three distinct vertices")
+            t = tuple(sorted(t))
+        if t[0] < 0 or t[2] >= n:
+            raise ValueError(f"face {t} out of range for n={n}")
+        if t in faces:
+            raise NotAManifold(f"face {t} is listed twice")
+        faces.add(t)  # type: ignore[arg-type]
+    return sorted(faces)
+
+
 def reference_face_adjacency(faces) -> tuple[dict[int, tuple[int, int]], ...]:
     """`Triangulation.across` of a face list by collecting every edge's
     sides first; raises NotAManifold at the first edge, in face order, that

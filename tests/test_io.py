@@ -2,17 +2,19 @@ import json
 
 import pytest
 
+import flatland.tri_io
 from flatland import (
     TriFormatError,
     build_triangulation,
     format_tri,
     from_json,
+    known_catalog,
     parse_tri,
     read_tri,
     to_json_dict,
     write_tri,
 )
-from tests.conftest import TETRAHEDRON, fam, reference_parse_tri
+from tests.conftest import TETRAHEDRON, fam, reference_parse_tri, shuffled
 
 
 def test_round_trip_text():
@@ -94,6 +96,37 @@ _CORPUS = (
     "4 y\n",
 )
 
+# Texts in the written form but for one fault, which the one-match path hands
+# to the line reader: the outcome is the line reader's.
+_HANDED_OVER = (
+    "4 4\n0 1 2\n0 1 03\n0 2 3\n1 2 3\n",  # a leading zero
+    "04 4\n" + _TETRA,
+    "4 4\n-0 1 2\n0 1 3\n0 2 3\n1 2 3\n",
+    f"# c\n{_OVERLONG} 0\n",
+    f"4 1\n0 1 {_OVERLONG}\n",
+    "4 4\n0 1 2\n0 3 1\n0 2 3\n1 2 3\n",  # a face that is not increasing
+    "4 5\n" + _TETRA,  # a wrong face count
+    "4 3\n" + _TETRA,
+    "4 4\n" + _TETRA[:-1],  # no final newline
+    "# c\n4 4\n# after the header\n" + _TETRA,
+    "4 4\r\n" + _TETRA,
+    "# c\n4 4\n0 1 2\r\n0 1 3\n0 2 3\n1 2 3\n",
+    "4 4\n0 1 2\n\n0 1 3\n0 2 3\n1 2 3\n",
+    "4 4\n0 1  2\n0 1 3\n0 2 3\n1 2 3\n",
+    "4 4\n" + _TETRA + "\n",
+    " 4 4\n" + _TETRA,
+)
+
+# Texts in the written form, read in one match: the numbers may have up to
+# 4300 digits, and a comment line anything but LF.
+_WRITTEN = (
+    "4 4\n" + _TETRA,
+    "# c\r\n#\n# 0 1 2\n4 4\n" + _TETRA,
+    f"{_LONG} 0\n",
+    f"{_LONG} 1\n0 1 {_LONG}\n",
+    "0 0\n",
+)
+
 
 def _outcome(parse, text):
     try:
@@ -103,11 +136,43 @@ def _outcome(parse, text):
 
 
 def test_parse_matches_the_reference_parser():
-    # One match per line gives the faces, or the error text, of a check
-    # token by token.
-    outcomes = [_outcome(parse_tri, text) for text in _CORPUS]
-    assert outcomes == [_outcome(reference_parse_tri, text) for text in _CORPUS]
+    # One match of a written text, or one match per line, gives the faces,
+    # or the error text, of a check token by token.
+    corpus = _CORPUS + _HANDED_OVER + _WRITTEN
+    outcomes = [_outcome(parse_tri, text) for text in corpus]
+    assert outcomes == [_outcome(reference_parse_tri, text) for text in corpus]
     assert {type(o) for o in outcomes} == {tuple, str}
+
+
+def _read_line_by_line(monkeypatch) -> list[str]:
+    """The texts that `parse_tri` hands to the line reader from now on."""
+    lines, handed = flatland.tri_io._parse_lines, []
+    monkeypatch.setattr(flatland.tri_io, "_parse_lines",
+                        lambda text: handed.append(text) or lines(text))
+    return handed
+
+
+def test_only_the_written_form_is_read_in_one_match(monkeypatch):
+    handed = _read_line_by_line(monkeypatch)
+    for text in _HANDED_OVER + _WRITTEN:
+        _outcome(parse_tri, text)
+    assert handed == list(_HANDED_OVER)
+    outcomes = {type(_outcome(parse_tri, text)) for text in _HANDED_OVER}
+    assert outcomes == {tuple, str}
+
+
+def test_written_catalog_complexes_are_read_in_one_match(monkeypatch):
+    # Every distinct catalog complex with 7 <= n <= 30, relabelled, as
+    # `format_tri` writes it with and without comment lines.
+    handed = _read_line_by_line(monkeypatch)
+    complexes = dict.fromkeys(named.complex for n in range(7, 31) for named in known_catalog(n))
+    assert len(complexes) == 405
+    for seed, t in enumerate(complexes):
+        u = shuffled(t, seed)
+        for comments in ((), (f"complex {seed}", "", "#")):
+            text = format_tri(u, comments)
+            assert parse_tri(text) == reference_parse_tri(text) == (u.n, list(u.faces))
+    assert handed == []
 
 
 class TestErrors:

@@ -88,6 +88,10 @@ def test_bench_iso_smallest_ladder(tmp_path):
              for which in ("catalog", "members")}
     assert pairs == {"catalog": {"G_3": 4, "isomorphic": 6, "orientability": 5},
                      "members": {"isomorphic": 11, "orientability": 4}}
+    # Without a baseline no rounds are won, neither by a set nor by a class.
+    for which in ("catalog", "members"):
+        assert "rounds_won" not in result[which]
+        assert all(row.keys() == {"pairs", "seconds"} for row in result[which]["classes"].values())
 
 
 def test_bench_baseline_on_the_same_tree(tmp_path):
@@ -115,5 +119,6 @@ def test_bench_baseline_on_the_same_tree(tmp_path):
         assert iso[which]["classes"].keys() == iso["baseline"][which]["classes"].keys()
     census = json.loads(outs["bench_census.py"].read_text())
     assert census["ladder"][0]["census_sha256"] == census["baseline"]["ladder"][0]["census_sha256"]
-    for row in (*aut["ladder"], iso["catalog"], iso["members"], *census["ladder"]):
+    classes = [row for which in ("catalog", "members") for row in iso[which]["classes"].values()]
+    for row in (*aut["ladder"], iso["catalog"], iso["members"], *classes, *census["ladder"]):
         assert row["rounds_won"] in range(repeats + 1)

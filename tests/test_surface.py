@@ -1,4 +1,5 @@
 import functools
+import random
 import re
 
 import pytest
@@ -10,6 +11,7 @@ import flatland.symmetry
 from flatland import (
     Disconnected,
     NotAManifold,
+    SimpleGraph,
     Triangulation,
     automorphism_group,
     build_triangulation,
@@ -28,6 +30,7 @@ from tests.conftest import (
     TETRAHEDRON,
     fam,
     reference_face_adjacency,
+    reference_normalize_faces,
     reference_walk,
     relabel,
     shuffled,
@@ -112,6 +115,65 @@ class TestBuildTriangulation:
     def test_no_vertices_is_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             build_triangulation(0, [])
+
+
+def _outcome(normalize, n, faces):
+    try:
+        return normalize(n, faces)
+    except ValueError as exc:  # NotAManifold too
+        return type(exc), str(exc)
+
+
+class TestNormalizeFaces:
+    """A list of increasing triples in increasing order is taken as it is;
+    every other list gives the faces, or the error, of the face-by-face
+    reference."""
+
+    @staticmethod
+    def forms(t, seed: int):
+        rng = random.Random(seed)
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        shuffled_faces = list(t.faces)
+        rng.shuffle(shuffled_faces)
+        yield "sorted", list(t.faces)
+        yield "shuffled", shuffled_faces
+        yield "turned", [(b, c, a) if fi % 2 else (c, a, b)
+                         for fi, (a, b, c) in enumerate(shuffled_faces)]
+        yield "permuted", [(perm[a], perm[b], perm[c]) for a, b, c in t.faces]
+        yield "lists", [list(face) for face in t.faces]
+
+    def test_valid_lists_match_the_reference(self):
+        complexes = [build_triangulation(*TETRAHEDRON), build_triangulation(*RP2),
+                     *(fam(name) for name in ("T(7,1,2)", "K(3,4)", "Q(5,2)", "T(12,4,4)", "B(6,8)"))]
+        for seed, t in enumerate(complexes):
+            for form, faces in self.forms(t, seed):
+                normalized = flatland.surface._normalize_faces(t.n, faces)
+                assert normalized == reference_normalize_faces(t.n, faces), form
+                assert all(type(face) is tuple for face in normalized)
+                assert build_triangulation(t.n, faces).faces == tuple(normalized)
+
+    def test_faulty_lists_match_the_reference(self):
+        t = fam("T(7,1,2)")
+        faults = {
+            "duplicate face": lambda faces: [tuple(faces[3])],
+            "duplicate face, turned": lambda faces: [tuple(faces[3][1:]) + (faces[3][0],)],
+            "repeated vertex": lambda faces: [(1, 1, 2)],
+            "out of range": lambda faces: [(0, 1, 7)],
+            "out of range, in order": lambda faces: [(5, 6, 7)],
+            "negative vertex": lambda faces: [(-1, 0, 1)],
+            "2-tuple": lambda faces: [(0, 1)],
+            "4-tuple": lambda faces: [(0, 1, 2, 3)],
+        }
+        seen = set()
+        for fault, extra in faults.items():
+            for at in (0, len(t.faces) // 2, len(t.faces)):
+                for form, faces in self.forms(t, at):
+                    faces = faces[:at] + extra(faces) + faces[at:]
+                    outcome = _outcome(flatland.surface._normalize_faces, t.n, faces)
+                    assert outcome == _outcome(reference_normalize_faces, t.n, faces), (fault, form)
+                    seen.add(outcome[0])
+        assert seen == {NotAManifold, ValueError}
 
 
 def link_edges(t, v: int) -> set[frozenset[int]]:
@@ -288,9 +350,9 @@ class TestFaceAdjacency:
 
     def test_find_isomorphism_builds_each_skeleton_once(self, monkeypatch):
         builds = []
-        graph = flatland.surface.SimpleGraph
-        monkeypatch.setattr(flatland.surface, "SimpleGraph",
-                            lambda n, edges: builds.append(n) or graph(n, edges))
+        graph = flatland.surface.from_masks
+        monkeypatch.setattr(flatland.surface, "from_masks",
+                            lambda n, masks: builds.append(n) or graph(n, masks))
         # The skeleton is kept on its complex: a Klein bottle's scan reads
         # v0 off the skeleton built for the G_c shapes.
         for name in ("T(12,1,3)", "K(4,6)"):
@@ -335,6 +397,13 @@ class TestSkeletonGraph:
             a, b = labels[i] - 1, labels[(i + 1) % 9] - 1
             expected.add((min(a, b), max(a, b)))
         assert neg == expected
+
+    def test_masks_are_the_checked_edges(self, tetrahedron, double_pyramid):
+        # The skeleton takes its masks from the validated faces; the edges,
+        # checked one by one, give the same graph.
+        for t in (tetrahedron, double_pyramid, build_triangulation(*RP2), *catalog_up_to_30()):
+            edges = {e for a, b, c in t.faces for e in ((a, b), (a, c), (b, c))}
+            assert skeleton_graph(t) == SimpleGraph(t.n, edges)
 
     def test_eg_of_t712_is_complete(self):
         g = skeleton_graph(fam("T(7,1,2)"))

@@ -259,6 +259,11 @@ class TestAutomorphismGroup:
         for perm in elements:
             assert is_isomorphism_between(perm, t, t)
         assert len(elements) == group.order == len(least_key_labels(t))
+        # The face orbits, joined along the face permutations the scan's
+        # checks gave, are the orbits of the elements on the faces.
+        orbits = {frozenset(tuple(sorted(perm[v] for v in face)) for perm in elements)
+                  for face in t.faces}
+        assert set(map(frozenset, group.face_orbits)) == orbits
 
     def test_group_closure_and_inverse(self):
         group = automorphism_group(fam("B(3,3)"))
@@ -474,19 +479,19 @@ class TestScan:
         # only over the vertex classes a scan visits, and it traverses and
         # checks what it would with the orbits kept over every face.
         traverse, calls = symmetry._traverse, []
-        apply, applied = symmetry._apply, []
+        check, checked = symmetry._face_map, []
         monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
-        monkeypatch.setattr(symmetry, "_apply", lambda *a: applied.append(a) or apply(*a))
+        monkeypatch.setattr(symmetry, "_face_map", lambda *a: checked.append(a) or check(*a))
         complexes = [shuffled(t, seed) for n in range(7, 31)
                      for t in dict.fromkeys(named.complex for named in known_catalog(n))
                      for seed in (0, 1)]
         assert len(complexes) == 810
         for scan in (automorphism_group, canonical_form):
             calls.clear()
-            applied.clear()
+            checked.clear()
             for t in complexes:
                 scan(t)
-            assert (len(calls), len(applied)) == (15257, 2247)
+            assert (len(calls), len(checked)) == (15257, 2247)
 
     def test_ties_are_the_least_key_starts(self):
         # The pruned scan skips starts; base composed with its group must
@@ -539,11 +544,11 @@ class TestScan:
         # flag-regular (|Aut| = 24 on 432 flags).
         t = shuffled(fam(name), 2)
         traverse, calls = symmetry._traverse, []
-        apply, applied = symmetry._apply, []
+        check, checked = symmetry._face_map, []
         monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
-        monkeypatch.setattr(symmetry, "_apply", lambda *a: applied.append(a) or apply(*a))
+        monkeypatch.setattr(symmetry, "_face_map", lambda *a: checked.append(a) or check(*a))
         order = automorphism_group(t).order
-        assert len(applied) <= order.bit_length() - 1
+        assert len(checked) <= order.bit_length() - 1
         if name == "K(3,12)":
             assert order == 24
             return
@@ -580,21 +585,21 @@ class TestScan:
         # face-set checks of the scan that gives the group.  A torus is
         # vertex-transitive, so its scan starts at vertex 0.
         traverse, calls = symmetry._traverse, []
-        apply, applied = symmetry._apply, []
+        check, checked = symmetry._face_map, []
         monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
-        monkeypatch.setattr(symmetry, "_apply", lambda *a: applied.append(a) or apply(*a))
+        monkeypatch.setattr(symmetry, "_face_map", lambda *a: checked.append(a) or check(*a))
         for seed in range(4):
             t = shuffled(fam(name), seed)
             if name.startswith("T"):
                 assert symmetry._first_vertex(t) == 0
             calls.clear()
-            applied.clear()
+            checked.clear()
             group = automorphism_group(t)
-            work = len(calls), len(applied)
+            work = len(calls), len(checked)
             calls.clear()
-            applied.clear()
+            checked.clear()
             form = canonical_form(t)
-            assert (len(calls), len(applied)) == work
+            assert (len(calls), len(checked)) == work
             assert form == group.canonical
             assert form.relabeling in least_key_labels(t)
 
@@ -623,18 +628,32 @@ class TestScan:
 
 
 
-def corrupt_traversals(monkeypatch, when):
-    """Make `_traverse` swap the labels 0 and 1 of its start in each result
-    for which when(t, key, best) holds."""
+def corrupt_traversals(monkeypatch, when, repeat=False):
+    """Make `_traverse` swap the labels 0 and 1 of its start (with `repeat`,
+    give both vertices label 0) in each result for which when(t, key, best)
+    holds."""
     traverse = symmetry._traverse
 
     def corrupted(t, start, start_fi, best):
         found = traverse(t, start, start_fi, best)
         if found is not None and when(t, found[0], best):
-            found[1][start[0]], found[1][start[1]] = 1, 0
+            found[1][start[0]], found[1][start[1]] = (0, 0) if repeat else (1, 0)
         return found
 
     monkeypatch.setattr(symmetry, "_traverse", corrupted)
+
+
+def corrupt_bases(monkeypatch, b):
+    """Give label 0 to the vertex labelled 1 in the base of each scan of b,
+    after each phase: the scan's own checks use the labels as traversed."""
+    for name in ("first_phase", "second_phase"):
+        def corrupted(scan, phase=getattr(symmetry._Scanner, name)):
+            done = phase(scan)
+            if scan.t is b and 1 in scan.base:
+                scan.base[scan.base.index(1)] = 0
+            return done
+
+        monkeypatch.setattr(symmetry._Scanner, name, corrupted)
 
 
 def is_tie(t, key, best):
@@ -656,6 +675,20 @@ class TestSafetyChecks:
             a = fam(name)
             b = shuffled(a, 3)
             corrupt_traversals(monkeypatch, lambda t, key, best: t is b)
+            with pytest.raises(AssertionError, match="equal keys produced a non-isomorphism"):
+                find_isomorphism(a, b)
+
+    def test_a_label_array_that_repeats_a_label_raises(self, monkeypatch):
+        # Such an array forms no vertex bijection, and some face's image
+        # is then no face, so the face-set checks still catch it.
+        corrupt_traversals(monkeypatch, is_tie, repeat=True)
+        with pytest.raises(AssertionError, match="traversal produced a non-automorphism"):
+            automorphism_group(fam("T(12,1,3)"))
+        monkeypatch.undo()
+        for name in ("T(12,1,3)", "K(4,6)"):
+            a = fam(name)
+            b = shuffled(a, 3)
+            corrupt_bases(monkeypatch, b)
             with pytest.raises(AssertionError, match="equal keys produced a non-isomorphism"):
                 find_isomorphism(a, b)
 
