@@ -9,8 +9,9 @@ pool's workers aside).  Each (n, jobs) keeps the best of REPEATS children
 per tree; with `--baseline`, the two trees are timed alternately, and each
 row counts the rounds its tree won (`rounds_won`, see timing.py).  One more
 child per tree and n, at jobs 1 and not timed, counts the `_traverse` calls
-of the whole census, the distinct catalog complexes whose scan stopped
-after the flags at v0 (an unseeded scan that never ran its second phase),
+of the whole census, the distinct catalog complexes (the calls through
+`census.canonical_form`) and those whose scan stopped after the flags at
+v0 (it never ran its second phase),
 the link-search nodes and the nodes its prefix test ended (`pruned`), both
 summed over every `_LinkSearch`, the frontier probes included, the most
 nodes of any one `_LinkSearch` (`largest_task_nodes`: the largest frontier
@@ -47,9 +48,10 @@ def child(mode: str, n: int, jobs: int) -> None:
 
     counts = {}
     if mode == "count":
-        traverse, scanner = symmetry._traverse, symmetry._Scanner
-        init, second_phase = scanner.__init__, scanner.second_phase
-        traversals, unseeded = [0], []  # unseeded scanners, kept alive
+        traverse, second_phase = symmetry._traverse, symmetry._Scanner.second_phase
+        catalog_form = census.canonical_form
+        traversals, catalog_scans, finished = [0], [0], [0]
+        in_catalog = [False]  # whether a catalog scan is running
         searches, leaves = [], [0]  # every link search, frontier probes included
         search_init, canonicalize = census._LinkSearch.__init__, census._canonicalize_leaves
 
@@ -57,13 +59,16 @@ def child(mode: str, n: int, jobs: int) -> None:
             traversals[0] += 1
             return traverse(*args)
 
-        def recorded_init(self, t, seed=None, *args, **kwargs):
-            if seed is None:
-                unseeded.append(self)
-            init(self, t, seed, *args, **kwargs)
+        def counted_catalog_form(*args, **kwargs):
+            catalog_scans[0] += 1
+            in_catalog[0] = True
+            try:
+                return catalog_form(*args, **kwargs)
+            finally:
+                in_catalog[0] = False
 
         def recorded_second_phase(self):
-            self.finished = True
+            finished[0] += in_catalog[0]
             return second_phase(self)
 
         def recorded_search_init(self, *args, **kwargs):
@@ -77,13 +82,14 @@ def child(mode: str, n: int, jobs: int) -> None:
         symmetry._traverse = counted
         census._LinkSearch.__init__ = recorded_search_init
         census._canonicalize_leaves = counted_leaves
-        scanner.__init__, scanner.second_phase = recorded_init, recorded_second_phase
+        census.canonical_form = counted_catalog_form
+        symmetry._Scanner.second_phase = recorded_second_phase
     start = time.perf_counter()
     report = classify_census(n, jobs=jobs)
     seconds = time.perf_counter() - start
     if mode == "count":
-        counts = {"traversals": traversals[0], "catalog_scans": len(unseeded),
-                  "stopped_at_v0": sum(not hasattr(s, "finished") for s in unseeded),
+        counts = {"traversals": traversals[0], "catalog_scans": catalog_scans[0],
+                  "stopped_at_v0": catalog_scans[0] - finished[0],
                   "nodes": sum(search.nodes for search in searches),
                   # a tree without the prefix test ends no node by it
                   "pruned": sum(getattr(search, "pruned", 0) for search in searches),

@@ -13,14 +13,13 @@ new vertex gives it the next label, so the labelling of a leaf is still
 fixed by its search flag (vertex 0, edge 01, face 012): each flag of a
 class gives exactly one leaf, and the flags of one automorphism orbit give
 the same leaf, so a class with automorphism group Aut comes out as
-12n/|Aut| leaves.  A leaf is kept only if its search flag has the least
-key of the canonical scan (`symmetry`); the least-key flags of a class
-form one orbit, so exactly one leaf per class is kept, and the output is
-independent of search order.  A leaf is dropped once some start's key,
-traversed to its end, is smaller than its search flag's; most are dropped
-before they are built, by the prefix test below.  The full scan of
-a kept leaf also gives its class's automorphism group, and so the
-regularity flags: no class is scanned again.
+12n/|Aut| leaves, most of which the prefix test below ends before they
+are built.  Each leaf left is scanned once (`symmetry.automorphism_group`),
+which gives its canonical code and faces and its class's automorphism
+group, and so the regularity flags, and the leaves are merged by canonical
+code.  Every leaf of a class gives the same canonical faces and flags, so
+the output depends neither on which leaves are left nor on their order,
+only on the canonical code being a complete invariant.
 
 A search node costs a few candidate checks, not a pass over all faces.
 The smallest unfinished vertex is kept as a pointer that only moves
@@ -40,42 +39,42 @@ the leaves and their labelling are those of the plain search, and one that
 cannot be added ends the branch at once.  Only the vertices of the last
 face added can be forced, so this costs a few checks per node too.
 
-Then a node runs the first phase of the leaf test on its faces, the prefix
-pruning of plantri (Brinkmann and McKay 2007).  It traverses the search
-flag and the other 11 flags at vertex 0, whose star is closed from the
-root, and, from the first node where vertex 1 is complete, the 12 flags
-at vertex 1, the other end of the search flag's first edge, which the
-search completes early.  It traverses them exactly as
-`symmetry._traverse` does, and stops each traversal at its first edge
-that lies on one face only.  A flag's first edge, from its complete
-vertex, lies on two faces, so each traversal starts having crossed it,
-with the vertex beyond labelled 3 (`_start`, `_flags_at`); then each
-queued face crosses its other two edges.  An edge on two faces keeps them
-in every completion, so the key up to there, the prefix, is a prefix of
-that flag's key in every completion.
-If some flag's prefix is smaller than the search flag's at a position both
-reach, every leaf below has a smaller key than its search flag's, the leaf
-test would drop it, and the node ends; its leaves were never the kept ones.
-So the prefix test loses no class, and the leaves left are exactly those
-of the search without it whose search flag has the least key among the
-24 flags at vertices 0 and 1 (ties kept).  Racing the flags at vertex 2
-too, or at every complete vertex, ends a few more nodes but costs more
-than it saves: at n = 24 it leaves 1 921 or 1 842 nodes instead of 2 063,
-and the search takes longer.  A prefix changes only when its stopping
-edge gets its second face, so each node keeps the search flag's traversal,
-with its stopping edge, and goes on with it, from a copy, only once that
-edge is closed.  Two flags whose keys agree up to some position have
-queued the same faces and crossed the same edges so far, read in their
-own labels, so a flag still tied with the search flag crosses next the
-search flag's edge at that position, read through its labels.  A tie
+Then a node runs a prefix test on its faces, the prefix pruning of plantri
+(Brinkmann and McKay 2007).  It traverses the search flag and the other 11
+flags at vertex 0, whose star is closed from the root, and, from the first
+node where vertex 1 is complete, the 12 flags at vertex 1, the other end of
+the search flag's first edge, which the search completes early.  It
+traverses them exactly as `symmetry._traverse` does, and stops each
+traversal at its first edge that lies on one face only.  A flag's first
+edge, from its complete vertex, lies on two faces, so each traversal starts
+having crossed it, with the vertex beyond labelled 3 (`_start`,
+`_flags_at`); then each queued face crosses its other two edges.  An edge
+on two faces keeps them in every completion, so the key up to there, the
+prefix, is a prefix of that flag's key in every completion.  If some flag's
+prefix is smaller than the search flag's at a position both reach, then in
+every leaf below some flag has a smaller key than the search flag, and the
+node ends.  The leaves left are exactly those of the search without it
+whose search flag has the least key among the 24 flags at vertices 0 and 1
+(ties kept).  That loses no class: a flag of a class with the least key of
+all its flags gives a leaf whose search flag has the least key, and every
+node above that leaf passes the test.
+
+Racing the flags at vertex 2 too, or at every complete vertex, ends a few
+more nodes but costs more than it saves: at n = 24 it leaves 1 921 or 1 842
+nodes instead of 2 063, and the search takes longer.  A prefix changes only
+when its stopping edge gets its second face, so each node keeps the search
+flag's traversal, with its stopping edge, and goes on with it, from a copy,
+only once that edge is closed.  Two flags whose keys agree up to some
+position have queued the same faces and crossed the same edges so far, read
+in their own labels, so a flag still tied with the search flag crosses next
+the search flag's edge at that position, read through its labels.  A tie
 holds only its position in the search flag's key, its labels and its
-vertices by label; it stops at its first edge on one face or at the end
-of the search flag's key, and a flag found larger is dropped for the
-whole subtree.  That gives the same verdict at every node as a test from
-scratch on its faces, so the nodes do not depend on where the search is
-split.  The labels are dicts and lists over the vertices met and the
-queued faces bit masks of their vertices, so nothing of size n is
-allocated.
+vertices by label; it stops at its first edge on one face or at the end of
+the search flag's key, and a flag found larger is dropped for the whole
+subtree.  That gives the same verdict at every node as a test from scratch
+on its faces, so the nodes do not depend on where the search is split.  The
+labels are dicts and lists over the vertices met and the queued faces bit
+masks of their vertices, so nothing of size n is allocated.
 
 The rules together cut the whole search at n = 12, 18, 24, 30, 36, 42 to
 191, 1 026, 2 063, 4 380, 7 493, 11 423 nodes, 36, 167, 344, 558, 971,
@@ -90,15 +89,15 @@ alone: 18 566, neither: 64 058).
 
 Every census takes one path, whatever the number of jobs: the search tree
 is expanded breadth-first until it has `_FRONTIER_TARGET` open states or
-runs out of them, and each state is one task (`_search_worker`), run in this
-process for one job and in a process pool otherwise.  The frontier is grown
-by the search itself: a search stopped after one node hands back the
+runs out of them, and each state is one task (`_search_worker`), run in
+this process for one job and in a process pool otherwise.  The frontier is
+grown by the search itself: a search stopped after one node hands back the
 branches it did not enter, each with the forced faces above it.  A task
-searches its state to the end and tests and canonicalises the leaves it
-found.  The tasks depend only on n, so they and the output are the same for
-every job count; at larger n one state holds nearly all the nodes, so a
-second job gains little.  The census stops early only on its time budget,
-which raises where the deadline is found to have passed.
+searches its state to the end and canonicalises the leaves it found.  The
+tasks depend only on n, so they and the output are the same for every job
+count; at larger n one state holds nearly all the nodes, so a second job
+gains little.  The census stops early only on its time budget, which raises
+where the deadline is found to have passed.
 
 The classes are then named from `known_catalog`, one canonical form per
 distinct complex, given the classes' codes: at n = 24, 43 of the 46 scans
@@ -476,26 +475,16 @@ def _check_deadline(deadline: Optional[float], layer: str) -> None:
 
 def _canonicalize_leaves(n: int, leaves: list[tuple[Face, ...]],
                          deadline: Optional[float] = None) -> dict[Code, _Class]:
-    """The classes of the leaves whose search flag has the least key, each
-    in canonical form with its regularity flags, which do not depend on the
-    labelling.  Over all the leaves of a census that is one leaf per class."""
+    """The classes of the leaves by canonical code, each in canonical form
+    with its regularity flags, which do not depend on the leaf."""
     found: dict[Code, _Class] = {}
     for faces in leaves:
         _check_deadline(deadline, "census leaf canonicalisation")
         leaf = build_triangulation(n, faces)
-        group = automorphism_group(leaf, _SEARCH_FLAG)
-        if group is not None:
-            _add_class(found, group.canonical.code,
-                       (group.canonical.faces, regularity_flags(leaf, group)))
+        group = automorphism_group(leaf)
+        found.setdefault(group.canonical.code,
+                         (group.canonical.faces, regularity_flags(leaf, group)))
     return found
-
-
-def _add_class(found: dict[Code, _Class], code: Code, found_class: _Class) -> None:
-    """Record a class; a second leaf of one class means the leaf test is
-    broken, and that must not be hidden."""
-    if code in found:
-        raise AssertionError(f"a census class was kept twice ({len(found_class[0])} faces)")
-    found[code] = found_class
 
 
 def _search_worker(args: tuple[int, tuple[Face, ...], Optional[float]]
@@ -542,7 +531,7 @@ def _enumerate_with_codes(n: int, deadline: Optional[float], jobs: int
                 nodes += searched
                 done += 1
                 for code, found_class in classes.items():
-                    _add_class(found, code, found_class)
+                    found.setdefault(code, found_class)
     except ResourceLimit as stop:
         raise ResourceLimit(f"{stop} ({nodes} nodes, {done}/{len(states)} states done)") from None
     # found holds the relabelled, sorted faces of validated leaves: valid

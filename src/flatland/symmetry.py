@@ -78,23 +78,23 @@ the next flag.  Since a flag's orbit lies over its vertex's class, a flag
 is skipped exactly when it would be with the flag orbits kept over every
 face, and the scan traverses the same starts in the same order.
 
-v0 is the seed's first vertex, or else the least vertex whose sorted
-distances to all vertices are least (`_first_vertex`, on the complex's one
-skeleton, which `iso` also reads): an invariant, so its orbit is fixed
-whenever the vertices with those distances form one orbit, as on every
-vertex-transitive complex.  The less sorted list has the larger closed ball
-B_r(v) at the first radius where they differ, so `_first_vertex` grows the
-balls of all vertices one radius at a time, B_{r+1}(v) = B_r(v) with the
-B_r(u) of the neighbours u (`graphs.balls`), and keeps the vertices whose
-ball is largest: O(n diam) mask operations, not a search from each vertex.
-An orientable complex whose stars all hold 6 faces has chi = 0, so it is a
-torus, which is vertex-transitive (Datta & Upadhyay); there v0 is vertex 0
-and no ball is grown.  v0 only orders the starts, so no result rests on
-that theorem; its flags come from its star, `Triangulation.stars[v0]`, in
-face order.  A traversed start lies outside the orbits of the starts
-before it, so a later tie at least doubles G: a flag-regular map, where
-every start has the least key and the stabiliser of a vertex has order 12,
-costs at most 12 + log2(|Aut|/12) traversals instead of 6*f_2.
+v0 is the least vertex whose sorted distances to all vertices are least
+(`_first_vertex`, on the complex's one skeleton, which `iso` also reads):
+an invariant, so its orbit is fixed whenever the vertices with those
+distances form one orbit, as on every vertex-transitive complex.  The less
+sorted list has the larger closed ball B_r(v) at the first radius where
+they differ, so `_first_vertex` grows the balls of all vertices one radius
+at a time, B_{r+1}(v) = B_r(v) with the B_r(u) of the neighbours u
+(`graphs.balls`), and keeps the vertices whose ball is largest: O(n diam)
+mask operations, not a search from each vertex.  An orientable complex
+whose stars all hold 6 faces has chi = 0, so it is a torus, which is
+vertex-transitive (Datta & Upadhyay); there v0 is vertex 0 and no ball is
+grown.  v0 only orders the starts, so no result rests on that theorem; its
+flags come from its star, `Triangulation.stars[v0]`, in face order.  A
+traversed start lies outside the orbits of the starts before it, so a later
+tie at least doubles G: a flag-regular map, where every start has the least
+key and the stabiliser of a vertex has order 12, costs at most
+12 + log2(|Aut|/12) traversals instead of 6*f_2.
 
 The canonical labelling is `base`, the labelling of the first traversed
 start with the least key: as in nauty, any labelling that gives the
@@ -102,16 +102,7 @@ canonical code is canonical, and every least-key labelling gives it.  So a
 group costs O(f_2 log|Aut|) time and O(f_2) memory, not O(|Aut| n).
 
 One scan gives both facts: `automorphism_group` takes the group the scan
-built and carries the canonical form of the same scan.  It may be seeded
-with one start (`automorphism_group(t, seed)`).  The seed is traversed
-first and its key is the bound; the scan prunes larger keys and skips
-covered starts as before, and gives up once a start's whole key is less
-than the seed's: then the seed's key is not the least one, and there is no
-group.  (A skipped start has the key of a traversed one.)  This is the leaf
-test of orderly generation (McKay, J. Algorithms 26, 1998): a complex
-produced from a known start is kept only if that start has the least key,
-and a kept complex costs one scan, which yields its canonical form and its
-automorphisms, a rejected one the traversals up to the first smaller key.
+built and carries the canonical form of the same scan.
 
 `iso` (`find_isomorphism`) tries the cheap invariants first: vertex and
 face counts, orientability, then the shapes of G_0..G_6 (`graphs`).  When
@@ -260,22 +251,15 @@ _IMAGE = {(x > y, x > z, y > z): tuple(_ORDERS.index(tuple((x, y, z)[i] for i in
 
 class _Scanner:
     """One scan of t, run phase by phase: `first_phase` traverses every flag
-    at v0, `second_phase` the other starts, vertex by vertex.  With a `seed`
-    start (an oriented face of t), a phase returns False as soon as some
-    start's key is found to be less than the seed's.  After both phases,
-    `base` is the canonical labelling, `gens` generate the group (acting on
-    face indices as `face_gens`), and `root` names each vertex's orbit."""
+    at v0, `second_phase` the other starts, vertex by vertex.  After both
+    phases, `base` is the canonical labelling, `gens` generate the group
+    (acting on face indices as `face_gens`), and `root` names each vertex's
+    orbit."""
 
-    def __init__(self, t: Triangulation, seed: Optional[Face] = None) -> None:
+    def __init__(self, t: Triangulation) -> None:
         self.t = t
-        self.seeded = seed is not None
-        self.v0 = v0 = _first_vertex(t) if seed is None else seed[0]
-        self.at_v0 = at_v0 = _flags_at(t, v0)
-        if seed is not None:
-            face = tuple(sorted(seed))
-            first = 6 * t.face_index[face] + _ORDERS.index(tuple(map(face.index, seed)))
-            at_v0.remove(first)
-            at_v0.insert(0, first)
+        self.v0 = v0 = _first_vertex(t)
+        self.at_v0 = _flags_at(t, v0)
         self.best: Optional[list[int]] = None
         self.base: list[int] = []  # the label array of the first start with key best
         self.base_inv: list[int] = []
@@ -292,10 +276,10 @@ class _Scanner:
         self.members: list[list[int]] = []
         self.settled: list[bool] = []
 
-    def first_phase(self) -> bool:
-        return self._run(self.at_v0, self.v0, skip=False)
+    def first_phase(self) -> None:
+        self._run(self.at_v0, self.v0, skip=False)
 
-    def second_phase(self) -> bool:  # the other vertices, by their labels in base
+    def second_phase(self) -> None:  # the other vertices, by their labels in base
         t, n, base, v0 = self.t, self.t.n, self.base, self.v0
         self.root, self.members = list(range(n)), [[v] for v in range(n)]
         self.settled = [False] * n
@@ -307,10 +291,8 @@ class _Scanner:
                 continue
             flags = sorted(_flags_at(t, x),
                            key=lambda f: [base[w] for w in _READ[f % 6](t.faces[f // 6])])
-            if not self._run(flags, x, skip=True):
-                return False
+            self._run(flags, x, skip=True)
             self.settled[self.root[x]] = True
-        return True
 
     def _join_vertices(self, perm: Perm) -> None:
         """Merge the vertex classes along a new generator."""
@@ -346,7 +328,7 @@ class _Scanner:
                 size[a] += size[b]
                 reached[a] = reached[a] or reached[b]
 
-    def _run(self, flags: Sequence[int], v: int, skip: bool) -> bool:
+    def _run(self, flags: Sequence[int], v: int, skip: bool) -> None:
         """Traverse the flags at v in turn; a tie adds a generator.  With
         `skip` (the second phase), a flag whose orbit holds a traversed start
         is passed over, and so are the rest once v's class is settled; the
@@ -374,14 +356,11 @@ class _Scanner:
                 if skip:
                     self._join_vertices(perm)
                     if self.settled[self.root[v]]:
-                        return True  # every flag at v is in the orbit of a traversed start
+                        return  # every flag at v is in the orbit of a traversed start
                 self._catch_up(v)
                 continue
-            if self.best is not None and self.seeded:
-                return False  # a key below the seed's
             # a key that survives the pruning is at most best
             self.best, self.base, self.base_inv = key, label, _invert(label)
-        return True
 
 
 def _flags_at(t: Triangulation, v: int) -> list[int]:
@@ -492,15 +471,13 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
     return IsomorphismResult(mapping)
 
 
-def automorphism_group(t: Triangulation, seed: Optional[Face] = None) -> Optional[SymmetryGroup]:
+def automorphism_group(t: Triangulation) -> SymmetryGroup:
     """The complete automorphism group, by generators, orbits and order,
-    with the canonical form.  With a `seed` start (an oriented face of t),
-    None as soon as some start's key is found to be less than the seed's.
-    The scan checked the generators against the face set, and no other
-    element is formed."""
-    scan = _Scanner(t, seed)
-    if not (scan.first_phase() and scan.second_phase()):
-        return None
+    with the canonical form.  The scan checked the generators against the
+    face set, and no other element is formed."""
+    scan = _Scanner(t)
+    scan.first_phase()
+    scan.second_phase()
     # The first phase merged the flags at v0 into the orbits of Stab(v0),
     # which acts on them freely.
     parent, at_v0 = scan.parent, scan.at_v0

@@ -441,26 +441,21 @@ def test_resume_is_the_scans_traversal(n):
 @pytest.mark.parametrize("n", range(7, 17))
 def test_one_leaf_kept_per_class(n):
     # The search without the prefix test gives each class once per flag
-    # orbit, 12n/|Aut| leaves.  The leaf test keeps exactly one of them,
-    # and the classes are those of canonicalising every leaf and keeping
-    # the first per code.
+    # orbit, 12n/|Aut| leaves.  Each leaf alone gives its class, with the
+    # canonical faces and the regularity flags of its class's canonical
+    # complex, so merging all of them by code keeps one entry per class.
     leaves = []
     _UnprunedSearch(n, census._initial_star(), None, None).run(leaves)
     forms = [canonical_form(build_triangulation(n, faces)) for faces in leaves]
-    first: dict = {}
-    for form in forms:
-        first.setdefault(form.code, form.faces)
     per_class = Counter(form.code for form in forms)
-    kept = [form.code for faces, form in zip(leaves, forms)
-            if census._canonicalize_leaves(n, [faces])]
-    assert sorted(kept) == sorted(first)
-    # Each kept leaf carries the canonical faces and the regularity flags
-    # of its class's canonical complex.
     classes = census._canonicalize_leaves(n, leaves)
-    assert {code: faces for code, (faces, _) in classes.items()} == first
+    assert classes.keys() == per_class.keys()
+    for faces, form in zip(leaves, forms):
+        assert census._canonicalize_leaves(n, [faces]) == {form.code: classes[form.code]}
     for code, (faces, flags) in classes.items():
         t = Triangulation(n, faces)
         group = automorphism_group(t)
+        assert faces == canonical_form(t).faces
         assert per_class[code] * group.order == 12 * n
         assert flags == regularity_flags(t, group)
 
@@ -528,38 +523,39 @@ def test_frontier_is_the_breadth_first_expansion(n, target):
 
 
 def test_no_class_scanned_twice(monkeypatch):
-    # A class is scanned in full once, as its kept leaf, from the search
-    # flag; that scan also gives its group.  The only unseeded scans are of
-    # the 16 distinct complexes among the 19 catalog members of n = 12, and
-    # all but one Klein bottle stop after the flags at v0, where the code is
-    # already a class's.
-    unseeded, finished = [], []
+    # At n = 12 the prefix test leaves one leaf per class, and each leaf is
+    # scanned once; that scan also gives its class's group.  The other
+    # scans are of the 16 distinct complexes among the 19 catalog members,
+    # and all but one Klein bottle stop after the flags at v0, where the
+    # code is already a class's.
+    leaf_scans, catalog_scans, finished = [], [], []
+    group, canonical = census.automorphism_group, census.canonical_form
+    monkeypatch.setattr(census, "automorphism_group", lambda t: leaf_scans.append(t) or group(t))
+    monkeypatch.setattr(census, "canonical_form",
+                        lambda t, classes: catalog_scans.append(t) or canonical(t, classes))
 
     class Recorded(symmetry._Scanner):
-        def __init__(self, t, seed=None):
-            super().__init__(t, seed)
-            if seed is None:
-                unseeded.append(t)
-
         def second_phase(self):
-            if not self.seeded:
-                finished.append(self.t)
-            return super().second_phase()
+            finished.append(self.t)
+            super().second_phase()
 
     monkeypatch.setattr(symmetry, "_Scanner", Recorded)
-    classify_census(12)
-    assert len(unseeded) == 16
-    assert set(unseeded) == {named.complex for named in known_catalog(12)}
-    assert [surface_type(t).kind for t in finished] == ["klein_bottle"]
+    report = classify_census(12)
+    assert finished[:7] == leaf_scans
+    assert [surface_type(t).kind for t in finished[7:]] == ["klein_bottle"]
+    assert len(leaf_scans) == report.total == 7
+    assert len({canonical(t).code for t in leaf_scans}) == 7
+    assert len(catalog_scans) == 16
+    assert set(catalog_scans) == {named.complex for named in known_catalog(12)}
 
 
 # n -> the `_traverse` calls of the whole census.
-CENSUS_TRAVERSALS = {12: 373, 18: 574, 24: 1150}
+CENSUS_TRAVERSALS = {12: 373, 18: 571, 24: 1155}
 
 
 @pytest.mark.parametrize("n", sorted(CENSUS_TRAVERSALS))
 def test_census_traversals_are_pinned(monkeypatch, n):
-    # The whole census's canonical scans, seeded leaves and catalog: the
+    # The whole census's canonical scans, leaves and catalog: the
     # benchmark's traced passes rely on this count being the same in each.
     traverse, calls = symmetry._traverse, []
     monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
@@ -570,7 +566,9 @@ def test_census_traversals_are_pinned(monkeypatch, n):
 # Totals past the paper's range, n -> (torus, Klein bottle), from the
 # lattice oracle, which shares no code with the search; its classes are
 # also checked one by one (tests/test_lattice_oracle.py).  They also check
-# the leaf test, which would lose a class without an error.
+# the prefix test, which would lose a class without an error, and the merge
+# of the leaves by canonical code, which would join two classes with one
+# code.
 BEYOND_PAPER_SPLITS = {n: (len(torus_classes(n)), len(klein_classes(n))) for n in range(16, 43)}
 
 

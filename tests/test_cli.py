@@ -300,17 +300,18 @@ class TestClassify:
             outputs.add(out)
         assert len(outputs) == 1
 
-    def test_a_class_kept_twice_exit_2(self, monkeypatch):
-        # A leaf test that keeps every leaf, with no prefix test before it,
-        # finds the classes of n = 12 more than once.  That is an internal
-        # error, not a silent dedupe, and it ends with exit 2, not a
-        # traceback.
-        group = census.automorphism_group
-        monkeypatch.setattr(census, "automorphism_group", lambda t, seed: group(t))
+    def test_leaves_of_one_class_merge_by_code(self, monkeypatch):
+        # Without the prefix test the search leaves each class of n = 12
+        # once per flag orbit, 43 leaves for 7 classes.  Merged by canonical
+        # code, they give the same census.
+        _, expected, _ = run_cli("classify", "--n", "12", "--json")
+        canonicalize, leaves = census._canonicalize_leaves, []
+        monkeypatch.setattr(census, "_canonicalize_leaves", lambda n, found, deadline=None:
+                            leaves.extend(found) or canonicalize(n, found, deadline))
         monkeypatch.setattr(census._LinkSearch, "_search_flag_leads", lambda self: True)
-        code, out, err = run_cli("classify", "--n", "12", "--json")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: unexpected AssertionError('a census class was kept twice")
+        code, out, _ = run_cli("classify", "--n", "12", "--json")
+        assert (code, out) == (0, expected)
+        assert len(leaves) == 43
 
 
 class TestBudget:
