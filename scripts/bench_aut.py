@@ -12,14 +12,15 @@ process, which builds the member, times its load from `.tri` text
 `automorphism_group` call on the loaded complex (`seconds`), all wall clock,
 and reports its own peak resident set size: the interpreter, the member and
 the scan.  A second, untimed `automorphism_group` call in the same child
-counts the scan's `_traverse` calls (`traversals`), so the timed call runs
-unwrapped and a refresh shows whether the time moved with the work.  Each
-member keeps the best of REPEATS children per tree: the row of the fastest
-scan, with each load figure the least of its own.  With `--baseline`, the
-two trees are timed alternately, and each row counts the rounds its tree
-won (`rounds_won`, by `seconds`; see timing.py).  The script exits 1 when
-a torus's order is not 12n, or when the two trees give a member different
-orders, vertex orbits or traversal counts.
+counts the scan's `_traverse` calls (`traversals`) and its checks of a
+generator against the face set (`_face_map` calls, `checks`), so the timed
+call runs unwrapped and a refresh shows whether the time moved with the
+work.  Each member keeps the best of REPEATS children per tree: the row of
+the fastest scan, with each load figure the least of its own.  With
+`--baseline`, the two trees are timed alternately, and each row counts the
+rounds its tree won (`rounds_won`, by `seconds`; see timing.py).  The
+script exits 1 when a torus's order is not 12n, or when the two trees give
+a member different orders, vertex orbits, traversal counts or check counts.
 
 Examples:
     python3 scripts/bench_aut.py
@@ -56,16 +57,22 @@ def child(name: str) -> None:
     group = automorphism_group(t)
     seconds = time.perf_counter() - built
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    traverse, traversals = symmetry._traverse, [0]
+    calls = {"_traverse": 0, "_face_map": 0}
 
-    def counted(*args):
-        traversals[0] += 1
-        return traverse(*args)
+    def counting(attr):
+        fn = getattr(symmetry, attr)
 
-    symmetry._traverse = counted
+        def counted(*args):
+            calls[attr] += 1
+            return fn(*args)
+        return counted
+
+    for attr in calls:
+        setattr(symmetry, attr, counting(attr))
     automorphism_group(t)
     print(json.dumps({"member": name, "n": t.n, "order": group.order,
-                      "vertex_orbits": len(group.vertex_orbits), "traversals": traversals[0],
+                      "vertex_orbits": len(group.vertex_orbits),
+                      "traversals": calls["_traverse"], "checks": calls["_face_map"],
                       "seconds": round(seconds, 4),
                       "parse_s": round(parsed - start, 5), "build_s": round(built - parsed, 5),
                       "peak_rss_mb": round(peak, 1)}))
@@ -112,7 +119,8 @@ def main() -> int:
                 f"best of {timing.REPEATS} fresh processes that each load the member from its "
                 ".tri text (parse_s: parse_tri, build_s: build_triangulation; each the best of "
                 "its own) and time one scan (seconds), in wall-clock seconds, and the peak RSS "
-                "of the fastest scan's process; traversals counts the _traverse calls of a "
+                "of the fastest scan's process; traversals counts the _traverse calls and "
+                "checks the _face_map calls (generators checked against the face set) of a "
                 "second, untimed scan; with "
                 f"a baseline, rounds_won counts the rounds of {timing.REPEATS} in which this "
                 "tree was the faster",
@@ -128,11 +136,11 @@ def main() -> int:
     if wrong:
         print(f"error: order is not 12n for {wrong}", file=sys.stderr)
         return 1
-    facts = itemgetter("order", "vertex_orbits", "traversals")
+    facts = itemgetter("order", "vertex_orbits", "traversals", "checks")
     differ = [ours["member"] for ours, theirs in zip(ladder + klein, baseline + klein_baseline)
               if facts(ours) != facts(theirs)]
     if differ:
-        print(f"error: the trees give different groups for {differ}", file=sys.stderr)
+        print(f"error: the trees give different groups or scan work for {differ}", file=sys.stderr)
         return 1
     return 0
 

@@ -1,22 +1,20 @@
 """Canonical forms, certified isomorphism testing, and automorphism groups.
 
-A *start* is one of the 6*f_2 flags, written as an oriented face (x, y, z).
-The scan names the flag of face fi read in its k-th order (in
-`permutations` order, so first its vertex of rank k // 2) by 6*fi + k.
-From a start, a breadth-first traversal of the face adjacency labels x, y, z
-as 0, 1, 2 and the vertex w beyond the edge (x, y) as 3, and queues (x, y,
-z) and (y, x, w).  Each popped face (x, y, z) crosses its edges (p, q) =
-(y, z), (z, x) in turn: the vertex w beyond the edge gets the next free
-label if it has none, and the face there is queued as (q, p, w) if it is
-new.  Its edge (x, y) is not crossed: it leads back to the face it was
-queued from (for the start, to the face of w), which is seen and whose
-vertices have labels.  The *key* of the start is the sequence of the 2*f_2
-labels of those vertices w.  The key determines the labelled face set
-(replay the traversal), and the traversal never looks at vertex names, so
-isomorphic complexes have the same keys.  The canonical key is the least
-one.  The scan compares each key with the least key so far while producing
-it and drops the start at the first larger entry (the prefix pruning of
-plantri, Brinkmann & McKay 2007).
+A *start* is one of the 6*f_2 flags, written as an oriented face (x, y, z);
+the flags at v are the 12 starts (v, y, z).  From a start, a breadth-first
+traversal of the face adjacency labels x, y, z as 0, 1, 2 and the vertex w
+beyond the edge (x, y) as 3, and queues (x, y, z) and (y, x, w).  Each
+popped face (x, y, z) crosses its edges (p, q) = (y, z), (z, x) in turn:
+the vertex w beyond the edge gets the next free label if it has none, and
+the face there is queued as (q, p, w) if it is new.  Its edge (x, y) is not
+crossed: it leads back to the face it was queued from (for the start, to
+the face of w), which is seen and whose vertices have labels.  The *key* of
+the start is the sequence of the 2*f_2 labels of those vertices w.  The key
+determines the labelled face set (replay the traversal), and the traversal
+never looks at vertex names, so isomorphic complexes have the same keys.
+The canonical key is the least one.  The scan compares each key with the
+least key so far while producing it and drops the start at the first larger
+entry (the prefix pruning of plantri, Brinkmann & McKay 2007).
 
 Two starts with equal keys differ by an automorphism (the permutation that
 takes each vertex to the vertex with its label in the other start), and
@@ -34,49 +32,48 @@ these generate; it stays valid when a smaller key later replaces the least
 one.  A start in the G-orbit of a traversed start has that start's key, so
 it is skipped.  This loses nothing: a skipped start is pruned, tied or
 least exactly when its traversed preimage was.  G is kept as its generators
-and the orbits they cut out.  The vertex orbits are classes that each new
-generator joins along its cycles, relabelling the smaller class.  The flag
-orbits are a union-find over the 6*f_2 integer flags, in which a generator
-merges a flag with its image, and each class records whether it holds a
-traversed start; a face's six flags find their images with the generator's
-face permutation and a 6 x 6 table.  A flag's orbit lies over its vertex's
-orbit, so the flag orbits are kept only over the vertex classes that the
-scan visits: before the flags at a vertex are compared, every generator is
-merged over the stars of its class, each (face, generator) pair once.  The
-action is free, so a tie inside those classes (at a flag at v0, below)
-gives an element of G, and one outside them a new generator: it alone is
-checked against the face set, one lookup per face, which gives its face
-permutation.  The other elements are products of checked ones, and none is
-listed.  The first traversed start with the final least key reaches every
-other least-key start, through a tie or through a skip from a start it
-reaches, so at the end G is all of Aut, and the least-key labellings are
+and its vertex orbits, classes that each new generator joins along its
+cycles, relabelling the smaller class.  Flag orbits are kept only at the
+vertex the scan visits: the closure of the starts traversed there under the
+generators (`_Scanner._orbit`, breadth-first, g taking (x, y, z) to (g[x],
+g[y], g[z])), recomputed when a generator is added.  That is exact.  A
+flag's orbit lies over its vertex's orbit, and when the scan reaches a
+vertex x, every class it visited before is settled (below), so x's class
+holds no visited vertex: only the starts traversed at x itself can have a
+flag at x in their orbits.  The action is free, so a tie inside those
+orbits gives an element of G, and one outside them a new generator: it
+alone is checked against the face set, one lookup per face, which gives its
+face permutation.  The other elements are products of checked ones, and
+none is listed.  The first traversed start with the final least key reaches
+every other least-key start, through a tie or through a skip from a start
+it reaches, so at the end G is all of Aut, and the least-key labellings are
 that start's labelling composed with the elements of G.  Orbit and
 stabiliser give the order without the elements: |Aut| = |orbit(v0)| *
-|Stab(v0)|, and Stab(v0), which the first phase below finds, acts freely on
-the flags at v0, so its order is the size of any of its classes there.  The
-face orbits are joined along the generators' face permutations.
+|Stab(v0)|.  Two flags at v0 with equal keys differ by an automorphism that
+fixes v0, and Stab(v0) acts freely on the flags at v0, so |Stab(v0)| is the
+number of flags at v0 with the least key among them, which the first phase
+below counts.  The face orbits are joined along the generators' face
+permutations.
 
 Which starts a scan traverses depends on their order, so the order is fixed
 by the complex, not by its vertex names.  The scan first traverses every
-flag at one vertex v0, the starts (v0, y, z), and skips none of them.
-Whatever their order, the first of them with their least key becomes the
-least so far and the later ones with that key tie with it, so G is then the
-whole stabiliser of v0, and the traversed starts are the flags at v0
-(those ties fix v0, so they are merged on the faces at v0 only).  The
-second phase visits the other vertices in the order of their labels under
-that least key's labelling, and the 12 flags at each in the order of the
-labels of their other two vertices: an order fixed by the complex and v0
-up to an automorphism.  So the traversals, and their number, depend only
+flag at one vertex v0, the starts (v0, y, z), and skips none of them; a
+tie in the orbits of those traversed before it adds no generator.  Whatever
+their order, the first of them with their least key becomes the least so
+far and the later ones with that key tie with it, so G is then the whole
+stabiliser of v0 (those ties fix v0, so the orbits stay among the flags at
+v0).  The second phase visits the other vertices in the order of their
+labels under that least key's labelling, and the 12 flags at each in the
+order of the labels of their other two vertices: an order fixed by the
+complex and v0 up to an automorphism.  So the traversals, and their number, depend only
 on the complex and the orbit of v0.  A vertex class is settled once one of
 its vertices has had all its flags traversed or skipped; v0's is settled
 by the first phase.  Every flag at a vertex of a settled class lies in the
 orbit of a traversed start, so the phase passes over such a vertex, and
 over the rest of a vertex once a tie there settles its class.  A tie may
 instead grow the class without settling it (after a smaller key, a
-generator maps to the new base); then the stars it gains are merged before
-the next flag.  Since a flag's orbit lies over its vertex's class, a flag
-is skipped exactly when it would be with the flag orbits kept over every
-face, and the scan traverses the same starts in the same order.
+generator maps to the new base); the classes it gains hold no visited
+vertex either, and the recomputed orbits reach over them.
 
 v0 is the least vertex whose sorted distances to all vertices are least
 (`_first_vertex`, on the complex's one skeleton, which `iso` also reads):
@@ -128,9 +125,7 @@ is used.  The census names its classes from the catalog this way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from operator import itemgetter
-from typing import Collection, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .graphs import balls, common_neighbor_graph, graph_shape
 from .surface import Face, Triangulation, orientability, skeleton_graph
@@ -240,36 +235,22 @@ def _first_vertex(t: Triangulation) -> int:
     return best[0]
 
 
-_ORDERS = tuple(permutations(range(3)))  # flag 6*fi + k is face fi read in order k
-_READ = tuple(itemgetter(*order) for order in _ORDERS)
-# _IMAGE[x > y, x > z, y > z], when a permutation sends a face's vertices to
-# x, y, z: at k the order in which the image face reads the image of the
-# flag read in order k.
-_IMAGE = {(x > y, x > z, y > z): tuple(_ORDERS.index(tuple((x, y, z)[i] for i in order))
-                                       for order in _ORDERS) for x, y, z in _ORDERS}
-
-
 class _Scanner:
     """One scan of t, run phase by phase: `first_phase` traverses every flag
     at v0, `second_phase` the other starts, vertex by vertex.  After both
     phases, `base` is the canonical labelling, `gens` generate the group
-    (acting on face indices as `face_gens`), and `root` names each vertex's
-    orbit."""
+    (acting on face indices as `face_gens`), `root` names each vertex's
+    orbit, and `stabiliser` is |Stab(v0)|."""
 
     def __init__(self, t: Triangulation) -> None:
         self.t = t
-        self.v0 = v0 = _first_vertex(t)
-        self.at_v0 = _flags_at(t, v0)
+        self.v0 = _first_vertex(t)
         self.best: Optional[list[int]] = None
         self.base: list[int] = []  # the label array of the first start with key best
         self.base_inv: list[int] = []
         self.gens: list[Perm] = []
         self.face_gens: list[list[int]] = []
-        flags = 6 * t.f2
-        self.parent = list(range(flags))  # union-find of the flag orbits, over merged faces
-        self.size = [1] * flags
-        self.reached = [False] * flags  # at a root: its class holds a traversed start
-        self.merged = [0] * t.f2  # face -> the number of generators merged over its flags
+        self.stabiliser = 0  # the flags at v0 with the least key there
         # The vertex orbits, from the second phase on: vertex -> the root of
         # its class, root -> the class, and whether it holds a visited vertex.
         self.root: list[int] = []
@@ -277,7 +258,7 @@ class _Scanner:
         self.settled: list[bool] = []
 
     def first_phase(self) -> None:
-        self._run(self.at_v0, self.v0, skip=False)
+        self.stabiliser = self._run(_flags_at(self.t, self.v0), self.v0, skip=False)
 
     def second_phase(self) -> None:  # the other vertices, by their labels in base
         t, n, base, v0 = self.t, self.t.n, self.base, self.v0
@@ -289,8 +270,7 @@ class _Scanner:
         for x in self.base_inv[1:]:  # this base's order, kept if a smaller key replaces it
             if self.settled[self.root[x]]:
                 continue
-            flags = sorted(_flags_at(t, x),
-                           key=lambda f: [base[w] for w in _READ[f % 6](t.faces[f // 6])])
+            flags = sorted(_flags_at(t, x), key=lambda flag: [base[w] for w in flag[0]])
             self._run(flags, x, skip=True)
             self.settled[self.root[x]] = True
 
@@ -300,51 +280,44 @@ class _Scanner:
         for a, b in _join(self.root, self.members, perm):
             settled[a] = settled[a] or settled[b]
 
-    def _catch_up(self, v: int) -> None:
-        """Merge every generator over the stars of v's class, so that the
-        union-find holds the orbits of the flags at those vertices; each
-        (face, generator) pair is merged once.  In the first phase the class
-        is v0 alone, since its ties fix v0."""
-        gens, face_gens, merged, stars = self.gens, self.face_gens, self.merged, self.t.stars
-        for u in self.members[self.root[v]] if self.root else (v,):
-            for fi in stars[u]:
-                for g in range(merged[fi], len(gens)):
-                    self._merge(gens[g], fi, face_gens[g][fi])
-                merged[fi] = len(gens)
+    def _orbit(self, starts: Iterable[Face]) -> set[Face]:
+        """The flags that the generators reach from `starts`: breadth-first,
+        a generator g takes the flag (x, y, z) to (g[x], g[y], g[z])."""
+        orbit = set(starts)
+        queue = list(orbit)
+        for x, y, z in queue:  # the queue grows while read
+            for g in self.gens:
+                image = g[x], g[y], g[z]
+                if image not in orbit:
+                    orbit.add(image)
+                    queue.append(image)
+        return orbit
 
-    def _merge(self, perm: Perm, fi: int, gi: int) -> None:
-        """Merge every flag of face fi with its image, a flag of gi = perm(fi)."""
-        parent, size, reached = self.parent, self.size, self.reached
-        a, b, c = self.t.faces[fi]
-        x, y, z = perm[a], perm[b], perm[c]
-        image = _IMAGE[x > y, x > z, y > z]
-        gi *= 6
-        for k in range(6):
-            a, b = _find(parent, 6 * fi + k), _find(parent, gi + image[k])
-            if a != b:
-                if size[a] < size[b]:
-                    a, b = b, a
-                parent[b] = a
-                size[a] += size[b]
-                reached[a] = reached[a] or reached[b]
-
-    def _run(self, flags: Sequence[int], v: int, skip: bool) -> None:
-        """Traverse the flags at v in turn; a tie adds a generator.  With
-        `skip` (the second phase), a flag whose orbit holds a traversed start
-        is passed over, and so are the rest once v's class is settled; the
-        first phase skips none, since every flag at v0 is compared."""
-        t, parent, reached = self.t, self.parent, self.reached
-        self._catch_up(v)
-        for f in flags:
-            root = _find(parent, f)
-            if skip and reached[root]:
+    def _run(self, flags: Sequence[tuple[Face, int]], v: int, skip: bool) -> int:
+        """Traverse the flags at v in turn; a tie adds a generator, unless
+        the flag lies in the orbits of the starts traversed at v.  With
+        `skip` (the second phase), such a flag is passed over, and so are
+        the rest once v's class is settled; the first phase skips none,
+        since every flag at v0 is compared.  Returns how many of the flags
+        traversed here have the key `best` at the end: in the first phase,
+        the flags at v0 with the least key there."""
+        t = self.t
+        traversed: list[Face] = []
+        orbit: set[Face] = set()  # the orbits of traversed, under gens
+        ties = 0
+        for start, fi in flags:
+            covered = start in orbit
+            if skip and covered:
                 continue
-            found = _traverse(t, _READ[f % 6](t.faces[f // 6]), f // 6, self.best)
-            covered, reached[root] = reached[root], True
+            found = _traverse(t, start, fi, self.best)
+            if not covered:
+                traversed.append(start)
+                orbit |= self._orbit((start,))
             if found is None:
                 continue
             key, label = found
             if key == self.best:
+                ties += 1
                 if covered:  # its automorphism is already in the group
                     continue
                 perm = tuple(map(self.base_inv.__getitem__, label))  # start -> base start
@@ -356,17 +329,24 @@ class _Scanner:
                 if skip:
                     self._join_vertices(perm)
                     if self.settled[self.root[v]]:
-                        return  # every flag at v is in the orbit of a traversed start
-                self._catch_up(v)
+                        return ties  # every flag at v is in the orbit of a traversed start
+                orbit = self._orbit(traversed)
                 continue
             # a key that survives the pruning is at most best
             self.best, self.base, self.base_inv = key, label, _invert(label)
+            ties = 1
+        return ties
 
 
-def _flags_at(t: Triangulation, v: int) -> list[int]:
-    """The 12 flags at v, in star order: for each face at v, the two
-    orders that read v first."""
-    return [6 * fi + 2 * t.faces[fi].index(v) + k for fi in t.stars[v] for k in (0, 1)]
+def _flags_at(t: Triangulation, v: int) -> list[tuple[Face, int]]:
+    """The 12 flags at v as (start, face index) pairs, in star order: for
+    each face at v, v and then the other two vertices in face order, and
+    in the other order."""
+    flags = []
+    for fi in t.stars[v]:
+        p, q = (u for u in t.faces[fi] if u != v)
+        flags += ((v, p, q), fi), ((v, q, p), fi)
+    return flags
 
 
 def _join(root: list[int], members: list[list[int]], image: Sequence[int]) -> list[tuple[int, int]]:
@@ -384,13 +364,6 @@ def _join(root: list[int], members: list[list[int]], image: Sequence[int]) -> li
             members[a] += members[b]
             merges.append((a, b))
     return merges
-
-
-def _find(parent: list[int], f: int) -> int:
-    """The root of flag f in the union-find `parent`, halving the path."""
-    while parent[f] != f:
-        parent[f] = f = parent[parent[f]]
-    return f
 
 
 def _form(t: Triangulation, label: list[int]) -> CanonicalForm:
@@ -478,15 +451,10 @@ def automorphism_group(t: Triangulation) -> SymmetryGroup:
     scan = _Scanner(t)
     scan.first_phase()
     scan.second_phase()
-    # The first phase merged the flags at v0 into the orbits of Stab(v0),
-    # which acts on them freely.
-    parent, at_v0 = scan.parent, scan.at_v0
-    first = _find(parent, at_v0[0])
-    stabiliser = sum(_find(parent, f) == first for f in at_v0)
     face_root, face_members = list(range(t.f2)), [[fi] for fi in range(t.f2)]
     for face_perm in scan.face_gens:
         _join(face_root, face_members, face_perm)
-    return SymmetryGroup(tuple(scan.gens), len(scan.members[scan.root[scan.v0]]) * stabiliser,
+    return SymmetryGroup(tuple(scan.gens), len(scan.members[scan.root[scan.v0]]) * scan.stabiliser,
                          _orbits(scan.root, range(t.n)), _orbits(face_root, t.faces),
                          _form(t, scan.base))
 

@@ -52,13 +52,14 @@ def test_bench_aut_smallest_member(tmp_path):
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
-    # Traversal counts are the scan's work, pinned so that a refresh shows
-    # whether its time moved with it.
+    # Traversal and check counts are the scan's work, pinned so that a
+    # refresh shows whether its time moved with it.
     (row,) = result["ladder"]
-    assert (row["member"], row["n"], row["order"], row["traversals"]) == ("T(6,6,0)", 36, 432, 13)
+    assert (row["member"], row["n"], row["order"], row["traversals"], row["checks"]) == (
+        "T(6,6,0)", 36, 432, 13, 3)
     (row,) = result["klein"]
-    assert (row["member"], row["n"], row["order"], row["vertex_orbits"], row["traversals"]) == (
-        "K(10,20)", 200, 80, 6, 43)
+    assert (row["member"], row["n"], row["order"], row["vertex_orbits"], row["traversals"],
+            row["checks"]) == ("K(10,20)", 200, 80, 6, 43, 3)
     for row in (*result["ladder"], *result["klein"]):  # the load, layer by layer
         assert row["parse_s"] > 0 and row["build_s"] > 0
 

@@ -472,9 +472,9 @@ class TestScan:
 
     def test_scan_work_on_the_catalog(self, monkeypatch):
         # The traversals and face-set checks over the 405 distinct catalog
-        # complexes with n <= 30, two relabellings each: the orbits are kept
-        # only over the vertex classes a scan visits, and it traverses and
-        # checks what it would with the orbits kept over every face.
+        # complexes with n <= 30, two relabellings each: the flag orbits are
+        # kept only at the vertex a scan visits, and it traverses and checks
+        # what it would with the orbits kept over every face.
         traverse, calls = symmetry._traverse, []
         check, checked = symmetry._face_map, []
         monkeypatch.setattr(symmetry, "_traverse", lambda *a: calls.append(a) or traverse(*a))
