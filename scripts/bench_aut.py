@@ -16,7 +16,9 @@ counts the scan's `_traverse` calls (`traversals`) and its checks of a
 generator against the face set (`_face_map` calls, `checks`), so the timed
 call runs unwrapped and a refresh shows whether the time moved with the
 work.  Each member keeps the best of REPEATS children per tree: the row of
-the fastest scan, with each load figure the least of its own.  With
+the fastest scan, with each load figure the least of its own, and the
+median of the children's scan times (`median_s`), which a single fast or
+slow child does not move.  With
 `--baseline`, the two trees are timed alternately, and each row counts the
 rounds its tree won (`rounds_won`, by `seconds`; see timing.py).  The
 script exits 1 when a torus's order is not 12n, or when the two trees give
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from operator import itemgetter
 
@@ -79,9 +82,11 @@ def child(name: str) -> None:
 
 
 def best(rows: tuple[dict, ...]) -> dict:
-    """The row of the fastest scan, with each load figure the least of any row."""
+    """The row of the fastest scan, with each load figure the least of any
+    row, and the median scan time of the rows."""
     return {**min(rows, key=itemgetter("seconds")),
-            **{key: min(row[key] for row in rows) for key in ("parse_s", "build_s")}}
+            **{key: min(row[key] for row in rows) for key in ("parse_s", "build_s")},
+            "median_s": statistics.median(row["seconds"] for row in rows)}
 
 
 def time_members(names: list[str], args: argparse.Namespace) -> tuple[list[dict], list[dict]]:
@@ -118,7 +123,8 @@ def main() -> int:
         "what": f"automorphism_group on T(k,k,0) (ladder) and on Klein bottles (klein): the "
                 f"best of {timing.REPEATS} fresh processes that each load the member from its "
                 ".tri text (parse_s: parse_tri, build_s: build_triangulation; each the best of "
-                "its own) and time one scan (seconds), in wall-clock seconds, and the peak RSS "
+                "its own) and time one scan (seconds; median_s is the median of the "
+                f"{timing.REPEATS}), in wall-clock seconds, and the peak RSS "
                 "of the fastest scan's process; traversals counts the _traverse calls and "
                 "checks the _face_map calls (generators checked against the face set) of a "
                 "second, untimed scan; with "

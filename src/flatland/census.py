@@ -60,8 +60,7 @@ all its flags gives a leaf whose search flag has the least key, and every
 node above that leaf passes the test.
 
 Racing the flags at vertex 2 too, or at every complete vertex, ends a few
-more nodes but costs more than it saves: at n = 24 it leaves 1 921 or 1 842
-nodes instead of 2 063, and the search takes longer.  A prefix changes only
+more nodes but costs more than it saves.  A prefix changes only
 when its stopping edge gets its second face, so each node keeps the search
 flag's traversal, with its stopping edge, and goes on with it, from a copy,
 only once that edge is closed.  Two flags whose keys agree up to some
@@ -76,17 +75,6 @@ on its faces, so the nodes do not depend on where the search is split.  The
 labels are dicts and lists over the vertices met and the queued faces bit
 masks of their vertices, so nothing of size n is allocated.
 
-The rules together cut the whole search at n = 12, 18, 24, 30, 36, 42 to
-191, 1 026, 2 063, 4 380, 7 493, 11 423 nodes, 36, 167, 344, 558, 971,
-1 324 of them ended by the prefix test, with 7, 9, 20, 19, 30, 26 leaves
-for 7, 9, 18, 19, 25, 23 classes.  With the flags at vertex 0 alone in the
-prefix test: 234, 1 255, 2 874, 6 618, 11 951, 19 218 nodes, 33, 143,
-324, 626, 1 019, 1 323 ended, 10, 13, 31, 33, 45, 41 leaves.  Without the
-prefix test: 587, 3 126, 9 282, 21 089, 42 327, 77 632 nodes, with 43,
-69, 138, 180, 226, 228 leaves, 12n/|Aut| per class (forced faces alone:
-735, 4 535, 15 014, 39 033, 88 035, 183 356 nodes; at n = 24, fail-first
-alone: 18 566, neither: 64 058).
-
 Every census takes one path, whatever the number of jobs: the search tree
 is expanded breadth-first until it has `_FRONTIER_TARGET` open states or
 runs out of them, and each state is one task (`_search_worker`), run in
@@ -100,8 +88,8 @@ gains little.  The census stops early only on its time budget, which raises
 where the deadline is found to have passed.
 
 The classes are then named from `known_catalog`, one canonical form per
-distinct complex, given the classes' codes: at n = 24, 43 of the 46 scans
-stop after the flags at v0 (`symmetry.canonical_form`).
+distinct complex, given the classes' codes, so a scan that finds one of
+them among the flags at v0 stops there (`symmetry.canonical_form`).
 """
 
 from __future__ import annotations

@@ -32,13 +32,13 @@ these generate; it stays valid when a smaller key later replaces the least
 one.  A start in the G-orbit of a traversed start has that start's key, so
 it is skipped.  This loses nothing: a skipped start is pruned, tied or
 least exactly when its traversed preimage was.  G is kept as its generators
-and its vertex orbits, classes that each new generator joins along its
-cycles, relabelling the smaller class.  Flag orbits are kept only at the
-vertex the scan visits: the closure of the starts traversed there under the
-generators (`_Scanner._orbit`, breadth-first, g taking (x, y, z) to (g[x],
-g[y], g[z])), recomputed when a generator is added.  That is exact.  A
+alone, and every orbit is one rule: a breadth-first closure under them.
+On vertices and face indices (`_closure`) g takes i to g[i]; on flags
+(`_Scanner._orbit`) it takes (x, y, z) to (g[x], g[y], g[z]).  Flag orbits
+are kept only at the vertex the scan visits: the closure of the starts
+traversed there, recomputed when a generator is added.  That is exact.  A
 flag's orbit lies over its vertex's orbit, and when the scan reaches a
-vertex x, every class it visited before is settled (below), so x's class
+vertex x, every vertex it visited before is settled (below), so x's orbit
 holds no visited vertex: only the starts traversed at x itself can have a
 flag at x in their orbits.  The action is free, so a tie inside those
 orbits gives an element of G, and one outside them a new generator: it
@@ -49,11 +49,10 @@ every other least-key start, through a tie or through a skip from a start
 it reaches, so at the end G is all of Aut, and the least-key labellings are
 that start's labelling composed with the elements of G.  Orbit and
 stabiliser give the order without the elements: |Aut| = |orbit(v0)| *
-|Stab(v0)|.  Two flags at v0 with equal keys differ by an automorphism that
-fixes v0, and Stab(v0) acts freely on the flags at v0, so |Stab(v0)| is the
-number of flags at v0 with the least key among them, which the first phase
-below counts.  The face orbits are joined along the generators' face
-permutations.
+|Stab(v0)|.  After the first phase below, the generators so far generate
+Stab(v0), which acts freely on flags, so |Stab(v0)| is the size of the
+base start's flag orbit under them.  The vertex and face orbits are the
+closures under the final generators and their face permutations.
 
 Which starts a scan traverses depends on their order, so the order is fixed
 by the complex, not by its vertex names.  The scan first traverses every
@@ -66,14 +65,14 @@ v0).  The second phase visits the other vertices in the order of their
 labels under that least key's labelling, and the 12 flags at each in the
 order of the labels of their other two vertices: an order fixed by the
 complex and v0 up to an automorphism.  So the traversals, and their number, depend only
-on the complex and the orbit of v0.  A vertex class is settled once one of
-its vertices has had all its flags traversed or skipped; v0's is settled
-by the first phase.  Every flag at a vertex of a settled class lies in the
-orbit of a traversed start, so the phase passes over such a vertex, and
-over the rest of a vertex once a tie there settles its class.  A tie may
-instead grow the class without settling it (after a smaller key, a
-generator maps to the new base); the classes it gains hold no visited
-vertex either, and the recomputed orbits reach over them.
+on the complex and the orbit of v0.  The settled vertices are the closure
+of the vertices whose flags have all been traversed or skipped, v0 first,
+closed again when a generator is added.  Every flag at a settled vertex
+lies in the orbit of a traversed start, so the phase passes over such a
+vertex, and over the rest of a vertex once a tie there settles it.  A tie
+may instead grow G without settling the vertex (after a smaller key, a
+generator maps to the new base); the vertices its orbit gains are not
+visited either, and the recomputed flag orbits reach over them.
 
 v0 is the least vertex whose sorted distances to all vertices are least
 (`_first_vertex`, on the complex's one skeleton, which `iso` also reads):
@@ -238,9 +237,9 @@ def _first_vertex(t: Triangulation) -> int:
 class _Scanner:
     """One scan of t, run phase by phase: `first_phase` traverses every flag
     at v0, `second_phase` the other starts, vertex by vertex.  After both
-    phases, `base` is the canonical labelling, `gens` generate the group
-    (acting on face indices as `face_gens`), `root` names each vertex's
-    orbit, and `stabiliser` is |Stab(v0)|."""
+    phases, `base` is the canonical labelling and `gens` generate the group
+    (acting on face indices as `face_gens`); `stabiliser`, |Stab(v0)|, is
+    set by the first phase."""
 
     def __init__(self, t: Triangulation) -> None:
         self.t = t
@@ -250,35 +249,23 @@ class _Scanner:
         self.base_inv: list[int] = []
         self.gens: list[Perm] = []
         self.face_gens: list[list[int]] = []
-        self.stabiliser = 0  # the flags at v0 with the least key there
-        # The vertex orbits, from the second phase on: vertex -> the root of
-        # its class, root -> the class, and whether it holds a visited vertex.
-        self.root: list[int] = []
-        self.members: list[list[int]] = []
-        self.settled: list[bool] = []
+        self.stabiliser = 0
+        self.settled: set[int] = set()  # the orbits of the finished vertices, in the second phase
 
     def first_phase(self) -> None:
-        self.stabiliser = self._run(_flags_at(self.t, self.v0), self.v0, skip=False)
+        self._run(_flags_at(self.t, self.v0), self.v0, skip=False)
+        # The ties so far generate Stab(v0), which acts freely on flags.
+        self.stabiliser = len(self._orbit((tuple(self.base_inv[:3]),)))
 
     def second_phase(self) -> None:  # the other vertices, by their labels in base
-        t, n, base, v0 = self.t, self.t.n, self.base, self.v0
-        self.root, self.members = list(range(n)), [[v] for v in range(n)]
-        self.settled = [False] * n
-        for perm in self.gens:
-            self._join_vertices(perm)
-        self.settled[self.root[v0]] = True
+        t, base = self.t, self.base
+        self.settled = _closure(self.gens, (self.v0,))
         for x in self.base_inv[1:]:  # this base's order, kept if a smaller key replaces it
-            if self.settled[self.root[x]]:
+            if x in self.settled:
                 continue
             flags = sorted(_flags_at(t, x), key=lambda flag: [base[w] for w in flag[0]])
             self._run(flags, x, skip=True)
-            self.settled[self.root[x]] = True
-
-    def _join_vertices(self, perm: Perm) -> None:
-        """Merge the vertex classes along a new generator."""
-        settled = self.settled
-        for a, b in _join(self.root, self.members, perm):
-            settled[a] = settled[a] or settled[b]
+            self.settled |= _closure(self.gens, (x,))
 
     def _orbit(self, starts: Iterable[Face]) -> set[Face]:
         """The flags that the generators reach from `starts`: breadth-first,
@@ -293,18 +280,15 @@ class _Scanner:
                     queue.append(image)
         return orbit
 
-    def _run(self, flags: Sequence[tuple[Face, int]], v: int, skip: bool) -> int:
+    def _run(self, flags: Sequence[tuple[Face, int]], v: int, skip: bool) -> None:
         """Traverse the flags at v in turn; a tie adds a generator, unless
         the flag lies in the orbits of the starts traversed at v.  With
         `skip` (the second phase), such a flag is passed over, and so are
-        the rest once v's class is settled; the first phase skips none,
-        since every flag at v0 is compared.  Returns how many of the flags
-        traversed here have the key `best` at the end: in the first phase,
-        the flags at v0 with the least key there."""
+        the rest once v is settled; the first phase skips none, since every
+        flag at v0 is compared."""
         t = self.t
         traversed: list[Face] = []
         orbit: set[Face] = set()  # the orbits of traversed, under gens
-        ties = 0
         for start, fi in flags:
             covered = start in orbit
             if skip and covered:
@@ -317,7 +301,6 @@ class _Scanner:
                 continue
             key, label = found
             if key == self.best:
-                ties += 1
                 if covered:  # its automorphism is already in the group
                     continue
                 perm = tuple(map(self.base_inv.__getitem__, label))  # start -> base start
@@ -327,15 +310,13 @@ class _Scanner:
                 self.gens.append(perm)
                 self.face_gens.append(face_perm)
                 if skip:
-                    self._join_vertices(perm)
-                    if self.settled[self.root[v]]:
-                        return ties  # every flag at v is in the orbit of a traversed start
+                    self.settled = _closure(self.gens, self.settled)
+                    if v in self.settled:
+                        return  # every flag at v is in the orbit of a traversed start
                 orbit = self._orbit(traversed)
                 continue
             # a key that survives the pruning is at most best
             self.best, self.base, self.base_inv = key, label, _invert(label)
-            ties = 1
-        return ties
 
 
 def _flags_at(t: Triangulation, v: int) -> list[tuple[Face, int]]:
@@ -349,21 +330,18 @@ def _flags_at(t: Triangulation, v: int) -> list[tuple[Face, int]]:
     return flags
 
 
-def _join(root: list[int], members: list[list[int]], image: Sequence[int]) -> list[tuple[int, int]]:
-    """Merge the class of each item i with the class of image[i], and return
-    the merges as (kept, absorbed) roots.  root[i] is the root of i's class,
-    members[r] the class of root r; the smaller class is relabelled."""
-    merges = []
-    for a, b in set(zip(root, map(root.__getitem__, image))):
-        a, b = root[a], root[b]
-        if a != b:
-            if len(members[a]) < len(members[b]):
-                a, b = b, a
-            for i in members[b]:
-                root[i] = a
-            members[a] += members[b]
-            merges.append((a, b))
-    return merges
+def _closure(perms: Sequence[Sequence[int]], seeds: Iterable[int]) -> set[int]:
+    """The items that the permutations reach from `seeds`: breadth-first,
+    as `_Scanner._orbit` closes flags."""
+    reached = set(seeds)
+    queue = list(reached)
+    for i in queue:  # the queue grows while read
+        for p in perms:
+            j = p[i]
+            if j not in reached:
+                reached.add(j)
+                queue.append(j)
+    return reached
 
 
 def _form(t: Triangulation, label: list[int]) -> CanonicalForm:
@@ -451,20 +429,25 @@ def automorphism_group(t: Triangulation) -> SymmetryGroup:
     scan = _Scanner(t)
     scan.first_phase()
     scan.second_phase()
-    face_root, face_members = list(range(t.f2)), [[fi] for fi in range(t.f2)]
-    for face_perm in scan.face_gens:
-        _join(face_root, face_members, face_perm)
-    return SymmetryGroup(tuple(scan.gens), len(scan.members[scan.root[scan.v0]]) * scan.stabiliser,
-                         _orbits(scan.root, range(t.n)), _orbits(face_root, t.faces),
+    faces = t.faces
+    return SymmetryGroup(tuple(scan.gens), len(_closure(scan.gens, (scan.v0,))) * scan.stabiliser,
+                         _orbits(scan.gens, t.n),
+                         tuple(tuple(map(faces.__getitem__, orbit))
+                               for orbit in _orbits(scan.face_gens, t.f2)),
                          _form(t, scan.base))
 
 
-def _orbits(reps, items) -> tuple[tuple, ...]:
-    """The items grouped by orbit representative, in item order."""
-    parts: dict[int, list] = {}
-    for rep, x in zip(reps, items):
-        parts.setdefault(rep, []).append(x)
-    return tuple(map(tuple, parts.values()))
+def _orbits(perms: Sequence[Sequence[int]], count: int) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the permutations on range(count), each ascending,
+    ordered by least member."""
+    orbits: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for i in range(count):
+        if i not in seen:
+            orbit = _closure(perms, (i,))
+            seen |= orbit
+            orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def regularity_flags(t: Triangulation, group: SymmetryGroup) -> tuple[bool, bool]:

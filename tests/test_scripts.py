@@ -62,6 +62,7 @@ def test_bench_aut_smallest_member(tmp_path):
             row["checks"]) == ("K(10,20)", 200, 80, 6, 43, 3)
     for row in (*result["ladder"], *result["klein"]):  # the load, layer by layer
         assert row["parse_s"] > 0 and row["build_s"] > 0
+        assert row["seconds"] <= row["median_s"]  # the best of the children, and their median
 
 
 def test_bench_census_smallest_member(tmp_path):

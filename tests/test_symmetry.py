@@ -259,7 +259,12 @@ class TestAutomorphismGroup:
         for perm in elements:
             assert is_isomorphism_between(perm, t, t)
         assert len(elements) == group.order == len(least_key_labels(t))
-        # The face orbits, joined along the face permutations the scan's
+        # The vertex orbits, closed under the generators, are the orbits of
+        # the elements on the vertices: each ascending, ordered by least
+        # member.  The Klein bottles here have several.
+        orbits = {tuple(sorted({perm[v] for perm in elements})) for v in range(t.n)}
+        assert group.vertex_orbits == tuple(sorted(orbits))
+        # The face orbits, closed under the face permutations the scan's
         # checks gave, are the orbits of the elements on the faces.
         orbits = {frozenset(tuple(sorted(perm[v] for v in face)) for perm in elements)
                   for face in t.faces}
