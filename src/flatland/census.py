@@ -32,32 +32,32 @@ yet neighbours of v and have fewer than 6 neighbours.  Any other x would
 put a third face on an edge or give v or x a seventh neighbour.  Closing a
 link is checked by walking its path, at most 6 vertices.
 
-Before it branches, a node adds every forced face: a vertex w with 6
-neighbours whose link is one path, with ends p and q, lies on the face
-{w, p, q} in every completion.  A forced face brings in no new vertex, so
-the leaves and their labelling are those of the plain search, and one that
-cannot be added ends the branch at once.  Only the vertices of the last
-face added can be forced, so this costs a few checks per node too.
+A state with exactly one branch face is not a node: the face is added in
+place and the branch faces are read again.  When the least vertex with 6
+neighbours and an open link has one path for its link, the face that
+closes the path is its only candidate, so no rule of its own adds such
+faces.  A node is a state with no branch face (a dead end), a complete
+complex (a leaf), or one with two or more branch faces.
 
-Then a node runs a prefix test on its faces, the prefix pruning of plantri
-(Brinkmann and McKay 2007).  It traverses the search flag and the other 11
-flags at vertex 0, whose star is closed from the root, and, from the first
-node where vertex 1 is complete, the 12 flags at vertex 1, the other end of
-the search flag's first edge, which the search completes early.  It
-traverses them exactly as `symmetry._traverse` does, and stops each
-traversal at its first edge that lies on one face only.  A flag's first
-edge, from its complete vertex, lies on two faces, so each traversal starts
-having crossed it, with the vertex beyond labelled 3 (`_start`,
-`_flags_at`); then each queued face crosses its other two edges.  An edge
-on two faces keeps them in every completion, so the key up to there, the
-prefix, is a prefix of that flag's key in every completion.  If some flag's
-prefix is smaller than the search flag's at a position both reach, then in
-every leaf below some flag has a smaller key than the search flag, and the
-node ends.  The leaves left are exactly those of the search without it
-whose search flag has the least key among the 24 flags at vertices 0 and 1
-(ties kept).  That loses no class: a flag of a class with the least key of
-all its flags gives a leaf whose search flag has the least key, and every
-node above that leaf passes the test.
+A node that is not a dead end runs a prefix test on its faces, the prefix
+pruning of plantri (Brinkmann and McKay 2007).  It traverses the search
+flag and the other 11 flags at vertex 0, whose star is closed from the
+root, and, from the first node where vertex 1 is complete, the 12 flags at
+vertex 1, the other end of the search flag's first edge, which the search
+completes early.  It traverses them exactly as `symmetry._traverse` does,
+and stops each traversal at its first edge that lies on one face only.  A
+flag's first edge, from its complete vertex, lies on two faces, so each
+traversal starts having crossed it, with the vertex beyond labelled 3
+(`_start`, `_flags_at`); then each queued face crosses its other two edges.
+An edge on two faces keeps them in every completion, so the key up to
+there, the prefix, is a prefix of that flag's key in every completion.  If
+some flag's prefix is smaller than the search flag's at a position both
+reach, then in every leaf below some flag has a smaller key than the search
+flag, and the node ends.  The leaves left are exactly those of the search
+without it whose search flag has the least key among the 24 flags at
+vertices 0 and 1 (ties kept).  That loses no class: a flag of a class with
+the least key of all its flags gives a leaf whose search flag has the least
+key, and every node above that leaf passes the test.
 
 Racing the flags at vertex 2 too, or at every complete vertex, ends a few
 more nodes but costs more than it saves.  A prefix changes only
@@ -80,7 +80,7 @@ is expanded breadth-first until it has `_FRONTIER_TARGET` open states or
 runs out of them, and each state is one task (`_search_worker`), run in
 this process for one job and in a process pool otherwise.  The frontier is
 grown by the search itself: a search stopped after one node hands back the
-branches it did not enter, each with the forced faces above it.  A task
+branches it did not enter, each with the faces above it.  A task
 searches its state to the end and canonicalises the leaves it found.  The
 tasks depend only on n, so they and the output are the same for every job
 count; at larger n one state holds nearly all the nodes, so a second job
@@ -284,29 +284,6 @@ class _LinkSearch:
                     out.append(face)
         return out
 
-    def _close_forced(self) -> bool:
-        """Add every forced face; False if one of them fails `_face_ok`.
-
-        A vertex w with 6 neighbours and 2 open edges has one path for its
-        link, with ends p and q: `_face_ok` closes no link into a cycle
-        shorter than 6, so the 6 neighbours lie on paths, and 2 ends make
-        one.  So every completion holds the face {w, p, q}, which brings in
-        no new vertex and completes w.  A state handed to the search is a
-        closed state plus one face, and a face changes only its own
-        vertices, so only the vertices of the last face added are checked."""
-        lk = self.lk
-        todo = list(self.faces[-1])
-        while todo:
-            w = todo.pop()
-            if len(lk[w]) == 6 and self.open_count[w] == 2:
-                p, q = (u for u, on_wu in lk[w].items() if len(on_wu) == 1)
-                a, b, c = sorted((w, p, q))
-                if not self._face_ok((a, b, c)):
-                    return False
-                self._apply((a, b, c))
-                todo += (p, q)
-        return True
-
     def _search_flag_leads(self) -> bool:
         """The prefix test: False when some flag at vertex 0 or 1 has a
         smaller key than the search flag in every completion of the faces.
@@ -356,33 +333,37 @@ class _LinkSearch:
 
     def _visit(self) -> Optional[list[Face]]:
         """Count the current state as one search node, check the deadline,
-        add its forced faces, run the prefix test and return its branch
-        faces: [] when a forced face cannot be added or the test fails,
-        None when the complex is complete."""
+        add its branch face while it has exactly one, and return its branch
+        faces: [] at a dead end or when the prefix test fails, None when
+        the complex is complete."""
         self.nodes += 1
         if self.nodes % _CHECK_EVERY == 1:
             _check_deadline(self.deadline, "census search")
-        if not self._close_forced():
+        branch = self._branch_faces()
+        while branch is not None and len(branch) == 1:
+            self._apply(branch[0])
+            branch = self._branch_faces()
+        if branch == []:
             return []
         if not self._search_flag_leads():
             self.pruned += 1
             return []
-        return self._branch_faces()
+        return branch
 
     def run(self, leaves: list[tuple[Face, ...]]) -> list[tuple[Face, ...]]:
         """Append every completion of the current faces to `leaves`.  The
         search is 2n - 6 faces deep, so it keeps a stack instead of
         recursing: for each node on the path from the root, its branch
-        iterator, its face count once its forced faces are added, so
-        backtracking takes back the forced faces with the branch face, its
+        iterator, its face count once its single branch faces are added, so
+        backtracking takes back those faces with the branch face, its
         traversals of the search flag and its ties, and whether those have
         taken in the flags at vertex 1.
 
         With a `quota` (None: no limit), the search stops once it has
         counted that many nodes and returns the states it has not entered:
-        for each node on the stack from the bottom up, its faces (forced
-        faces included) plus each remaining sibling face.  Their roots are
-        not counted here, so searching them counts every node of the
+        for each node on the stack from the bottom up, its faces (its single
+        branch faces included) plus each remaining sibling face.  Their
+        roots are not counted here, so searching them counts every node of the
         subtree exactly once.  Otherwise it returns []."""
         stack: list[tuple[Iterator[Face], int, Optional[list[_Prefix | _Tie]], bool]] = []
         while True:
@@ -491,7 +472,7 @@ def _frontier(n: int, target: int) -> tuple[list[tuple[Face, ...]], list[tuple[F
     """Expand the search breadth-first until at least `target` open states
     exist; returns (open states, completed leaves found on the way).  A
     state is expanded by a search with a quota of one node, so its children
-    and leaf carry its forced faces."""
+    and leaf carry the single branch faces it added."""
     states: list[tuple[Face, ...]] = [tuple(_initial_star())]
     leaves: list[tuple[Face, ...]] = []
     while states and len(states) < target:
@@ -508,9 +489,6 @@ def _enumerate_with_codes(n: int, deadline: Optional[float], jobs: int
     states, leaves = _frontier(n, _FRONTIER_TARGET)
     nodes = done = 0
     try:
-        # At small n the frontier is the whole tree, and its probes check
-        # no deadline.
-        _check_deadline(deadline, "census search")
         found = _canonicalize_leaves(n, leaves, deadline)
         pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
         with pool or contextlib.nullcontext():

@@ -223,23 +223,6 @@ def reference_branch_faces(search):
     return [f for f in faces if reference_face_ok(search, f)]
 
 
-def reference_forced_face(search):
-    """The first face a link-search state is forced to take, found from its
-    face list alone, or None: a vertex w with 6 neighbours whose link is
-    connected with 5 edges and 2 ends p and q, so a path, lies on the face
-    {w, p, q} in every completion."""
-    link = reference_links(search.faces)
-    for w in sorted(link):
-        edges = link[w]
-        degrees = _link_degrees(edges)
-        ends = [x for x, d in degrees.items() if d == 1]
-        if len(degrees) != 6 or len(edges) != 5 or len(ends) != 2:
-            continue
-        if len(_link_component(edges, ends[0])) == 6:
-            return tuple(sorted((w, *ends)))
-    return None
-
-
 def _reference_crossings(faces, flag):
     """The traversal of the flag (x, y, z) over a face list, as `symmetry`
     reads it, as far as the faces fix it: the vertex w beyond the edge

@@ -41,14 +41,14 @@ def test_every_traced_binding_exists():
 def test_frontier_replay_calls():
     # The calls the traced census-parallel run replays serially (bench/layers.py).
     states, leaves = census._frontier(12, 8)
-    assert (len(states), len(leaves)) == (8, 0)
+    assert (len(states), len(leaves)) == (9, 0)
     nodes = 0
     for faces in states:
         search, found = census._LinkSearch(12, list(faces), None, None), []
         search.run(found)
         nodes += search.nodes
         leaves += found
-    assert (nodes, len(leaves)) == (184, 7)
+    assert (nodes, len(leaves)) == (168, 7)
     assert len(census._canonicalize_leaves(12, leaves)) == 7
 
 

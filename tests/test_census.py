@@ -24,7 +24,6 @@ from tests.conftest import (
     census_report,
     reference_branch_faces,
     reference_first_open,
-    reference_forced_face,
     reference_labels,
     reference_links,
     reference_prefix,
@@ -120,14 +119,23 @@ def test_time_budget_checked_when_the_frontier_is_the_whole_tree():
 
 
 def test_time_budget_checked_at_the_root_of_each_state(monkeypatch):
-    # A clock that advances one second per reading: the deadline (t = 0.5)
-    # passes the check after the frontier (t = 0) and expires at the root
-    # of the first state (t = 1), before any task has finished.
-    ticks = iter(range(-1, 10**6))
+    # A clock that advances one second per reading: the deadline is 0.5,
+    # and the first reading after it (t = 1) is at the root of the first
+    # state, before any task has finished.
+    ticks = iter(range(10**6))
     monkeypatch.setattr(census, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
     with pytest.raises(ResourceLimit) as stop:
-        classify_census(9, budget_seconds=1.5)
-    assert str(stop.value) == "census search exceeded its time budget (0 nodes, 0/8 states done)"
+        classify_census(9, budget_seconds=0.5)
+    assert str(stop.value) == "census search exceeded its time budget (0 nodes, 0/9 states done)"
+
+
+def test_time_budget_stop_names_the_leaf_scan_when_the_frontier_is_the_whole_tree():
+    # At n = 7 the frontier probes finish the search, which checks no
+    # deadline, so the first check is before the frontier's leaf is scanned.
+    with pytest.raises(ResourceLimit) as stop:
+        classify_census(7, budget_seconds=-1)
+    assert str(stop.value) == ("census leaf canonicalisation exceeded its time budget"
+                               " (0 nodes, 0/0 states done)")
 
 
 class FakeClock:
@@ -260,11 +268,16 @@ def test_non_finite_budget_rejected(budget):
 
 
 class _CheckedSearch(census._LinkSearch):
-    """A link search that compares every node with the rule, as the
+    """A link search that compares every state with the rule, as the
     oracles in conftest read it from the face list: the prefix test and
     what it keeps, the first open vertex, and the branch faces at the
-    target vertex with `_face_ok` on every x.  A node branches only once no
-    face is forced."""
+    target vertex with `_face_ok` on every x.  No node has exactly one
+    branch face: a state with one takes it in place."""
+
+    def _visit(self):
+        branch = super()._visit()
+        assert branch is None or len(branch) != 1
+        return branch
 
     def _search_flag_leads(self):
         leads = super()._search_flag_leads()
@@ -297,7 +310,6 @@ class _CheckedSearch(census._LinkSearch):
             assert inv == sorted(label, key=label.get)
 
     def _branch_faces(self):
-        assert reference_forced_face(self) is None
         assert self.first_open == reference_first_open(self)
         faces = super()._branch_faces()
         assert faces == reference_branch_faces(self)
@@ -314,7 +326,7 @@ def test_search_tree_matches_the_plain_rule(n):
     classes = EXPECTED_SPLITS.get(n) or (len(torus_classes(n)), len(klein_classes(n)))
     assert len(census._canonicalize_leaves(n, leaves)) == sum(classes)
     if n == 12:
-        assert (search.nodes, len(leaves), search.pruned) == (191, 7, 36)
+        assert (search.nodes, len(leaves), search.pruned) == (174, 7, 26)
 
 
 class _FailFirstSearch(census._LinkSearch):
@@ -349,30 +361,39 @@ def test_branch_closes_a_full_vertex_first(n):
 
 
 class _PlainSearch(census._LinkSearch):
-    """The link search without forced faces: every node branches at once."""
+    """The link search without folding: every state is a node, and each
+    runs the prefix test before it branches."""
 
-    def _close_forced(self):
-        return True
+    def _visit(self):
+        self.nodes += 1
+        if not self._search_flag_leads():
+            self.pruned += 1
+            return []
+        return self._branch_faces()
 
 
 @pytest.mark.parametrize("n", range(7, 17))
 def test_forced_faces_keep_the_plain_leaves(n):
-    # Forced faces prune the tree but add no vertex, so the labelled leaves,
-    # and so the census classes, are those of the plain search.
+    # A face forced on a state, its only branch face, is added in place:
+    # that merges chains of single children, so the labelled leaves, and so
+    # the census classes, are those of the plain search.
     plain, plain_leaves = _PlainSearch(n, census._initial_star(), None, None), []
     plain.run(plain_leaves)
-    forced, forced_leaves = census._LinkSearch(n, census._initial_star(), None, None), []
-    forced.run(forced_leaves)
-    assert sorted(map(sorted, forced_leaves)) == sorted(map(sorted, plain_leaves))
-    assert census._canonicalize_leaves(n, forced_leaves) == census._canonicalize_leaves(n, plain_leaves)
-    assert forced.nodes < plain.nodes
+    folded, folded_leaves = census._LinkSearch(n, census._initial_star(), None, None), []
+    folded.run(folded_leaves)
+    assert sorted(map(sorted, folded_leaves)) == sorted(map(sorted, plain_leaves))
+    assert census._canonicalize_leaves(n, folded_leaves) == census._canonicalize_leaves(n, plain_leaves)
+    assert folded.nodes < plain.nodes
 
 
-# n -> (nodes, leaves, pruned) of the whole search.
-WHOLE_SEARCH_SIZES = {18: (1026, 9, 167), 24: (2063, 20, 344)}
+# n -> (nodes, leaves, pruned) of the whole search, past the sizes that
+# `_CheckedSearch` walks.
+WHOLE_SEARCH_SIZES = {18: (973, 9, 122), 24: (1977, 20, 279), 30: (4243, 19, 440),
+                      36: (7324, 30, 812), 42: (11174, 26, 1121)}
 
 
-@pytest.mark.parametrize("n", sorted(WHOLE_SEARCH_SIZES))
+@pytest.mark.parametrize("n", [n if n < 30 else pytest.param(n, marks=pytest.mark.stretch)
+                               for n in sorted(WHOLE_SEARCH_SIZES)])
 def test_whole_search_size(n):
     search, found = census._LinkSearch(n, census._initial_star(), None, None), []
     search.run(found)
@@ -474,7 +495,7 @@ class _RecordedSearch(census._LinkSearch):
 @pytest.mark.parametrize("n", range(7, 17))
 def test_split_search_counts_every_node_once(monkeypatch, n):
     # A frontier of 64 states, one task each, against one search of the
-    # whole tree: the same nodes (191 at n = 12, the frontier probes
+    # whole tree: the same nodes (174 at n = 12, the frontier probes
     # included), the same leaves and the same census.
     whole, whole_leaves = census._LinkSearch(n, census._initial_star(), None, None), []
     assert whole.run(whole_leaves) == []

@@ -76,8 +76,8 @@ def test_bench_census_smallest_member(tmp_path):
     assert [(row["n"], row["jobs"], row["classes"], row["tori"], row["klein_bottles"],
              row["traversals"], row["catalog_scans"], row["stopped_at_v0"], row["nodes"],
              row["leaves"], row["pruned"], row["largest_task_nodes"]) for row in rows] == [
-        (12, 1, 7, 4, 3, 373, 16, 15, 191, 7, 36, 124),
-        (12, 2, 7, 4, 3, 373, 16, 15, 191, 7, 36, 124)]
+        (12, 1, 7, 4, 3, 373, 16, 15, 174, 7, 26, 116),
+        (12, 2, 7, 4, 3, 373, 16, 15, 174, 7, 26, 116)]
 
 
 def test_bench_iso_smallest_ladder(tmp_path):
