@@ -5,24 +5,24 @@ BENCH_aut.json).
 
 T(k,k,0) has n = k*k vertices and |Aut| = 12n, the largest group a degree-6
 complex on n vertices can have.  A Klein bottle has several vertex orbits,
-so its scan first picks the vertex it starts from (`_first_vertex`) and
-visits more than one vertex class.  Each timing runs in a fresh child
-process, which builds the member, times its load from `.tri` text
-(`parse_tri`, then `build_triangulation`: `parse_s` and `build_s`) and one
-`automorphism_group` call on the loaded complex (`seconds`), all wall clock,
-and reports its own peak resident set size: the interpreter, the member and
-the scan.  A second, untimed `automorphism_group` call in the same child
-counts the scan's `_traverse` calls (`traversals`) and its checks of a
-generator against the face set (`_face_map` calls, `checks`), so the timed
-call runs unwrapped and a refresh shows whether the time moved with the
-work.  Each member keeps the best of REPEATS children per tree: the row of
-the fastest scan, with each load figure the least of its own, and the
-median of the children's scan times (`median_s`), which a single fast or
-slow child does not move.  With
+so its scan first finds the cell whose flags it reads (`_first_cell`, grown
+by balls), and its key may read more than one vertex class.  Each timing
+runs in a fresh child process, which builds the member, times its load from
+`.tri` text (`parse_tri`, then `build_triangulation`: `parse_s` and
+`build_s`) and one `automorphism_group` call on the loaded complex
+(`seconds`), all wall clock, and reports its own peak resident set size: the
+interpreter, the member and the scan.  A second, untimed
+`automorphism_group` call in the same child counts the scan's `_traverse`
+calls (`traversals`) and its checks of a generator against the face set
+(`_face_map` calls, `checks`), so the timed call runs unwrapped and a
+refresh shows whether the time moved with the work.  Each member keeps the
+best of REPEATS children per tree: the row of the fastest scan, with each
+load figure the least of its own, and the median of the children's scan
+times (`median_s`), which a single fast or slow child does not move.  With
 `--baseline`, the two trees are timed alternately, and each row counts the
-rounds its tree won (`rounds_won`, by `seconds`; see timing.py).  The
-script exits 1 when a torus's order is not 12n, or when the two trees give
-a member different orders, vertex orbits, traversal counts or check counts.
+rounds its tree won (`rounds_won`, by `seconds`; see timing.py).  The script
+exits 1 when a torus's order is not 12n, or when the two trees give a member
+different orders, vertex orbits, traversal counts or check counts.
 
 Examples:
     python3 scripts/bench_aut.py

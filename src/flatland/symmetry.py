@@ -12,18 +12,28 @@ the face of w), which is seen and whose vertices have labels.  The *key* of
 the start is the sequence of the 2*f_2 labels of those vertices w.  The key
 determines the labelled face set (replay the traversal), and the traversal
 never looks at vertex names, so isomorphic complexes have the same keys.
-The canonical key is the least one.  The scan compares each key with the
+The *cell* is the set of vertices whose sorted lists of distances to all
+vertices are least: every vertex on a torus.  The canonical key is the
+least key of the starts at the vertices of the cell; a *least-key start* is
+one of those starts with that key.  The scan compares each key with the
 least key so far while producing it and drops the start at the first larger
 entry (the prefix pruning of plantri, Brinkmann & McKay 2007).
 
-Two starts with equal keys differ by an automorphism (the permutation that
-takes each vertex to the vertex with its label in the other start), and
-every automorphism maps a least-key start to one.  The group acts freely on
-flags (an automorphism fixing a flag fixes the flags of the adjacent faces,
-hence all flags), so the least-key starts are in bijection with the
-automorphisms, |Aut| divides 6*f_2, there are 6*f_2/|Aut| flag orbits, and a
-complex is combinatorially regular iff |Aut| = 6*f_2.  The canonical
-code is the face list relabelled by a least-key start, sorted.
+The cell is the target cell of McKay & Piperno (below): the distance list
+is an invariant, so an isomorphism maps one complex's cell onto the
+other's, and the starts at it onto the starts at it, key for key.  So
+isomorphic complexes have the same canonical key, and complexes with the
+same canonical key are isomorphic (the key determines the face set): the
+code stays complete, though it reads no start off the cell.  Two starts
+with equal keys differ by an automorphism (the permutation that takes each
+vertex to the vertex with its label in the other start), and every
+automorphism maps the cell onto itself and a least-key start to one.  The
+group acts freely on flags (an automorphism fixing a flag fixes the flags of
+the adjacent faces, hence all flags), so the least-key starts are in
+bijection with the automorphisms, |Aut| divides 6*f_2, there are
+6*f_2/|Aut| flag orbits, and a complex is combinatorially regular iff
+|Aut| = 6*f_2.  The canonical code is the face list relabelled by a
+least-key start, sorted.
 
 The scan also prunes by automorphisms (McKay & Piperno, Practical graph
 isomorphism II, J. Symb. Comput. 60, 2014).  Each start that ties with the
@@ -61,11 +71,13 @@ tie in the orbits of those traversed before it adds no generator.  Whatever
 their order, the first of them with their least key becomes the least so
 far and the later ones with that key tie with it, so G is then the whole
 stabiliser of v0 (those ties fix v0, so the orbits stay among the flags at
-v0).  The second phase visits the other vertices in the order of their
-labels under that least key's labelling, and the 12 flags at each in the
-order of the labels of their other two vertices: an order fixed by the
-complex and v0 up to an automorphism.  So the traversals, and their number, depend only
-on the complex and the orbit of v0.  The settled vertices are the closure
+v0).  The second phase visits the other vertices of the cell in the order
+of their labels under that least key's labelling, and the 12 flags at each
+in the order of the labels of their other two vertices: an order fixed by
+the complex and v0 up to an automorphism.  It visits no vertex off the
+cell, whose starts the key does not read; their orbits follow from the
+generators.  So the traversals, and their number, depend only on the
+complex and the orbit of v0.  The settled vertices are the closure
 of the vertices whose flags have all been traversed or skipped, v0 first,
 closed again when a generator is added.  Every flag at a settled vertex
 lies in the orbit of a traversed start, so the phase passes over such a
@@ -74,19 +86,19 @@ may instead grow G without settling the vertex (after a smaller key, a
 generator maps to the new base); the vertices its orbit gains are not
 visited either, and the recomputed flag orbits reach over them.
 
-v0 is the least vertex whose sorted distances to all vertices are least
-(`_first_vertex`, on the complex's one skeleton, which `iso` also reads):
-an invariant, so its orbit is fixed whenever the vertices with those
-distances form one orbit, as on every vertex-transitive complex.  The less
-sorted list has the larger closed ball B_r(v) at the first radius where
-they differ, so `_first_vertex` grows the balls of all vertices one radius
-at a time, B_{r+1}(v) = B_r(v) with the B_r(u) of the neighbours u
-(`graphs.balls`), and keeps the vertices whose ball is largest: O(n diam)
-mask operations, not a search from each vertex.  An orientable complex
-whose stars all hold 6 faces has chi = 0, so it is a torus, which is
-vertex-transitive (Datta & Upadhyay); there v0 is vertex 0 and no ball is
-grown.  v0 only orders the starts, so no result rests on that theorem; its
-flags come from its star, `Triangulation.stars[v0]`, in face order.  A
+v0 is the least vertex of the cell (`_first_cell`, on the complex's one
+skeleton, which `iso` also reads), so its orbit is fixed whenever the cell
+is one orbit, as on every vertex-transitive complex.  The less sorted list
+has the larger closed ball B_r(v) at the first radius where they differ, so
+`_first_cell` grows the balls of all vertices one radius at a time,
+B_{r+1}(v) = B_r(v) with the B_r(u) of the neighbours u (`graphs.balls`),
+and keeps the vertices whose ball is largest: O(n diam) mask operations,
+not a search from each vertex.  An orientable complex whose stars all hold
+6 faces has chi = 0, so it is a torus, which is vertex-transitive (Datta &
+Upadhyay); there the cell is every vertex, v0 is vertex 0, and no ball is
+grown.  Every vertex is an invariant set too, so no result rests on that
+theorem.  v0's flags come from its star, `Triangulation.stars[v0]`, in
+face order.  A
 traversed start lies outside the orbits of the starts before it, so a later
 tie at least doubles G: a flag-regular map, where every start has the least
 key and the stabiliser of a vertex has order 12, costs at most
@@ -100,19 +112,26 @@ group costs O(f_2 log|Aut|) time and O(f_2) memory, not O(|Aut| n).
 One scan gives both facts: `automorphism_group` takes the group the scan
 built and carries the canonical form of the same scan.
 
-`iso` (`find_isomorphism`) tries the cheap invariants first: vertex and
-face counts, orientability, then the shapes of G_0..G_6 (`graphs`).  When
-they all agree, it runs the first phase of the scan on both complexes.  Two
-starts with equal keys label their complexes into one face set, so if the
-least keys among the flags at v0 agree, the first starts with that key
-certify an isomorphism, base_b^-1 o base_a, which is checked against the
-face set: one matching leaf is a certificate (McKay & Piperno).  On a
-degree-6 torus pair that is 2 x 12 traversals.  Otherwise (the two v0 may
-lie in orbits that do not correspond) both scans go on with their second
-phases, from where they stopped, to their least keys.  Those are equal iff
-the complexes are isomorphic; the mapping then goes through the two
-canonical labellings, base_b^-1 o base_a again, and different keys give
-the verdict "canonical code".
+`iso` (`find_isomorphism`) goes in the order G_0 -> certificate ->
+G_1..G_6 -> second phases.  It compares the cheap invariants first: vertex
+and face counts, orientability, and the shape of G_0 (`graphs`), which
+tells most non-isomorphic pairs apart for less than a scan.  When they
+agree, it runs the first phase of the scan on both complexes.  Two starts
+with equal keys label their complexes into one face set, so if the least
+keys among the flags at v0 agree, the first starts with that key certify an
+isomorphism, base_b^-1 o base_a, which is checked against the face set: one
+matching leaf is a certificate (McKay & Piperno).  On a degree-6 torus pair
+that is 2 x 12 traversals, and no G_c with c >= 1 is built.  Otherwise (the
+two v0 may lie in orbits that do not correspond) it compares the shapes of
+G_1..G_6, and when they agree both scans go on with their second phases,
+from where they stopped, to their canonical keys.  Those are equal iff the
+complexes are isomorphic; the mapping then goes through the two canonical
+labellings, base_b^-1 o base_a again, and different keys give the verdict
+"canonical code".  The order gives every pair the verdict that G_0..G_6
+before the scans would give.  A certified pair is isomorphic, so its G_c
+shapes all agree, and it would reach the same first phases and the same
+certificate.  A pair that is not isomorphic never certifies, so it meets
+the shapes and the second phases in the same order.
 
 The same certificate spares a scan given the canonical codes of known
 classes: `canonical_form(t, classes)` stops after the first phase if the
@@ -126,7 +145,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
-from .graphs import balls, common_neighbor_graph, graph_shape
+from .graphs import SimpleGraph, balls, common_neighbor_graph, graph_shape
 from .surface import Face, Triangulation, orientability, skeleton_graph
 
 Code = tuple[int, ...]
@@ -215,35 +234,36 @@ def _traverse(t: Triangulation, start: Face, start_fi: int, best: Optional[list[
     return key, label
 
 
-def _first_vertex(t: Triangulation) -> int:
-    """Vertex 0 on a torus, else the least vertex whose sorted list of
-    distances to all vertices is least.  A torus is vertex-transitive, and
-    the list is an invariant, so on a relabelled copy the vertex chosen lies
-    in the same orbit whenever the vertices with the least list form one."""
+def _first_cell(t: Triangulation) -> list[int]:
+    """The vertices whose sorted lists of distances to all vertices are
+    least, ascending: every vertex on a torus, which is vertex-transitive.
+    The list is an invariant, so an isomorphism maps the cell onto the other
+    complex's cell."""
     if all(len(star) == 6 for star in t.stars) and orientability(t):  # chi = n - 3n + 2n = 0
-        return 0
+        return list(range(t.n))
     # The less sorted list has more vertices within distance r, at the
     # first radius r where the ball sizes differ.
-    best = range(t.n)
+    cell = list(range(t.n))
     for ball in balls(skeleton_graph(t)):
-        sizes = [ball[v].bit_count() for v in best]
+        sizes = [ball[v].bit_count() for v in cell]
         top = max(sizes)
-        best = [v for v, size in zip(best, sizes) if size == top]
-        if len(best) == 1 or top == t.n:
+        cell = [v for v, size in zip(cell, sizes) if size == top]
+        if len(cell) == 1 or top == t.n:
             break
-    return best[0]
+    return cell
 
 
 class _Scanner:
     """One scan of t, run phase by phase: `first_phase` traverses every flag
-    at v0, `second_phase` the other starts, vertex by vertex.  After both
-    phases, `base` is the canonical labelling and `gens` generate the group
-    (acting on face indices as `face_gens`); `stabiliser`, |Stab(v0)|, is
-    set by the first phase."""
+    at v0, `second_phase` the flags at the other vertices of v0's cell,
+    vertex by vertex.  After both phases, `base` is the canonical labelling
+    and `gens` generate the group (acting on face indices as `face_gens`);
+    `stabiliser`, |Stab(v0)|, is set by the first phase."""
 
     def __init__(self, t: Triangulation) -> None:
         self.t = t
-        self.v0 = _first_vertex(t)
+        self.cell = _first_cell(t)
+        self.v0 = self.cell[0]
         self.best: Optional[list[int]] = None
         self.base: list[int] = []  # the label array of the first start with key best
         self.base_inv: list[int] = []
@@ -257,10 +277,10 @@ class _Scanner:
         # The ties so far generate Stab(v0), which acts freely on flags.
         self.stabiliser = len(self._orbit((tuple(self.base_inv[:3]),)))
 
-    def second_phase(self) -> None:  # the other vertices, by their labels in base
+    def second_phase(self) -> None:  # the cell, by its labels in base
         t, base = self.t, self.base
         self.settled = _closure(self.gens, (self.v0,))
-        for x in self.base_inv[1:]:  # this base's order, kept if a smaller key replaces it
+        for x in sorted(self.cell, key=base.__getitem__):  # this base's order, kept if replaced
             if x in self.settled:
                 continue
             flags = sorted(_flags_at(t, x), key=lambda flag: [base[w] for w in flag[0]])
@@ -391,6 +411,16 @@ def _invert(perm: Sequence[int]) -> list[int]:
     return inv
 
 
+def _shape_verdict(ga: SimpleGraph, gb: SimpleGraph, counts: Iterable[int]) -> Optional[str]:
+    """The first G_c shape, c in `counts`, that differs between the skeletons."""
+    for c in counts:
+        sa = graph_shape(common_neighbor_graph(ga, c))
+        sb = graph_shape(common_neighbor_graph(gb, c))
+        if sa != sb:
+            return f"G_{c}(EG) shape ({sa} vs {sb})"
+    return None
+
+
 def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
     """Explicit face-preserving bijection if one exists, else the first
     distinguishing invariant (cheapest invariant first)."""
@@ -402,15 +432,14 @@ def find_isomorphism(a: Triangulation, b: Triangulation) -> IsomorphismResult:
     if oa != ob:
         return IsomorphismResult(None, f"orientability ({oa} vs {ob})")
     ga, gb = skeleton_graph(a), skeleton_graph(b)
-    for c in range(7):
-        sa = graph_shape(common_neighbor_graph(ga, c))
-        sb = graph_shape(common_neighbor_graph(gb, c))
-        if sa != sb:
-            return IsomorphismResult(None, f"G_{c}(EG) shape ({sa} vs {sb})")
+    if verdict := _shape_verdict(ga, gb, (0,)):
+        return IsomorphismResult(None, verdict)
     scan_a, scan_b = _Scanner(a), _Scanner(b)
     scan_a.first_phase()
     scan_b.first_phase()
-    if scan_a.best != scan_b.best:  # the scans go on to the canonical keys
+    if scan_a.best != scan_b.best:  # no certificate: the other shapes, then the canonical keys
+        if verdict := _shape_verdict(ga, gb, range(1, 7)):
+            return IsomorphismResult(None, verdict)
         scan_a.second_phase()
         scan_b.second_phase()
         if scan_a.best != scan_b.best:

@@ -422,12 +422,14 @@ def census_report(n: int) -> CensusReport:
     return classify_census(n, budget_seconds=600)
 
 
-def reference_first_vertex(t: Triangulation) -> int:
-    """The first vertex of a scan off the torus, by one breadth-first walk
-    per vertex: the least vertex whose layer sizes, negated, are least, that
-    is, whose sorted distances to all vertices are least."""
+def reference_first_cell(t: Triangulation) -> list[int]:
+    """The cell a scan starts from, by one breadth-first walk per vertex:
+    the vertices whose layer sizes, negated, are least, that is, whose
+    sorted distances to all vertices are least, ascending."""
     g = skeleton_graph(t)
-    return min(range(t.n), key=lambda v: [-layer.bit_count() for layer in layers(g, v)])
+    sizes = [[-layer.bit_count() for layer in layers(g, v)] for v in range(t.n)]
+    least = min(sizes)
+    return [v for v in range(t.n) if sizes[v] == least]
 
 
 def shuffled(t: Triangulation, seed: int) -> Triangulation:

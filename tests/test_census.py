@@ -571,7 +571,7 @@ def test_no_class_scanned_twice(monkeypatch):
 
 
 # n -> the `_traverse` calls of the whole census.
-CENSUS_TRAVERSALS = {12: 373, 18: 571, 24: 1155}
+CENSUS_TRAVERSALS = {12: 373, 18: 492, 24: 930}
 
 
 @pytest.mark.parametrize("n", sorted(CENSUS_TRAVERSALS))

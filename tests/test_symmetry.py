@@ -28,7 +28,7 @@ from tests.conftest import (
     fam,
     flags,
     group_elements,
-    reference_first_vertex,
+    reference_first_cell,
     reference_traversal,
     relabel,
     shuffled,
@@ -54,7 +54,7 @@ def test_catalog_codes_certified_from_the_flags_at_v0(monkeypatch):
     # one of them stops there; that code is still the canonical one, and
     # with no classes every scan runs to its end.  The classes come from
     # the lattice oracle.  Of the 405 distinct catalog complexes with
-    # n <= 30, only 28 Klein bottles run their second phase.
+    # n <= 30, only 9 Klein bottles run their second phase.
     second_phase, finished = symmetry._Scanner.second_phase, []
     monkeypatch.setattr(symmetry._Scanner, "second_phase",
                         lambda self: finished.append(self.t) or second_phase(self))
@@ -74,8 +74,7 @@ def test_catalog_codes_certified_from_the_flags_at_v0(monkeypatch):
                 assert not orientability(t)
                 missed[n] = missed.get(n, 0) + 1
     assert complexes == 405
-    assert missed == {9: 1, 12: 1, 15: 2, 16: 1, 18: 3, 20: 3, 21: 2, 24: 3, 25: 2, 27: 2,
-                      28: 2, 30: 6}
+    assert missed == {9: 1, 12: 1, 16: 1, 18: 1, 20: 1, 25: 1, 27: 1, 30: 2}
 
 
 class TestCanonicalForm:
@@ -109,6 +108,10 @@ class TestCanonicalForm:
 
 
 class TestFindIsomorphism:
+    # The members of the benchmark's symmetry-queries workload.
+    MEMBERS = ["T(6,3,0)", "B(3,6)", "T(21,1,4)", "T(12,2,5)", "K(4,6)", "T(9,3,3)",
+               "Q(7,4)", "T(6,6,0)", "K(3,12)", "T(12,4,4)", "B(6,8)"]
+
     def test_certificate_is_verified_mapping(self):
         a, b = fam("T(13,1,2)"), fam("T(13,1,5)")
         result = find_isomorphism(a, b)
@@ -153,6 +156,48 @@ class TestFindIsomorphism:
         # order c = 0..6, and the code only decides when they all agree.
         assert find_isomorphism(fam(x), fam(y)).distinguishing_invariant == invariant
 
+    @pytest.mark.parametrize("x,y,invariant", [
+        ("T(13,1,2)", "T(13,1,3)", "G_1(EG) shape (C_13 vs null_13)"),
+        ("B(3,4)", "B(4,3)", "G_2(EG) shape (other(12v,30e) vs other(12v,32e))"),
+        ("T(9,1,2)", "T(3,3,0)", "G_3(EG) shape (other(9v,18e) vs other(9v,27e))"),
+        ("T(15,1,4)", "T(15,1,5)", "G_4(EG) shape (3C_5 vs C_15)"),
+    ])
+    def test_equal_g0_pairs_try_the_certificate_then_the_other_shapes(self, monkeypatch, x, y,
+                                                                     invariant):
+        # Same n, same orientability, equal G_0: both first phases run, find
+        # no certificate, and the first G_c that differs, c >= 1, is still
+        # the verdict, after the shapes before it and no second phase.
+        a, b = fam(x), fam(y)
+        shapes = [[graph_shape(common_neighbor_graph(skeleton_graph(t), c)) for c in range(7)]
+                  for t in (a, b)]
+        c = next(c for c in range(7) if shapes[0][c] != shapes[1][c])
+        assert c >= 1 and orientability(a) == orientability(b)
+        assert invariant == f"G_{c}(EG) shape ({shapes[0][c]} vs {shapes[1][c]})"
+        build, events = symmetry.common_neighbor_graph, []
+        monkeypatch.setattr(symmetry, "common_neighbor_graph",
+                            lambda g, c: events.append(c) or build(g, c))
+        for phase in ("first_phase", "second_phase"):
+            monkeypatch.setattr(symmetry._Scanner, phase,
+                                lambda scan, run=getattr(symmetry._Scanner, phase), phase=phase:
+                                events.append(phase) or run(scan))
+        assert find_isomorphism(a, b).distinguishing_invariant == invariant
+        assert events == [0, 0, "first_phase", "first_phase",
+                          *(d for d in range(1, c + 1) for _ in "ab")]
+
+    @pytest.mark.parametrize("name", MEMBERS)
+    def test_a_relabelled_member_certifies_before_g1(self, monkeypatch, name):
+        # A member and a relabelled copy agree on G_0, and their first
+        # phases certify them, so no G_c with c >= 1 is built.
+        build, counts = symmetry.common_neighbor_graph, []
+        monkeypatch.setattr(symmetry, "common_neighbor_graph",
+                            lambda g, c: counts.append(c) or build(g, c))
+        for seed in range(3):
+            a, b = fam(name), shuffled(fam(name), seed)
+            counts.clear()
+            result = find_isomorphism(a, b)
+            assert is_isomorphism_between(result.mapping, a, b)
+            assert counts == [0, 0]
+
     def test_shape_ties_cost_no_more_than_two_scans(self, monkeypatch):
         # Pairs that only the canonical key tells apart: both scans go on
         # from their first phases, so they traverse no flag twice.
@@ -175,10 +220,6 @@ class TestFindIsomorphism:
             calls.clear()
             assert find_isomorphism(a, b).distinguishing_invariant == "canonical code"
             assert len(calls) <= scans
-
-    # The members of the benchmark's symmetry-queries workload.
-    MEMBERS = ["T(6,3,0)", "B(3,6)", "T(21,1,4)", "T(12,2,5)", "K(4,6)", "T(9,3,3)",
-               "Q(7,4)", "T(6,6,0)", "K(3,12)", "T(12,4,4)", "B(6,8)"]
 
     @pytest.mark.parametrize("name", MEMBERS)
     def test_traversals_do_not_depend_on_the_labelling(self, monkeypatch, name):
@@ -407,10 +448,12 @@ class TestTraverse:
 
 
 def least_key_starts(t):
-    """Each start with the least key -> its label array, from the full key
-    of every start (no pruning)."""
+    """Each start at a vertex of the first cell with the least key among
+    them -> its label array, from the full key of every such start (no
+    pruning)."""
+    cell = set(reference_first_cell(t))
     found = {s: symmetry._traverse(t, s, fi, None)
-             for fi, face in enumerate(t.faces) for s in permutations(face)}
+             for fi, face in enumerate(t.faces) for s in permutations(face) if s[0] in cell}
     least = min(key for key, _ in found.values())
     return {s: tuple(label) for s, (key, label) in found.items() if key == least}
 
@@ -446,11 +489,12 @@ class TestScan:
                     assert form.relabeling in least.values()
                     assert automorphism_group(u).canonical == form
 
-    def test_first_vertex_has_the_least_sorted_distances(self):
-        # Off the torus, v0 is the first vertex whose sorted distances to
-        # all vertices are least.  The scan reads them off the balls it
-        # grows for all vertices at once, and picks the vertex that a plain
-        # breadth-first search, or one layered walk, from each vertex picks.
+    def test_first_cell_has_the_least_sorted_distances(self):
+        # The scan's cell is the set of vertices whose sorted distances to
+        # all vertices are least, and v0 is its first vertex.  The scan
+        # reads them off the balls it grows for all vertices at once, and
+        # finds the cell that a plain breadth-first search, or one layered
+        # walk, from each vertex finds; on a torus, every vertex.
         def distances(t, v):
             adj = [set() for _ in range(t.n)]
             for face in t.faces:
@@ -469,11 +513,17 @@ class TestScan:
         assert len(klein) == 81
         for t in klein:
             for u in (t, shuffled(t, t.n), shuffled(t, t.n + 1)):
-                least = min(range(u.n), key=lambda v: distances(u, v))
-                assert symmetry._first_vertex(u) == least == reference_first_vertex(u)
-        for name in ("K(10,20)", "K(20,40)"):
+                lists = [distances(u, v) for v in range(u.n)]
+                first = min(lists)
+                least = [v for v in range(u.n) if lists[v] == first]
+                assert symmetry._first_cell(u) == least == reference_first_cell(u)
+        members = [name for name in TestFindIsomorphism.MEMBERS if not name.startswith("T")]
+        for name in members + ["K(10,20)", "K(20,40)"]:
+            for u in (fam(name), shuffled(fam(name), 1), shuffled(fam(name), 2)):
+                assert symmetry._first_cell(u) == reference_first_cell(u)
+        for name in ("T(6,3,0)", "T(12,2,5)", "T(12,4,4)"):
             u = shuffled(fam(name), 1)
-            assert symmetry._first_vertex(u) == reference_first_vertex(u)
+            assert symmetry._first_cell(u) == reference_first_cell(u) == list(range(u.n))
 
     def test_scan_work_on_the_catalog(self, monkeypatch):
         # The traversals and face-set checks over the 405 distinct catalog
@@ -493,7 +543,7 @@ class TestScan:
             checked.clear()
             for t in complexes:
                 scan(t)
-            assert (len(calls), len(checked)) == (15257, 2247)
+            assert (len(calls), len(checked)) == (14417, 2231)
 
     def test_ties_are_the_least_key_starts(self):
         # The pruned scan skips starts; base composed with its group must
@@ -573,7 +623,7 @@ class TestScan:
         for seed in range(4):
             t = shuffled(fam(name), seed)
             if name.startswith("T"):
-                assert symmetry._first_vertex(t) == 0
+                assert symmetry._first_cell(t) == list(range(t.n))
             calls.clear()
             checked.clear()
             group = automorphism_group(t)
