@@ -3,14 +3,14 @@ triangulations.
 
 G_c(G) joins two vertices exactly when they have c common neighbors in G;
 it commutes with relabeling, so differing G_c shapes certify that two
-complexes are non-isomorphic.  A graph is its neighbour bit masks alone:
-|N(u) & N(v)| is one AND and one popcount, and a breadth-first walk
-(`layers`) grows by whole distance classes, and the balls of all vertices
-(`balls`) grow one radius at a time together.  Edges are checked only where
-they come from outside, in `SimpleGraph(n, edges)`; the skeleton of a
-validated complex and the G_c graphs are built from masks.  A graph counts
-the common neighbours of every pair once, into the masks of G_1, G_2, ...;
-G_0 needs no count (no neighbour in common).
+complexes are non-isomorphic.  A graph is its neighbour bit masks alone,
+built in one way, `SimpleGraph(n, masks)`, and never checked: the masks
+must be symmetric and loop-free, and they are, since the skeleton comes
+from a validated complex and each G_c from a graph.  |N(u) & N(v)| is one
+AND and one popcount; a component (`_component`) grows by whole distance
+classes, and the balls of all vertices (`balls`) grow one radius at a time
+together.  A graph counts the common neighbours of every pair once, into
+the masks of G_1, G_2, ...; G_0 needs no count (no neighbour in common).
 """
 
 from __future__ import annotations
@@ -19,33 +19,16 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Iterator
-
-Edge = tuple[int, int]
+from typing import Iterator
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected graph on vertices 0..n-1, no loops or multi-edges."""
+    """Undirected graph on vertices 0..n-1, no loops or multi-edges.  The
+    masks must be symmetric and loop-free; they are not checked."""
 
     n: int
     neighbor_masks: tuple[int, ...]  # bit v of mask u is set iff u and v are adjacent
-
-    def __init__(self, n: int, edges: Iterable[Edge]) -> None:
-        masks = [0] * n
-        for a, b in edges:
-            if not 0 <= a < b < n:
-                raise ValueError(f"bad edge ({a}, {b}) for n={n}")
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "neighbor_masks", tuple(masks))
-
-    @property
-    def edges(self) -> frozenset[Edge]:
-        """(a, b) with a < b, one per edge."""
-        return frozenset((u, v) for u, mask in enumerate(self.neighbor_masks)
-                         for v in _vertices(mask) if u < v)
 
     @cached_property
     def masks_by_common_count(self) -> dict[int, tuple[int, ...]]:
@@ -61,14 +44,6 @@ class SimpleGraph:
                     gc[u] |= 1 << v
                     gc[v] |= 1 << u
         return {c: tuple(gc) for c, gc in by_count.items()}
-
-
-def from_masks(n: int, masks: tuple[int, ...]) -> SimpleGraph:
-    """The graph with these masks, unchecked: they must be symmetric and loop-free."""
-    g = object.__new__(SimpleGraph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "neighbor_masks", masks)
-    return g
 
 
 def _vertices(mask: int) -> Iterator[int]:
@@ -87,16 +62,13 @@ def _reach(masks: tuple[int, ...], mask: int) -> int:
     return reach
 
 
-def layers(g: SimpleGraph, v: int) -> list[int]:
-    """The distance classes from v, nearest first, as masks: layer d holds
-    the vertices at distance d from v."""
-    found: list[int] = []
+def _component(masks: tuple[int, ...], v: int) -> int:
+    """The component of v as a mask, grown one distance class at a time."""
     layer = reached = 1 << v
     while layer:
-        found.append(layer)
-        layer = _reach(g.neighbor_masks, layer) & ~reached
+        layer = _reach(masks, layer) & ~reached
         reached |= layer
-    return found
+    return reached
 
 
 def balls(g: SimpleGraph) -> Iterator[list[int]]:
@@ -121,11 +93,11 @@ def common_neighbor_graph(g: SimpleGraph, c: int) -> SimpleGraph:
         raise ValueError("common-neighbor count must be >= 0")
     n, masks = g.n, g.neighbor_masks
     if c > 0:
-        return from_masks(n, g.masks_by_common_count.get(c, (0,) * n))
+        return SimpleGraph(n, g.masks_by_common_count.get(c, (0,) * n))
     # G_0 tells most non-isomorphic pairs apart, so it pays for no count:
     # v shares a neighbour with u iff it is a neighbour of a neighbour of u.
     full = (1 << n) - 1
-    return from_masks(n, tuple(full ^ (1 << u | _reach(masks, mask))
+    return SimpleGraph(n, tuple(full ^ (1 << u | _reach(masks, mask))
                                 for u, mask in enumerate(masks)))
 
 
@@ -180,12 +152,12 @@ def _classify_component(g: SimpleGraph, comp: int) -> Descriptor:
 
 def graph_shape(g: SimpleGraph) -> GraphShape:
     """Decompose into connected components and classify each.  The isolated
-    vertices are the zero masks; any other component is the union of the
-    layers of its least vertex."""
+    vertices are the zero masks; any other component is walked from its
+    least vertex."""
     unseen = sum(1 << v for v, mask in enumerate(g.neighbor_masks) if mask)
     descriptors: list[Descriptor] = [("isolated",)] * (g.n - unseen.bit_count())
     while unseen:
-        comp = sum(layers(g, (unseen & -unseen).bit_length() - 1))  # disjoint masks
+        comp = _component(g.neighbor_masks, (unseen & -unseen).bit_length() - 1)
         unseen ^= comp
         descriptors.append(_classify_component(g, comp))
     return GraphShape(tuple(sorted(descriptors)))

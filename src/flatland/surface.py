@@ -22,7 +22,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .graphs import SimpleGraph, from_masks
+from .graphs import SimpleGraph
 
 Face = tuple[int, int, int]
 Edge = tuple[int, int]
@@ -103,7 +103,7 @@ class Triangulation:
             masks[a] |= 1 << b | 1 << c
             masks[b] |= 1 << a | 1 << c
             masks[c] |= 1 << a | 1 << b
-        return from_masks(self.n, tuple(masks))
+        return SimpleGraph(self.n, tuple(masks))
 
     @cached_property
     def face_index(self) -> dict[Face, int]:  # face -> its index in `faces`

@@ -22,6 +22,7 @@ from flatland import (
     CensusReport,
     FamilySpec,
     NotAManifold,
+    SimpleGraph,
     Triangulation,
     TriFormatError,
     build_triangulation,
@@ -30,7 +31,6 @@ from flatland import (
     parse_name,
     skeleton_graph,
 )
-from flatland.graphs import layers
 
 TETRAHEDRON = (4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
@@ -422,12 +422,53 @@ def census_report(n: int) -> CensusReport:
     return classify_census(n, budget_seconds=600)
 
 
+def graph_of(n: int, edges) -> SimpleGraph:
+    """The graph on 0..n-1 with these edges, each a pair of distinct
+    vertices in either order."""
+    masks = [0] * n
+    for a, b in edges:
+        assert a != b and 0 <= a < n and 0 <= b < n, (a, b)
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return SimpleGraph(n, tuple(masks))
+
+
+def vertices_of(mask: int) -> list[int]:
+    """The set bits of a mask, ascending."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
+
+
+def edges_of(g: SimpleGraph) -> set[tuple[int, int]]:
+    """(a, b) with a < b, one per edge."""
+    return {(u, v) for u, mask in enumerate(g.neighbor_masks) for v in vertices_of(mask) if u < v}
+
+
+def reference_layers(g: SimpleGraph, v: int) -> list[int]:
+    """The distance classes from v, nearest first, as masks: each layer is
+    the neighbours of the set bits of the last one, less those reached."""
+    layers = []
+    layer = reached = 1 << v
+    while layer:
+        layers.append(layer)
+        near = 0
+        for x in vertices_of(layer):
+            near |= g.neighbor_masks[x]
+        layer = near & ~reached
+        reached |= layer
+    return layers
+
+
 def reference_first_cell(t: Triangulation) -> list[int]:
     """The cell a scan starts from, by one breadth-first walk per vertex:
     the vertices whose layer sizes, negated, are least, that is, whose
     sorted distances to all vertices are least, ascending."""
     g = skeleton_graph(t)
-    sizes = [[-layer.bit_count() for layer in layers(g, v)] for v in range(t.n)]
+    sizes = [[-layer.bit_count() for layer in reference_layers(g, v)] for v in range(t.n)]
     least = min(sizes)
     return [v for v in range(t.n) if sizes[v] == least]
 

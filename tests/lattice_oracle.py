@@ -29,6 +29,8 @@ acts as r.(L, s, t) = (rL, rsr^-1, rt).  Standard library only.
 
 from __future__ import annotations
 
+import functools
+
 Lattice = tuple[int, int, int]  # Hermite normal form (a, b, d)
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 Point = tuple[int, int]
@@ -120,6 +122,13 @@ def admissible(lattice: Lattice) -> bool:
     return not any(contains(lattice, x, y) for x, y in NEAR)
 
 
+@functools.cache
+def _admissible_sublattices(n: int) -> tuple[Lattice, ...]:
+    """The admissible sublattices of index n, listed once: the class lists
+    and the class counts read the same ones."""
+    return tuple(lat for lat in sublattices(n) if admissible(lat))
+
+
 def image(m: Matrix, lattice: Lattice) -> Lattice:
     a, b, d = lattice
     (p, q), (r, s) = m
@@ -129,8 +138,23 @@ def image(m: Matrix, lattice: Lattice) -> Lattice:
 def torus_classes(n: int) -> list[Lattice]:
     """One sublattice per isomorphism class of degree-6 tori on n vertices:
     the least Hermite normal form of each admissible point-group orbit."""
-    return sorted({min(image(m, lat) for m in POINT_GROUP)
-                   for lat in sublattices(n) if admissible(lat)})
+    return sorted({min(image(m, lat) for m in POINT_GROUP) for lat in _admissible_sublattices(n)})
+
+
+def torus_class_count(n: int) -> int:
+    """The number of torus classes on n vertices by Burnside's lemma: the
+    mean over the point group of the number of admissible sublattices that
+    each element fixes.  No orbit minima."""
+    return _orbit_count(sum(image(r, lat) == lat for r in POINT_GROUP
+                            for lat in _admissible_sublattices(n)))
+
+
+def _orbit_count(fixed: int) -> int:
+    """Burnside's mean: the fixed points summed over the point group, over
+    its order, which must divide them."""
+    count, rest = divmod(fixed, len(POINT_GROUP))
+    assert rest == 0, fixed
+    return count
 
 
 def quotient_faces(lattice: Lattice) -> list[tuple[int, int, int]]:
@@ -167,13 +191,12 @@ def _key(r: Matrix, lattice: Lattice, s: Matrix, t: Point) -> KleinKey:
     return lat, sigma, reduce(_glide_lattice(sigma, lat), *apply(r, t))
 
 
-def klein_classes(n: int) -> list[KleinKey]:
-    """One key per isomorphism class of degree-6 Klein bottles on n
-    vertices: the least key of each point-group orbit."""
-    keys = set()
-    for lat in sublattices(2 * n):
-        if not admissible(lat):
-            continue
+@functools.cache
+def _klein_keys(n: int) -> tuple[KleinKey, ...]:
+    """Every valid key (L, s, t mod M + L) of a Klein bottle on n vertices,
+    with t reduced modulo M + L, listed once."""
+    keys = []
+    for lat in _admissible_sublattices(2 * n):
         for s in REFLECTIONS:
             if image(s, lat) != lat:
                 continue
@@ -182,8 +205,20 @@ def klein_classes(n: int) -> list[KleinKey]:
                 sx, sy = apply(s, t)
                 if contains(lat, sx + t[0], sy + t[1]) and not any(
                         contains(ml, x - t[0], y - t[1]) for x, y in BALL):
-                    keys.add(min(_key(r, lat, s, t) for r in POINT_GROUP))
-    return sorted(keys)
+                    keys.append((lat, s, t))
+    return tuple(keys)
+
+
+def klein_classes(n: int) -> list[KleinKey]:
+    """One key per isomorphism class of degree-6 Klein bottles on n
+    vertices: the least key of each point-group orbit."""
+    return sorted({min(_key(r, *key) for r in POINT_GROUP) for key in _klein_keys(n)})
+
+
+def klein_class_count(n: int) -> int:
+    """The number of Klein bottle classes on n vertices by Burnside's lemma,
+    over the valid keys as `torus_class_count` is over the sublattices."""
+    return _orbit_count(sum(_key(r, *key) == key for key in _klein_keys(n) for r in POINT_GROUP))
 
 
 def klein_faces(key: KleinKey) -> list[tuple[int, int, int]]:

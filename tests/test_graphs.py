@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +10,8 @@ from flatland import (
     known_catalog,
     skeleton_graph,
 )
-from flatland.graphs import GraphShape, _classify_component, balls, layers
-from tests.conftest import fam
+from flatland.graphs import GraphShape, _classify_component, balls
+from tests.conftest import edges_of, fam, graph_of, reference_layers
 
 
 def shape_of(name: str, c: int) -> str:
@@ -21,9 +20,9 @@ def shape_of(name: str, c: int) -> str:
 
 class TestCommonNeighborGraph:
     def test_complete_graph_counts(self):
-        k3 = SimpleGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
-        assert common_neighbor_graph(k3, 1).edges == k3.edges
-        assert not common_neighbor_graph(k3, 0).edges
+        k3 = graph_of(3, {(0, 1), (0, 2), (1, 2)})
+        assert edges_of(common_neighbor_graph(k3, 1)) == edges_of(k3)
+        assert not edges_of(common_neighbor_graph(k3, 0))
 
     def test_g4_of_t1214_is_3k4_with_mod3_classes(self):
         # Edges {i, j} with i = j (mod 3) under 1-based labels.
@@ -34,7 +33,7 @@ class TestCommonNeighborGraph:
             for b in range(a + 1, 12)
             if (a - b) % 3 == 0
         }
-        assert set(g.edges) == expected
+        assert edges_of(g) == expected
 
     def test_g4_of_t1413_is_7k2(self):
         assert shape_of("T(14,1,3)", 4) == "7K_2"
@@ -42,7 +41,7 @@ class TestCommonNeighborGraph:
     def test_edge_count_partition(self):
         g = skeleton_graph(fam("T(9,1,2)"))
         total = sum(
-            len(common_neighbor_graph(g, c).edges) for c in range(g.n)
+            len(edges_of(common_neighbor_graph(g, c))) for c in range(g.n)
         )
         assert total == g.n * (g.n - 1) // 2
 
@@ -52,41 +51,37 @@ class TestCommonNeighborGraph:
         g = skeleton_graph(fam("B(3,3)"))
         perm = list(range(g.n))
         random.Random(seed).shuffle(perm)
-        relabeled = SimpleGraph(
-            g.n,
-            frozenset(
-                (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in g.edges
-            ),
-        )
+        relabeled = graph_of(g.n, {(perm[a], perm[b]) for a, b in edges_of(g)})
         lhs = common_neighbor_graph(relabeled, c)
         rhs = common_neighbor_graph(g, c)
-        mapped = frozenset(
-            (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in rhs.edges
-        )
-        assert lhs.edges == mapped
+        mapped = {(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edges_of(rhs)}
+        assert edges_of(lhs) == mapped
 
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
         st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
     @settings(max_examples=60, deadline=None)
     def test_matches_the_definition_on_any_simple_graph(self, graph):
         n, pairs = graph
-        g = SimpleGraph(n, frozenset((min(e), max(e)) for e in pairs if e[0] != e[1]))
-        adj = [{v for e in g.edges if u in e for v in e if v != u} for u in range(n)]
+        edges = {(min(e), max(e)) for e in pairs if e[0] != e[1]}
+        g = graph_of(n, edges)
+        adj = [{v for e in edges if u in e for v in e if v != u} for u in range(n)]
         for c in range(n + 2):
             expected = {(u, v) for u in range(n) for v in range(u + 1, n)
                         if len(adj[u] & adj[v]) == c}
             h = common_neighbor_graph(g, c)
-            assert h.edges == expected
-            assert SimpleGraph(n, h.edges) == h
+            assert edges_of(h) == expected
+            assert graph_of(n, expected) == h
 
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
         st.just(n), st.integers(0, n - 1),
         st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
     @settings(max_examples=60, deadline=None)
     def test_layers_are_the_distance_classes(self, graph):
+        # The oracle's breadth-first search reads the masks; this one reads
+        # the edges it was given.
         n, v, pairs = graph
-        g = SimpleGraph(n, frozenset((min(e), max(e)) for e in pairs if e[0] != e[1]))
-        adj = [{u for e in g.edges if w in e for u in e if u != w} for w in range(n)]
+        edges = {(min(e), max(e)) for e in pairs if e[0] != e[1]}
+        adj = [{u for e in edges if w in e for u in e if u != w} for w in range(n)]
         dist = {v: 0}
         queue = [v]
         for x in queue:  # a plain breadth-first search
@@ -96,8 +91,7 @@ class TestCommonNeighborGraph:
                     queue.append(y)
         expected = [sum(1 << u for u in dist if dist[u] == d)
                     for d in range(max(dist.values()) + 1)]
-        assert layers(g, v) == expected
-
+        assert reference_layers(graph_of(n, edges), v) == expected
 
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
         st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
@@ -106,8 +100,8 @@ class TestCommonNeighborGraph:
         # Radius r holds, for every vertex, its layers 0..r; the balls stop
         # at the largest eccentricity, where none grows.
         n, pairs = graph
-        g = SimpleGraph(n, frozenset((min(e), max(e)) for e in pairs if e[0] != e[1]))
-        walks = [layers(g, v) for v in range(n)]
+        g = graph_of(n, {e for e in pairs if e[0] != e[1]})
+        walks = [reference_layers(g, v) for v in range(n)]
         radii = max(map(len, walks))
         assert list(balls(g)) == [[sum(walk[:r + 1]) for walk in walks] for r in range(radii)]
 
@@ -117,16 +111,10 @@ def layer_shape(g: SimpleGraph) -> GraphShape:
     vertex included."""
     unseen, parts = (1 << g.n) - 1, []
     while unseen:
-        comp = sum(layers(g, (unseen & -unseen).bit_length() - 1))
+        comp = sum(reference_layers(g, (unseen & -unseen).bit_length() - 1))
         unseen ^= comp
         parts.append(_classify_component(g, comp))
     return GraphShape(tuple(sorted(parts)))
-
-
-@pytest.mark.parametrize("edge", [(1, 1), (2, 1), (-1, 0), (0, 3)])
-def test_bad_edge_rejected(edge):
-    with pytest.raises(ValueError, match="bad edge"):
-        SimpleGraph(3, frozenset({edge}))
 
 
 class TestGraphShape:
@@ -136,7 +124,7 @@ class TestGraphShape:
 
     def test_null_shapes(self):
         assert shape_of("T(15,1,3)", 4) == "null_15"
-        assert str(graph_shape(SimpleGraph(5, frozenset()))) == "null_5"
+        assert str(graph_shape(SimpleGraph(5, (0,) * 5))) == "null_5"
 
     def test_mixed_union_rendering(self):
         assert shape_of("B(4,3)", 4) == "K_4+C_8"
@@ -144,10 +132,10 @@ class TestGraphShape:
         assert shape_of("Q(5,3)", 4) == "2C_5+null_5"
 
     def test_path_component(self):
-        assert str(graph_shape(SimpleGraph(3, frozenset({(0, 1), (1, 2)})))) == "P_3"
+        assert str(graph_shape(graph_of(3, {(0, 1), (1, 2)}))) == "P_3"
 
     def test_triangle_component_renders_as_cycle(self):
-        assert str(graph_shape(SimpleGraph(3, frozenset({(0, 1), (0, 2), (1, 2)})))) == "C_3"
+        assert str(graph_shape(graph_of(3, {(0, 1), (0, 2), (1, 2)}))) == "C_3"
 
     def test_klein_bottle_shapes_from_proofs(self):
         assert shape_of("B(3,4)", 4) == "4C_3"
@@ -171,5 +159,5 @@ class TestGraphShape:
     @settings(max_examples=60, deadline=None)
     def test_shape_of_any_simple_graph(self, graph):
         n, pairs = graph
-        g = SimpleGraph(n, frozenset((min(e), max(e)) for e in pairs if e[0] != e[1]))
+        g = graph_of(n, {e for e in pairs if e[0] != e[1]})
         assert graph_shape(g) == layer_shape(g)

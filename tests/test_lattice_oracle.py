@@ -22,11 +22,13 @@ from tests.lattice_oracle import (
     REFLECTIONS,
     aut_order,
     hermite,
+    klein_class_count,
     klein_classes,
     klein_faces,
     quotient_faces,
     reduce,
     sublattices,
+    torus_class_count,
     torus_classes,
     weakly_regular,
 )
@@ -121,6 +123,30 @@ def test_klein_bottle_on_46_vertices():
 def test_klein_classes_match_the_census(n):
     bottles = [build_triangulation(n, klein_faces(key)) for key in klein_classes(n)]
     assert_census_classes(n, "klein_bottle", bottles)
+
+
+@pytest.mark.parametrize("n", list(range(1, 7)) + CENSUS_NS)
+def test_burnside_counts_match_the_census(n):
+    # Burnside's lemma counts the point-group orbits with no orbit minima
+    # and no scan.
+    report = census_report(n)
+    assert (torus_class_count(n), klein_class_count(n)) == (
+        report.torus_count, report.klein_bottle_count)
+
+
+def assert_burnside_counts_match_the_classes(ns):
+    for n in ns:
+        assert torus_class_count(n) == len(torus_classes(n)), n
+        assert klein_class_count(n) == len(klein_classes(n)), n
+
+
+def test_burnside_counts_match_the_orbit_minima():
+    assert_burnside_counts_match_the_classes(range(1, 101))
+
+
+@pytest.mark.stretch
+def test_burnside_counts_match_the_orbit_minima_to_300():
+    assert_burnside_counts_match_the_classes(range(101, 301))
 
 
 @pytest.mark.stretch

@@ -1,7 +1,9 @@
-"""Smoke test of the scripts in `scripts/`, run as a user would run them."""
+"""Smoke test of the scripts in `scripts/` and of README's library
+example, run as a user would run them."""
 
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -43,6 +45,63 @@ def test_family_atlas_bad_vertex_count_is_a_usage_error():
     proc = run_atlas("0")
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
     assert proc.stderr.endswith("error: vertex count must be at least 1\n")
+
+
+def test_readme_library_example(tmp_path):
+    # Each line the example prints is the value its print call's trailing
+    # comment gives: the comment up to its first comma outside parentheses.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [re.match(r"\(.*?\)|[^,]+", line.split("#", 1)[1].strip()).group()
+                for line in code.splitlines() if line.startswith("print(")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == expected == ["torus", "60", "(0, 1, 2, 0, 1, 3)", "7 4 3"]
+
+
+def script(name: str, monkeypatch) -> dict:
+    """The globals of a script in `scripts/`, loaded without running it."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))  # for its `import timing`
+    return runpy.run_path(str(ROOT / "scripts" / name), run_name=name.removesuffix(".py"))
+
+
+def test_bench_aut_fails_only_on_a_wrong_group(monkeypatch):
+    # A wrong result exits 1; scan work that moved is only listed.
+    compare = script("bench_aut.py", monkeypatch)["compare"]
+    torus = {"member": "T(6,6,0)", "n": 36, "order": 432, "vertex_orbits": 1,
+             "traversals": 13, "checks": 3}
+    klein = {"member": "K(10,20)", "n": 200, "order": 80, "vertex_orbits": 6,
+             "traversals": 14, "checks": 3}
+
+    def result(theirs: dict) -> dict:
+        return {"ladder": [torus], "klein": [klein],
+                "baseline": {"ladder": [torus], "klein": [theirs]}}
+
+    assert compare(result(klein)) == ([], [])
+    assert compare(result({**klein, "traversals": 43, "checks": 4})) == ([], ["K(10,20)"])
+    assert compare(result({**klein, "order": 40})) == (
+        ["the trees give different groups for K(10,20)"], [])
+    assert compare(result({**klein, "vertex_orbits": 5, "traversals": 43})) == (
+        ["the trees give different groups for K(10,20)"], ["K(10,20)"])
+    assert compare({"ladder": [{**torus, "order": 216}], "klein": []}) == (
+        ["order is not 12n for T(6,6,0)"], [])
+
+
+def test_bench_census_fails_only_on_different_classes(monkeypatch):
+    # Across trees the classes must agree and the codes may move; within a
+    # tree the whole census must agree.
+    compare = script("bench_census.py", monkeypatch)["compare"]
+
+    def run(n: int, codes: str, classes: str) -> dict:
+        return {"n": n, "census_sha256": codes, "classes_sha256": classes}
+
+    ours = [run(12, "a", "x"), run(12, "a", "x"), run(24, "b", "y")]
+    assert compare([ours, [run(12, "a", "x"), run(24, "b", "y")]]) == ([], [])
+    assert compare([ours, [run(12, "a", "x"), run(24, "c", "y")]]) == ([], [24])
+    assert compare([ours, [run(12, "a", "x"), run(24, "c", "z")]]) == ([24], [])
+    assert compare([ours + [run(24, "c", "y")]]) == ([24], [])
 
 
 def test_bench_aut_smallest_member(tmp_path):
@@ -113,6 +172,7 @@ def test_bench_baseline_on_the_same_tree(tmp_path):
     facts = [[(row["order"], row["traversals"]) for row in rows]
              for rows in (aut["ladder"], aut["baseline"]["ladder"])]
     assert facts == [[(432, 13)]] * 2
+    assert aut["work_differs"] == []
     for row in (*aut["ladder"], *aut["baseline"]["ladder"]):
         assert row["parse_s"] > 0 and row["build_s"] > 0
     iso = json.loads(outs["bench_iso.py"].read_text())
@@ -121,6 +181,7 @@ def test_bench_baseline_on_the_same_tree(tmp_path):
         assert iso[which]["classes"].keys() == iso["baseline"][which]["classes"].keys()
     census = json.loads(outs["bench_census.py"].read_text())
     assert census["ladder"][0]["census_sha256"] == census["baseline"]["ladder"][0]["census_sha256"]
+    assert census["codes_differ"] == []
     classes = [row for which in ("catalog", "members") for row in iso[which]["classes"].values()]
     for row in (*aut["ladder"], iso["catalog"], iso["members"], *classes, *census["ladder"]):
         assert row["rounds_won"] in range(repeats + 1)

@@ -11,7 +11,6 @@ import flatland.symmetry
 from flatland import (
     Disconnected,
     NotAManifold,
-    SimpleGraph,
     Triangulation,
     automorphism_group,
     build_triangulation,
@@ -28,7 +27,9 @@ from flatland import (
 from flatland.surface import surface_from_invariants
 from tests.conftest import (
     TETRAHEDRON,
+    edges_of,
     fam,
+    graph_of,
     reference_face_adjacency,
     reference_normalize_faces,
     reference_walk,
@@ -250,7 +251,7 @@ class TestInvariants:
         catalog = {named.complex for n in range(7, 25) for named in known_catalog(n)}
         for t in (tetrahedron, double_pyramid, build_triangulation(*RP2), *catalog):
             assert 2 * t.f1 == 3 * t.f2
-            assert t.f1 == len(skeleton_graph(t).edges)
+            assert t.f1 == len(edges_of(skeleton_graph(t)))
 
     def test_walk_matches_the_reference_walk(self):
         # The parity bit gives the faces reached and the verdict of a walk
@@ -350,8 +351,8 @@ class TestFaceAdjacency:
 
     def test_find_isomorphism_builds_each_skeleton_once(self, monkeypatch):
         builds = []
-        graph = flatland.surface.from_masks
-        monkeypatch.setattr(flatland.surface, "from_masks",
+        graph = flatland.surface.SimpleGraph
+        monkeypatch.setattr(flatland.surface, "SimpleGraph",
                             lambda n, masks: builds.append(n) or graph(n, masks))
         # The skeleton is kept on its complex: a Klein bottle's scan reads
         # v0 off the skeleton built for the G_c shapes.
@@ -384,7 +385,7 @@ class TestStars:
 def neg_edges(t) -> set[tuple[int, int]]:
     """The edges of NEG(T), the complement of the 1-skeleton."""
     pairs = {(a, b) for a in range(t.n) for b in range(a + 1, t.n)}
-    return pairs - set(skeleton_graph(t).edges)
+    return pairs - edges_of(skeleton_graph(t))
 
 
 class TestSkeletonGraph:
@@ -400,14 +401,14 @@ class TestSkeletonGraph:
 
     def test_masks_are_the_checked_edges(self, tetrahedron, double_pyramid):
         # The skeleton takes its masks from the validated faces; the edges,
-        # checked one by one, give the same graph.
+        # set one by one, give the same graph.
         for t in (tetrahedron, double_pyramid, build_triangulation(*RP2), *catalog_up_to_30()):
             edges = {e for a, b, c in t.faces for e in ((a, b), (a, c), (b, c))}
-            assert skeleton_graph(t) == SimpleGraph(t.n, edges)
+            assert skeleton_graph(t) == graph_of(t.n, edges)
 
     def test_eg_of_t712_is_complete(self):
         g = skeleton_graph(fam("T(7,1,2)"))
-        assert len(g.edges) == 21
+        assert len(edges_of(g)) == 21
 
     def test_tetrahedron_neg_is_null(self, tetrahedron):
         assert not neg_edges(tetrahedron)
@@ -415,8 +416,8 @@ class TestSkeletonGraph:
     def test_complementarity(self):
         t = fam("T(9,1,2)")
         eg, neg = skeleton_graph(t), neg_edges(t)
-        assert not (set(eg.edges) & neg)
-        assert len(eg.edges) + len(neg) == t.n * (t.n - 1) // 2
+        assert not (edges_of(eg) & neg)
+        assert len(edges_of(eg)) + len(neg) == t.n * (t.n - 1) // 2
 
 
 class TestManifoldReport:
