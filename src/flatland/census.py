@@ -48,7 +48,7 @@ completes early.  It traverses them exactly as `symmetry._traverse` does,
 and stops each traversal at its first edge that lies on one face only.  A
 flag's first edge, from its complete vertex, lies on two faces, so each
 traversal starts having crossed it, with the vertex beyond labelled 3
-(`_start`, `_flags_at`); then each queued face crosses its other two edges.
+(`_flags_at`); then each queued face crosses its other two edges.
 An edge on two faces keeps them in every completion, so the key up to
 there, the prefix, is a prefix of that flag's key in every completion.  If
 some flag's prefix is smaller than the search flag's at a position both
@@ -60,20 +60,23 @@ the least key of all its flags gives a leaf whose search flag has the least
 key, and every node above that leaf passes the test.
 
 Racing the flags at vertex 2 too, or at every complete vertex, ends a few
-more nodes but costs more than it saves.  A prefix changes only
-when its stopping edge gets its second face, so each node keeps the search
-flag's traversal, with its stopping edge, and goes on with it, from a copy,
-only once that edge is closed.  Two flags whose keys agree up to some
-position have queued the same faces and crossed the same edges so far, read
-in their own labels, so a flag still tied with the search flag crosses next
-the search flag's edge at that position, read through its labels.  A tie
-holds only its position in the search flag's key, its labels and its
-vertices by label; it stops at its first edge on one face or at the end of
-the search flag's key, and a flag found larger is dropped for the whole
+more nodes but costs more than it saves.  A child's faces hold its
+parent's, so along a path each traversal only grows: the search keeps one
+traversal of the search flag, its race, and each node keeps only the
+lengths it reached, from which the next node goes on once it has cut the
+race back to them.  Two flags whose keys agree up to some position have
+queued the same faces and crossed the same edges so far, read in their own
+labels, so a flag still tied with the search flag crosses next the search
+flag's edge at that position, read through its labels.  A tie holds its
+position in the search flag's key, its labels and its vertices by label,
+which grow in place, and their number, to which they are cut back before
+it goes on; it stops at its first edge on one face or at the end of the
+search flag's key, and a flag found larger is dropped for the whole
 subtree.  That gives the same verdict at every node as a test from scratch
-on its faces, so the nodes do not depend on where the search is split.  The
-labels are dicts and lists over the vertices met and the queued faces bit
-masks of their vertices, so nothing of size n is allocated.
+on its faces, so the nodes do not depend on where the search is split.
+Nothing is copied, so the test's memory is linear in the search depth, and
+the labels are dicts and lists over the vertices met and the queued faces
+bit masks of their vertices, so nothing of size n is allocated.
 
 Every census takes one path, whatever the number of jobs: the search tree
 is expanded breadth-first until it has `_FRONTIER_TARGET` open states or
@@ -112,16 +115,9 @@ _CHECK_EVERY = 256  # nodes between deadline checks, the first at the root
 _FRONTIER_TARGET = 8  # open states the search is split into, for any jobs
 _SEARCH_FLAG: Face = (0, 1, 2)  # the start every leaf is labelled from
 _Class = tuple[tuple[Face, ...], tuple[bool, bool]]  # faces, (weakly, combinatorially regular)
-# The search flag's traversal as far as the faces reach: the edge it stopped
-# at (p None once it is complete), its key, the labels of the edge crossed
-# and of its face's third vertex at each entry, its labels, queued faces (as
-# vertex bit masks), queue, and the queue position and edge to go on from
-# (0 for a face's (y, z), 1 for its (z, x)).
-_Prefix = tuple[Optional[int], int, list[int], list[Face], dict[int, int], set[int],
-                list[Face], int, int]
 # A flag tied with the search flag: its position in the search flag's key,
-# its labels and its vertices by label.
-_Tie = tuple[int, dict[int, int], list[int]]
+# its number of labels, its labels and its vertices by label.
+_Tie = tuple[int, int, dict[int, int], list[int]]
 
 
 class ResourceLimit(RuntimeError):
@@ -157,7 +153,17 @@ class _LinkSearch:
         self.quota = quota
         self.nodes = 0
         self.pruned = 0  # nodes ended by the prefix test
-        self.ties: Optional[list[_Prefix | _Tie]] = None  # the search flag's, then its ties
+        # The race, the search flag's traversal as far as the faces reach:
+        # its key, the labels of the edge crossed and of its face's third
+        # vertex at each entry, its queue, its queued faces (as vertex bit
+        # masks) and its labels, in label order.  A node keeps its lengths.
+        self.key: list[int] = []
+        self.steps: list[Face] = []
+        self.queue: list[Face] = []
+        self.seen: set[int] = set()
+        self.label: dict[int, int] = {}
+        self.race = (0, 0, 0)  # len(key), len(queue), len(label)
+        self.ties: Optional[list[_Tie]] = None  # the flags still tied with the search flag
         self.ties_at_1 = False  # whether the ties have taken in the flags at vertex 1
         self._undo: list[tuple[int, int]] = []  # (max_used, first_open) before each face
         for f in faces:
@@ -288,47 +294,77 @@ class _LinkSearch:
         """The prefix test: False when some flag at vertex 0 or 1 has a
         smaller key than the search flag in every completion of the faces.
 
-        `ties` holds the search flag's traversal, stopped at its first edge
-        on one face, then the flags still tied with it, each stopped at its
-        first edge on one face or at the end of the search flag's key: the
-        other flags at vertex 0 from the root, and the flags at vertex 1
-        from the first node where vertex 1 is complete.  The parent node
-        keeps the old ones, so a traversal goes on from a copy, and a tie
-        copies its labels before it labels a new vertex.  A tie whose entry
-        differs from the search flag's is dropped if it is larger, and ends
-        the node if it is smaller."""
+        The search flag's traversal goes on from where the parent node left
+        it, its lengths `race`, to its first edge on one face or its end;
+        the next entry crosses edge `len(key) % 2` of queued face
+        `len(key) // 2`.  Its flags still tied, the other flags at vertex 0
+        from the root and the flags at vertex 1 from the first node where
+        vertex 1 is complete, then go on to their first edge on one face or
+        to the end of the search flag's key.  A child only appends, so each
+        traversal is first cut back to the lengths this node's parent kept.
+        A tie whose entry differs from the search flag's is dropped if it is
+        larger, and ends the node if it is smaller."""
         lk, ties, at_1 = self.lk, self.ties, self.ties_at_1
-        if ties is None:
-            ties = [_start(lk, _SEARCH_FLAG)] + _flags_at(lk, 0)
+        key, steps, queue, seen, label = self.key, self.steps, self.queue, self.seen, self.label
+        crossed, queued, labelled = self.race
+        del key[crossed:], steps[crossed:]
+        for x, y, z in queue[queued:]:
+            seen.discard(1 << x | 1 << y | 1 << z)
+        del queue[queued:]
+        while len(label) > labelled:
+            label.popitem()
+        if ties is None:  # the search flag has crossed only its first edge, xy, to w
+            x, y, z = _SEARCH_FLAG
+            w = sum(lk[x][y]) - z
+            label.update({x: 0, y: 1, z: 2, w: 3})
+            queue += [_SEARCH_FLAG, (y, x, w)]
+            seen.update((1 << x | 1 << y | 1 << z, 1 << x | 1 << y | 1 << w))
+            ties = _flags_at(lk, 0)
         if not at_1 and self.first_open > 1:
             ties, at_1 = ties + _flags_at(lk, 1), True
-        p, q = ties[0][:2]
-        kept = [_resume(lk, ties[0]) if p is not None and len(lk[p][q]) == 2 else ties[0]]
-        key, steps = kept[0][2:4]
+        # As `symmetry._traverse`: each queued face (x, y, z) crosses (y, z),
+        # then (z, x); faces are queued and vertices labelled in that order.
+        get_label = label.get
+        while len(key) < 2 * len(queue):  # breadth-first: the queue grows while read
+            x, y, z = queue[len(key) // 2]
+            p, q, r = (z, x, y) if len(key) % 2 else (y, z, x)
+            on_pq = lk[p][q]
+            if len(on_pq) == 1:
+                break
+            w = on_pq[0] + on_pq[1] - r
+            lw = get_label(w)
+            if lw is None:
+                lw = label[w] = len(label)
+            key.append(lw)
+            steps.append((label[p], label[q], label[r]))
+            face = 1 << p | 1 << q | 1 << w
+            if face not in seen:
+                seen.add(face)
+                queue.append((q, p, w))
         end = len(key)
-        for at, label, inv in ties[1:]:
-            copied = False
+        kept = []
+        for at, size, tie_label, inv in ties:
+            while len(inv) > size:
+                del tie_label[inv.pop()]
             while at < end:
                 a, b, c = steps[at]
                 on_ab = lk[inv[a]][inv[b]]
                 if len(on_ab) == 1:
                     break
                 w = on_ab[0] + on_ab[1] - inv[c]
-                lw = label.get(w, len(inv))
+                lw = tie_label.get(w, len(inv))
                 if lw != key[at]:
                     if lw < key[at]:
                         return False
                     at = -1  # larger: dropped for the whole subtree
                     break
                 if lw == len(inv):  # a new vertex
-                    if not copied:
-                        label, inv, copied = dict(label), inv[:], True
-                    label[w] = lw
+                    tie_label[w] = lw
                     inv.append(w)
                 at += 1
             if at >= 0:
-                kept.append((at, label, inv))
-        self.ties, self.ties_at_1 = kept, at_1
+                kept.append((at, len(inv), tie_label, inv))
+        self.race, self.ties, self.ties_at_1 = (end, len(queue), len(label)), kept, at_1
         return True
 
     def _visit(self) -> Optional[list[Face]]:
@@ -355,9 +391,10 @@ class _LinkSearch:
         search is 2n - 6 faces deep, so it keeps a stack instead of
         recursing: for each node on the path from the root, its branch
         iterator, its face count once its single branch faces are added, so
-        backtracking takes back those faces with the branch face, its
-        traversals of the search flag and its ties, and whether those have
-        taken in the flags at vertex 1.
+        backtracking takes back those faces with the branch face, the
+        lengths of its race, its ties, and whether those have taken in the
+        flags at vertex 1.  Backtracking assigns these; the next prefix test
+        cuts the race and the ties back to them.
 
         With a `quota` (None: no limit), the search stops once it has
         counted that many nodes and returns the states it has not entered:
@@ -365,22 +402,23 @@ class _LinkSearch:
         branch faces included) plus each remaining sibling face.  Their
         roots are not counted here, so searching them counts every node of the
         subtree exactly once.  Otherwise it returns []."""
-        stack: list[tuple[Iterator[Face], int, Optional[list[_Prefix | _Tie]], bool]] = []
+        stack: list[tuple[Iterator[Face], int, tuple[int, int, int], Optional[list[_Tie]],
+                          bool]] = []
         while True:
             branch = self._visit()
             if branch is None:
                 leaves.append(tuple(self.faces))
                 branch = []
-            stack.append((iter(branch), len(self.faces), self.ties, self.ties_at_1))
+            stack.append((iter(branch), len(self.faces), self.race, self.ties, self.ties_at_1))
             if self.quota is not None and self.nodes >= self.quota:
                 return [tuple(self.faces[:end]) + (face,)
-                        for rest, end, _, _ in stack for face in rest]
+                        for rest, end, *_ in stack for face in rest]
             face = next(stack[-1][0], None)
             while face is None:
                 stack.pop()
                 if not stack:
                     return []
-                rest, end, self.ties, self.ties_at_1 = stack[-1]
+                rest, end, self.race, self.ties, self.ties_at_1 = stack[-1]
                 while len(self.faces) > end:
                     self._revert()
                 face = next(rest, None)
@@ -391,50 +429,9 @@ def _flags_at(lk: list[dict[int, list[int]]], v: int) -> list[_Tie]:
     """The flags (v, a, b) at the complete vertex v other than the search
     flag, as ties that have crossed only their first edge va, to w: each
     edge va lies on the faces {v, a, b} and {v, a, w}."""
-    return [(0, {v: 0, a: 1, b: 2, w: 3}, [v, a, b, w])
+    return [(0, 4, {v: 0, a: 1, b: 2, w: 3}, [v, a, b, w])
             for a, (b1, b2) in lk[v].items() for b, w in ((b1, b2), (b2, b1))
             if (v, a, b) != _SEARCH_FLAG]
-
-
-def _start(lk: list[dict[int, list[int]]], flag: Face) -> _Prefix:
-    """A traversal of the flag (x, y, z) that has crossed only its first
-    edge, (x, y), to w: x, y, z, w are labelled 0..3, and (x, y, z) and
-    (y, x, w) queued.  The edge xy must lie on two faces in `lk`."""
-    x, y, z = flag
-    w = sum(lk[x][y]) - z
-    return (x, y, [], [], {x: 0, y: 1, z: 2, w: 3},
-            {1 << x | 1 << y | 1 << z, 1 << x | 1 << y | 1 << w}, [flag, (y, x, w)], 0, 0)
-
-
-def _resume(lk: list[dict[int, list[int]]], prefix: _Prefix) -> _Prefix:
-    """A copy of the traversal carried on over the faces in `lk` to the
-    next edge on one face, or to its end.  It is `symmetry._traverse`: each
-    queued face (x, y, z) crosses (y, z), then (z, x), the faces are queued
-    and the vertices labelled in the same way.  Each key entry also records
-    the labels of the edge crossed and of the third vertex of its face."""
-    _, _, key, steps, label, seen, queue, qi, ei = prefix
-    key, steps, label, seen, queue = key[:], steps[:], dict(label), set(seen), queue[:]
-    add_key, add_step, get_label, enqueue = key.append, steps.append, label.get, queue.append
-    while qi < len(queue):  # breadth-first: the queue grows while read
-        x, y, z = queue[qi]
-        for p, q, r in ((y, z, x), (z, x, y))[ei:]:
-            on_pq = lk[p][q]
-            if len(on_pq) == 1:
-                return p, q, key, steps, label, seen, queue, qi, ei
-            w = on_pq[0] + on_pq[1] - r
-            lw = get_label(w)
-            if lw is None:
-                lw = label[w] = len(label)
-            add_key(lw)
-            add_step((label[p], label[q], label[r]))
-            face = 1 << p | 1 << q | 1 << w
-            if face not in seen:
-                seen.add(face)
-                enqueue((q, p, w))
-            ei += 1
-        qi += 1
-        ei = 0
-    return None, 0, key, steps, label, seen, queue, qi, 0
 
 
 def _check_deadline(deadline: Optional[float], layer: str) -> None:

@@ -292,9 +292,9 @@ class _CheckedSearch(census._LinkSearch):
         # at vertex 1 once vertex 1 is complete) whose prefix agrees with it
         # over their common length.  Each sits at that length, with the
         # labels a traversal from scratch gives after as many crossings, and
-        # its vertices listed by label.
+        # its vertices listed by label, as many as its kept size.
         lead = reference_prefix(self.faces, census._SEARCH_FLAG)
-        assert self.ties[0][2] == lead
+        assert self.key == lead
         tied = {}
         for flag in reference_rivals(self):
             key = reference_prefix(self.faces, flag)
@@ -302,10 +302,11 @@ class _CheckedSearch(census._LinkSearch):
             if key[:common] == lead[:common]:
                 tied[flag] = common
         assert self.ties_at_1 == (reference_first_open(self) > 1)
-        ties = {tuple(inv[:3]): (at, label, inv) for at, label, inv in self.ties[1:]}
-        assert len(ties) == len(self.ties) - 1 and ties.keys() == tied.keys()
-        for flag, (at, label, inv) in ties.items():
+        ties = {tuple(inv[:3]): (at, size, label, inv) for at, size, label, inv in self.ties}
+        assert len(ties) == len(self.ties) and ties.keys() == tied.keys()
+        for flag, (at, size, label, inv) in ties.items():
             assert at == tied[flag]
+            assert size == len(inv)
             assert label == reference_labels(self.faces, flag, at)
             assert inv == sorted(label, key=label.get)
 
@@ -441,22 +442,22 @@ def test_prefix_test_keeps_the_leaves_whose_search_flag_leads(n):
 
 
 @pytest.mark.parametrize("n", [12, 18])
-def test_resume_is_the_scans_traversal(n):
-    # Over a complete leaf, `_resume` carries the search flag's traversal to
-    # its end, with no stop edge, and gives the key and labels that
-    # `symmetry._traverse` gives on the complex the leaf builds.  The leaves
-    # are those of the search without the prefix test, which hold the whole
-    # search's.
+def test_race_at_a_complete_leaf_is_the_scans_traversal(n):
+    # Over a complete leaf, the prefix test carries the search flag's
+    # traversal to its end, two entries per face, with the key and labels
+    # that `symmetry._traverse` gives on the complex the leaf builds.  The
+    # leaves are those of the search without the prefix test, which hold the
+    # whole search's.
     leaves = []
     _UnprunedSearch(n, census._initial_star(), None, None).run(leaves)
     assert len(leaves) == {12: 43, 18: 69}[n]  # 12n/|Aut| per class
     for faces in leaves:
-        lk = census._LinkSearch(n, list(faces), None, None).lk
-        stop, _, key, _, label = census._resume(lk, census._start(lk, census._SEARCH_FLAG))[:5]
+        search = census._LinkSearch(n, list(faces), None, None)
+        search._search_flag_leads()
         t = build_triangulation(n, faces)
         found = symmetry._traverse(t, census._SEARCH_FLAG, t.face_index[census._SEARCH_FLAG], None)
-        assert stop is None
-        assert (key, [label[v] for v in range(n)]) == found
+        assert len(search.key) == 2 * len(faces)
+        assert (search.key, [search.label[v] for v in range(n)]) == found
 
 
 @pytest.mark.parametrize("n", range(7, 17))

@@ -385,7 +385,24 @@ class TestBoundedInputs:
                                   "s = census._LinkSearch(10**9, census._initial_star(), None, 512)\n"
                                   "s.run([])\n"
                                   "print(s.nodes, s.pruned, len(s.ties))")
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "512 1 4\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "512 1 3\n", "")
+
+    def test_deep_search_keeps_its_race_in_linear_memory(self):
+        # 16 000 nodes of the frontier state whose search goes deepest at
+        # n = 10^9, 14 780 faces: each level keeps the race's lengths, not a
+        # copy of it, so the path fits in 1 GiB.
+        proc = run_python_limited("-c", "from flatland import census\n"
+                                  "states, _ = census._frontier(10**9, 8)\n"
+                                  "s = census._LinkSearch(10**9, list(states[8]), None, 16000)\n"
+                                  "s.run([])\n"
+                                  "print(s.nodes, len(s.faces))")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "16000 14780\n", "")
+
+    @pytest.mark.stretch
+    def test_huge_census_runs_to_its_budget_in_bounded_memory(self):
+        # Four seconds take the search thousands of faces deep.
+        proc = run_limited("classify", "--n", "1000000000", "--budget", "4", timeout=60)
+        assert proc.returncode == 3 and "time budget" in proc.stderr
 
     def test_huge_family_exit_2(self):
         proc = run_limited("family", "T(1000000000,1,3)")
